@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -177,13 +178,24 @@ def _parse_region(text: str) -> Region:
     return Region(*parts)
 
 
+MAX_TOLERANCE = 1e-3
+
+
+def _check_tolerance(tol: float) -> float:
+    if not (math.isfinite(tol) and 0.0 < tol <= MAX_TOLERANCE):
+        raise SchemaError(f"flag '--tolerance' must be a finite number in "
+                          f"(0, {MAX_TOLERANCE:g}], got {tol!r}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monotri",
         description="Plane two-colorings, monochromatic triangle scans and "
                     "structural checkers.")
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
-                        help="global predicate tolerance (default 1e-9)")
+                        help=f"global predicate tolerance in (0, {MAX_TOLERANCE:g}] "
+                             "(default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, coloring=True, region=False):
@@ -243,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> int:
-    tol = args.tolerance
+    tol = _check_tolerance(args.tolerance)
     cmd = args.command
     if cmd == "scan":
         coloring = parse_coloring_file(args.coloring)

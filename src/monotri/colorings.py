@@ -15,10 +15,14 @@ Four families, each a total map from points to black/white:
 * ``HalfPlaneColoring`` -- the simplest polygonal coloring, kept as its own
   family for cheap negative tests.
 
-Every family answers single-point queries (``color_at``), vectorized queries
-over numpy arrays (``black_mask`` / ``boundary_mask``), and exposes its
-boundary as oriented segments for probing, margins and rendering. Colorings
-are immutable after construction; all queries are pure.
+Every family answers one vectorized query, ``classify(xs, ys, tol)``, which
+returns the black mask and the on-boundary mask of the points
+``(xs[k], ys[k])`` together; ``black_mask``, ``boundary_mask`` and the
+single-point ``color_at`` are views over it (the polygonal family keeps its
+per-point ``color_at`` walk and pairs it with a vectorized boundary test).
+Every family also exposes its boundary as oriented segments for probing,
+margins and rendering. Colorings are immutable after construction; all
+queries are pure.
 
 The zebra family carries its structural checker: conditions (a)-(c) hold by
 construction of the representation, and the distance/angle condition (d) --
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from enum import Enum
 from typing import Optional
 
@@ -53,8 +58,7 @@ __all__ = [
     "MalformedProfile", "PolygonalColoring", "StripColoring", "TriangleSpec",
     "UnresolvedFace", "ZebraColoring", "ZebraConditionReport", "ZebraProfile",
     "all_black_coloring", "check_zebra_conditions", "coloring_from_dict",
-    "l_shape_coloring", "polygonal_color", "strip_color", "twin", "zebra_color",
-    "zebra_curve",
+    "l_shape_coloring", "twin", "zebra_curve",
 ]
 
 HALF_SQRT3 = SQRT3 / 2.0
@@ -104,12 +108,28 @@ class BoundaryPiece:
         return point_segment_distance(p, self.seg, self.ray_start, self.ray_end)
 
 
+class _ClassifyViews:
+    """``black_mask``, ``boundary_mask`` and ``color_at`` as views over ``classify``."""
+
+    def black_mask(self, xs: np.ndarray, ys: np.ndarray,
+                   tol: float = DEFAULT_TOL) -> np.ndarray:
+        return self.classify(xs, ys, tol)[0]
+
+    def boundary_mask(self, xs: np.ndarray, ys: np.ndarray,
+                      tol: float = DEFAULT_TOL) -> np.ndarray:
+        return self.classify(xs, ys, tol)[1]
+
+    def color_at(self, p: Point, tol: float = DEFAULT_TOL) -> Color:
+        black = self.black_mask(np.array([p.x]), np.array([p.y]), tol)[0]
+        return Color.BLACK if bool(black) else Color.WHITE
+
+
 # ---------------------------------------------------------------------------
 # Strip coloring
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StripColoring:
+class StripColoring(_ClassifyViews):
     """Alternating horizontal strips of width ``scale * sqrt(3)/2``.
 
     Under the upper-closed rule a point is black iff
@@ -130,25 +150,18 @@ class StripColoring:
     def period(self) -> float:
         return self.scale * SQRT3
 
-    def color_at(self, p: Point, tol: float = DEFAULT_TOL) -> Color:
-        return Color.BLACK if bool(self.black_mask(
-            np.array([p.x]), np.array([p.y]))[0]) else Color.WHITE
-
-    def black_mask(self, xs: np.ndarray, ys: np.ndarray,
-                   tol: float = DEFAULT_TOL) -> np.ndarray:
-        # Strip membership is decided by the half-open rule exactly; tol is
-        # accepted for interface uniformity only.
+    def classify(self, xs: np.ndarray, ys: np.ndarray,
+                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        # Strip membership is decided by the half-open rule exactly; tol
+        # widens the boundary mask only.
         frac = np.mod(ys / self.period, 1.0)
         if self.boundary_rule == "upper-closed":
-            return (frac > 0.0) & (frac <= 0.5)
-        return (frac >= 0.0) & (frac < 0.5)
-
-    def boundary_mask(self, xs: np.ndarray, ys: np.ndarray,
-                      tol: float = DEFAULT_TOL) -> np.ndarray:
+            black = (frac > 0.0) & (frac <= 0.5)
+        else:
+            black = (frac >= 0.0) & (frac < 0.5)
         half = self.period / 2.0
         frac = np.mod(ys / half, 1.0)
-        dist = np.minimum(frac, 1.0 - frac) * half
-        return dist <= tol
+        return black, np.minimum(frac, 1.0 - frac) * half <= tol
 
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         """Horizontal boundary lines clipped to ``window``, white on the left."""
@@ -216,15 +229,11 @@ class ZebraProfile:
                 raise MalformedProfile("profile breakpoints must strictly increase in u")
         if abs(vs[0][1] - vs[-1][1]) > DEFAULT_TOL:
             raise MalformedProfile("profile is not periodic (first v != last v)")
-        slopes = self._piece_slopes(vs)
+        slopes = self.tables.slopes
         for i in range(len(slopes) - 1):
             if abs(slopes[i] - slopes[i + 1]) <= 1e-12:
                 raise MalformedProfile(
                     f"consecutive collinear pieces at breakpoint u = {us[i + 1]}")
-
-    @staticmethod
-    def _piece_slopes(vs) -> list[float]:
-        return [(v1 - v0) / (u1 - u0) for (u0, v0), (u1, v1) in zip(vs, vs[1:])]
 
     @property
     def amplitude(self) -> float:
@@ -242,24 +251,19 @@ class ZebraProfile:
     def is_flat(self) -> bool:
         return self.amplitude == 0.0
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        us = np.array([u for u, _ in self.vertices])
-        vs = np.array([v for _, v in self.vertices])
-        return us, vs
+    @cached_property
+    def tables(self) -> "ProfileTables":
+        """Lookup tables of the period, built once per profile."""
+        return ProfileTables(self.vertices)
 
     def value(self, u: float) -> float:
         return float(self.values(np.array([u]))[0])
 
     def values(self, u: np.ndarray) -> np.ndarray:
-        us, vs = self.arrays()
-        return np.interp(np.mod(u, 1.0), us, vs)
+        return np.interp(np.mod(u, 1.0), self.tables.us, self.tables.vs)
 
     def slopes_at(self, u: np.ndarray) -> np.ndarray:
-        us, _ = self.arrays()
-        slopes = np.array(self._piece_slopes(self.vertices))
-        idx = np.clip(np.searchsorted(us, np.mod(u, 1.0), side="right") - 1,
-                      0, len(slopes) - 1)
-        return slopes[idx]
+        return self.tables.slot_slopes[self.tables.locate(u)[1]]
 
     def breakpoints_in(self, u_lo: float, u_hi: float) -> list[float]:
         """Parameters of all breakpoints (period images) in [u_lo, u_hi]."""
@@ -273,11 +277,46 @@ class ZebraProfile:
         return sorted(out)
 
 
+class ProfileTables:
+    """Breakpoint tables of one profile period, for vectorized lookups.
+
+    ``us``, ``vs`` are the breakpoints and ``slopes`` the piece slopes. A
+    parameter u reduces to ``w = u mod 1`` and to the slot
+    ``k = searchsorted(us, w, side="right")``. Slot k in 1..n is piece k - 1;
+    slot 0 (w < us[0]) and slot n + 1 (w >= us[n]) hold the end heights with
+    zero rise, which is how ``np.interp`` clamps, so ``height`` returns
+    ``np.interp(w, us, vs)``, the profile's ``values``, bit for bit. The end
+    slots take the slope of the nearest piece.
+    """
+
+    def __init__(self, vertices: tuple[tuple[float, float], ...]):
+        us = np.array([u for u, _ in vertices])
+        vs = np.array([v for _, v in vertices])
+        slopes = np.diff(vs) / np.diff(us)
+        self.us, self.vs, self.slopes = us, vs, slopes
+        self.knot_u = np.concatenate((us[:1], us[:-1], us[-1:]))
+        self.knot_v = np.concatenate((vs[:1], vs[:-1], vs[-1:]))
+        self.rise = np.concatenate(([0.0], slopes, [0.0]))
+        self.slot_slopes = np.concatenate((slopes[:1], slopes, slopes[-1:]))
+        # sqrt(1 + m^2) turns a normal tolerance into a vertical one
+        self.secants = np.sqrt(1.0 + self.slot_slopes * self.slot_slopes)
+        for table in vars(self).values():
+            table.setflags(write=False)
+
+    def locate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Reduced parameters ``w`` and their table slots ``k``."""
+        w = np.mod(u, 1.0)
+        return w, np.searchsorted(self.us, w, side="right")
+
+    def height(self, w: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return self.rise[k] * (w - self.knot_u[k]) + self.knot_v[k]
+
+
 FLAT_PROFILE = ZebraProfile(((0.0, 0.0), (1.0, 0.0)))
 
 
 @dataclass(frozen=True)
-class ZebraColoring:
+class ZebraColoring(_ClassifyViews):
     """Coloring whose boundary is the curve family ``L_i = L_0 + i*z``.
 
     ``z = x_hat/2 + (sqrt(3)/2) y_hat`` with ``y_hat`` the ccw perpendicular
@@ -328,42 +367,51 @@ class ZebraColoring:
         return self.from_frame(u + 0.5 * i, self.profile.value(u) + i * HALF_SQRT3)
 
     def _locate(self, xs: np.ndarray, ys: np.ndarray, tol: float):
-        """Band index, on-curve mask and on-curve index for each point."""
+        """Band index, on-curve mask and on-curve index for each point.
+
+        The band is the largest i with L_i at or below the point, and the
+        on-curve index is the first i in ascending order whose curve lies
+        within ``tol`` of it, measured vertically as ``tol * sqrt(1 + m^2)``
+        on a piece of slope m. For a point at frame height t, with
+        ``i0 = floor((t - v_min) / (sqrt(3)/2))``, curve i0 - 1 lies below
+        the point and curve i0 + 1 above it, and curves i0 +- 2 are more
+        than sqrt(3)/2 away vertically, since the amplitude stays below
+        sqrt(3)/2. So curves i0 - 1 .. i0 + 1 decide everything, unless the
+        vertical tolerance reaches sqrt(3)/2 and the window widens to
+        i0 +- 2. Rounding at large |t| (from about 10^7 for an amplitude
+        within 1e-9 of the cap) can put all three window curves above the
+        point; curve i0 - 2 is then looked up, as the band only, for those
+        points only.
+        """
+        tables = self.profile.tables
         s, t = self.to_frame(xs, ys)
         i0 = np.floor((t - self.profile.v_min) / HALF_SQRT3).astype(np.int64)
         band = np.full(s.shape, np.iinfo(np.int64).min, dtype=np.int64)
         on_curve = np.zeros(s.shape, dtype=bool)
         curve_idx = np.zeros(s.shape, dtype=np.int64)
-        for di in range(-2, 3):
+        reach = 2 if tol * tables.secants.max() >= HALF_SQRT3 else 1
+        for di in range(-reach, reach + 1):
             i = i0 + di
-            u = s - 0.5 * i
-            h = i * HALF_SQRT3 + self.profile.values(u)
-            m = self.profile.slopes_at(u)
-            vertical_tol = tol * np.sqrt(1.0 + m * m)
-            onb = np.abs(t - h) <= vertical_tol
-            newly = onb & ~on_curve
-            curve_idx = np.where(newly, i, curve_idx)
+            w, k = tables.locate(s - 0.5 * i)
+            h = i * HALF_SQRT3 + tables.height(w, k)
+            onb = np.abs(t - h) <= tol * tables.secants[k]
+            curve_idx = np.where(onb & ~on_curve, i, curve_idx)
             on_curve |= onb
-            band = np.maximum(band, np.where(h <= t, i, np.iinfo(np.int64).min))
+            band = np.where(h <= t, i, band)  # i ascends, so this keeps the max
+        below = np.flatnonzero(band == np.iinfo(np.int64).min)
+        if reach == 1 and below.size:
+            i = i0[below] - 2
+            h = i * HALF_SQRT3 + tables.height(*tables.locate(s[below] - 0.5 * i))
+            band[below] = np.where(h <= t[below], i, band[below])
         return band, on_curve, curve_idx
 
-    def color_at(self, p: Point, tol: float = DEFAULT_TOL) -> Color:
-        black = self.black_mask(np.array([p.x]), np.array([p.y]), tol)[0]
-        return Color.BLACK if bool(black) else Color.WHITE
-
-    def black_mask(self, xs: np.ndarray, ys: np.ndarray,
-                   tol: float = DEFAULT_TOL) -> np.ndarray:
+    def classify(self, xs: np.ndarray, ys: np.ndarray,
+                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         band, on_curve, curve_idx = self._locate(xs, ys, tol)
-        band_even = np.mod(band, 2) == 0
-        curve_even = np.mod(curve_idx, 2) == 0
-        band_black = band_even if self.parity_rule == "even-black" else ~band_even
-        curve_black = curve_even if self.boundary_parity == "even-black" else ~curve_even
-        return np.where(on_curve, curve_black, band_black)
-
-    def boundary_mask(self, xs: np.ndarray, ys: np.ndarray,
-                      tol: float = DEFAULT_TOL) -> np.ndarray:
-        _, on_curve, _ = self._locate(xs, ys, tol)
-        return on_curve
+        even = (np.where(on_curve, curve_idx, band) & 1) == 0
+        odd_black = np.where(on_curve, self.boundary_parity == "even-white",
+                             self.parity_rule == "even-white")
+        return even != odd_black, on_curve
 
     def band_index_at(self, p: Point, tol: float = DEFAULT_TOL) -> Optional[int]:
         band, on_curve, _ = self._locate(np.array([p.x]), np.array([p.y]), tol)
@@ -481,31 +529,19 @@ def _clip_segment_to_region(p: Point, q: Point, window: Region) -> Optional[Segm
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HalfPlaneColoring:
+class HalfPlaneColoring(_ClassifyViews):
     """Closed half-plane {p : p . normal >= offset} in one color, open rest other."""
 
     normal: UnitVector = UnitVector(0.0, 1.0)
     offset: float = 0.0
     closed_side_color: Color = Color.BLACK
 
-    def color_at(self, p: Point, tol: float = DEFAULT_TOL) -> Color:
-        s = p.x * self.normal.dx + p.y * self.normal.dy
-        if s >= self.offset - tol:
-            return self.closed_side_color
-        return self.closed_side_color.opposite()
-
-    def black_mask(self, xs: np.ndarray, ys: np.ndarray,
-                   tol: float = DEFAULT_TOL) -> np.ndarray:
+    def classify(self, xs: np.ndarray, ys: np.ndarray,
+                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         s = xs * self.normal.dx + ys * self.normal.dy
         closed = s >= self.offset - tol
-        if self.closed_side_color is Color.BLACK:
-            return closed
-        return ~closed
-
-    def boundary_mask(self, xs: np.ndarray, ys: np.ndarray,
-                      tol: float = DEFAULT_TOL) -> np.ndarray:
-        s = xs * self.normal.dx + ys * self.normal.dy
-        return np.abs(s - self.offset) <= tol
+        black = closed if self.closed_side_color is Color.BLACK else ~closed
+        return black, np.abs(s - self.offset) <= tol
 
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         n = self.normal
@@ -663,6 +699,10 @@ class PolygonalColoring:
             out |= d <= tol
         return out
 
+    def classify(self, xs: np.ndarray, ys: np.ndarray,
+                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        return self.black_mask(xs, ys, tol), self.boundary_mask(xs, ys, tol)
+
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         return list(self.pieces)
 
@@ -682,18 +722,6 @@ class PolygonalColoring:
             "seeds": [[pt.x, pt.y, color.value] for pt, color in self.seeds],
             "window": [self.window.x0, self.window.y0, self.window.x1, self.window.y1],
         }
-
-
-def polygonal_color(pc: PolygonalColoring, p: Point, tol: float = DEFAULT_TOL) -> Color:
-    return pc.color_at(p, tol)
-
-
-def strip_color(sc: StripColoring, p: Point, tol: float = DEFAULT_TOL) -> Color:
-    return sc.color_at(p, tol)
-
-
-def zebra_color(zc: ZebraColoring, p: Point, tol: float = DEFAULT_TOL) -> Color:
-    return zc.color_at(p, tol)
 
 
 def zebra_curve(zc: ZebraColoring, i: int, window: Region) -> list[Segment]:
@@ -833,9 +861,8 @@ def check_zebra_conditions(zc: ZebraColoring,
              "b: curves generated as L_i = L_0 + i * z by construction",
              "c: band colors assigned by parity of the band index")
 
-    us, vs = profile.arrays()
+    us, vs, slopes = profile.tables.us, profile.tables.vs, profile.tables.slopes
     n_pieces = len(us) - 1
-    slopes = ZebraProfile._piece_slopes(profile.vertices)
 
     # Period shifts m wide enough that every violating difference vector
     # (necessarily |dx| <= 1 since |dy| <= sqrt(3)) is covered.

@@ -51,9 +51,6 @@ class Point:
     def __sub__(self, other: "Point") -> tuple[float, float]:
         return (self.x - other.x, self.y - other.y)
 
-    def translated(self, dx: float, dy: float) -> "Point":
-        return Point(self.x + dx, self.y + dy)
-
 
 def distance(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)

@@ -180,16 +180,10 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
     near_ex: list[tuple[int, float, float]] = []
     for k, angle in enumerate(grid.angles()):
         offs = _rotated_offsets(spec, angle)
-        blacks = []
-        bounds = []
-        for ox, oy in offs:
-            vx, vy = X + ox, Y + oy
-            blacks.append(coloring.black_mask(vx, vy, tol))
-            bounds.append(coloring.boundary_mask(vx, vy, tol))
-        b1, b2, b3 = blacks
+        (b1, on1), (b2, on2), (b3, on3) = (coloring.classify(X + ox, Y + oy, tol)
+                                           for ox, oy in offs)
         mono = (b1 == b2) & (b2 == b3)
-        near = (~mono) & (((b1 == b2) & bounds[2]) | ((b1 == b3) & bounds[1])
-                          | ((b2 == b3) & bounds[0]))
+        near = (~mono) & (((b1 == b2) & on3) | ((b1 == b3) & on2) | ((b2 == b3) & on1))
         mono_count += int(mono.sum())
         near_count += int(near.sum())
         for mask, acc in ((mono, mono_ex), (near, near_ex)):

@@ -122,6 +122,21 @@ class TestExitStatuses:
                      "--region", "0,0,1,1"])
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "0.01"])
+    def test_bad_tolerance_exit_one(self, value, tmp_path, capsys):
+        # the sawtooth fails condition (d); a NaN tolerance used to pass it
+        path = tmp_path / "saw.json"
+        path.write_text(json.dumps(
+            {"type": "zebra", "profile": [[0, 0], [0.5, 0.8], [1, 0]]}))
+        assert main([f"--tolerance={value}", "check-zebra", "--coloring", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'--tolerance'" in captured.err
+
+    def test_largest_tolerance_accepted(self, zigzag_file, capsys):
+        assert main(["--tolerance", "1e-3", "check-zebra", "--coloring", zigzag_file]) == 0
+        assert json.loads(capsys.readouterr().out)["d"] == "pass"
+
     def test_usage_error_exit_one(self, capsys):
         assert main(["scan"]) == 1
 
