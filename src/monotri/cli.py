@@ -171,11 +171,35 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
 
 
+def _check_finite(flag: str, values, text: str) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise SchemaError(f"flag '{flag}' must hold finite numbers, got {text!r}")
+
+
 def _parse_region(text: str) -> Region:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 4:
-        raise SchemaError("expected region as x0,y0,x1,y1")
+        raise SchemaError("flag '--region' expects x0,y0,x1,y1")
+    _check_finite("--region", parts, text)
     return Region(*parts)
+
+
+def _parse_line(flag: str, text: str) -> Line:
+    try:
+        line = Line.parse(text)
+    except (ValueError, IndexError) as exc:
+        raise SchemaError(f"flag '{flag}': bad line syntax: {exc}") from exc
+    _check_finite(flag, (v for v in (line.slope, line.intercept, line.x0) if v is not None),
+                  text)
+    return line
+
+
+def _check_number(flag: str, value, positive: bool = False):
+    """``value`` if it is finite and >= 0 (> 0 when ``positive``)."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise SchemaError(f"flag '{flag}' must be a finite number "
+                          f"{'> 0' if positive else '>= 0'}, got {value!r}")
+    return value
 
 
 MAX_TOLERANCE = 1e-3
@@ -262,7 +286,7 @@ def run(args: argparse.Namespace) -> int:
         spec = TriangleSpec(*_parse_triple(args.triangle))
         grid = ScanGrid(_parse_region(args.region), args.grid, args.angles)
         witness = find_monochromatic_copy(coloring, spec, grid,
-                                          args.min_margin, tol)
+                                          _check_number("--min-margin", args.min_margin), tol)
         if witness is None:
             _emit({"result": "exhausted",
                    "placements_tested": grid.placements()}, args.out)
@@ -277,7 +301,8 @@ def run(args: argparse.Namespace) -> int:
         return 0
     if cmd == "almost":
         coloring = parse_coloring_file(args.coloring)
-        pair = find_almost_unit(coloring, args.epsilon, args.tries, args.seed, tol)
+        tries = _check_number("--tries", args.tries, positive=True)
+        pair = find_almost_unit(coloring, args.epsilon, tries, args.seed, tol)
         _emit({"result": "failure"} if pair is None else pair.to_dict(), args.out)
         return 0
     if cmd == "check-zebra":
@@ -309,10 +334,8 @@ def run(args: argparse.Namespace) -> int:
         _emit(doc, args.out)
         return 0
     if cmd == "lines":
-        try:
-            qs = [Line.parse(t) for t in (args.q1, args.q2, args.q3)]
-        except (ValueError, IndexError) as exc:
-            raise SchemaError(f"bad line syntax: {exc}") from exc
+        qs = [_parse_line(f"--q{k}", text)
+              for k, text in enumerate((args.q1, args.q2, args.q3), 1)]
         try:
             _emit(solve_unit_triangles(*qs, tol=tol).to_dict(), args.out)
         except AllParallel:
@@ -330,7 +353,8 @@ def run(args: argparse.Namespace) -> int:
             if "vertices" not in witness:
                 raise SchemaError("witness file lacks 'vertices'")
         spec = RenderSpec(coloring, _parse_region(args.region),
-                          args.pixels_per_unit, witness)
+                          _check_number("--pixels-per-unit", args.pixels_per_unit, positive=True),
+                          witness)
         svg = render_svg(spec)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

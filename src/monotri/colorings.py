@@ -11,18 +11,18 @@ Four families, each a total map from points to black/white:
   boundary parity rule, which is what the twin operation toggles.
 * ``PolygonalColoring`` -- an explicit list of oriented boundary segments
   (white face on the left), per-segment boundary colors, and one seed point
-  per face; interior queries resolve by crossing parity from a seed.
+  per face; interior points resolve by crossing parity from a seed, in one
+  array pass (``resolve``) that also reports the points no seed reaches.
 * ``HalfPlaneColoring`` -- the simplest polygonal coloring, kept as its own
   family for cheap negative tests.
 
 Every family answers one vectorized query, ``classify(xs, ys, tol)``, which
 returns the black mask and the on-boundary mask of the points
 ``(xs[k], ys[k])`` together; ``black_mask``, ``boundary_mask`` and the
-single-point ``color_at`` are views over it (the polygonal family keeps its
-per-point ``color_at`` walk and pairs it with a vectorized boundary test).
-Every family also exposes its boundary as oriented segments for probing,
-margins and rendering. Colorings are immutable after construction; all
-queries are pure.
+single-point ``color_at`` are views over it, for every family. Every
+family also exposes its boundary as oriented segments for probing, margins
+and rendering. Colorings are immutable after construction; all queries are
+pure.
 
 The zebra family carries its structural checker: conditions (a)-(c) hold by
 construction of the representation, and the distance/angle condition (d) --
@@ -591,15 +591,58 @@ def _pieces_cross(a: Segment, b: Segment, tol: float = DEFAULT_TOL) -> bool:
         (inside_u and on_t and not inside_t)
 
 
+_RESOLVE_BLOCK = 2048  # points per array pass of ``PolygonalColoring.resolve``
+
+
+class PolygonTables:
+    """Piece and seed arrays of a polygonal coloring, for vectorized queries.
+
+    Piece j is ``a + u * e`` for u in ``[u_lo, u_hi]``, unbounded on a ray
+    side. Piece fields are columns of shape (pieces, 1), so that a
+    (pieces, points) grid keeps the points on its fast axis. ``piece_len``
+    is ``math.hypot`` of e, ``piece_black`` the piece color and
+    ``seed_dist[j, k]`` the distance of seed k from piece j.
+    """
+
+    def __init__(self, pieces: tuple[BoundaryPiece, ...],
+                 seeds: tuple[tuple[Point, Color], ...]):
+        def column(values, dtype=float) -> np.ndarray:
+            return np.array(list(values), dtype=dtype).reshape(-1, 1)
+
+        segs = [pc.seg for pc in pieces]
+        self.ax = column(sg.p.x for sg in segs)
+        self.ay = column(sg.p.y for sg in segs)
+        self.ex = column(sg.q.x - sg.p.x for sg in segs)
+        self.ey = column(sg.q.y - sg.p.y for sg in segs)
+        self.len2 = self.ex * self.ex + self.ey * self.ey
+        self.piece_len = column(math.hypot(sg.q.x - sg.p.x, sg.q.y - sg.p.y) for sg in segs)
+        self.ray_start = column((pc.ray_start for pc in pieces), bool)
+        self.ray_end = column((pc.ray_end for pc in pieces), bool)
+        self.u_lo = np.where(self.ray_start, -np.inf, 0.0)
+        self.u_hi = np.where(self.ray_end, np.inf, 1.0)
+        self.piece_black = np.array([pc.color is Color.BLACK for pc in pieces], dtype=bool)
+        self.seed_x = np.array([p.x for p, _ in seeds])
+        self.seed_y = np.array([p.y for p, _ in seeds])
+        self.seed_black = np.array([c is Color.BLACK for _, c in seeds], dtype=bool)
+        self.seed_dist = np.array([[pc.distance_to(p) for p, _ in seeds]
+                                   for pc in pieces]).reshape(len(pieces), len(seeds))
+        for table in vars(self).values():
+            table.setflags(write=False)
+
+
 @dataclass(frozen=True)
-class PolygonalColoring:
+class PolygonalColoring(_ClassifyViews):
     """Coloring given by explicit boundary pieces and face seed points.
 
     Pieces may be rays or lines via their ray flags (the stored segment is a
-    clipped representative inside ``window``). Interior queries walk from a
-    seed and flip color at every proper boundary crossing; crossings that
-    graze an endpoint or run along a piece are ambiguous and force a retry
-    from the next-nearest seed.
+    clipped representative inside ``window``). A point within ``tol`` of a
+    piece takes the color of the first such piece. Any other point takes
+    the color of a seed, flipped at every proper crossing of the sight line
+    from the point to that seed with the boundary. Sight lines that graze
+    an endpoint, cross at a boundary vertex or run along a piece are
+    ambiguous; each point tries the seeds nearest first and takes the
+    first unambiguous one. ``resolve`` does all of this over whole arrays;
+    ``classify`` raises ``UnresolvedFace`` where no seed reaches a point.
     """
 
     pieces: tuple[BoundaryPiece, ...]
@@ -620,88 +663,95 @@ class PolygonalColoring:
                         f"boundary segments {i} and {j} intersect away from "
                         "their endpoints")
 
-    def color_at(self, p: Point, tol: float = DEFAULT_TOL) -> Color:
-        on, color = self._boundary_hit(p, tol)
-        if on:
-            return color
-        order = sorted(range(len(self.seeds)),
-                       key=lambda k: distance(self.seeds[k][0], p))
-        for k in order:
-            seed_pt, seed_color = self.seeds[k]
-            crossings = self._count_crossings(p, seed_pt, tol)
-            if crossings is None:
-                continue
-            return seed_color if crossings % 2 == 0 else seed_color.opposite()
-        raise UnresolvedFace(f"no seed reaches ({p.x}, {p.y}) unambiguously")
+    @cached_property
+    def tables(self) -> PolygonTables:
+        """Piece and seed arrays, built once per coloring."""
+        return PolygonTables(self.pieces, self.seeds)
 
-    def _boundary_hit(self, p: Point, tol: float) -> tuple[bool, Color]:
-        for piece in self.pieces:
-            if piece.distance_to(p) <= tol:
-                return True, piece.color
-        return False, Color.BLACK
+    def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Black, on-boundary and unresolved masks of the points ``(xs[k], ys[k])``.
 
-    def _count_crossings(self, p: Point, q: Point, tol: float) -> Optional[int]:
-        """Proper crossings of segment p-q with the boundary, None if ambiguous."""
-        dx, dy = q.x - p.x, q.y - p.y
-        seg_len = math.hypot(dx, dy)
-        if seg_len <= tol:
-            return 0
-        count = 0
-        for piece in self.pieces:
-            a, b = piece.seg.p, piece.seg.q
-            ex, ey = b.x - a.x, b.y - a.y
-            piece_len = math.hypot(ex, ey)
-            denom = dx * ey - dy * ex
-            if abs(denom) <= tol * seg_len * piece_len:
-                # Parallel; ambiguous only if collinear and overlapping.
-                if point_segment_distance(p, piece.seg, piece.ray_start,
-                                          piece.ray_end) <= tol or \
-                   point_segment_distance(q, piece.seg, piece.ray_start,
-                                          piece.ray_end) <= tol:
-                    return None
-                continue
-            wx, wy = a.x - p.x, a.y - p.y
-            t = (wx * ey - wy * ex) / denom
+        ``black`` is False where ``unresolved`` is True. Points go through
+        in blocks of ``_RESOLVE_BLOCK``, so temporaries stay at
+        block x pieces.
+        """
+        black = np.zeros(xs.shape, dtype=bool)
+        on = np.zeros(xs.shape, dtype=bool)
+        unresolved = np.zeros(xs.shape, dtype=bool)
+        for lo in range(0, xs.shape[0], _RESOLVE_BLOCK):
+            blk = slice(lo, lo + _RESOLVE_BLOCK)
+            black[blk], on[blk], unresolved[blk] = self._resolve_block(xs[blk], ys[blk], tol)
+        return black, on, unresolved
+
+    def _resolve_block(self, xs: np.ndarray, ys: np.ndarray, tol: float):
+        tb = self.tables
+        t = ((xs - tb.ax) * tb.ex + (ys - tb.ay) * tb.ey) / tb.len2
+        t = np.minimum(np.maximum(t, tb.u_lo), tb.u_hi)
+        gx, gy = xs - (tb.ax + t * tb.ex), ys - (tb.ay + t * tb.ey)
+        # np.hypot(gx, gy) >= max(|gx|, |gy|), so it is needed only where both are within tol
+        near = (np.abs(gx) <= tol) & (np.abs(gy) <= tol)
+        near[near] = np.hypot(gx[near], gy[near]) <= tol
+        on = near.any(axis=0)
+        black = np.zeros(xs.shape, dtype=bool)
+        if on.any():
+            black[on] = tb.piece_black[near[:, on].argmax(axis=0)]
+        # The walk: each point off the boundary tries its seeds nearest first.
+        pend = np.flatnonzero(~on)
+        px, py = xs[pend], ys[pend]
+        dist = np.hypot(tb.seed_x - px[:, None], tb.seed_y - py[:, None])
+        order = np.argsort(dist, axis=1, kind="stable")
+        todo = np.arange(pend.size)
+        for rank in range(order.shape[1]):
+            if not todo.size:
+                break
+            k = order[todo, rank]
+            seg_len = dist[todo, k]
+            odd, ambiguous = self._crossing_parity(px[todo], py[todo], k, seg_len, tol)
+            ok = ~ambiguous
+            black[pend[todo[ok]]] = tb.seed_black[k[ok]] ^ odd[ok]
+            todo = todo[ambiguous]
+        unresolved = np.zeros(xs.shape, dtype=bool)
+        unresolved[pend[todo]] = True
+        return black, on, unresolved
+
+    def _crossing_parity(self, px: np.ndarray, py: np.ndarray, k: np.ndarray,
+                         seg_len: np.ndarray, tol: float):
+        """Parity of the proper crossings of each sight line from ``(px, py)``
+        to seed ``k``, of length ``seg_len``, with the boundary, and whether
+        the sight line is ambiguous.
+
+        The points lie off the boundary, so a sight line parallel to a piece
+        is ambiguous only when its seed is within ``tol`` of that piece.
+        """
+        tb = self.tables
+        dx, dy = tb.seed_x[k] - px, tb.seed_y[k] - py
+        denom = dx * tb.ey - dy * tb.ex
+        parallel = np.abs(denom) <= tol * seg_len * tb.piece_len
+        wx, wy = tb.ax - px, tb.ay - py
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (wx * tb.ey - wy * tb.ex) / denom
             u = (wx * dy - wy * dx) / denom
             t_tol = tol / seg_len
-            u_tol = tol / piece_len
-            u_lo = -math.inf if piece.ray_start else 0.0
-            u_hi = math.inf if piece.ray_end else 1.0
-            if t < -t_tol or t > 1.0 + t_tol or u < u_lo - u_tol or u > u_hi + u_tol:
-                continue
-            if abs(t) <= t_tol or abs(t - 1.0) <= t_tol:
-                return None  # endpoint of the query segment grazes the boundary
-            if (not piece.ray_start and abs(u) <= u_tol) or \
-               (not piece.ray_end and abs(u - 1.0) <= u_tol):
-                return None  # crossing at a boundary vertex
-            count += 1
-        return count
-
-    def black_mask(self, xs: np.ndarray, ys: np.ndarray,
-                   tol: float = DEFAULT_TOL) -> np.ndarray:
-        out = np.zeros(xs.shape, dtype=bool)
-        for j in range(xs.shape[0]):
-            out[j] = self.color_at(Point(float(xs[j]), float(ys[j])), tol) is Color.BLACK
-        return out
-
-    def boundary_mask(self, xs: np.ndarray, ys: np.ndarray,
-                      tol: float = DEFAULT_TOL) -> np.ndarray:
-        out = np.zeros(xs.shape, dtype=bool)
-        for piece in self.pieces:
-            a, b = piece.seg.p, piece.seg.q
-            ex, ey = b.x - a.x, b.y - a.y
-            L2 = ex * ex + ey * ey
-            t = ((xs - a.x) * ex + (ys - a.y) * ey) / L2
-            lo = -np.inf if piece.ray_start else 0.0
-            hi = np.inf if piece.ray_end else 1.0
-            t = np.clip(t, lo, hi)
-            d = np.hypot(xs - (a.x + t * ex), ys - (a.y + t * ey))
-            out |= d <= tol
-        return out
+        u_tol = tol / tb.piece_len
+        hit = ~(parallel | (t < -t_tol) | (t > 1.0 + t_tol)
+                | (u < tb.u_lo - u_tol) | (u > tb.u_hi + u_tol))
+        graze = (np.abs(t) <= t_tol) | (np.abs(t - 1.0) <= t_tol)
+        # a vertex is a bounded end of a piece; -inf tolerates nothing on a ray side
+        vertex = ((np.abs(u) <= np.where(tb.ray_start, -np.inf, u_tol))
+                  | (np.abs(u - 1.0) <= np.where(tb.ray_end, -np.inf, u_tol)))
+        ambiguous = (hit & (graze | vertex)) | (parallel & (tb.seed_dist[:, k] <= tol))
+        short = seg_len <= tol  # the point is at its seed
+        return np.logical_xor.reduce(hit, axis=0) & ~short, ambiguous.any(axis=0) & ~short
 
     def classify(self, xs: np.ndarray, ys: np.ndarray,
                  tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-        return self.black_mask(xs, ys, tol), self.boundary_mask(xs, ys, tol)
+        black, on, unresolved = self.resolve(xs, ys, tol)
+        if unresolved.any():
+            j = int(unresolved.argmax())
+            raise UnresolvedFace(
+                f"no seed reaches ({float(xs[j])}, {float(ys[j])}) unambiguously")
+        return black, on
 
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         return list(self.pieces)

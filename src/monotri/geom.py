@@ -108,7 +108,6 @@ class RigidMotion:
 class Segment:
     p: Point
     q: Point
-    oriented: bool = True
 
     def __post_init__(self):
         if distance(self.p, self.q) <= DEFAULT_TOL:

@@ -5,8 +5,9 @@ stroked, and an optional witness triangle is overlaid with vertex markers.
 Output is plain SVG 1.1 built by string assembly with fixed-precision
 coordinates, so a given input always renders to the same bytes. Strip,
 zebra and half-plane fills are exact band/half-plane polygons (cropped by
-the viewBox); generic polygonal interiors fall back to a fine cell raster
-colored by point queries while their boundaries stay exact.
+the viewBox); generic polygonal interiors fall back to a fine cell raster,
+colored by one ``resolve`` call over all cell centres (cells no seed
+reaches stay white), while their boundaries stay exact.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .geom import Point, Region, Segment
 from .colorings import (
     Color,
@@ -22,7 +25,6 @@ from .colorings import (
     HalfPlaneColoring,
     PolygonalColoring,
     StripColoring,
-    UnresolvedFace,
     ZebraColoring,
     _parity_color,
 )
@@ -137,17 +139,13 @@ def _fill_polygonal(canvas: _Canvas, coloring: PolygonalColoring, cells: int = 1
     ny = max(int(round(cells * (region.y1 - region.y0) / (region.x1 - region.x0))), 1)
     dx = (region.x1 - region.x0) / nx
     dy = (region.y1 - region.y0) / ny
-    for i in range(nx):
-        for j in range(ny):
-            cx = region.x0 + (i + 0.5) * dx
-            cy = region.y0 + (j + 0.5) * dy
-            try:
-                color = coloring.color_at(Point(cx, cy))
-            except UnresolvedFace:
-                continue
-            if color is Color.BLACK:
-                x, y = canvas.to_svg(Point(region.x0 + i * dx, region.y0 + (j + 1) * dy))
-                canvas.rect(x, y, dx * canvas.ppu, dy * canvas.ppu, BLACK_FILL)
+    ci, cj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    black, _, unresolved = coloring.resolve(region.x0 + (ci.ravel() + 0.5) * dx,
+                                            region.y0 + (cj.ravel() + 0.5) * dy)
+    for flat in np.flatnonzero(black & ~unresolved):
+        i, j = divmod(int(flat), ny)
+        x, y = canvas.to_svg(Point(region.x0 + i * dx, region.y0 + (j + 1) * dy))
+        canvas.rect(x, y, dx * canvas.ppu, dy * canvas.ppu, BLACK_FILL)
 
 
 def render_svg(spec: RenderSpec) -> str:

@@ -4,27 +4,43 @@
 window: every point tries curves i0 - 2 .. i0 + 2 and reads heights through
 ``np.interp``. ``two_mask_avoidance`` is the avoidance scan as it was before
 it classified each vertex once: one ``black_mask`` and one ``boundary_mask``
-call per vertex. Both are kept here as oracles that the fast paths must
-match exactly.
+call per vertex. ``walk_color_at`` is the polygonal query as it was before
+the array kernel: one point at a time, one seed at a time, one piece at a
+time. All are kept here as oracles that the fast paths must match exactly.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from monotri import colorings, render
 from monotri.colorings import (
+    BoundaryPiece,
     Color,
     HalfPlaneColoring,
     MalformedProfile,
+    PolygonalColoring,
     StripColoring,
+    UnresolvedFace,
     ZebraColoring,
     ZebraProfile,
+    all_black_coloring,
     l_shape_coloring,
 )
-from monotri.geom import Point, Region, TriangleSpec, UnitVector
+from monotri.geom import (
+    Point,
+    Region,
+    Segment,
+    TriangleSpec,
+    UnitVector,
+    distance,
+    point_segment_distance,
+)
+from monotri.render import RenderSpec, render_svg
 from monotri.scan import AvoidanceReport, ScanGrid, _rotated_offsets, avoidance_scan
 
 HALF_SQRT3 = math.sqrt(3.0) / 2.0
@@ -91,6 +107,59 @@ def two_mask_avoidance(coloring, spec, grid, tol=1e-9, max_examples=8):
                     acc.append((k, float(xs[i]), float(ys[j])))
     return AvoidanceReport(grid.placements(), mono_count, near_count,
                            tuple(mono_ex), tuple(near_ex))
+
+
+def walk_color_at(pc: PolygonalColoring, p: Point, tol: float):
+    """Color of ``p`` by the per-point walk, None where no seed reaches it."""
+    for piece in pc.pieces:
+        if piece.distance_to(p) <= tol:
+            return piece.color
+    order = sorted(range(len(pc.seeds)), key=lambda k: distance(pc.seeds[k][0], p))
+    for k in order:
+        seed_pt, seed_color = pc.seeds[k]
+        crossings = walk_crossings(pc, p, seed_pt, tol)
+        if crossings is None:
+            continue
+        return seed_color if crossings % 2 == 0 else seed_color.opposite()
+    return None
+
+
+def walk_crossings(pc: PolygonalColoring, p: Point, q: Point, tol: float):
+    """Proper crossings of segment p-q with the boundary, None if ambiguous."""
+    dx, dy = q.x - p.x, q.y - p.y
+    seg_len = math.hypot(dx, dy)
+    if seg_len <= tol:
+        return 0
+    count = 0
+    for piece in pc.pieces:
+        a, b = piece.seg.p, piece.seg.q
+        ex, ey = b.x - a.x, b.y - a.y
+        piece_len = math.hypot(ex, ey)
+        denom = dx * ey - dy * ex
+        if abs(denom) <= tol * seg_len * piece_len:
+            # Parallel; ambiguous only if collinear and overlapping.
+            if point_segment_distance(p, piece.seg, piece.ray_start,
+                                      piece.ray_end) <= tol or \
+               point_segment_distance(q, piece.seg, piece.ray_start,
+                                      piece.ray_end) <= tol:
+                return None
+            continue
+        wx, wy = a.x - p.x, a.y - p.y
+        t = (wx * ey - wy * ex) / denom
+        u = (wx * dy - wy * dx) / denom
+        t_tol = tol / seg_len
+        u_tol = tol / piece_len
+        u_lo = -math.inf if piece.ray_start else 0.0
+        u_hi = math.inf if piece.ray_end else 1.0
+        if t < -t_tol or t > 1.0 + t_tol or u < u_lo - u_tol or u > u_hi + u_tol:
+            continue
+        if abs(t) <= t_tol or abs(t - 1.0) <= t_tol:
+            return None  # endpoint of the query segment grazes the boundary
+        if (not piece.ray_start and abs(u) <= u_tol) or \
+           (not piece.ray_end and abs(u - 1.0) <= u_tol):
+            return None  # crossing at a boundary vertex
+        count += 1
+    return count
 
 
 @st.composite
@@ -191,11 +260,36 @@ class TestZebraKernel:
             profile.tables.vs[0] = 1.0
 
 
+def convex_face(rng) -> PolygonalColoring:
+    """A black convex face of 3-8 pieces of random colors, white outside.
+
+    The vertices lie on a random ellipse about the origin, at angles
+    jittered from an even spread. One black seed sits near the origin and
+    three white seeds lie outside, on a circle of radius 3.
+    """
+    n = int(rng.integers(3, 9))
+    theta = (np.arange(n) + rng.uniform(-0.3, 0.3, n)) * (2.0 * math.pi / n)
+    a, b = rng.uniform(1.0, 2.0, 2)
+    c, s = math.cos(rng.uniform(0.0, math.pi)), math.sin(rng.uniform(0.0, math.pi))
+    ccw = [Point(float(c * a * math.cos(t) - s * b * math.sin(t)),
+                 float(s * a * math.cos(t) + c * b * math.sin(t))) for t in theta]
+    cw = ccw[::-1]  # clockwise, so the white outside lies on the left
+    pieces = tuple(BoundaryPiece(Segment(cw[k], cw[(k + 1) % n]),
+                                 Color.BLACK if rng.uniform() < 0.5 else Color.WHITE)
+                   for k in range(n))
+    inside = Point(*(float(v) for v in rng.uniform(-0.1, 0.1, 2)))
+    outer = tuple((Point(float(3.0 * math.cos(t)), float(3.0 * math.sin(t))), Color.WHITE)
+                  for t in rng.uniform(0.0, 2.0 * math.pi, 3))
+    return PolygonalColoring(pieces, ((inside, Color.BLACK),) + outer,
+                             Region(-4.0, -4.0, 4.0, 4.0))
+
+
 FAMILIES = {
     "strip": StripColoring(1.0, "lower-closed"),
     "zebra": ZebraColoring(ZIGZAG, UnitVector.from_angle(0.7), "even-black", "even-white"),
     "halfplane": HalfPlaneColoring(UnitVector.from_angle(2.0), 0.3, Color.WHITE),
     "polygonal": l_shape_coloring(),
+    "convex": convex_face(np.random.default_rng(8)),
 }
 
 
@@ -240,3 +334,165 @@ def test_avoidance_scan_matches_two_mask_loop(coloring, region, side, tol):
     assert report == two_mask_avoidance(coloring, spec, grid, tol)
     assert report.monochromatic_count + report.near_misses > 0
 
+
+
+def square_island(*seeds) -> PolygonalColoring:
+    """The black unit square [0, 1]^2 with black boundary, and the given seeds."""
+    corners = [Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0), Point(0.0, 1.0)]
+    pieces = tuple(BoundaryPiece(Segment(corners[k], corners[(k + 1) % 4]), Color.BLACK)
+                   for k in range(4))
+    return PolygonalColoring(pieces, seeds, Region(-4.0, -4.0, 4.0, 4.0))
+
+
+POLYGONAL = {
+    "convex": [convex_face(np.random.default_rng(100 + k)) for k in range(16)],
+    # every seed's sight line from the diagonal y = x passes through a corner
+    "square-1-seed": [square_island((Point(0.5, 0.5), Color.BLACK))],
+    "square-2-seed": [square_island((Point(0.5, 0.5), Color.BLACK),
+                                    (Point(2.5, 2.5), Color.WHITE))],
+    "halfplane": [PolygonalColoring(
+        (BoundaryPiece(Segment(Point(8.0, 0.0), Point(-8.0, 0.0)), Color.BLACK,
+                       ray_start=True, ray_end=True),),
+        ((Point(0.0, 1.0), Color.BLACK), (Point(0.0, -1.0), Color.WHITE)),
+        Region(-8.0, -8.0, 8.0, 8.0))],
+    "l-shape": [l_shape_coloring()],
+    "all-black": [all_black_coloring()],
+    # at tol = 1e-3 the seed lies within tol of the top piece: sight lines
+    # crossing that piece graze, those along it are parallel and touching,
+    # and points next to the seed need the short-segment rule
+    "square-near-seed": [square_island((Point(0.5, 1.0 - 8e-4), Color.BLACK))],
+    # past the ends of a lone piece, sight lines along it touch it only
+    # through a seed within tol of it
+    "slit-near-seed": [PolygonalColoring(
+        (BoundaryPiece(Segment(Point(0.0, 0.0), Point(1.0, 0.0)), Color.WHITE),),
+        ((Point(0.5, 8e-4), Color.BLACK),), Region(-4.0, -4.0, 4.0, 4.0))],
+    # seeds that disagree make the color depend on the seed order, ties included
+    "inconsistent-seeds": [PolygonalColoring(
+        (BoundaryPiece(Segment(Point(8.0, 0.0), Point(-8.0, 0.0)), Color.BLACK,
+                       ray_start=True, ray_end=True),),
+        ((Point(-1.0, 1.0), Color.BLACK), (Point(1.0, 1.0), Color.WHITE)),
+        Region(-8.0, -8.0, 8.0, 8.0))],
+}
+
+
+def polygonal_points(pc: PolygonalColoring, rng, tol):
+    """Points that exercise every branch of the walk.
+
+    Random points; points on each piece (endpoints included, and past the
+    ends of rays) and at +-0.5 tol and +-2 tol from it along its normal;
+    points on the sight lines from each seed through each piece endpoint,
+    before and past the endpoint, and on the lines through each seed along
+    each piece; points at and next to each seed; and points equidistant
+    from two seeds.
+    """
+    xs, ys = [rng.uniform(-4.0, 4.0, 150)], [rng.uniform(-4.0, 4.0, 150)]
+    ends = []
+    for piece in pc.pieces:
+        a, b = piece.seg.p, piece.seg.q
+        ex, ey = b.x - a.x, b.y - a.y
+        nx, ny = -ey / math.hypot(ex, ey), ex / math.hypot(ex, ey)
+        u = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 6),
+                            [-0.5] if piece.ray_start else [], [1.5] if piece.ray_end else []))
+        for off in (0.0, 0.5 * tol, -0.5 * tol, 2.0 * tol, -2.0 * tol):
+            xs.append(a.x + u * ex + off * nx)
+            ys.append(a.y + u * ey + off * ny)
+        ends += [a, b]
+    for seed, _ in pc.seeds:
+        for e in ends:
+            f = np.concatenate((rng.uniform(0.1, 0.9, 2), rng.uniform(1.1, 3.0, 3)))
+            xs.append(seed.x + f * (e.x - seed.x))
+            ys.append(seed.y + f * (e.y - seed.y))
+        for piece in pc.pieces:
+            f = rng.uniform(-2.0, 2.0, 3)
+            xs.append(seed.x + f * (piece.seg.q.x - piece.seg.p.x))
+            ys.append(seed.y + f * (piece.seg.q.y - piece.seg.p.y))
+        xs.append(seed.x + np.array([0.0, 0.5, -0.5, 0.0, 0.0, -2.0, 0.0]) * tol)
+        ys.append(seed.y + np.array([0.0, 0.0, 0.0, 0.5, -0.5, 0.5, 2.0]) * tol)
+    for (s1, _), (s2, _) in zip(pc.seeds, pc.seeds[1:]):
+        f = rng.uniform(-2.0, 2.0, 4)
+        xs.append(0.5 * (s1.x + s2.x) - f * (s2.y - s1.y))
+        ys.append(0.5 * (s1.y + s2.y) + f * (s2.x - s1.x))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def assert_resolve_matches_walk(pc, xs, ys, tol):
+    black, on, unresolved = pc.resolve(xs, ys, tol)
+    want = [walk_color_at(pc, Point(float(x), float(y)), tol) for x, y in zip(xs, ys)]
+    assert unresolved.tolist() == [w is None for w in want]
+    assert black.tolist() == [w is Color.BLACK for w in want]
+    near = [any(pc_.distance_to(Point(float(x), float(y))) <= tol for pc_ in pc.pieces)
+            for x, y in zip(xs, ys)]
+    assert on.tolist() == near
+    return unresolved
+
+
+class TestPolygonalKernel:
+    @pytest.mark.parametrize("name", sorted(POLYGONAL))
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+    def test_resolve_matches_walk(self, name, tol):
+        rng = np.random.default_rng(21)
+        unresolved = 0
+        for pc in POLYGONAL[name]:
+            xs, ys = polygonal_points(pc, rng, tol)
+            unresolved += int(assert_resolve_matches_walk(pc, xs, ys, tol).sum())
+        if name == "square-1-seed":
+            assert unresolved > 0
+
+    def test_resolve_across_blocks(self):
+        block = colorings._RESOLVE_BLOCK
+        pc = POLYGONAL["square-1-seed"][0]
+        rng = np.random.default_rng(22)
+        xs, ys = rng.uniform(-2.0, 3.0, (2, 2 * block + 37))
+        ends = [block - 1, block, 2 * block + 36]
+        xs[ends] = ys[ends] = -rng.uniform(0.1, 1.0, len(ends))
+        unresolved = assert_resolve_matches_walk(pc, xs, ys, 1e-9)
+        assert unresolved[ends].all()
+
+    def test_unresolved_points_raise_with_the_walk_message(self):
+        pc = POLYGONAL["square-1-seed"][0]
+        xs, ys = np.array([2.0, -0.5, -0.25]), np.array([0.3, -0.5, -0.25])
+        assert walk_color_at(pc, Point(-0.5, -0.5), 1e-9) is None
+        message = re.escape("no seed reaches (-0.5, -0.5) unambiguously")
+        for query in (pc.classify, pc.black_mask, pc.boundary_mask):
+            with pytest.raises(UnresolvedFace, match=message):
+                query(xs, ys)
+        with pytest.raises(UnresolvedFace, match=message):
+            pc.color_at(Point(-0.5, -0.5))
+
+    def test_tables_are_built_once_and_read_only(self):
+        pc = l_shape_coloring()
+        assert pc.tables is pc.tables
+        with pytest.raises(ValueError):
+            pc.tables.ax[0] = 1.0
+
+
+def walk_fill(canvas, coloring, cells=160):
+    """The polygonal raster with one walk per cell centre, unresolved cells left white."""
+    region = canvas.region
+    nx = cells
+    ny = max(int(round(cells * (region.y1 - region.y0) / (region.x1 - region.x0))), 1)
+    dx = (region.x1 - region.x0) / nx
+    dy = (region.y1 - region.y0) / ny
+    for i in range(nx):
+        for j in range(ny):
+            cx = region.x0 + (i + 0.5) * dx
+            cy = region.y0 + (j + 0.5) * dy
+            if walk_color_at(coloring, Point(cx, cy), 1e-9) is Color.BLACK:
+                x, y = canvas.to_svg(Point(region.x0 + i * dx, region.y0 + (j + 1) * dy))
+                canvas.rect(x, y, dx * canvas.ppu, dy * canvas.ppu, render.BLACK_FILL)
+
+
+@pytest.mark.parametrize("name, region", [
+    ("l-shape", Region(-2.0, -0.5, 3.0, 1.0)),
+    ("convex", Region(-2.5, -0.75, 2.5, 0.75)),
+    # equal steps from equal corners put cell centres on the diagonal
+    # y = x, whose sight line to the seed passes through the (0, 0) corner
+    ("square-1-seed", Region(-2.0, -2.0, 3.0, -1.0)),
+])
+def test_polygonal_render_matches_walk_raster(name, region, monkeypatch):
+    spec = RenderSpec(POLYGONAL[name][0], region)
+    got = render_svg(spec)
+    monkeypatch.setattr(render, "_fill_polygonal", walk_fill)
+    assert render_svg(spec) == got
+    if name == "square-1-seed":
+        assert walk_color_at(spec.coloring, Point(-1.984375, -1.984375), 1e-9) is None

@@ -133,6 +133,34 @@ class TestExitStatuses:
         assert captured.out == ""
         assert "'--tolerance'" in captured.err
 
+    @pytest.mark.parametrize("flag, argv", [
+        # an infinite region used to exit 2 with OverflowError
+        ("--region", ["scan", "--triangle", "1,1,1", "--region=0,0,inf,1"]),
+        # a NaN margin used to report "exhausted"
+        ("--min-margin", ["scan", "--triangle", "1,1,1", "--region=0,0,1,1", "--grid", "0.5",
+                          "--angles", "4", "--min-margin", "nan"]),
+        ("--min-margin", ["scan", "--triangle", "1,1,1", "--region=0,0,1,1", "--grid", "0.5",
+                          "--angles", "4", "--min-margin=-0.5"]),
+        ("--region", ["avoid", "--triangle", "1,1,1", "--region=nan,0,1,1"]),
+        ("--region", ["render", "--region=0,0,1,-inf"]),
+        # these two used to exit 0: a "failure" verdict and an SVG of size inf
+        ("--tries", ["almost", "--epsilon", "0.2", "--seed", "1", "--tries=-5"]),
+        ("--pixels-per-unit", ["render", "--region=0,0,1,1", "--pixels-per-unit", "inf"]),
+    ])
+    def test_bad_numbers_exit_one(self, flag, argv, strip_file, capsys):
+        argv = argv[:1] + ["--coloring", strip_file] + argv[1:]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'{flag}'" in captured.err
+
+    def test_non_finite_line_exit_one(self, capsys):
+        # a NaN slope used to print a finite, empty solution with exit 0
+        assert main(["lines", "--q1=nan,0", "--q2=1,0", "--q3=vertical:0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'--q1'" in captured.err
+
     def test_largest_tolerance_accepted(self, zigzag_file, capsys):
         assert main(["--tolerance", "1e-3", "check-zebra", "--coloring", zigzag_file]) == 0
         assert json.loads(capsys.readouterr().out)["d"] == "pass"
