@@ -27,6 +27,7 @@ from .colorings import (
     HalfPlaneColoring,
     MalformedProfile,
     PolygonalColoring,
+    SchemaError,
     StripColoring,
     UnresolvedFace,
     ZebraColoring,

@@ -19,7 +19,7 @@ from typing import Optional
 from .geom import DEFAULT_TOL, GeometryError, Point, Region, TriangleSpec
 from .colorings import (
     Coloring,
-    MalformedProfile,
+    SchemaError,
     ZebraColoring,
     check_zebra_conditions,
     coloring_from_dict,
@@ -41,104 +41,16 @@ class ParseError(Exception):
     """The input file is not readable or not valid JSON."""
 
 
-class SchemaError(Exception):
-    """A required field is missing or has the wrong shape; names the field."""
-
-
 class InvariantError(Exception):
     """The document parses but violates a structural invariant of its type."""
 
 
-_COLOR_NAMES = ("black", "white")
-_PARITY_RULES = ("even-black", "even-white")
-
-
-def _require(doc: dict, field_name: str, kinds, where: str = ""):
-    prefix = f"{where}." if where else ""
-    if field_name not in doc:
-        raise SchemaError(f"missing field '{prefix}{field_name}'")
-    value = doc[field_name]
-    if kinds is not None and not isinstance(value, kinds):
-        raise SchemaError(f"field '{prefix}{field_name}' has wrong type")
-    return value
-
-
-def _require_number(doc: dict, field_name: str, where: str = "",
-                    positive: bool = False) -> float:
-    value = _require(doc, field_name, (int, float), where)
-    if isinstance(value, bool):
-        raise SchemaError(f"field '{field_name}' has wrong type")
-    if positive and not value > 0:
-        raise SchemaError(f"field '{field_name}' must be positive")
-    return float(value)
-
-
-def _require_vec2(doc: dict, field_name: str, where: str = "") -> tuple[float, float]:
-    value = _require(doc, field_name, (list, tuple), where)
-    if len(value) != 2 or not all(isinstance(v, (int, float)) for v in value):
-        raise SchemaError(f"field '{field_name}' must be a pair of numbers")
-    return float(value[0]), float(value[1])
-
-
-def validate_coloring_doc(doc) -> None:
-    """Field-level schema validation with diagnostics naming the field."""
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level document must be an object")
-    kind = _require(doc, "type", str)
-    if kind == "strip":
-        _require_number(doc, "scale", positive=True)
-        if doc.get("boundary_rule", "upper-closed") not in ("upper-closed", "lower-closed"):
-            raise SchemaError("field 'boundary_rule' must be upper-closed or lower-closed")
-    elif kind == "zebra":
-        profile = _require(doc, "profile", list)
-        if len(profile) < 2:
-            raise SchemaError("field 'profile' needs at least two breakpoints")
-        for i, pair in enumerate(profile):
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(isinstance(v, (int, float)) for v in pair)):
-                raise SchemaError(f"field 'profile[{i}]' must be a [u, v] pair")
-        if "x_hat" in doc:
-            v = _require_vec2(doc, "x_hat")
-            if v == (0.0, 0.0):
-                raise SchemaError("field 'x_hat' must be nonzero")
-        for field_name in ("parity_rule", "boundary_parity"):
-            if doc.get(field_name, "even-black") not in _PARITY_RULES:
-                raise SchemaError(f"field '{field_name}' must be one of {_PARITY_RULES}")
-    elif kind == "halfplane":
-        v = _require_vec2(doc, "normal")
-        if v == (0.0, 0.0):
-            raise SchemaError("field 'normal' must be nonzero")
-        if "offset" in doc:
-            _require_number(doc, "offset")
-        if doc.get("closed_color", "black") not in _COLOR_NAMES:
-            raise SchemaError("field 'closed_color' must be black or white")
-    elif kind == "polygonal":
-        segments = _require(doc, "segments", list)
-        colors = _require(doc, "boundary_colors", list)
-        if len(colors) != len(segments):
-            raise SchemaError("field 'boundary_colors' must match 'segments' one-to-one")
-        for i, raw in enumerate(segments):
-            if not isinstance(raw, dict):
-                raise SchemaError(f"field 'segments[{i}]' must be an object")
-            _require_vec2(raw, "p", f"segments[{i}]")
-            _require_vec2(raw, "q", f"segments[{i}]")
-        for i, c in enumerate(colors):
-            if c not in _COLOR_NAMES:
-                raise SchemaError(f"field 'boundary_colors[{i}]' must be black or white")
-        seeds = _require(doc, "seeds", list)
-        if not seeds:
-            raise SchemaError("field 'seeds' needs at least one entry")
-        for i, s in enumerate(seeds):
-            if not (isinstance(s, (list, tuple)) and len(s) == 3
-                    and isinstance(s[0], (int, float)) and isinstance(s[1], (int, float))
-                    and s[2] in _COLOR_NAMES):
-                raise SchemaError(f"field 'seeds[{i}]' must be [x, y, color]")
-    else:
-        raise SchemaError(f"field 'type' has unknown value {kind!r}")
-
-
 def parse_coloring_file(path: str) -> Coloring:
-    """Load, validate and build a coloring from a JSON definition file."""
+    """Load and build a coloring from a JSON definition file.
+
+    A bad field raises ``SchemaError`` naming it; a coloring that breaks an
+    invariant of its type raises ``InvariantError``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -148,15 +60,15 @@ def parse_coloring_file(path: str) -> Coloring:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    validate_coloring_doc(doc)
     try:
         return coloring_from_dict(doc)
-    except (MalformedProfile, GeometryError, ValueError) as exc:
+    except SchemaError:
+        raise
+    except (GeometryError, ValueError) as exc:
         raise InvariantError(f"{path}: {exc}") from exc
 
 
-def _emit(doc, out: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -164,11 +76,8 @@ def _emit(doc, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _parse_triple(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise SchemaError("expected three comma-separated numbers")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
+def _emit(doc, out: Optional[str]) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
 def _check_finite(flag: str, values, text: str) -> None:
@@ -176,12 +85,30 @@ def _check_finite(flag: str, values, text: str) -> None:
         raise SchemaError(f"flag '{flag}' must hold finite numbers, got {text!r}")
 
 
+def _parse_numbers(flag: str, text: str, count: int) -> list[float]:
+    """The ``count`` comma-separated finite numbers of ``flag``."""
+    try:
+        values = [float(p) for p in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise SchemaError(f"flag '{flag}' expects {count} comma-separated numbers, got {text!r}")
+    _check_finite(flag, values, text)
+    return values
+
+
+def _parse_sides(flag: str, text: str) -> list[float]:
+    return [_check_number(flag, v, positive=True) for v in _parse_numbers(flag, text, 3)]
+
+
 def _parse_region(text: str) -> Region:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise SchemaError("flag '--region' expects x0,y0,x1,y1")
-    _check_finite("--region", parts, text)
-    return Region(*parts)
+    return Region(*_parse_numbers("--region", text, 4))
+
+
+def _parse_grid(args: argparse.Namespace) -> ScanGrid:
+    return ScanGrid(_parse_region(args.region),
+                    _check_number("--grid", args.grid, positive=True),
+                    _check_number("--angles", args.angles, positive=True))
 
 
 def _parse_line(flag: str, text: str) -> Line:
@@ -194,22 +121,16 @@ def _parse_line(flag: str, text: str) -> Line:
     return line
 
 
-def _check_number(flag: str, value, positive: bool = False):
-    """``value`` if it is finite and >= 0 (> 0 when ``positive``)."""
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+def _check_number(flag: str, value, positive: bool = False, most: float = math.inf):
+    """``value`` if it is finite, >= 0 (> 0 when ``positive``) and <= ``most``."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0) and value <= most):
+        bound = f" and <= {most:g}" if most < math.inf else ""
         raise SchemaError(f"flag '{flag}' must be a finite number "
-                          f"{'> 0' if positive else '>= 0'}, got {value!r}")
+                          f"{'> 0' if positive else '>= 0'}{bound}, got {value!r}")
     return value
 
 
 MAX_TOLERANCE = 1e-3
-
-
-def _check_tolerance(tol: float) -> float:
-    if not (math.isfinite(tol) and 0.0 < tol <= MAX_TOLERANCE):
-        raise SchemaError(f"flag '--tolerance' must be a finite number in "
-                          f"(0, {MAX_TOLERANCE:g}], got {tol!r}")
-    return tol
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -279,12 +200,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> int:
-    tol = _check_tolerance(args.tolerance)
+    tol = _check_number("--tolerance", args.tolerance, positive=True, most=MAX_TOLERANCE)
     cmd = args.command
+    coloring = parse_coloring_file(args.coloring) if hasattr(args, "coloring") else None
     if cmd == "scan":
-        coloring = parse_coloring_file(args.coloring)
-        spec = TriangleSpec(*_parse_triple(args.triangle))
-        grid = ScanGrid(_parse_region(args.region), args.grid, args.angles)
+        spec = TriangleSpec(*_parse_sides("--triangle", args.triangle))
+        grid = _parse_grid(args)
         witness = find_monochromatic_copy(coloring, spec, grid,
                                           _check_number("--min-margin", args.min_margin), tol)
         if witness is None:
@@ -294,44 +215,35 @@ def run(args: argparse.Namespace) -> int:
             _emit(witness.to_dict(spec), args.out)
         return 0
     if cmd == "avoid":
-        coloring = parse_coloring_file(args.coloring)
-        spec = TriangleSpec(*_parse_triple(args.triangle))
-        grid = ScanGrid(_parse_region(args.region), args.grid, args.angles)
-        _emit(avoidance_scan(coloring, spec, grid, tol).to_dict(), args.out)
+        spec = TriangleSpec(*_parse_sides("--triangle", args.triangle))
+        _emit(avoidance_scan(coloring, spec, _parse_grid(args), tol).to_dict(), args.out)
         return 0
     if cmd == "almost":
-        coloring = parse_coloring_file(args.coloring)
-        tries = _check_number("--tries", args.tries, positive=True)
-        pair = find_almost_unit(coloring, args.epsilon, tries, args.seed, tol)
+        pair = find_almost_unit(coloring, _check_number("--epsilon", args.epsilon, positive=True),
+                                _check_number("--tries", args.tries, positive=True),
+                                _check_number("--seed", args.seed), tol)
         _emit({"result": "failure"} if pair is None else pair.to_dict(), args.out)
         return 0
     if cmd == "check-zebra":
-        coloring = parse_coloring_file(args.coloring)
         if not isinstance(coloring, ZebraColoring):
             raise SchemaError("check-zebra requires a zebra coloring")
         _emit(check_zebra_conditions(coloring, tol).to_dict(), args.out)
         return 0
     if cmd == "hexagon":
-        coloring = parse_coloring_file(args.coloring)
-        x, y = (float(v) for v in args.point.split(","))
+        point = Point(*_parse_numbers("--point", args.point, 2))
         window = _parse_region(args.region) if args.region else None
-        probe = hexagon_probe(coloring, Point(x, y), window, tol)
+        probe = hexagon_probe(coloring, point, window, tol)
         _emit(probe.to_dict(), args.out)
         return 0
     if cmd == "angles":
-        coloring = parse_coloring_file(args.coloring)
         window = _parse_region(args.region) if args.region else None
         entries = boundary_angle_audit(coloring, window, tol)
         _emit({"vertices": [e.to_dict() for e in entries]}, args.out)
         return 0
     if cmd == "forcing":
-        a, b, c = _parse_triple(args.sides)
+        sides = _parse_sides("--sides", args.sides)
         check = forcing_check_i if args.part == "i" else forcing_check_ii
-        verdict = check(a, b, c, tol)
-        doc = verdict.to_dict()
-        doc["part"] = args.part
-        doc["sides"] = [a, b, c]
-        _emit(doc, args.out)
+        _emit({**check(*sides, tol).to_dict(), "part": args.part, "sides": sides}, args.out)
         return 0
     if cmd == "lines":
         qs = [_parse_line(f"--q{k}", text)
@@ -342,7 +254,6 @@ def run(args: argparse.Namespace) -> int:
             _emit({"kind": "all-parallel"}, args.out)
         return 0
     if cmd == "render":
-        coloring = parse_coloring_file(args.coloring)
         witness = None
         if args.witness:
             try:
@@ -350,17 +261,10 @@ def run(args: argparse.Namespace) -> int:
                     witness = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ParseError(f"cannot read witness {args.witness}: {exc}") from exc
-            if "vertices" not in witness:
-                raise SchemaError("witness file lacks 'vertices'")
         spec = RenderSpec(coloring, _parse_region(args.region),
                           _check_number("--pixels-per-unit", args.pixels_per_unit, positive=True),
                           witness)
-        svg = render_svg(spec)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(svg)
-        else:
-            sys.stdout.write(svg)
+        _write(render_svg(spec), args.out)
         return 0
     raise SchemaError(f"unknown command {cmd!r}")
 
@@ -374,10 +278,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return run(args)
-    except (ParseError, SchemaError, InvariantError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GeometryError as exc:
+    except (ParseError, SchemaError, InvariantError, ValueError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal invariant violation

@@ -24,6 +24,10 @@ family also exposes its boundary as oriented segments for probing, margins
 and rendering. Colorings are immutable after construction; all queries are
 pure.
 
+``coloring_from_dict`` is the one reader of the JSON document form that
+``to_dict`` writes: it checks each field's shape as it builds, and raises
+``SchemaError`` naming the field's path on a bad one.
+
 The zebra family carries its structural checker: conditions (a)-(c) hold by
 construction of the representation, and the distance/angle condition (d) --
 for consecutive curves, ``|AB| > 1`` iff the acute angle of AB with x_hat is
@@ -33,8 +37,10 @@ below pi/3 -- is verified exactly on the piecewise-linear data.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Real
 from enum import Enum
 from typing import Optional
 
@@ -55,7 +61,7 @@ from .geom import (
 
 __all__ = [
     "BoundaryPiece", "Color", "Coloring", "DWitness", "HalfPlaneColoring",
-    "MalformedProfile", "PolygonalColoring", "StripColoring", "TriangleSpec",
+    "MalformedProfile", "PolygonalColoring", "SchemaError", "StripColoring", "TriangleSpec",
     "UnresolvedFace", "ZebraColoring", "ZebraConditionReport", "ZebraProfile",
     "all_black_coloring", "check_zebra_conditions", "coloring_from_dict",
     "l_shape_coloring", "twin", "zebra_curve",
@@ -1067,49 +1073,137 @@ def _interval_in_disk(p0, p1, center) -> Optional[tuple[float, float]]:
 Coloring = StripColoring | ZebraColoring | HalfPlaneColoring | PolygonalColoring
 
 
+class SchemaError(ValueError):
+    """A document field is missing or has the wrong shape; names the field by its path."""
+
+
+# A reader ``(value, path) -> result`` checks the shape of one field's value
+# and raises ``SchemaError`` naming its path, such as ``segments[2].p``.
+
+_REQUIRED = object()
+
+
+def _bad(path: str, what: str, value) -> SchemaError:
+    return SchemaError(f"field '{path}' must be {what}, got {value!r}")
+
+
+class _Fields:
+    """One JSON object of a document; ``get`` reads one of its fields."""
+
+    def __init__(self, value, path: str = ""):
+        if not isinstance(value, dict):
+            raise (_bad(path, "an object", value) if path else
+                   SchemaError(f"the document must be an object, got {value!r}"))
+        self.value, self.path = value, path
+
+    def get(self, key: str, read, default=_REQUIRED):
+        path = f"{self.path}.{key}" if self.path else key
+        if key in self.value:
+            return read(self.value[key], path)
+        if default is _REQUIRED:
+            raise SchemaError(f"missing field '{path}'")
+        return default
+
+
+def _number(value, path: str) -> float:
+    """A finite number; JSON ``true`` and ``false`` are not numbers."""
+    if (isinstance(value, Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):  # exact for any integer, false for NaN
+        return float(value)
+    raise _bad(path, "a finite number", value)
+
+
+def _positive(value, path: str) -> float:
+    if _number(value, path) > 0.0:
+        return float(value)
+    raise _bad(path, "a positive number", value)
+
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise _bad(path, "true or false", value)
+    return value
+
+
+def _one_of(*allowed: str):
+    """Reader of a string that is one of ``allowed``."""
+    def read_choice(value, path: str) -> str:
+        if not (isinstance(value, str) and value in allowed):
+            raise _bad(path, f"one of {', '.join(allowed)}", value)
+        return value
+    return read_choice
+
+
+def _list_of(read, non_empty: bool = False):
+    """Reader of a list of any length, each entry read by ``read``."""
+    def read_list(value, path: str) -> list:
+        if not (isinstance(value, (list, tuple)) and len(value) >= non_empty):
+            raise _bad(path, "a non-empty list" if non_empty else "a list", value)
+        return [read(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return read_list
+
+
+def _tuple_of(*reads):
+    """Reader of a list of ``len(reads)`` entries, entry i read by ``reads[i]``."""
+    def read_tuple(value, path: str) -> list:
+        if not (isinstance(value, (list, tuple)) and len(value) == len(reads)):
+            raise _bad(path, f"a list of {len(reads)} entries", value)
+        return [read(v, f"{path}[{i}]") for i, (read, v) in enumerate(zip(reads, value))]
+    return read_tuple
+
+
+_pair = _tuple_of(_number, _number)
+_color = _one_of(*(c.value for c in Color))
+_parity = _one_of("even-black", "even-white")
+
+
+def _direction(value, path: str) -> UnitVector:
+    dx, dy = _pair(value, path)
+    if dx == 0.0 and dy == 0.0:
+        raise _bad(path, "nonzero", value)
+    return UnitVector.normalized(dx, dy)
+
+
 def coloring_from_dict(doc: dict) -> Coloring:
-    """Build a coloring from its JSON document form."""
-    kind = doc.get("type")
+    """Build a coloring from its JSON document form, the inverse of ``to_dict``.
+
+    Each field is read once, and a bad one raises ``SchemaError`` naming
+    its path; the constructors keep their invariant checks.
+    """
+    fields = _Fields(doc)
+    kind = fields.get("type", _one_of("strip", "zebra", "halfplane", "polygonal"))
     if kind == "strip":
-        return StripColoring(scale=float(doc["scale"]),
-                             boundary_rule=doc.get("boundary_rule", "upper-closed"))
+        rule = _one_of("upper-closed", "lower-closed")
+        return StripColoring(scale=fields.get("scale", _positive),
+                             boundary_rule=fields.get("boundary_rule", rule, "upper-closed"))
     if kind == "zebra":
-        profile = ZebraProfile(tuple((float(u), float(v)) for u, v in doc["profile"]))
-        xh = doc.get("x_hat", [1.0, 0.0])
         return ZebraColoring(
-            profile=profile,
-            x_hat=UnitVector.normalized(float(xh[0]), float(xh[1])),
-            parity_rule=doc.get("parity_rule", "even-black"),
-            boundary_parity=doc.get("boundary_parity", "even-black"))
+            profile=ZebraProfile(tuple(fields.get("profile", _list_of(_pair)))),
+            x_hat=fields.get("x_hat", _direction, UnitVector(1.0, 0.0)),
+            parity_rule=fields.get("parity_rule", _parity, "even-black"),
+            boundary_parity=fields.get("boundary_parity", _parity, "even-black"))
     if kind == "halfplane":
-        n = doc["normal"]
         return HalfPlaneColoring(
-            normal=UnitVector.normalized(float(n[0]), float(n[1])),
-            offset=float(doc.get("offset", 0.0)),
-            closed_side_color=Color(doc.get("closed_color", "black")))
-    if kind == "polygonal":
-        colors = [Color(c) for c in doc.get("boundary_colors", [])]
-        segs = doc.get("segments", [])
-        if len(colors) != len(segs):
-            raise ValueError("boundary_colors must match segments one-to-one")
-        pieces = []
-        for raw, color in zip(segs, colors):
-            seg = Segment(Point(float(raw["p"][0]), float(raw["p"][1])),
-                          Point(float(raw["q"][0]), float(raw["q"][1])))
-            pieces.append(BoundaryPiece(seg, color,
-                                        ray_start=bool(raw.get("ray_start", False)),
-                                        ray_end=bool(raw.get("ray_end", False))))
-        seeds = tuple((Point(float(s[0]), float(s[1])), Color(s[2]))
-                      for s in doc.get("seeds", []))
-        if "window" in doc:
-            w = doc["window"]
-            window = Region(float(w[0]), float(w[1]), float(w[2]), float(w[3]))
-        else:
-            xs = [c for pc in pieces for c in (pc.seg.p.x, pc.seg.q.x)] or [0.0]
-            ys = [c for pc in pieces for c in (pc.seg.p.y, pc.seg.q.y)] or [0.0]
-            window = Region(min(xs) - 1.0, min(ys) - 1.0, max(xs) + 1.0, max(ys) + 1.0)
-        return PolygonalColoring(tuple(pieces), seeds, window)
-    raise ValueError(f"unknown coloring type {kind!r}")
+            normal=fields.get("normal", _direction),
+            offset=fields.get("offset", _number, 0.0),
+            closed_side_color=Color(fields.get("closed_color", _color, "black")))
+    segs = fields.get("segments", _list_of(_Fields), [])
+    colors = fields.get("boundary_colors", _list_of(_color), [])
+    if len(colors) != len(segs):
+        raise SchemaError("field 'boundary_colors' must match 'segments' one-to-one")
+    pieces = tuple(
+        BoundaryPiece(Segment(Point(*seg.get("p", _pair)), Point(*seg.get("q", _pair))),
+                      Color(color), ray_start=seg.get("ray_start", _flag, False),
+                      ray_end=seg.get("ray_end", _flag, False))
+        for seg, color in zip(segs, colors))
+    seeds = tuple((Point(x, y), Color(c)) for x, y, c in
+                  fields.get("seeds", _list_of(_tuple_of(_number, _number, _color), True)))
+    window = fields.get("window", _tuple_of(*[_number] * 4), None)
+    if window is None:
+        xs = [c for pc in pieces for c in (pc.seg.p.x, pc.seg.q.x)] or [0.0]
+        ys = [c for pc in pieces for c in (pc.seg.p.y, pc.seg.q.y)] or [0.0]
+        window = (min(xs) - 1.0, min(ys) - 1.0, max(xs) + 1.0, max(ys) + 1.0)
+    return PolygonalColoring(pieces, seeds, Region(*window))
 
 
 def l_shape_coloring(arm: float = 16.0) -> PolygonalColoring:

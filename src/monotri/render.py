@@ -26,7 +26,10 @@ from .colorings import (
     PolygonalColoring,
     StripColoring,
     ZebraColoring,
+    _Fields,
+    _pair,
     _parity_color,
+    _tuple_of,
 )
 
 BLACK_FILL = "#3a3a3a"
@@ -45,6 +48,14 @@ class RenderSpec:
     def __post_init__(self):
         if not (self.pixels_per_unit > 0.0):
             raise ValueError("pixels_per_unit must be positive")
+        if self.witness is not None:
+            _witness_vertices(self.witness)
+
+
+def _witness_vertices(witness: dict) -> list[Point]:
+    """The three vertices of a witness document; a bad field raises ``SchemaError``."""
+    vertices = _Fields(witness).get("vertices", _tuple_of(_pair, _pair, _pair))
+    return [Point(x, y) for x, y in vertices]
 
 
 def _fmt(v: float) -> str:
@@ -169,7 +180,7 @@ def render_svg(spec: RenderSpec) -> str:
         canvas.line(piece.seg, STROKE, stroke_w)
 
     if spec.witness is not None:
-        verts = [Point(float(x), float(y)) for x, y in spec.witness["vertices"]]
+        verts = _witness_vertices(spec.witness)
         coords = " ".join("%s,%s" % tuple(map(_fmt, canvas.to_svg(p))) for p in verts)
         canvas.parts.append(
             f'<polygon points="{coords}" fill="none" stroke="{WITNESS_STROKE}" '

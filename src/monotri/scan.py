@@ -129,6 +129,15 @@ def margin_of(coloring: Coloring, points: Sequence[Point]) -> float:
     return min(coloring.boundary_distance(p) for p in points)
 
 
+def _common_color(coloring: Coloring, points: Sequence[Point], tol: float) -> Optional[Color]:
+    """The color of every one of ``points``, None if they differ; one ``black_mask`` call."""
+    black = coloring.black_mask(np.array([p.x for p in points]),
+                                np.array([p.y for p in points]), tol)
+    if black.all():
+        return Color.BLACK
+    return None if black.any() else Color.WHITE
+
+
 def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
                             min_margin: float = 0.0,
                             tol: float = DEFAULT_TOL) -> Optional[ScanWitness]:
@@ -207,8 +216,7 @@ def verify_witness(coloring: Coloring, spec: TriangleSpec, witness: ScanWitness,
     for got, want in zip(sides, spec.sides()):
         if abs(got - want) > tol * scale:
             return False
-    colors = [coloring.color_at(v, tol) for v in witness.vertices]
-    if any(c is not witness.color for c in colors):
+    if _common_color(coloring, witness.vertices, tol) is not witness.color:
         return False
     return abs(margin_of(coloring, witness.vertices) - witness.margin) <= tol * scale
 
@@ -238,14 +246,17 @@ def _triangle_sides(tri: Sequence[Point]) -> tuple[float, float, float]:
             distance(tri[2], tri[0]))
 
 
+def _almost_unit_shape(tri: Sequence[Point], epsilon: float, half_square: float = 3.0) -> bool:
+    """Inside the square [-half_square, half_square]^2, sides in [1-eps, 1+eps]."""
+    return (all(abs(v.x) <= half_square and abs(v.y) <= half_square for v in tri)
+            and all(1.0 - epsilon <= s <= 1.0 + epsilon for s in _triangle_sides(tri)))
+
+
 def _valid_almost_unit(coloring: Coloring, tri: Sequence[Point], color: Color,
                        epsilon: float, half_square: float = 3.0,
                        tol: float = DEFAULT_TOL) -> bool:
-    if any(abs(v.x) > half_square or abs(v.y) > half_square for v in tri):
-        return False
-    if any(not (1.0 - epsilon <= s <= 1.0 + epsilon) for s in _triangle_sides(tri)):
-        return False
-    return all(coloring.color_at(v, tol) is color for v in tri)
+    return (_almost_unit_shape(tri, epsilon, half_square)
+            and _common_color(coloring, tri, tol) is color)
 
 
 def find_almost_unit(coloring: Coloring, epsilon: float, tries: int = 10 ** 6,
@@ -333,12 +344,9 @@ def find_almost_unit(coloring: Coloring, epsilon: float, tries: int = 10 ** 6,
         ang = rng.uniform(0.0, TWO_PI)
         motion = RigidMotion(float(ang), (float(cx), float(cy)))
         tri = place_triangle(TriangleSpec(1.0, 1.0, 1.0), motion)
-        colors = {coloring.color_at(v, tol) for v in tri}
-        if len(colors) == 1:
-            color = colors.pop()
-            if color not in found and _valid_almost_unit(coloring, tri, color,
-                                                         epsilon, tol=tol):
-                found[color] = tri
+        color = _common_color(coloring, tri, tol)
+        if color is not None and color not in found and _almost_unit_shape(tri, epsilon):
+            found[color] = tri
 
     if len(found) == 2:
         return AlmostUnitPair(found[Color.BLACK], found[Color.WHITE], epsilon)

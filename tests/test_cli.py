@@ -3,16 +3,21 @@ import math
 
 import pytest
 
+import monotri
 from monotri.cli import (
     InvariantError,
     ParseError,
     SchemaError,
     main,
     parse_coloring_file,
-    validate_coloring_doc,
 )
 from monotri.geom import Region
-from monotri.colorings import StripColoring, ZebraColoring
+from monotri.colorings import (
+    PolygonalColoring,
+    StripColoring,
+    ZebraColoring,
+    coloring_from_dict,
+)
 from monotri.render import RenderSpec, render_svg
 
 
@@ -72,19 +77,112 @@ class TestParseColoringFile:
             parse_coloring_file("/nonexistent/coloring.json")
 
     def test_polygonal_schema(self):
-        validate_coloring_doc({
+        pc = coloring_from_dict({
             "type": "polygonal",
             "segments": [{"p": [0, 0], "q": [1, 0]}],
             "boundary_colors": ["black"],
             "seeds": [[0.5, 0.5, "black"], [0.5, -0.5, "white"]],
         })
+        assert isinstance(pc, PolygonalColoring)
         with pytest.raises(SchemaError, match="boundary_colors"):
-            validate_coloring_doc({
+            coloring_from_dict({
                 "type": "polygonal",
                 "segments": [{"p": [0, 0], "q": [1, 0]}],
                 "boundary_colors": [],
                 "seeds": [[0.5, 0.5, "black"]],
             })
+
+
+    def test_one_schema_error_class(self):
+        assert SchemaError is monotri.SchemaError
+        assert issubclass(SchemaError, ValueError)
+
+
+SCAN = ["--triangle", "1,1,1", "--region", "0,0,1,1", "--grid", "0.5", "--angles", "4"]
+HALF_LINE = {"p": [8, 0], "q": [-8, 0], "ray_end": True}
+
+
+class TestBadFieldsExitOne:
+    @pytest.mark.parametrize("field, doc", [
+        # used to exit 2 with an IndexError
+        ("window", {"type": "polygonal", "segments": [HALF_LINE], "boundary_colors": ["black"],
+                    "seeds": [[0, 1, "black"], [0, -1, "white"]], "window": [0, 0, 1]}),
+        # these four used to color the plane and report "exhausted" with exit 0
+        ("offset", {"type": "halfplane", "normal": [0, 1], "offset": math.nan}),
+        ("normal[0]", {"type": "halfplane", "normal": [math.inf, 1]}),
+        ("scale", {"type": "strip", "scale": math.inf}),
+        ("segments[0].ray_start",
+         {"type": "polygonal", "segments": [dict(HALF_LINE, ray_start="no")],
+          "boundary_colors": ["black"], "seeds": [[0, 1, "black"], [0, -1, "white"]]}),
+        # used to exit 1 with "cannot convert float NaN to integer"
+        ("x_hat[0]", {"type": "zebra", "profile": [[0, 0], [1, 0]], "x_hat": [math.inf, 0]}),
+    ])
+    def test_coloring_field(self, field, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["scan", "--coloring", str(path)] + SCAN) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"field '{field}'" in captured.err
+
+    @pytest.mark.parametrize("field, witness", [
+        ("vertices", {"vertices": 5}),  # used to exit 2 with a TypeError
+        # used to exit 1 with "not enough values to unpack"
+        ("vertices[0]", {"vertices": [[1], [2, 3], [4, 5]]}),
+        ("vertices[2][1]", {"vertices": [[0, 0], [1, 0], [0.5, math.nan]]}),
+    ])
+    def test_witness_field(self, field, witness, halfplane_file, tmp_path, capsys):
+        path = tmp_path / "wit.json"
+        path.write_text(json.dumps(witness))
+        assert main(["render", "--coloring", halfplane_file, "--region", "0,0,4,4",
+                     "--witness", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"field '{field}'" in captured.err
+
+
+# Valid values of every numeric flag, per subcommand ("" for the global flag).
+NUMERIC_FLAGS = {
+    "": {"--tolerance": "1e-9"},
+    "scan": {"--triangle": "1,1,1", "--region": "0,0,1,1", "--grid": "0.5", "--angles": "4",
+             "--min-margin": "0"},
+    "avoid": {"--triangle": "1,1,1", "--region": "0,0,1,1", "--grid": "0.5", "--angles": "4"},
+    "almost": {"--epsilon": "0.2", "--tries": "100", "--seed": "1"},
+    "hexagon": {"--point": "0,0", "--region": "-2,-2,2,2"},
+    "angles": {"--region": "0,0,1,1"},
+    "forcing": {"--sides": "1,1,1"},
+    "lines": {"--q1": "1,0", "--q2": "-1,0", "--q3": "vertical:0.5"},
+    "render": {"--region": "0,0,1,1", "--pixels-per-unit": "10"},
+}
+
+
+class TestEveryNumericFlag:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", ""])
+    @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in NUMERIC_FLAGS.items()
+                                               for f in flags])
+    def test_bad_value_exits_one_naming_the_flag(self, command, flag, bad, strip_file,
+                                                 capsys):
+        def args(cmd):
+            out = []
+            for f, v in NUMERIC_FLAGS[cmd].items():
+                if f == flag:  # the flag's first number goes bad
+                    v = bad + v[v.index(","):] if "," in v else bad
+                out.append(f"{f}={v}")
+            return out
+
+        argv = args("")
+        if command:
+            argv.append(command)
+            if command not in ("forcing", "lines"):
+                argv += ["--coloring", strip_file]
+            argv += args(command) + (["--part", "i"] if command == "forcing" else [])
+        else:
+            argv += ["forcing", "--sides", "1,1,1", "--part", "i"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # argparse names a flag whose value is not a number as "argument --flag:"
+        assert f"'{flag}'" in captured.err or f"argument {flag}:" in captured.err
 
 
 class TestExitStatuses:
@@ -146,6 +244,14 @@ class TestExitStatuses:
         # these two used to exit 0: a "failure" verdict and an SVG of size inf
         ("--tries", ["almost", "--epsilon", "0.2", "--seed", "1", "--tries=-5"]),
         ("--pixels-per-unit", ["render", "--region=0,0,1,1", "--pixels-per-unit", "inf"]),
+        # these used to print the library's message without the flag
+        ("--grid", ["scan", "--triangle", "1,1,1", "--region=0,0,1,1", "--grid", "nan"]),
+        ("--triangle", ["scan", "--triangle", "nan,1,1", "--region=0,0,1,1"]),
+        ("--point", ["hexagon", "--point=nan,0"]),
+        ("--point", ["hexagon", "--point", "1,2,3"]),
+        ("--angles", ["avoid", "--triangle", "1,1,1", "--region=0,0,1,1", "--angles", "0"]),
+        ("--epsilon", ["almost", "--epsilon", "nan", "--seed", "1"]),
+        ("--seed", ["almost", "--epsilon", "0.2", "--seed=-1"]),
     ])
     def test_bad_numbers_exit_one(self, flag, argv, strip_file, capsys):
         argv = argv[:1] + ["--coloring", strip_file] + argv[1:]

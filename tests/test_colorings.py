@@ -1,15 +1,20 @@
 import math
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monotri.geom import Point, Region, UnitVector
+from monotri.geom import GeometryError, Point, Region, UnitVector
 from monotri.colorings import (
     Color,
     HalfPlaneColoring,
     MalformedProfile,
     PolygonalColoring,
     BoundaryPiece,
+    SchemaError,
     StripColoring,
     UnresolvedFace,
     ZebraColoring,
@@ -425,3 +430,61 @@ class TestSerialization:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             coloring_from_dict({"type": "plaid"})
+
+
+def hexagon_face() -> PolygonalColoring:
+    """A black regular hexagon of radius 1 about the origin, white outside."""
+    ccw = [Point(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+    pieces = tuple(BoundaryPiece(Segment(ccw[-k], ccw[-k - 1]), Color.BLACK) for k in range(6))
+    return PolygonalColoring(pieces, ((Point(0.0, 0.0), Color.BLACK),
+                                      (Point(2.5, 0.5), Color.WHITE)), Region(-3, -3, 3, 3))
+
+
+SCHEMA_DOCS = [
+    StripColoring(0.5, "lower-closed").to_dict(),
+    ZebraColoring(ZIGZAG, UnitVector.from_angle(0.7), "even-white", "even-black").to_dict(),
+    HalfPlaneColoring(UnitVector.from_angle(2.0), 0.3, Color.WHITE).to_dict(),
+    l_shape_coloring().to_dict(),
+    hexagon_face().to_dict(),
+]
+
+
+def field_paths(node, prefix=()):
+    """The key/index path of every field of a JSON document, at any depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
+DELETE = object()
+
+
+class TestSchema:
+    def test_documents_round_trip(self):
+        for doc in SCHEMA_DOCS:
+            assert coloring_from_dict(copy.deepcopy(doc)).to_dict() == doc
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([(doc, path) for doc in SCHEMA_DOCS for path in field_paths(doc)]),
+           st.sampled_from([math.nan, math.inf, -math.inf, "x", True, False, None, [], DELETE]))
+    def test_one_bad_field_raises_a_named_error_or_builds(self, doc_path, value):
+        doc, path = doc_path
+        doc = copy.deepcopy(doc)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        try:
+            coloring = coloring_from_dict(doc)
+        except (SchemaError, MalformedProfile, GeometryError):
+            return
+        assert coloring_from_dict(coloring.to_dict()) == coloring

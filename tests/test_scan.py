@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from monotri.geom import Point, Region, TriangleSpec, distance
+from monotri.geom import Point, Region, Segment, TriangleSpec, distance
 from monotri.colorings import (
+    BoundaryPiece,
     Color,
     HalfPlaneColoring,
+    PolygonalColoring,
     StripColoring,
+    UnresolvedFace,
     ZebraColoring,
     ZebraProfile,
     all_black_coloring,
@@ -16,6 +19,7 @@ from monotri.colorings import (
 )
 from monotri.scan import (
     NotOnBoundary,
+    _common_color,
     ScanGrid,
     avoidance_scan,
     boundary_angle_audit,
@@ -165,6 +169,33 @@ class TestWitnessSoundness:
             w, vertices=(w.vertices[0], w.vertices[1],
                          Point(w.vertices[2].x + 0.01, w.vertices[2].y)))
         assert not verify_witness(hp, UNIT, bad3)
+
+    def test_vertices_take_one_color_query(self):
+        hp = HalfPlaneColoring()
+        w = find_monochromatic_copy(hp, UNIT, ScanGrid(Region(0, 0, 4, 4), 0.1, 8), 0.1)
+        calls = []
+
+        class Counting:
+            def black_mask(self, xs, ys, tol):
+                calls.append(len(xs))
+                return hp.black_mask(xs, ys, tol)
+
+            def boundary_distance(self, p):
+                return hp.boundary_distance(p)
+
+        assert verify_witness(Counting(), UNIT, w)
+        assert calls == [3]
+
+    def test_first_unresolved_vertex_is_named(self):
+        corners = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
+        island = PolygonalColoring(
+            tuple(BoundaryPiece(Segment(corners[k], corners[(k + 1) % 4]), Color.BLACK)
+                  for k in range(4)),
+            ((Point(0.5, 0.5), Color.BLACK),), Region(-4, -4, 4, 4))
+        # the sight lines of the last two points pass through the corners (0, 0), (1, 1)
+        tri = (Point(5.0, 0.5), Point(-0.5, -0.5), Point(1.5, 1.5))
+        with pytest.raises(UnresolvedFace, match=r"\(-0\.5, -0\.5\)"):
+            _common_color(island, tri, 1e-9)
 
 
 class TestAlmostUnit:
