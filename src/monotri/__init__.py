@@ -37,7 +37,6 @@ from .colorings import (
     check_zebra_conditions,
     coloring_from_dict,
     l_shape_coloring,
-    twin,
 )
 from .scan import (
     AlmostUnitPair,

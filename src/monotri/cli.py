@@ -16,7 +16,8 @@ import math
 import sys
 from typing import Optional
 
-from .geom import DEFAULT_TOL, GeometryError, Point, Region, TriangleSpec
+from .geom import (DEFAULT_TOL, GeometryError, Point, Region, TriangleSpec,
+                   triangle_inequality_ok)
 from .colorings import (
     Coloring,
     SchemaError,
@@ -97,18 +98,26 @@ def _parse_numbers(flag: str, text: str, count: int) -> list[float]:
     return values
 
 
-def _parse_sides(flag: str, text: str) -> list[float]:
-    return [_check_number(flag, v, positive=True) for v in _parse_numbers(flag, text, 3)]
+def _parse_sides(flag: str, text: str, tol: float = DEFAULT_TOL) -> list[float]:
+    sides = [_check_number(flag, v, positive=True) for v in _parse_numbers(flag, text, 3)]
+    if not triangle_inequality_ok(*sides, tol):
+        raise SchemaError(f"flag '{flag}' must satisfy the triangle inequality, got {text!r}")
+    return sides
 
 
 def _parse_region(text: str) -> Region:
-    return Region(*_parse_numbers("--region", text, 4))
+    x0, y0, x1, y1 = _parse_numbers("--region", text, 4)
+    if not (x0 < x1 and y0 < y1):
+        raise SchemaError(f"flag '--region' must have x0 < x1 and y0 < y1, got {text!r}")
+    return Region(x0, y0, x1, y1)
 
 
-def _parse_grid(args: argparse.Namespace) -> ScanGrid:
-    return ScanGrid(_parse_region(args.region),
-                    _check_number("--grid", args.grid, positive=True),
-                    _check_number("--angles", args.angles, positive=True))
+def _parse_scan(args: argparse.Namespace) -> tuple[TriangleSpec, ScanGrid]:
+    """The triangle and the placement grid of ``scan`` and ``avoid``."""
+    return (TriangleSpec(*_parse_sides("--triangle", args.triangle)),
+            ScanGrid(_parse_region(args.region),
+                     _check_number("--grid", args.grid, positive=True),
+                     _check_number("--angles", args.angles, positive=True)))
 
 
 def _parse_line(flag: str, text: str) -> Line:
@@ -150,18 +159,17 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--region", required=True, help="x0,y0,x1,y1")
         p.add_argument("--out", help="output path (default: stdout)")
 
-    p = sub.add_parser("scan", help="find one monochromatic copy")
-    add_common(p, region=True)
-    p.add_argument("--triangle", required=True, help="side lengths a,b,c")
-    p.add_argument("--grid", type=float, default=0.01, help="position step")
-    p.add_argument("--angles", type=int, default=720, help="angle count")
-    p.add_argument("--min-margin", type=float, default=0.0)
+    def add_scan(name, help_text):
+        p = sub.add_parser(name, help=help_text)
+        add_common(p, region=True)
+        p.add_argument("--triangle", required=True, help="side lengths a,b,c")
+        p.add_argument("--grid", type=float, default=0.01, help="position step")
+        p.add_argument("--angles", type=int, default=720, help="angle count")
+        return p
 
-    p = sub.add_parser("avoid", help="count monochromatic placements over a grid")
-    add_common(p, region=True)
-    p.add_argument("--triangle", required=True)
-    p.add_argument("--grid", type=float, default=0.01)
-    p.add_argument("--angles", type=int, default=720)
+    p = add_scan("scan", "find one monochromatic copy")
+    p.add_argument("--min-margin", type=float, default=0.0)
+    add_scan("avoid", "count monochromatic placements over a grid")
 
     p = sub.add_parser("almost", help="find almost-unit triangles in both classes")
     add_common(p)
@@ -204,8 +212,7 @@ def run(args: argparse.Namespace) -> int:
     cmd = args.command
     coloring = parse_coloring_file(args.coloring) if hasattr(args, "coloring") else None
     if cmd == "scan":
-        spec = TriangleSpec(*_parse_sides("--triangle", args.triangle))
-        grid = _parse_grid(args)
+        spec, grid = _parse_scan(args)
         witness = find_monochromatic_copy(coloring, spec, grid,
                                           _check_number("--min-margin", args.min_margin), tol)
         if witness is None:
@@ -215,11 +222,14 @@ def run(args: argparse.Namespace) -> int:
             _emit(witness.to_dict(spec), args.out)
         return 0
     if cmd == "avoid":
-        spec = TriangleSpec(*_parse_sides("--triangle", args.triangle))
-        _emit(avoidance_scan(coloring, spec, _parse_grid(args), tol).to_dict(), args.out)
+        spec, grid = _parse_scan(args)
+        _emit(avoidance_scan(coloring, spec, grid, tol).to_dict(), args.out)
         return 0
     if cmd == "almost":
-        pair = find_almost_unit(coloring, _check_number("--epsilon", args.epsilon, positive=True),
+        epsilon = _check_number("--epsilon", args.epsilon, positive=True)
+        if epsilon >= 1.0:
+            raise SchemaError(f"flag '--epsilon' must be < 1, got {epsilon!r}")
+        pair = find_almost_unit(coloring, epsilon,
                                 _check_number("--tries", args.tries, positive=True),
                                 _check_number("--seed", args.seed), tol)
         _emit({"result": "failure"} if pair is None else pair.to_dict(), args.out)
@@ -241,7 +251,7 @@ def run(args: argparse.Namespace) -> int:
         _emit({"vertices": [e.to_dict() for e in entries]}, args.out)
         return 0
     if cmd == "forcing":
-        sides = _parse_sides("--sides", args.sides)
+        sides = _parse_sides("--sides", args.sides, tol)
         check = forcing_check_i if args.part == "i" else forcing_check_ii
         _emit({**check(*sides, tol).to_dict(), "part": args.part, "sides": sides}, args.out)
         return 0

@@ -63,8 +63,7 @@ __all__ = [
     "BoundaryPiece", "Color", "Coloring", "DWitness", "HalfPlaneColoring",
     "MalformedProfile", "PolygonalColoring", "SchemaError", "StripColoring", "TriangleSpec",
     "UnresolvedFace", "ZebraColoring", "ZebraConditionReport", "ZebraProfile",
-    "all_black_coloring", "check_zebra_conditions", "coloring_from_dict",
-    "l_shape_coloring", "twin", "zebra_curve",
+    "all_black_coloring", "check_zebra_conditions", "coloring_from_dict", "l_shape_coloring",
 ]
 
 HALF_SQRT3 = SQRT3 / 2.0
@@ -419,10 +418,6 @@ class ZebraColoring(_ClassifyViews):
                              self.parity_rule == "even-white")
         return even != odd_black, on_curve
 
-    def band_index_at(self, p: Point, tol: float = DEFAULT_TOL) -> Optional[int]:
-        band, on_curve, _ = self._locate(np.array([p.x]), np.array([p.y]), tol)
-        return None if bool(on_curve[0]) else int(band[0])
-
     def curve_index_at(self, p: Point, tol: float = DEFAULT_TOL) -> Optional[int]:
         _, on_curve, idx = self._locate(np.array([p.x]), np.array([p.y]), tol)
         return int(idx[0]) if bool(on_curve[0]) else None
@@ -501,10 +496,6 @@ class ZebraColoring(_ClassifyViews):
             "parity_rule": self.parity_rule,
             "boundary_parity": self.boundary_parity,
         }
-
-
-def twin(zc: ZebraColoring, new_boundary_parity: str) -> ZebraColoring:
-    return zc.twin(new_boundary_parity)
 
 
 def _clip_segment_to_region(p: Point, q: Point, window: Region) -> Optional[Segment]:
@@ -778,10 +769,6 @@ class PolygonalColoring(_ClassifyViews):
             "seeds": [[pt.x, pt.y, color.value] for pt, color in self.seeds],
             "window": [self.window.x0, self.window.y0, self.window.x1, self.window.y1],
         }
-
-
-def zebra_curve(zc: ZebraColoring, i: int, window: Region) -> list[Segment]:
-    return zc.zebra_curve(i, window)
 
 
 # ---------------------------------------------------------------------------

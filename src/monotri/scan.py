@@ -7,10 +7,11 @@ probe around a feasible boundary point and the convex-angle audit of
 boundary vertices.
 
 A placement is a pose index (angle index, x index, y index) applied to the
-canonical triangle of :func:`monotri.geom.place_triangle`; scans iterate in
-lexicographic pose order so results are deterministic and the first witness
-found is the least one. A scan that exhausts its grid is a sampling verdict,
-never a proof of avoidance.
+canonical triangle of :func:`monotri.geom.place_triangle`. Find and
+avoidance scans share one engine, which classifies the three vertices of
+every placement one angle at a time in lexicographic pose order, so results
+are deterministic and the first witness found is the least one. A scan that
+exhausts its grid is a sampling verdict, never a proof of avoidance.
 """
 
 from __future__ import annotations
@@ -64,15 +65,20 @@ class ScanGrid:
         return np.arange(self.angle_count) * (TWO_PI / self.angle_count)
 
     def xs(self) -> np.ndarray:
-        n = int(math.floor((self.region.x1 - self.region.x0) / self.position_step + 1e-12)) + 1
-        return self.region.x0 + np.arange(n) * self.position_step
+        return self._axis(self.region.x0, self.region.x1)
 
     def ys(self) -> np.ndarray:
-        n = int(math.floor((self.region.y1 - self.region.y0) / self.position_step + 1e-12)) + 1
-        return self.region.y0 + np.arange(n) * self.position_step
+        return self._axis(self.region.y0, self.region.y1)
 
     def placements(self) -> int:
-        return self.angle_count * len(self.xs()) * len(self.ys())
+        r = self.region
+        return self.angle_count * self._count(r.x0, r.x1) * self._count(r.y0, r.y1)
+
+    def _count(self, lo: float, hi: float) -> int:
+        return int(math.floor((hi - lo) / self.position_step + 1e-12)) + 1
+
+    def _axis(self, lo: float, hi: float) -> np.ndarray:
+        return lo + np.arange(self._count(lo, hi)) * self.position_step
 
 
 @dataclass(frozen=True)
@@ -117,13 +123,6 @@ class AvoidanceReport:
         }
 
 
-def _rotated_offsets(spec: TriangleSpec, angle: float) -> tuple[tuple[float, float], ...]:
-    """Vertex offsets of the canonical triangle under a pure rotation."""
-    base = place_triangle(spec, RigidMotion(0.0))
-    c, s = math.cos(angle), math.sin(angle)
-    return tuple((c * p.x - s * p.y, s * p.x + c * p.y) for p in base)
-
-
 def margin_of(coloring: Coloring, points: Sequence[Point]) -> float:
     """Distance from the nearest of ``points`` to the coloring boundary."""
     return min(coloring.boundary_distance(p) for p in points)
@@ -138,6 +137,27 @@ def _common_color(coloring: Coloring, points: Sequence[Point], tol: float) -> Op
     return None if black.any() else Color.WHITE
 
 
+def _classified_poses(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid, tol: float):
+    """The scan engine: per angle, in pose order, ``(k, angle, translation, classes)``.
+
+    ``translation`` maps a flat lattice index (x major, y minor) to its
+    translation; ``classes`` holds ``coloring.classify`` of each vertex over
+    the lattice. Offsets are rotated in Python floats, so that every vertex
+    is the one :func:`place_triangle` gives for its pose.
+    """
+    X, Y = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
+    base = place_triangle(spec, RigidMotion(0.0))
+
+    def translation(flat) -> tuple[float, float]:
+        return float(X[flat]), float(Y[flat])
+
+    for k, angle in enumerate(grid.angles()):
+        c, s = math.cos(angle), math.sin(angle)
+        yield k, float(angle), translation, tuple(
+            coloring.classify(X + (c * p.x - s * p.y), Y + (s * p.x + c * p.y), tol)
+            for p in base)
+
+
 def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
                             min_margin: float = 0.0,
                             tol: float = DEFAULT_TOL) -> Optional[ScanWitness]:
@@ -147,26 +167,14 @@ def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGr
     claim of avoidance is implied. Vertices may leave the grid region; the
     region constrains translations, not the triangle.
     """
-    xs, ys = grid.xs(), grid.ys()
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    X, Y = X.ravel(), Y.ravel()
-    ny = len(ys)
-    for angle in grid.angles():
-        offs = _rotated_offsets(spec, angle)
-        masks = []
-        for ox, oy in offs:
-            masks.append(coloring.black_mask(X + ox, Y + oy, tol))
-        mono = (masks[0] == masks[1]) & (masks[1] == masks[2])
-        if not mono.any():
-            continue
-        for flat in np.flatnonzero(mono):
-            i, j = divmod(int(flat), ny)
-            t = (float(xs[i]), float(ys[j]))
-            motion = RigidMotion(float(angle), t)
+    poses = _classified_poses(coloring, spec, grid, tol)
+    for _, angle, translation, ((b1, _), (b2, _), (b3, _)) in poses:
+        for flat in np.flatnonzero((b1 == b2) & (b2 == b3)):
+            motion = RigidMotion(angle, translation(flat))
             verts = place_triangle(spec, motion)
             margin = margin_of(coloring, verts)
             if margin >= min_margin:
-                color = Color.BLACK if bool(masks[0][flat]) else Color.WHITE
+                color = Color.BLACK if bool(b1[flat]) else Color.WHITE
                 return ScanWitness(motion, verts, color, margin)
     return None
 
@@ -179,18 +187,12 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
     a non-monochromatic placement with two same-colored vertices whose
     third vertex sits within tolerance of the boundary.
     """
-    xs, ys = grid.xs(), grid.ys()
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    X, Y = X.ravel(), Y.ravel()
-    ny = len(ys)
     mono_count = 0
     near_count = 0
     mono_ex: list[tuple[int, float, float]] = []
     near_ex: list[tuple[int, float, float]] = []
-    for k, angle in enumerate(grid.angles()):
-        offs = _rotated_offsets(spec, angle)
-        (b1, on1), (b2, on2), (b3, on3) = (coloring.classify(X + ox, Y + oy, tol)
-                                           for ox, oy in offs)
+    poses = _classified_poses(coloring, spec, grid, tol)
+    for k, _, translation, ((b1, on1), (b2, on2), (b3, on3)) in poses:
         mono = (b1 == b2) & (b2 == b3)
         near = (~mono) & (((b1 == b2) & on3) | ((b1 == b3) & on2) | ((b2 == b3) & on1))
         mono_count += int(mono.sum())
@@ -198,8 +200,7 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
         for mask, acc in ((mono, mono_ex), (near, near_ex)):
             if mask.any() and len(acc) < max_examples:
                 for flat in np.flatnonzero(mask)[:max_examples - len(acc)]:
-                    i, j = divmod(int(flat), ny)
-                    acc.append((k, float(xs[i]), float(ys[j])))
+                    acc.append((k, *translation(flat)))
     return AvoidanceReport(grid.placements(), mono_count, near_count,
                            tuple(mono_ex), tuple(near_ex))
 

@@ -4,9 +4,12 @@
 window: every point tries curves i0 - 2 .. i0 + 2 and reads heights through
 ``np.interp``. ``two_mask_avoidance`` is the avoidance scan as it was before
 it classified each vertex once: one ``black_mask`` and one ``boundary_mask``
-call per vertex. ``walk_color_at`` is the polygonal query as it was before
-the array kernel: one point at a time, one seed at a time, one piece at a
-time. All are kept here as oracles that the fast paths must match exactly.
+call per vertex, each vertex offset rotated by ``_rotated_offsets``.
+``walk_color_at`` is the polygonal query as it was before the array kernel:
+one point at a time, one seed at a time, one piece at a time.
+``brute_force_find`` is the find scan one pose at a time, coloring each
+vertex with ``color_at`` and taking the margin from ``boundary_distance``.
+All are kept here as oracles that the fast paths must match exactly.
 """
 
 import math
@@ -34,14 +37,22 @@ from monotri.colorings import (
 from monotri.geom import (
     Point,
     Region,
+    RigidMotion,
     Segment,
     TriangleSpec,
     UnitVector,
     distance,
+    place_triangle,
     point_segment_distance,
 )
 from monotri.render import RenderSpec, render_svg
-from monotri.scan import AvoidanceReport, ScanGrid, _rotated_offsets, avoidance_scan
+from monotri.scan import (
+    AvoidanceReport,
+    ScanGrid,
+    ScanWitness,
+    avoidance_scan,
+    find_monochromatic_copy,
+)
 
 HALF_SQRT3 = math.sqrt(3.0) / 2.0
 ZIGZAG = ZebraProfile(((0.0, 0.0), (0.5, 0.1), (1.0, 0.0)))
@@ -79,6 +90,13 @@ def five_curve_locate(zc: ZebraColoring, xs, ys, tol):
         on_curve |= onb
         band = np.maximum(band, np.where(h <= t, i, np.iinfo(np.int64).min))
     return band, on_curve, curve_idx
+
+
+def _rotated_offsets(spec: TriangleSpec, angle: float) -> tuple[tuple[float, float], ...]:
+    """Vertex offsets of the canonical triangle under a pure rotation."""
+    base = place_triangle(spec, RigidMotion(0.0))
+    c, s = math.cos(angle), math.sin(angle)
+    return tuple((c * p.x - s * p.y, s * p.x + c * p.y) for p in base)
 
 
 def two_mask_avoidance(coloring, spec, grid, tol=1e-9, max_examples=8):
@@ -333,6 +351,53 @@ def test_avoidance_scan_matches_two_mask_loop(coloring, region, side, tol):
     report = avoidance_scan(coloring, spec, grid, tol)
     assert report == two_mask_avoidance(coloring, spec, grid, tol)
     assert report.monochromatic_count + report.near_misses > 0
+
+
+def brute_force_find(coloring, spec, grid, min_margin, tol=1e-9):
+    """The find scan one pose and one point at a time, in (angle, x, y) order.
+
+    Returns the witness, or None, and the number of monochromatic poses
+    rejected for margin before it.
+    """
+    rejected = 0
+    for angle in grid.angles():
+        for x in grid.xs():
+            for y in grid.ys():
+                motion = RigidMotion(float(angle), (float(x), float(y)))
+                verts = place_triangle(spec, motion)
+                colors = {coloring.color_at(v, tol) for v in verts}
+                if len(colors) > 1:
+                    continue
+                margin = min(coloring.boundary_distance(v) for v in verts)
+                if margin >= min_margin:
+                    return ScanWitness(motion, verts, colors.pop(), margin), rejected
+                rejected += 1
+    return None, rejected
+
+
+@pytest.mark.parametrize("coloring, sides, region, step, angles, min_margin, rejects", [
+    # exhausted: the strip and the zigzag twin avoid the unit triangle
+    (StripColoring(), (1.0, 1.0, 1.0), Region(0.0, 0.0, 2.0, 2.0), 0.4, 6, 0.0, False),
+    (ZebraColoring(ZIGZAG), (1.0, 1.0, 1.0), Region(0.0, 0.0, 1.5, 1.5), 0.3, 6, 0.0, False),
+    (StripColoring(), (0.8, 0.8, 0.8), Region(0.0, 0.0, 1.0, 1.0), 0.1, 6, 0.02, False),
+    (ZebraColoring(ZIGZAG), (0.6, 0.7, 0.8), Region(0.0, 0.0, 1.0, 1.0), 0.1, 12, 0.05, True),
+    (HalfPlaneColoring(), (1.0, 1.0, 1.0), Region(0.0, 0.0, 1.0, 1.0), 0.1, 4, 0.0, False),
+    (HalfPlaneColoring(), (1.0, 1.0, 1.0), Region(0.0, 0.0, 1.0, 1.0), 0.1, 4, 0.1, True),
+    # every monochromatic pose is rejected for margin
+    (HalfPlaneColoring(UnitVector.from_angle(2.0), 0.3, Color.WHITE), (1.0, 1.0, 1.0),
+     Region(0.0, 0.0, 1.0, 1.0), 0.25, 4, 5.0, True),
+    (l_shape_coloring(), (0.5, 0.6, 0.7), Region(-0.3, -0.3, 0.3, 0.3), 0.1, 8, 0.0, False),
+    # the witness turns by pi/2, after the black poses near the corner are rejected
+    (l_shape_coloring(), (0.5, 0.6, 0.7), Region(-0.3, -0.3, 0.15, 0.15), 0.05, 12, 0.16,
+     True),
+    (FAMILIES["convex"], (1.2, 1.2, 1.2), Region(-1.5, -1.5, 1.5, 1.5), 0.5, 6, 0.0, False),
+    (FAMILIES["convex"], (1.5, 1.5, 1.5), Region(-1.0, -1.0, 1.0, 1.0), 0.25, 6, 0.3, True),
+])
+def test_find_matches_brute_force(coloring, sides, region, step, angles, min_margin, rejects):
+    spec, grid = TriangleSpec(*sides), ScanGrid(region, step, angles)
+    want, rejected = brute_force_find(coloring, spec, grid, min_margin)
+    assert find_monochromatic_copy(coloring, spec, grid, min_margin) == want
+    assert (rejected > 0) == rejects
 
 
 

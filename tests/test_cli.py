@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -17,6 +18,7 @@ from monotri.colorings import (
     StripColoring,
     ZebraColoring,
     coloring_from_dict,
+    l_shape_coloring,
 )
 from monotri.render import RenderSpec, render_svg
 
@@ -260,6 +262,30 @@ class TestExitStatuses:
         assert captured.out == ""
         assert f"'{flag}'" in captured.err
 
+    @pytest.mark.parametrize("flag, argv", [
+        # these used to print the library's message without the flag
+        ("--triangle", ["scan", "--triangle", "1,1,5", "--region=0,0,1,1"]),
+        ("--triangle", ["avoid", "--triangle", "5,1,1", "--region=0,0,1,1"]),
+        ("--sides", ["forcing", "--sides", "1,1,5", "--part", "i"]),
+        ("--epsilon", ["almost", "--epsilon", "1.5", "--seed", "1"]),
+        ("--epsilon", ["almost", "--epsilon", "1", "--seed", "1"]),
+        ("--region", ["avoid", "--triangle", "1,1,1", "--region=1,0,0,1"]),
+        ("--region", ["hexagon", "--point", "0,0", "--region=1,0,0,1"]),
+        ("--region", ["angles", "--region=1,0,0,1"]),
+        ("--region", ["render", "--region=0,1,1,1"]),
+    ])
+    def test_relational_checks_name_the_flag(self, flag, argv, strip_file, capsys):
+        if argv[0] != "forcing":
+            argv = argv[:1] + ["--coloring", strip_file] + argv[1:]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'{flag}'" in captured.err
+
+    def test_degenerate_triangle_accepted(self, strip_file, capsys):
+        assert main(["scan", "--coloring", strip_file, "--triangle", "1,1,2",
+                     "--region=0,0,1,1", "--grid", "0.5", "--angles", "2"]) == 0
+
     def test_non_finite_line_exit_one(self, capsys):
         # a NaN slope used to print a finite, empty solution with exit 0
         assert main(["lines", "--q1=nan,0", "--q2=1,0", "--q3=vertical:0"]) == 1
@@ -357,6 +383,63 @@ class TestRenderDeterminism:
         doc = json.loads(capsys.readouterr().out)
         assert doc["monochromatic_count"] == 0
         assert doc["placements_tested"] == 12 * 13 * 13
+
+
+@pytest.fixture
+def scan_files(strip_file, zigzag_file, halfplane_file, tmp_path):
+    """Coloring files of all four families, by name."""
+    corners = [[1.5 * math.cos(k * math.pi / 3), 1.5 * math.sin(k * math.pi / 3)]
+               for k in range(6)]
+    docs = {
+        "lshape": l_shape_coloring().to_dict(),
+        "hexagon": {"type": "polygonal",
+                    "segments": [{"p": corners[k], "q": corners[(k + 1) % 6]}
+                                 for k in range(6)],
+                    "boundary_colors": ["black"] * 6,
+                    "seeds": [[0.05, 0.03, "black"], [3.1, 0.4, "white"],
+                              [-3.05, -0.35, "white"], [0.3, 3.2, "white"],
+                              [-0.2, -3.3, "white"]],
+                    "window": [-4, -4, 4, 4]},
+    }
+    files = {"strip": strip_file, "zigzag": zigzag_file, "halfplane": halfplane_file}
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        files[name] = str(path)
+    return files
+
+
+class TestScanBytes:
+    """The stdout bytes (sha256) of ``scan`` and ``avoid`` over all four
+    coloring families: witnesses, counts and examples must not move."""
+
+    @pytest.mark.parametrize("family, argv, digest", [
+        ("strip", ["avoid", "--triangle", "1,1,1", "--region", "0,0,3,3", "--grid", "0.25",
+                   "--angles", "12"],
+         "e5c5c25151945e67e185f2a0db2148640a8472ea3294a0cf335af1867eddfef3"),
+        # exhausted: the zigzag twin avoids the unit triangle
+        ("zigzag", ["scan", "--triangle", "1,1,1", "--region", "0,0,2,2", "--grid", "0.2",
+                    "--angles", "12"],
+         "d48dd5b6b982a8eb5412f2d0947be5d5cc561f418e60b323697f6cfd78ba1be5"),
+        # no monochromatic placement, 30 near misses
+        ("zigzag", ["avoid", "--triangle", "1,1,1", "--region", "0,0,2,2", "--grid", "0.1",
+                    "--angles", "12"],
+         "29344fd437cd6f4d3615477beb1be441eddbff01a9c262f47160175f5cc86907"),
+        ("halfplane", ["scan", "--triangle", "1,1,1", "--region", "0,0,4,4", "--grid", "0.1",
+                       "--angles", "8", "--min-margin", "0.1"],
+         "1123decf6571f5cfb2c5d88a102d4fa865ea307d9f4d03abb1674bb2d31926e7"),
+        # a white witness at angle pi/2
+        ("lshape", ["scan", "--triangle", "0.5,0.6,0.7", "--region=-0.3,-0.3,0.15,0.15",
+                    "--grid", "0.05", "--angles", "12", "--min-margin", "0.16"],
+         "59d8ff498f4a074fa9e43eebfa378222ba189e67a189a116175984df96359d48"),
+        ("hexagon", ["avoid", "--triangle", "1,1,1", "--region=-2,-2,2,2", "--grid", "0.25",
+                     "--angles", "6"],
+         "370ab3f57a30cbb9305387d0f51209f2585edd4788a2dd628794a0da2727f7c4"),
+    ])
+    def test_stdout_digest(self, family, argv, digest, scan_files, capsys):
+        assert main(argv[:1] + ["--coloring", scan_files[family]] + argv[1:]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestOtherCommands:
