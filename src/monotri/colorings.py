@@ -19,10 +19,12 @@ Four families, each a total map from points to black/white:
 Every family answers one vectorized query, ``classify(xs, ys, tol)``, which
 returns the black mask and the on-boundary mask of the points
 ``(xs[k], ys[k])`` together; ``black_mask``, ``boundary_mask`` and the
-single-point ``color_at`` are views over it, for every family. Every
-family also exposes its boundary as oriented segments for probing, margins
-and rendering. Colorings are immutable after construction; all queries are
-pure.
+single-point ``color_at`` are views over it, for every family. So is
+``resolve``, which adds the mask of points no seed reaches: all False
+outside the polygonal family, whose own ``resolve`` underlies its
+``classify``. Every family also exposes its boundary as oriented segments
+for probing, margins and rendering. Colorings are immutable after
+construction; all queries are pure.
 
 ``coloring_from_dict`` is the one reader of the JSON document form that
 ``to_dict`` writes: it checks each field's shape as it builds, and raises
@@ -114,7 +116,14 @@ class BoundaryPiece:
 
 
 class _ClassifyViews:
-    """``black_mask``, ``boundary_mask`` and ``color_at`` as views over ``classify``."""
+    """``black_mask``, ``boundary_mask``, ``color_at`` and ``resolve`` as views
+    over ``classify``."""
+
+    def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``classify`` and an all-False unresolved mask; polygonal colorings override it."""
+        black, on = self.classify(xs, ys, tol)
+        return black, on, np.zeros(black.shape, dtype=bool)
 
     def black_mask(self, xs: np.ndarray, ys: np.ndarray,
                    tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -253,9 +262,6 @@ class ZebraProfile:
     def v_max(self) -> float:
         return max(v for _, v in self.vertices)
 
-    def is_flat(self) -> bool:
-        return self.amplitude == 0.0
-
     @cached_property
     def tables(self) -> "ProfileTables":
         """Lookup tables of the period, built once per profile."""
@@ -266,9 +272,6 @@ class ZebraProfile:
 
     def values(self, u: np.ndarray) -> np.ndarray:
         return np.interp(np.mod(u, 1.0), self.tables.us, self.tables.vs)
-
-    def slopes_at(self, u: np.ndarray) -> np.ndarray:
-        return self.tables.slot_slopes[self.tables.locate(u)[1]]
 
     def breakpoints_in(self, u_lo: float, u_hi: float) -> list[float]:
         """Parameters of all breakpoints (period images) in [u_lo, u_hi]."""
@@ -362,10 +365,6 @@ class ZebraColoring(_ClassifyViews):
     def from_frame(self, s: float, t: float) -> Point:
         xh = self.x_hat
         return Point(s * xh.dx - t * xh.dy, s * xh.dy + t * xh.dx)
-
-    def curve_height(self, i: int, s: np.ndarray) -> np.ndarray:
-        """Frame height of L_i over frame abscissa s."""
-        return i * HALF_SQRT3 + self.profile.values(s - 0.5 * i)
 
     def curve_point(self, i: int, u: float) -> Point:
         """World point of L_i at profile parameter u."""

@@ -8,10 +8,15 @@ boundary vertices.
 
 A placement is a pose index (angle index, x index, y index) applied to the
 canonical triangle of :func:`monotri.geom.place_triangle`. Find and
-avoidance scans share one engine, which classifies the three vertices of
-every placement one angle at a time in lexicographic pose order, so results
-are deterministic and the first witness found is the least one. A scan that
-exhausts its grid is a sampling verdict, never a proof of avoidance.
+avoidance scans share one engine, which walks (angle, translation block) in
+lexicographic pose order, a block being at most ``_SCAN_BLOCK`` consecutive
+translations. Results are deterministic, the first witness found is the
+least one, and a find scan stops in the block of its witness. A find scan
+classifies vertex 3 only where vertices 1 and 2 agree; an avoidance scan
+classifies all three, which its near-miss rule needs. Placements with a
+vertex that no seed of a polygonal coloring reaches are skipped by find and
+counted as ``unresolved`` by avoidance. A scan that exhausts its grid is a
+sampling verdict, never a proof of avoidance.
 """
 
 from __future__ import annotations
@@ -112,15 +117,19 @@ class AvoidanceReport:
     near_misses: int
     monochromatic_examples: tuple[tuple[int, float, float], ...] = ()
     near_miss_examples: tuple[tuple[int, float, float], ...] = ()
+    unresolved: int = 0
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "placements_tested": self.placements_tested,
             "monochromatic_count": self.monochromatic_count,
             "near_misses": self.near_misses,
             "monochromatic_examples": [list(e) for e in self.monochromatic_examples],
             "near_miss_examples": [list(e) for e in self.near_miss_examples],
         }
+        if self.unresolved:
+            doc["unresolved"] = self.unresolved
+        return doc
 
 
 def margin_of(coloring: Coloring, points: Sequence[Point]) -> float:
@@ -137,25 +146,35 @@ def _common_color(coloring: Coloring, points: Sequence[Point], tol: float) -> Op
     return None if black.any() else Color.WHITE
 
 
-def _classified_poses(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid, tol: float):
-    """The scan engine: per angle, in pose order, ``(k, angle, translation, classes)``.
+_SCAN_BLOCK = 4096  # consecutive flat lattice indices per pass of the scan engine
 
-    ``translation`` maps a flat lattice index (x major, y minor) to its
-    translation; ``classes`` holds ``coloring.classify`` of each vertex over
-    the lattice. Offsets are rotated in Python floats, so that every vertex
-    is the one :func:`place_triangle` gives for its pose.
+
+def _classified_poses(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid, tol: float):
+    """The scan engine: per (angle, translation block), in pose order,
+    ``(k, angle, xs, ys, vertex)``.
+
+    A block is a run of at most ``_SCAN_BLOCK`` consecutive flat lattice
+    indices (x major, y minor); ``xs`` and ``ys`` are its translations, as
+    views of the lattice. ``vertex(v, at)`` is ``coloring.resolve`` of vertex
+    ``v`` (0, 1 or 2) over the block, or over its indices ``at`` only. Offsets
+    are rotated in Python floats, so that every vertex is the one
+    :func:`place_triangle` gives for its pose.
     """
     X, Y = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
     base = place_triangle(spec, RigidMotion(0.0))
-
-    def translation(flat) -> tuple[float, float]:
-        return float(X[flat]), float(Y[flat])
+    block = _SCAN_BLOCK
 
     for k, angle in enumerate(grid.angles()):
         c, s = math.cos(angle), math.sin(angle)
-        yield k, float(angle), translation, tuple(
-            coloring.classify(X + (c * p.x - s * p.y), Y + (s * p.x + c * p.y), tol)
-            for p in base)
+        offsets = tuple((c * p.x - s * p.y, s * p.x + c * p.y) for p in base)
+        for lo in range(0, X.size, block):
+            xs, ys = X[lo:lo + block], Y[lo:lo + block]
+
+            def vertex(v: int, at=slice(None), xs=xs, ys=ys, offsets=offsets):
+                ox, oy = offsets[v]
+                return coloring.resolve(xs[at] + ox, ys[at] + oy, tol)
+
+            yield k, float(angle), xs, ys, vertex
 
 
 def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
@@ -163,18 +182,25 @@ def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGr
                             tol: float = DEFAULT_TOL) -> Optional[ScanWitness]:
     """First placement (in pose order) that is monochromatic with margin.
 
+    Vertex 3 is classified only where vertices 1 and 2 agree, and the scan
+    stops in the translation block of its witness. Placements with a vertex
+    that no seed of a polygonal coloring reaches are skipped.
+
     Returns None when the grid is exhausted -- a sampling verdict only; no
     claim of avoidance is implied. Vertices may leave the grid region; the
     region constrains translations, not the triangle.
     """
-    poses = _classified_poses(coloring, spec, grid, tol)
-    for _, angle, translation, ((b1, _), (b2, _), (b3, _)) in poses:
-        for flat in np.flatnonzero((b1 == b2) & (b2 == b3)):
-            motion = RigidMotion(angle, translation(flat))
+    for _, angle, xs, ys, vertex in _classified_poses(coloring, spec, grid, tol):
+        b1, _, u1 = vertex(0)
+        b2, _, u2 = vertex(1)
+        pairs = np.flatnonzero((b1 == b2) & ~(u1 | u2))
+        b3, _, u3 = vertex(2, pairs)
+        for i in pairs[(b3 == b1[pairs]) & ~u3]:
+            motion = RigidMotion(angle, (float(xs[i]), float(ys[i])))
             verts = place_triangle(spec, motion)
             margin = margin_of(coloring, verts)
             if margin >= min_margin:
-                color = Color.BLACK if bool(b1[flat]) else Color.WHITE
+                color = Color.BLACK if bool(b1[i]) else Color.WHITE
                 return ScanWitness(motion, verts, color, margin)
     return None
 
@@ -185,24 +211,32 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
 
     Boundary points are colored by the coloring's own rule. A near miss is
     a non-monochromatic placement with two same-colored vertices whose
-    third vertex sits within tolerance of the boundary.
+    third vertex sits within tolerance of the boundary. Placements with a
+    vertex that no seed of a polygonal coloring reaches count as
+    ``unresolved`` and as neither.
     """
     mono_count = 0
     near_count = 0
+    unresolved = 0
     mono_ex: list[tuple[int, float, float]] = []
     near_ex: list[tuple[int, float, float]] = []
-    poses = _classified_poses(coloring, spec, grid, tol)
-    for k, _, translation, ((b1, on1), (b2, on2), (b3, on3)) in poses:
+    for k, _, xs, ys, vertex in _classified_poses(coloring, spec, grid, tol):
+        (b1, on1, u1), (b2, on2, u2), (b3, on3, u3) = vertex(0), vertex(1), vertex(2)
         mono = (b1 == b2) & (b2 == b3)
         near = (~mono) & (((b1 == b2) & on3) | ((b1 == b3) & on2) | ((b2 == b3) & on1))
+        bad = u1 | u2 | u3
+        if bad.any():
+            unresolved += int(bad.sum())
+            mono &= ~bad
+            near &= ~bad
         mono_count += int(mono.sum())
         near_count += int(near.sum())
         for mask, acc in ((mono, mono_ex), (near, near_ex)):
-            if mask.any() and len(acc) < max_examples:
-                for flat in np.flatnonzero(mask)[:max_examples - len(acc)]:
-                    acc.append((k, *translation(flat)))
+            if len(acc) < max_examples and mask.any():
+                for i in np.flatnonzero(mask)[:max_examples - len(acc)]:
+                    acc.append((k, float(xs[i]), float(ys[i])))
     return AvoidanceReport(grid.placements(), mono_count, near_count,
-                           tuple(mono_ex), tuple(near_ex))
+                           tuple(mono_ex), tuple(near_ex), unresolved)
 
 
 def verify_witness(coloring: Coloring, spec: TriangleSpec, witness: ScanWitness,

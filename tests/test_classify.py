@@ -8,8 +8,10 @@ call per vertex, each vertex offset rotated by ``_rotated_offsets``.
 ``walk_color_at`` is the polygonal query as it was before the array kernel:
 one point at a time, one seed at a time, one piece at a time.
 ``brute_force_find`` is the find scan one pose at a time, coloring each
-vertex with ``color_at`` and taking the margin from ``boundary_distance``.
-All are kept here as oracles that the fast paths must match exactly.
+vertex with ``color_at`` and taking the margin from ``boundary_distance``;
+``walk_avoidance`` is the avoidance scan one pose at a time over
+``walk_color_at``. All are kept here as oracles that the fast paths must
+match exactly, at every size of the scan engine's translation blocks.
 """
 
 import math
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from monotri import colorings, render
+from monotri import colorings, render, scan
 from monotri.colorings import (
     BoundaryPiece,
     Color,
@@ -54,7 +56,8 @@ from monotri.scan import (
     find_monochromatic_copy,
 )
 
-HALF_SQRT3 = math.sqrt(3.0) / 2.0
+SQRT3 = math.sqrt(3.0)
+HALF_SQRT3 = SQRT3 / 2.0
 ZIGZAG = ZebraProfile(((0.0, 0.0), (0.5, 0.1), (1.0, 0.0)))
 
 
@@ -310,6 +313,15 @@ FAMILIES = {
     "convex": convex_face(np.random.default_rng(8)),
 }
 
+_CORNERS = [Point(1.5 * math.cos(k * math.pi / 3), 1.5 * math.sin(k * math.pi / 3))
+            for k in range(6)]
+# A black hexagon face: sight lines along the x axis pass through its corners (+-1.5, 0).
+HEXAGON = PolygonalColoring(
+    tuple(BoundaryPiece(Segment(_CORNERS[k], _CORNERS[(k + 1) % 6]), Color.BLACK)
+          for k in range(6)),
+    ((Point(0.0, 0.0), Color.BLACK), (Point(3.0, 0.0), Color.WHITE)),
+    Region(-4.0, -4.0, 4.0, 4.0))
+
 
 def boundary_points(coloring, rng, n=40):
     """Points on the coloring's boundary pieces, endpoints included."""
@@ -339,12 +351,15 @@ def test_classify_is_the_pair_of_masks(family, tol):
     assert colors == [Color.BLACK if b else Color.WHITE for b in black]
 
 
-@pytest.mark.parametrize("coloring, region, side, tol", [
+AVOID_CASES = [
     (StripColoring(1.0), Region(0.0, 0.0, 3.0, 3.0), 1.0, 1e-9),
     (ZebraColoring(ZIGZAG, UnitVector.from_angle(0.4)), Region(-1.0, 0.5, 2.0, 3.5), 0.9, 1e-3),
     (HalfPlaneColoring(UnitVector.from_angle(1.0), 0.2), Region(-1.5, -1.5, 1.5, 1.5), 1.0, 1e-9),
     (l_shape_coloring(), Region(-1.0, -1.0, 1.0, 1.0), 1.0, 1e-9),
-])
+]
+
+
+@pytest.mark.parametrize("coloring, region, side, tol", AVOID_CASES)
 def test_avoidance_scan_matches_two_mask_loop(coloring, region, side, tol):
     grid = ScanGrid(region, 0.1, 12)
     spec = TriangleSpec(side, side, side)
@@ -356,8 +371,9 @@ def test_avoidance_scan_matches_two_mask_loop(coloring, region, side, tol):
 def brute_force_find(coloring, spec, grid, min_margin, tol=1e-9):
     """The find scan one pose and one point at a time, in (angle, x, y) order.
 
-    Returns the witness, or None, and the number of monochromatic poses
-    rejected for margin before it.
+    Poses with a vertex that no seed reaches are skipped. Returns the
+    witness, or None, and the number of monochromatic poses rejected for
+    margin before it.
     """
     rejected = 0
     for angle in grid.angles():
@@ -365,7 +381,10 @@ def brute_force_find(coloring, spec, grid, min_margin, tol=1e-9):
             for y in grid.ys():
                 motion = RigidMotion(float(angle), (float(x), float(y)))
                 verts = place_triangle(spec, motion)
-                colors = {coloring.color_at(v, tol) for v in verts}
+                try:
+                    colors = {coloring.color_at(v, tol) for v in verts}
+                except UnresolvedFace:
+                    continue
                 if len(colors) > 1:
                     continue
                 margin = min(coloring.boundary_distance(v) for v in verts)
@@ -375,7 +394,7 @@ def brute_force_find(coloring, spec, grid, min_margin, tol=1e-9):
     return None, rejected
 
 
-@pytest.mark.parametrize("coloring, sides, region, step, angles, min_margin, rejects", [
+FIND_CASES = [
     # exhausted: the strip and the zigzag twin avoid the unit triangle
     (StripColoring(), (1.0, 1.0, 1.0), Region(0.0, 0.0, 2.0, 2.0), 0.4, 6, 0.0, False),
     (ZebraColoring(ZIGZAG), (1.0, 1.0, 1.0), Region(0.0, 0.0, 1.5, 1.5), 0.3, 6, 0.0, False),
@@ -392,12 +411,126 @@ def brute_force_find(coloring, spec, grid, min_margin, tol=1e-9):
      True),
     (FAMILIES["convex"], (1.2, 1.2, 1.2), Region(-1.5, -1.5, 1.5, 1.5), 0.5, 6, 0.0, False),
     (FAMILIES["convex"], (1.5, 1.5, 1.5), Region(-1.0, -1.0, 1.0, 1.0), 0.25, 6, 0.3, True),
-])
+    # the scan passes angle pi/2, where no seed reaches the vertex (-1.866..., 0)
+    (HEXAGON, (1.0, 1.0, 1.0), Region(-1.0, -1.0, 1.0, 1.0), 0.5, 12, 0.7, True),
+    (HEXAGON, (1.0, 1.0, 1.0), Region(-1.0, -1.0, 1.0, 1.0), 0.5, 12, 0.8, True),
+    # the first pose's vertices 1 and 2, then its vertex 3, lie on the x axis left of (-1.5, 0)
+    (HEXAGON, (0.3, 0.3, 0.3), Region(-2.0, 0.0, -1.8, 0.2), 0.1, 1, 0.0, False),
+    (HEXAGON, (0.3, 0.3, 0.3), Region(-1.85, -0.15 * SQRT3, -1.65, 0.2), 0.1, 1, 0.0, False),
+]
+
+
+@pytest.mark.parametrize("coloring, sides, region, step, angles, min_margin, rejects", FIND_CASES)
 def test_find_matches_brute_force(coloring, sides, region, step, angles, min_margin, rejects):
     spec, grid = TriangleSpec(*sides), ScanGrid(region, step, angles)
     want, rejected = brute_force_find(coloring, spec, grid, min_margin)
     assert find_monochromatic_copy(coloring, spec, grid, min_margin) == want
     assert (rejected > 0) == rejects
+
+
+# The plain tests above run at the default block size.
+@pytest.mark.parametrize("block", [1, 7])
+class TestScanBlocks:
+    """Scan results do not depend on the size of the engine's translation blocks."""
+
+    @pytest.mark.parametrize("coloring, sides, region, step, angles, min_margin, rejects",
+                             FIND_CASES)
+    def test_find(self, block, coloring, sides, region, step, angles, min_margin, rejects,
+                  monkeypatch):
+        monkeypatch.setattr(scan, "_SCAN_BLOCK", block)
+        spec, grid = TriangleSpec(*sides), ScanGrid(region, step, angles)
+        want, _ = brute_force_find(coloring, spec, grid, min_margin)
+        assert find_monochromatic_copy(coloring, spec, grid, min_margin) == want
+
+    @pytest.mark.parametrize("coloring, region, side, tol", AVOID_CASES)
+    def test_avoid(self, block, coloring, region, side, tol, monkeypatch):
+        monkeypatch.setattr(scan, "_SCAN_BLOCK", block)
+        grid = ScanGrid(region, 0.1, 12)
+        spec = TriangleSpec(side, side, side)
+        assert avoidance_scan(coloring, spec, grid, tol) == two_mask_avoidance(
+            coloring, spec, grid, tol)
+
+
+def walk_avoidance(coloring, spec, grid, tol=1e-9, max_examples=8):
+    """The avoidance scan one pose and one point at a time, with ``walk_color_at``."""
+    mono_count = near_count = unresolved = 0
+    mono_ex, near_ex = [], []
+    for k, angle in enumerate(grid.angles()):
+        for x in grid.xs():
+            for y in grid.ys():
+                verts = place_triangle(spec, RigidMotion(float(angle), (float(x), float(y))))
+                colors = [walk_color_at(coloring, v, tol) for v in verts]
+                if None in colors:
+                    unresolved += 1
+                    continue
+                on = [any(pc.distance_to(v) <= tol for pc in coloring.pieces) for v in verts]
+                mono = colors[0] == colors[1] == colors[2]
+                near = not mono and any(colors[i] == colors[j] and on[3 - i - j]
+                                        for i, j in ((0, 1), (0, 2), (1, 2)))
+                mono_count += mono
+                near_count += near
+                for hit, acc in ((mono, mono_ex), (near, near_ex)):
+                    if hit and len(acc) < max_examples:
+                        acc.append((k, float(x), float(y)))
+    return AvoidanceReport(grid.placements(), mono_count, near_count,
+                           tuple(mono_ex), tuple(near_ex), unresolved)
+
+
+@pytest.mark.parametrize("block", [1, 7, scan._SCAN_BLOCK])
+@pytest.mark.parametrize("side, grid", [
+    (1.0, ScanGrid(Region(-1.0, -1.0, 1.0, 1.0), 0.5, 12)),
+    # white placements with vertices on the x axis left of (-1.5, 0)
+    (0.3, ScanGrid(Region(-2.2, -0.4, -1.6, 0.2), 0.05, 6)),
+])
+def test_avoidance_scan_counts_unresolved_placements(block, side, grid, monkeypatch):
+    monkeypatch.setattr(scan, "_SCAN_BLOCK", block)
+    spec = TriangleSpec(side, side, side)
+    report = avoidance_scan(HEXAGON, spec, grid)
+    assert report == walk_avoidance(HEXAGON, spec, grid)
+    assert report.unresolved > 0
+    assert report.to_dict()["unresolved"] == report.unresolved
+    assert "unresolved" not in avoidance_scan(l_shape_coloring(), spec, grid).to_dict()
+
+
+class CountingColoring:
+    """A coloring that records the black mask of every query the scan engine makes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def resolve(self, xs, ys, tol):
+        black, on, unresolved = self.inner.resolve(xs, ys, tol)
+        self.calls.append(black)
+        return black, on, unresolved
+
+    def classify(self, xs, ys, tol):
+        black, on = self.inner.classify(xs, ys, tol)
+        self.calls.append(black)
+        return black, on
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_find_gates_vertex_3_and_stops_in_the_witness_block():
+    """Black for x >= 0; only translations with x >= 0.005 leave a margin of 0.005."""
+    block = scan._SCAN_BLOCK
+    coloring = CountingColoring(HalfPlaneColoring(UnitVector(1.0, 0.0)))
+    spec, grid = TriangleSpec(1.0, 1.0, 1.0), ScanGrid(Region(-1.0, 0.0, 1.0, 1.0), 0.01, 6)
+    ny = len(grid.ys())
+    assert len(grid.xs()) * ny > 2 * block + 37
+    witness = find_monochromatic_copy(coloring, spec, grid, 0.005)
+    assert witness == brute_force_find(coloring.inner, spec, grid, 0.005)[0]
+    assert witness.motion.angle == 0.0
+    tx, ty = witness.motion.translation
+    flat = int(np.argmin(np.abs(grid.xs() - tx))) * ny + int(np.argmin(np.abs(grid.ys() - ty)))
+    assert flat // block == 2
+    # vertices 1, 2 and 3 of blocks 0, 1 and 2 of angle 0, and nothing after
+    assert len(coloring.calls) == 3 * 3
+    for b1, b2, b3 in zip(*[iter(coloring.calls)] * 3):
+        assert b1.size == b2.size == block
+        assert b3.size == int((b1 == b2).sum())
 
 
 

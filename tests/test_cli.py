@@ -400,6 +400,13 @@ def scan_files(strip_file, zigzag_file, halfplane_file, tmp_path):
                               [-3.05, -0.35, "white"], [0.3, 3.2, "white"],
                               [-0.2, -3.3, "white"]],
                     "window": [-4, -4, 4, 4]},
+        # sight lines along the x axis pass through the corners (+-1.5, 0)
+        "hexagon-2-seed": {"type": "polygonal",
+                           "segments": [{"p": corners[k], "q": corners[(k + 1) % 6]}
+                                        for k in range(6)],
+                           "boundary_colors": ["black"] * 6,
+                           "seeds": [[0, 0, "black"], [3, 0, "white"]],
+                           "window": [-4, -4, 4, 4]},
     }
     files = {"strip": strip_file, "zigzag": zigzag_file, "halfplane": halfplane_file}
     for name, doc in docs.items():
@@ -440,6 +447,23 @@ class TestScanBytes:
         assert main(argv[:1] + ["--coloring", scan_files[family]] + argv[1:]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestUnresolvedVertices:
+    """Scans skip the placements with a vertex that no seed reaches."""
+
+    ARGV = ["--triangle", "1,1,1", "--region=-1,-1,1,1", "--grid", "0.5", "--angles", "12"]
+
+    def test_avoid_counts_them(self, scan_files, capsys):
+        assert main(["avoid", "--coloring", scan_files["hexagon-2-seed"]] + self.ARGV) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["unresolved"] == 6
+        assert doc["placements_tested"] == 12 * 5 * 5
+
+    def test_scan_passes_them(self, scan_files, capsys):
+        argv = ["scan", "--coloring", scan_files["hexagon-2-seed"], "--min-margin", "0.8"]
+        assert main(argv + self.ARGV) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == "exhausted"
 
 
 class TestOtherCommands:
