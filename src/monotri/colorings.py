@@ -22,9 +22,12 @@ returns the black mask and the on-boundary mask of the points
 single-point ``color_at`` are views over it, for every family. So is
 ``resolve``, which adds the mask of points no seed reaches: all False
 outside the polygonal family, whose own ``resolve`` underlies its
-``classify``. Every family also exposes its boundary as oriented segments
-for probing, margins and rendering. Colorings are immutable after
-construction; all queries are pure.
+``classify``. The fifth query, ``distance(xs, ys)``, returns the exact
+distance of each point to the boundary in one array pass (the witness
+margin of a scan); the single-point ``boundary_distance`` is a view over
+it. Every family also exposes its boundary as oriented segments for
+probing and rendering. Colorings are immutable after construction; all
+queries are pure.
 
 ``coloring_from_dict`` is the one reader of the JSON document form that
 ``to_dict`` writes: it checks each field's shape as it builds, and raises
@@ -115,9 +118,42 @@ class BoundaryPiece:
         return point_segment_distance(p, self.seg, self.ray_start, self.ray_end)
 
 
+_RESOLVE_BLOCK = 2048  # points per array pass of ``resolve`` and ``distance``
+
+
+def _by_block(kernel, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``kernel(xs, ys)``, a tuple of per-point arrays, over blocks of
+    ``_RESOLVE_BLOCK`` points, so that temporaries stay at one block's size."""
+    if xs.shape[0] <= _RESOLVE_BLOCK:
+        return kernel(xs, ys)
+    blocks = [kernel(xs[lo:lo + _RESOLVE_BLOCK], ys[lo:lo + _RESOLVE_BLOCK])
+              for lo in range(0, xs.shape[0], _RESOLVE_BLOCK)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _nearest(n: int, owner: np.ndarray, gx: np.ndarray, gy: np.ndarray,
+             valid=True) -> np.ndarray:
+    """Per point k < n, the least ``math.hypot(gx[r, j], gy[r, j])`` over the
+    ``valid`` entries (r, j) of the rows r with ``owner[r] == k``.
+
+    Squared lengths pick the entries within a few ulps of each point's
+    minimum; the value returned is ``math.hypot`` of the nearest of those,
+    which is what the scalar point-segment distance gives (``np.hypot``
+    differs from it by an ulp on some pairs).
+    """
+    sq = np.where(valid, gx * gx + gy * gy, np.inf)
+    least = np.full(n, np.inf)
+    np.minimum.at(least, owner, np.minimum.reduce(sq, axis=1))
+    rows, cols = np.nonzero(sq <= least[owner, None] * (1.0 + 1e-14) + 1e-300)
+    out = np.full(n, np.inf)
+    np.minimum.at(out, owner[rows], list(map(math.hypot, gx[rows, cols].tolist(),
+                                             gy[rows, cols].tolist())))
+    return out
+
+
 class _ClassifyViews:
     """``black_mask``, ``boundary_mask``, ``color_at`` and ``resolve`` as views
-    over ``classify``."""
+    over ``classify``, and ``boundary_distance`` as a view over ``distance``."""
 
     def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,6 +172,10 @@ class _ClassifyViews:
     def color_at(self, p: Point, tol: float = DEFAULT_TOL) -> Color:
         black = self.black_mask(np.array([p.x]), np.array([p.y]), tol)[0]
         return Color.BLACK if bool(black) else Color.WHITE
+
+    def boundary_distance(self, p: Point) -> float:
+        """Exact distance from ``p`` to the nearest boundary piece."""
+        return float(self.distance(np.array([p.x]), np.array([p.y]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +241,11 @@ class StripColoring(_ClassifyViews):
                                         curve_index=k))
         return pieces
 
-    def boundary_distance(self, p: Point) -> float:
+    def distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         half = self.period / 2.0
-        frac = math.fmod(p.y / half, 1.0)
-        if frac < 0.0:
-            frac += 1.0
-        return min(frac, 1.0 - frac) * half
+        frac = np.fmod(ys / half, 1.0)
+        frac = np.where(frac < 0.0, frac + 1.0, frac)
+        return np.minimum(frac, 1.0 - frac) * half
 
     def to_dict(self) -> dict:
         return {"type": "strip", "scale": self.scale,
@@ -308,6 +347,11 @@ class ProfileTables:
         self.slot_slopes = np.concatenate((slopes[:1], slopes, slopes[-1:]))
         # sqrt(1 + m^2) turns a normal tolerance into a vertical one
         self.secants = np.sqrt(1.0 + self.slot_slopes * self.slot_slopes)
+        # the breakpoints of four consecutive periods between two sentinels,
+        # as parameters within their period and period offsets
+        self.window_us = np.concatenate(([-np.inf], np.tile(us[:-1], 4), [np.inf]))
+        self.window_periods = np.concatenate(([0.0], np.repeat(np.arange(4.0), len(us) - 1),
+                                              [0.0]))
         for table in vars(self).values():
             table.setflags(write=False)
 
@@ -470,18 +514,84 @@ class ZebraColoring(_ClassifyViews):
                 pieces.append(BoundaryPiece(oriented, color, curve_index=i))
         return pieces
 
-    def boundary_distance(self, p: Point) -> float:
-        """Exact distance to the nearest boundary curve."""
-        s_arr, t_arr = self.to_frame(np.array([p.x]), np.array([p.y]))
-        s, t = float(s_arr[0]), float(t_arr[0])
-        i0 = math.floor((t - self.profile.v_min) / HALF_SQRT3)
-        best = math.inf
-        for i in range(i0 - 2, i0 + 3):
-            u_lo, u_hi = s - 0.5 * i - 1.5, s - 0.5 * i + 1.5
-            pts = self._curve_polyline(i, u_lo, u_hi)
-            for a, b in zip(pts, pts[1:]):
-                best = min(best, point_segment_distance(p, Segment(a, b)))
-        return best
+    def distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Exact distance of each point to the nearest boundary curve.
+
+        Where a breakpoint lies within 1e-9 of a curve window's end, the
+        window's polyline has a segment shorter than ``Segment`` accepts;
+        it is measured like any other.
+        """
+        return _by_block(self._distance_block, xs, ys)[0]
+
+    def _distance_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray]:
+        """One array pass over the points and their curves i0 - 2 .. i0 + 2.
+
+        i0 is as in ``_locate``. Curve i of a point at frame (s, t) is
+        ``_curve_polyline(i, c - 1.5, c + 1.5)`` with ``c = s - i/2``. Its
+        vertical gap at c is at least its distance and at most the largest
+        secant times it, so a curve is dropped when that lower bound
+        exceeds the point's least gap by more than rounding and the few
+        1e-12 by which merged joints move a polyline.
+
+        A row of the pass is one kept (point, curve) pair. Its columns are
+        the window ends and the breakpoints ``u + m`` of the four periods
+        m = r - 2 .. r + 1, r = floor(c + 1/2), which cover the window; a
+        breakpoint outside the window is clamped onto its end, which makes
+        zero-length segments that are masked out. (The other periods reach
+        the window only as a copy of an end, which the joint rule drops.)
+        Every float expression is the one of ``curve_point``, the joint rule
+        and ``point_segment_distance``, so each distance is the scalar one
+        bit for bit. Rows where the joint rule drops a joint (a flat or
+        collinear wrap-around profile, a breakpoint next to a window end)
+        replay the merge joint by joint.
+        """
+        tables = self.profile.tables
+        s, t = self.to_frame(xs, ys)
+        i = np.floor((t - self.profile.v_min) / HALF_SQRT3)[:, None] + np.arange(-2.0, 3.0)
+        half_i = 0.5 * i
+        c = s[:, None] - half_i
+        # x - floor(x) is np.mod(x, 1.0) bit for bit (exact, or one rounding
+        # of the same sum), at a tenth of the cost
+        gap = np.abs(t[:, None] - (np.interp(c - np.floor(c), tables.us, tables.vs)
+                                   + i * HALF_SQRT3))
+        secant = tables.secants.max()
+        slack = 2e-9 * (1.0 + np.abs(xs) + np.abs(ys))[:, None] + 1e-10 * secant
+        rows = (gap <= (np.minimum.reduce(gap, axis=1, keepdims=True) + slack)
+                * secant).ravel().nonzero()[0]
+        owner = rows // 5
+        i, half_i, c = (a.reshape(-1, 1)[rows] for a in (i, half_i, c))
+
+        ends = c + np.array([-1.5, 1.5])
+        edges = ends + np.array([1e-12, -1e-12])
+        cand = tables.window_us + (np.floor(c + 0.5) - 2.0 + tables.window_periods)
+        inside = (edges[:, :1] <= cand) & (cand <= edges[:, 1:])
+        u = np.where(inside, cand, np.where(cand < edges[:, :1], ends[:, :1], ends[:, 1:]))
+        xh = self.x_hat
+        frame = np.array([[xh.dx, -xh.dy], [xh.dy, xh.dx]])[:, :, None, None]
+        P = (u + half_i) * frame[:, 0] + (np.interp(u - np.floor(u), tables.us, tables.vs)
+                                          + i * HALF_SQRT3) * frame[:, 1]
+        E = P[:, :, 1:] - P[:, :, :-1]
+        merge = np.logical_or.reduce(inside[:, 1:-1] & ~_corner(E[:, :, :-1], E[:, :, 1:]),
+                                     axis=1).nonzero()[0]
+        if merge.size:
+            # a dropped joint takes the value of the last kept one
+            Q = P[:, merge]
+            last = Q[:, :, 0]
+            for j in range(1, Q.shape[2] - 1):
+                keep = inside[merge, j] & _corner(Q[:, :, j] - last, Q[:, :, j + 1] - Q[:, :, j])
+                last = np.where(keep, Q[:, :, j], last)
+                Q[:, :, j] = last
+            P[:, merge] = Q
+            E = P[:, :, 1:] - P[:, :, :-1]
+
+        A = P[:, :, :-1]
+        p = np.array((xs, ys))[:, owner, None]
+        L2 = np.add(*(E * E))
+        seg = L2 > 0.0
+        w = np.add(*((p - A) * E)) / np.where(seg, L2, 1.0)
+        w = np.minimum(np.maximum(w, 0.0), 1.0)
+        gx, gy = p - (A + w * E)
+        return (_nearest(xs.shape[0], owner, gx, gy, seg),)
 
     def twin(self, new_boundary_parity: str) -> "ZebraColoring":
         """Same coloring off the boundary, new parity rule on the curves."""
@@ -495,6 +605,13 @@ class ZebraColoring(_ClassifyViews):
             "parity_rule": self.parity_rule,
             "boundary_parity": self.boundary_parity,
         }
+
+
+def _corner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The joint rule of ``_curve_polyline`` over arrays: whether the joint
+    between the steps ``a`` and ``b`` (x and y along axis 0) is kept."""
+    return np.abs(a[0] * b[1] - a[1] * b[0]) > 1e-12 * (np.abs(a[0]) + np.abs(a[1])) * (
+        np.abs(b[0]) + np.abs(b[1]) + 1)
 
 
 def _clip_segment_to_region(p: Point, q: Point, window: Region) -> Optional[Segment]:
@@ -554,8 +671,8 @@ class HalfPlaneColoring(_ClassifyViews):
         return [BoundaryPiece(seg, self.closed_side_color,
                               ray_start=True, ray_end=True)]
 
-    def boundary_distance(self, p: Point) -> float:
-        return abs(p.x * self.normal.dx + p.y * self.normal.dy - self.offset)
+    def distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return np.abs(xs * self.normal.dx + ys * self.normal.dy - self.offset)
 
     def to_dict(self) -> dict:
         return {"type": "halfplane", "normal": [self.normal.dx, self.normal.dy],
@@ -585,9 +702,6 @@ def _pieces_cross(a: Segment, b: Segment, tol: float = DEFAULT_TOL) -> bool:
     on_u = -u_tol <= u <= 1.0 + u_tol
     return (inside_t and inside_u) or (inside_t and on_u and not inside_u) or \
         (inside_u and on_t and not inside_t)
-
-
-_RESOLVE_BLOCK = 2048  # points per array pass of ``PolygonalColoring.resolve``
 
 
 class PolygonTables:
@@ -672,19 +786,19 @@ class PolygonalColoring(_ClassifyViews):
         in blocks of ``_RESOLVE_BLOCK``, so temporaries stay at
         block x pieces.
         """
-        black = np.zeros(xs.shape, dtype=bool)
-        on = np.zeros(xs.shape, dtype=bool)
-        unresolved = np.zeros(xs.shape, dtype=bool)
-        for lo in range(0, xs.shape[0], _RESOLVE_BLOCK):
-            blk = slice(lo, lo + _RESOLVE_BLOCK)
-            black[blk], on[blk], unresolved[blk] = self._resolve_block(xs[blk], ys[blk], tol)
-        return black, on, unresolved
+        return _by_block(lambda x, y: self._resolve_block(x, y, tol), xs, ys)
 
-    def _resolve_block(self, xs: np.ndarray, ys: np.ndarray, tol: float):
+    def _gaps(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Offsets to each point from its nearest point on each piece, as
+        (pieces, points) arrays, in the arithmetic of ``point_segment_distance``."""
         tb = self.tables
         t = ((xs - tb.ax) * tb.ex + (ys - tb.ay) * tb.ey) / tb.len2
         t = np.minimum(np.maximum(t, tb.u_lo), tb.u_hi)
-        gx, gy = xs - (tb.ax + t * tb.ex), ys - (tb.ay + t * tb.ey)
+        return xs - (tb.ax + t * tb.ex), ys - (tb.ay + t * tb.ey)
+
+    def _resolve_block(self, xs: np.ndarray, ys: np.ndarray, tol: float):
+        tb = self.tables
+        gx, gy = self._gaps(xs, ys)
         # np.hypot(gx, gy) >= max(|gx|, |gy|), so it is needed only where both are within tol
         near = (np.abs(gx) <= tol) & (np.abs(gy) <= tol)
         near[near] = np.hypot(gx[near], gy[near]) <= tol
@@ -752,10 +866,15 @@ class PolygonalColoring(_ClassifyViews):
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         return list(self.pieces)
 
-    def boundary_distance(self, p: Point) -> float:
+    def distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Distance of each point to the nearest piece, ``inf`` with no pieces."""
         if not self.pieces:
-            return math.inf
-        return min(piece.distance_to(p) for piece in self.pieces)
+            return np.full(xs.shape, np.inf)
+        return _by_block(self._distance_block, xs, ys)[0]
+
+    def _distance_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray]:
+        gx, gy = self._gaps(xs, ys)
+        return (_nearest(xs.shape[0], np.arange(xs.shape[0]), gx.T, gy.T),)
 
     def to_dict(self) -> dict:
         return {

@@ -91,7 +91,8 @@ class ScanWitness:
     """A verified monochromatic placement: pose, vertices, color, margin.
 
     ``margin`` is the distance from the nearest vertex to the coloring
-    boundary, recomputed exactly per boundary piece.
+    boundary, recomputed exactly per boundary piece; it is infinite for a
+    coloring without boundary, and ``to_dict`` writes that as ``null``.
     """
 
     motion: RigidMotion
@@ -106,7 +107,7 @@ class ScanWitness:
             "translation": [self.motion.translation[0], self.motion.translation[1]],
             "vertices": [[v.x, v.y] for v in self.vertices],
             "color": self.color.value,
-            "margin": self.margin,
+            "margin": None if math.isinf(self.margin) else self.margin,
         }
 
 
@@ -133,8 +134,10 @@ class AvoidanceReport:
 
 
 def margin_of(coloring: Coloring, points: Sequence[Point]) -> float:
-    """Distance from the nearest of ``points`` to the coloring boundary."""
-    return min(coloring.boundary_distance(p) for p in points)
+    """Distance from the nearest of ``points`` to the coloring boundary; one
+    ``distance`` call."""
+    return float(coloring.distance(np.array([p.x for p in points]),
+                                   np.array([p.y for p in points])).min())
 
 
 def _common_color(coloring: Coloring, points: Sequence[Point], tol: float) -> Optional[Color]:
@@ -253,7 +256,9 @@ def verify_witness(coloring: Coloring, spec: TriangleSpec, witness: ScanWitness,
             return False
     if _common_color(coloring, witness.vertices, tol) is not witness.color:
         return False
-    return abs(margin_of(coloring, witness.vertices) - witness.margin) <= tol * scale
+    margin = margin_of(coloring, witness.vertices)
+    # equal infinite margins (no boundary) match; their difference is NaN
+    return margin == witness.margin or abs(margin - witness.margin) <= tol * scale
 
 
 # ---------------------------------------------------------------------------

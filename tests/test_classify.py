@@ -7,11 +7,14 @@ it classified each vertex once: one ``black_mask`` and one ``boundary_mask``
 call per vertex, each vertex offset rotated by ``_rotated_offsets``.
 ``walk_color_at`` is the polygonal query as it was before the array kernel:
 one point at a time, one seed at a time, one piece at a time.
-``brute_force_find`` is the find scan one pose at a time, coloring each
-vertex with ``color_at`` and taking the margin from ``boundary_distance``;
-``walk_avoidance`` is the avoidance scan one pose at a time over
-``walk_color_at``. All are kept here as oracles that the fast paths must
-match exactly, at every size of the scan engine's translation blocks.
+``scalar_distance`` is the ``distance`` query as it was before the array
+kernels, one point at a time; for a zebra coloring it walks the five curve
+polylines of ``scalar_zebra_distance``. ``brute_force_find`` is the find
+scan one pose at a time, coloring each vertex with ``color_at`` and taking
+the margin from ``scalar_distance``; ``walk_avoidance`` is the avoidance
+scan one pose at a time over ``walk_color_at``. All are kept here as
+oracles that the fast paths must match exactly, at every size of the scan
+engine's translation blocks.
 """
 
 import math
@@ -37,6 +40,7 @@ from monotri.colorings import (
     l_shape_coloring,
 )
 from monotri.geom import (
+    DegenerateSegment,
     Point,
     Region,
     RigidMotion,
@@ -93,6 +97,44 @@ def five_curve_locate(zc: ZebraColoring, xs, ys, tol):
         on_curve |= onb
         band = np.maximum(band, np.where(h <= t, i, np.iinfo(np.int64).min))
     return band, on_curve, curve_idx
+
+
+def scalar_zebra_distance(self: ZebraColoring, p: Point) -> float:
+    """Exact distance to the nearest boundary curve."""
+    s_arr, t_arr = self.to_frame(np.array([p.x]), np.array([p.y]))
+    s, t = float(s_arr[0]), float(t_arr[0])
+    i0 = math.floor((t - self.profile.v_min) / HALF_SQRT3)
+    best = math.inf
+    for i in range(i0 - 2, i0 + 3):
+        u_lo, u_hi = s - 0.5 * i - 1.5, s - 0.5 * i + 1.5
+        pts = self._curve_polyline(i, u_lo, u_hi)
+        for a, b in zip(pts, pts[1:]):
+            best = min(best, point_segment_distance(p, Segment(a, b)))
+    return best
+
+
+def scalar_distance(coloring, p: Point) -> float:
+    """Distance from ``p`` to the boundary, one point at a time."""
+    if isinstance(coloring, ZebraColoring):
+        return scalar_zebra_distance(coloring, p)
+    if isinstance(coloring, StripColoring):
+        half = coloring.period / 2.0
+        frac = math.fmod(p.y / half, 1.0)
+        if frac < 0.0:
+            frac += 1.0
+        return min(frac, 1.0 - frac) * half
+    if isinstance(coloring, HalfPlaneColoring):
+        n = coloring.normal
+        return abs(p.x * n.dx + p.y * n.dy - coloring.offset)
+    return min((piece.distance_to(p) for piece in coloring.pieces), default=math.inf)
+
+
+def assert_distance_matches_scalar(coloring, xs, ys):
+    got = coloring.distance(xs, ys)
+    want = np.array([scalar_distance(coloring, Point(float(x), float(y)))
+                     for x, y in zip(xs, ys)]).reshape(xs.shape)
+    assert got.tolist() == want.tolist()
+    assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
 def _rotated_offsets(spec: TriangleSpec, angle: float) -> tuple[tuple[float, float], ...]:
@@ -387,7 +429,7 @@ def brute_force_find(coloring, spec, grid, min_margin, tol=1e-9):
                     continue
                 if len(colors) > 1:
                     continue
-                margin = min(coloring.boundary_distance(v) for v in verts)
+                margin = min(scalar_distance(coloring, v) for v in verts)
                 if margin >= min_margin:
                     return ScanWitness(motion, verts, colors.pop(), margin), rejected
                 rejected += 1
@@ -662,6 +704,119 @@ class TestPolygonalKernel:
         assert pc.tables is pc.tables
         with pytest.raises(ValueError):
             pc.tables.ax[0] = 1.0
+
+
+ZEBRA_MERGES = {
+    # every interior joint of a flat profile is collinear
+    "flat": ZebraProfile(((0.0, 0.0), (1.0, 0.0))),
+    # the last piece continues the first across u = 0
+    "collinear-wrap": ZebraProfile(((0.0, 0.0), (0.4, 0.2), (0.8, -0.1), (1.0, 0.0))),
+    "zigzag": ZIGZAG,
+    "near-cap": ZebraProfile(((0.0, 0.0), (0.5, HALF_SQRT3 - 2e-9), (1.0, 0.0))),
+}
+
+
+def window_end_points(zc: ZebraColoring, rng, scale: float, n=40):
+    """Points whose curve window ends lie 1e-12 to 1e-11 from a breakpoint,
+    at frame heights up to ``scale``."""
+    breaks = np.array([u for u, _ in zc.profile.vertices[:-1]])
+    i = rng.integers(-3, 4, n) + np.round(rng.uniform(-scale, scale, n) / HALF_SQRT3)
+    u = rng.choice(breaks, n) + rng.integers(-3, 4, n)
+    off = rng.choice([-1.0, 1.0], n) * rng.uniform(1e-12, 1e-11, n)
+    s = u + off + 0.5 * i + rng.choice([-1.5, 1.5], n)
+    t = i * HALF_SQRT3 + rng.uniform(0.0, HALF_SQRT3, n)
+    xh = zc.x_hat
+    return s * xh.dx - t * xh.dy, s * xh.dy + t * xh.dx
+
+
+class TestDistance:
+    """``distance`` equals the scalar oracle bit for bit."""
+
+    @given(zc=zebra_colorings(), seed=st.integers(0, 2 ** 32 - 1),
+           tol=st.sampled_from([1e-9, 1e-7, 1e-3]))
+    @settings(max_examples=60, deadline=None)
+    def test_zebra(self, zc, seed, tol):
+        rng = np.random.default_rng(seed)
+        xs, ys = curve_points(zc, rng, tol, n=8)
+        xs = np.concatenate((xs, rng.uniform(-6.0, 6.0, 20)))
+        ys = np.concatenate((ys, rng.uniform(-6.0, 6.0, 20)))
+        assert_distance_matches_scalar(zc, xs, ys)
+
+    @pytest.mark.parametrize("name", sorted(ZEBRA_MERGES))
+    def test_zebra_merged_joints(self, name):
+        rng = np.random.default_rng(31)
+        zc = ZebraColoring(ZEBRA_MERGES[name], UnitVector.from_angle(rng.uniform(0.0, 6.3)))
+        xs, ys = curve_points(zc, rng, 1e-9, n=20)
+        assert_distance_matches_scalar(zc, np.concatenate((xs, rng.uniform(-6.0, 6.0, 40))),
+                                       np.concatenate((ys, rng.uniform(-6.0, 6.0, 40))))
+
+    @pytest.mark.parametrize("name", sorted(ZEBRA_MERGES))
+    def test_zebra_window_ends_next_to_breakpoints(self, name, monkeypatch):
+        """Far from the origin a breakpoint 1e-12 from a window end rounds
+        onto it and the joint rule merges it; near the origin the oracle's
+        polyline keeps a segment shorter than ``Segment`` accepts, and
+        raises, so those points take the oracle with the length check
+        lifted."""
+        rng = np.random.default_rng(32)
+        zc = ZebraColoring(ZEBRA_MERGES[name], UnitVector.from_angle(rng.uniform(0.0, 6.3)))
+        xs, ys = np.concatenate([np.concatenate(window_end_points(zc, rng, scale))
+                                 .reshape(2, -1) for scale in (0.0, 1e4, 1e7)], axis=1)
+        got = zc.distance(xs, ys)
+        raised = []
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            try:
+                assert got[k] == scalar_zebra_distance(zc, Point(float(x), float(y)))
+            except DegenerateSegment:
+                raised.append(k)
+        assert 0 < len(raised) < len(xs)
+        monkeypatch.setattr(Segment, "__post_init__", lambda self: None)
+        for k in raised:
+            assert got[k] == scalar_zebra_distance(zc, Point(float(xs[k]), float(ys[k])))
+
+    def test_zebra_corner_ties(self):
+        """Points nearest to a corner of the zigzag: the two segments at the
+        corner give distances an ulp apart, which squared lengths rank
+        unlike ``math.hypot``."""
+        zc = ZebraColoring(ZIGZAG, UnitVector.from_angle(0.7))
+        xs = np.array([-0.12404258377572219, -0.16368089197992358, -2.131282407846485,
+                       -0.2540627541183671])
+        ys = np.array([0.14726854442361553, 0.1943288020783736, -3.6787336771573944,
+                       -4.355177051196671])
+        assert_distance_matches_scalar(zc, xs, ys)
+
+    def test_zebra_across_blocks(self):
+        zc = ZebraColoring(ZIGZAG, UnitVector.from_angle(1.1))
+        rng = np.random.default_rng(33)
+        xs, ys = rng.uniform(-1e3, 1e3, (2, colorings._RESOLVE_BLOCK + 5))
+        got = zc.distance(xs, ys)
+        for k in (0, colorings._RESOLVE_BLOCK - 1, colorings._RESOLVE_BLOCK, len(xs) - 1):
+            assert got[k] == scalar_zebra_distance(zc, Point(float(xs[k]), float(ys[k])))
+
+    @pytest.mark.parametrize("coloring", [FAMILIES["strip"], StripColoring(0.7),
+                                          FAMILIES["halfplane"]])
+    def test_closed_forms(self, coloring):
+        rng = np.random.default_rng(34)
+        bx, by = boundary_points(coloring, rng)
+        xs = np.concatenate((bx, rng.uniform(-1e3, 1e3, 300), [0.0, -0.0]))
+        ys = np.concatenate((by, rng.uniform(-1e3, 1e3, 300), [0.0, -0.0]))
+        assert_distance_matches_scalar(coloring, xs, ys)
+
+    @pytest.mark.parametrize("name", sorted(POLYGONAL))
+    def test_polygonal(self, name):
+        rng = np.random.default_rng(35)
+        for pc in POLYGONAL[name]:
+            assert_distance_matches_scalar(pc, *polygonal_points(pc, rng, 1e-9))
+        if name == "all-black":
+            assert np.isinf(pc.distance(np.zeros(2), np.ones(2))).all()
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_boundary_distance_is_the_one_point_view(self, family):
+        coloring = FAMILIES[family]
+        rng = np.random.default_rng(36)
+        for x, y in rng.uniform(-3.0, 3.0, (5, 2)):
+            p = Point(float(x), float(y))
+            assert coloring.boundary_distance(p) == scalar_distance(coloring, p)
+        assert coloring.distance(np.empty(0), np.empty(0)).shape == (0,)
 
 
 def walk_fill(canvas, coloring, cells=160):

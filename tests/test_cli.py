@@ -407,6 +407,8 @@ def scan_files(strip_file, zigzag_file, halfplane_file, tmp_path):
                            "boundary_colors": ["black"] * 6,
                            "seeds": [[0, 0, "black"], [3, 0, "white"]],
                            "window": [-4, -4, 4, 4]},
+        # no segments: one black face, so every margin is infinite
+        "no-boundary": {"type": "polygonal", "seeds": [[0, 0, "black"]]},
     }
     files = {"strip": strip_file, "zigzag": zigzag_file, "halfplane": halfplane_file}
     for name, doc in docs.items():
@@ -442,6 +444,13 @@ class TestScanBytes:
         ("hexagon", ["avoid", "--triangle", "1,1,1", "--region=-2,-2,2,2", "--grid", "0.25",
                      "--angles", "6"],
          "370ab3f57a30cbb9305387d0f51209f2585edd4788a2dd628794a0da2727f7c4"),
+        # witnesses whose margin is a distance to a sloped piece
+        ("zigzag", ["scan", "--triangle", "0.5,0.5,0.5", "--region", "0.03,0.11,2,2", "--grid",
+                    "0.07", "--angles", "7", "--min-margin", "0.01"],
+         "93cf922bbad285ff08db719ce5cec1c61029a0129e9c8d0f92d75afe993916c4"),
+        ("hexagon", ["scan", "--triangle", "0.5,0.5,0.5", "--region=-1.03,-0.91,1,1", "--grid",
+                     "0.13", "--angles", "7", "--min-margin", "0.01"],
+         "7dfa0688c97bb1958ba7ac249c6c81d0d6849598f2273d040fb3912792137d97"),
     ])
     def test_stdout_digest(self, family, argv, digest, scan_files, capsys):
         assert main(argv[:1] + ["--coloring", scan_files[family]] + argv[1:]) == 0
@@ -464,6 +473,19 @@ class TestUnresolvedVertices:
         argv = ["scan", "--coloring", scan_files["hexagon-2-seed"], "--min-margin", "0.8"]
         assert main(argv + self.ARGV) == 0
         assert json.loads(capsys.readouterr().out)["result"] == "exhausted"
+
+
+class TestStrictJson:
+    def test_infinite_margin_prints_null(self, scan_files, capsys):
+        argv = ["scan", "--coloring", scan_files["no-boundary"], "--triangle", "1,1,1",
+                "--region", "0,0,1,1", "--grid", "0.5", "--angles", "4", "--min-margin", "1"]
+        assert main(argv) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["margin"] is None and doc["color"] == "black"
 
 
 class TestOtherCommands:

@@ -180,11 +180,21 @@ class TestWitnessSoundness:
                 calls.append(len(xs))
                 return hp.black_mask(xs, ys, tol)
 
-            def boundary_distance(self, p):
-                return hp.boundary_distance(p)
+            def distance(self, xs, ys):
+                return hp.distance(xs, ys)
 
         assert verify_witness(Counting(), UNIT, w)
         assert calls == [3]
+
+    def test_infinite_margin_verifies(self):
+        """Without a boundary every margin is infinite, and inf - inf is NaN."""
+        coloring = all_black_coloring()
+        w = find_monochromatic_copy(coloring, UNIT, ScanGrid(Region(0, 0, 1, 1), 0.5, 4), 1.0)
+        assert w.margin == math.inf and w.color is Color.BLACK
+        assert w.to_dict(UNIT)["margin"] is None
+        assert verify_witness(coloring, UNIT, w)
+        import dataclasses
+        assert not verify_witness(coloring, UNIT, dataclasses.replace(w, margin=5.0))
 
     def test_first_unresolved_vertex_is_named(self):
         corners = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
