@@ -310,7 +310,9 @@ class ZebraProfile:
         return float(self.values(np.array([u]))[0])
 
     def values(self, u: np.ndarray) -> np.ndarray:
-        return np.interp(np.mod(u, 1.0), self.tables.us, self.tables.vs)
+        # u - floor(u) is np.mod(u, 1.0) bit for bit (exact, or one rounding
+        # of the same sum), at a tenth of the cost
+        return np.interp(u - np.floor(u), self.tables.us, self.tables.vs)
 
     def breakpoints_in(self, u_lo: float, u_hi: float) -> list[float]:
         """Parameters of all breakpoints (period images) in [u_lo, u_hi]."""
@@ -327,13 +329,11 @@ class ZebraProfile:
 class ProfileTables:
     """Breakpoint tables of one profile period, for vectorized lookups.
 
-    ``us``, ``vs`` are the breakpoints and ``slopes`` the piece slopes. A
-    parameter u reduces to ``w = u mod 1`` and to the slot
-    ``k = searchsorted(us, w, side="right")``. Slot k in 1..n is piece k - 1;
-    slot 0 (w < us[0]) and slot n + 1 (w >= us[n]) hold the end heights with
-    zero rise, which is how ``np.interp`` clamps, so ``height`` returns
-    ``np.interp(w, us, vs)``, the profile's ``values``, bit for bit. The end
-    slots take the slope of the nearest piece.
+    ``us``, ``vs`` are the breakpoints and ``slopes`` the piece slopes.
+    ``secants[k]``, ``sqrt(1 + m^2)`` for the slope m of the piece that
+    holds ``w = u mod 1``, with ``k = searchsorted(us, w, side="right")``,
+    turns a normal tolerance into a vertical one; the end slots (w below
+    ``us[0]`` or at or above ``us[-1]``) take the nearest piece's slope.
     """
 
     def __init__(self, vertices: tuple[tuple[float, float], ...]):
@@ -341,12 +341,8 @@ class ProfileTables:
         vs = np.array([v for _, v in vertices])
         slopes = np.diff(vs) / np.diff(us)
         self.us, self.vs, self.slopes = us, vs, slopes
-        self.knot_u = np.concatenate((us[:1], us[:-1], us[-1:]))
-        self.knot_v = np.concatenate((vs[:1], vs[:-1], vs[-1:]))
-        self.rise = np.concatenate(([0.0], slopes, [0.0]))
-        self.slot_slopes = np.concatenate((slopes[:1], slopes, slopes[-1:]))
-        # sqrt(1 + m^2) turns a normal tolerance into a vertical one
-        self.secants = np.sqrt(1.0 + self.slot_slopes * self.slot_slopes)
+        m = np.concatenate((slopes[:1], slopes, slopes[-1:]))
+        self.secants = np.sqrt(1.0 + m * m)
         # the breakpoints of four consecutive periods between two sentinels,
         # as parameters within their period and period offsets
         self.window_us = np.concatenate(([-np.inf], np.tile(us[:-1], 4), [np.inf]))
@@ -354,14 +350,6 @@ class ProfileTables:
                                               [0.0]))
         for table in vars(self).values():
             table.setflags(write=False)
-
-    def locate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Reduced parameters ``w`` and their table slots ``k``."""
-        w = np.mod(u, 1.0)
-        return w, np.searchsorted(self.us, w, side="right")
-
-    def height(self, w: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return self.rise[k] * (w - self.knot_u[k]) + self.knot_v[k]
 
 
 FLAT_PROFILE = ZebraProfile(((0.0, 0.0), (1.0, 0.0)))
@@ -420,7 +408,9 @@ class ZebraColoring(_ClassifyViews):
         The band is the largest i with L_i at or below the point, and the
         on-curve index is the first i in ascending order whose curve lies
         within ``tol`` of it, measured vertically as ``tol * sqrt(1 + m^2)``
-        on a piece of slope m. For a point at frame height t, with
+        on a piece of slope m. Heights come from ``ZebraProfile.values``;
+        only the points within the largest secant's bound look up their
+        piece's slope. For a point at frame height t, with
         ``i0 = floor((t - v_min) / (sqrt(3)/2))``, curve i0 - 1 lies below
         the point and curve i0 + 1 above it, and curves i0 +- 2 are more
         than sqrt(3)/2 away vertically, since the amplitude stays below
@@ -431,25 +421,32 @@ class ZebraColoring(_ClassifyViews):
         point; curve i0 - 2 is then looked up, as the band only, for those
         points only.
         """
-        tables = self.profile.tables
+        profile = self.profile
+        us, secants = profile.tables.us, profile.tables.secants
         s, t = self.to_frame(xs, ys)
-        i0 = np.floor((t - self.profile.v_min) / HALF_SQRT3).astype(np.int64)
+        i0 = np.floor((t - profile.v_min) / HALF_SQRT3).astype(np.int64)
         band = np.full(s.shape, np.iinfo(np.int64).min, dtype=np.int64)
         on_curve = np.zeros(s.shape, dtype=bool)
         curve_idx = np.zeros(s.shape, dtype=np.int64)
-        reach = 2 if tol * tables.secants.max() >= HALF_SQRT3 else 1
+        widest = tol * secants.max()
+        reach = 2 if widest >= HALF_SQRT3 else 1
         for di in range(-reach, reach + 1):
             i = i0 + di
-            w, k = tables.locate(s - 0.5 * i)
-            h = i * HALF_SQRT3 + tables.height(w, k)
-            onb = np.abs(t - h) <= tol * tables.secants[k]
+            u = s - 0.5 * i
+            h = i * HALF_SQRT3 + profile.values(u)
+            gap = np.abs(t - h)
+            # tol * secants[k] <= widest, so only these points can be on L_i
+            onb = gap <= widest
+            near = onb.nonzero()[0]
+            k = np.searchsorted(us, np.mod(u[near], 1.0), side="right")
+            onb[near] = gap[near] <= tol * secants[k]
             curve_idx = np.where(onb & ~on_curve, i, curve_idx)
             on_curve |= onb
             band = np.where(h <= t, i, band)  # i ascends, so this keeps the max
         below = np.flatnonzero(band == np.iinfo(np.int64).min)
         if reach == 1 and below.size:
             i = i0[below] - 2
-            h = i * HALF_SQRT3 + tables.height(*tables.locate(s[below] - 0.5 * i))
+            h = i * HALF_SQRT3 + profile.values(s[below] - 0.5 * i)
             band[below] = np.where(h <= t[below], i, band[below])
         return band, on_curve, curve_idx
 
@@ -545,15 +542,13 @@ class ZebraColoring(_ClassifyViews):
         collinear wrap-around profile, a breakpoint next to a window end)
         replay the merge joint by joint.
         """
-        tables = self.profile.tables
+        profile = self.profile
+        tables = profile.tables
         s, t = self.to_frame(xs, ys)
-        i = np.floor((t - self.profile.v_min) / HALF_SQRT3)[:, None] + np.arange(-2.0, 3.0)
+        i = np.floor((t - profile.v_min) / HALF_SQRT3)[:, None] + np.arange(-2.0, 3.0)
         half_i = 0.5 * i
         c = s[:, None] - half_i
-        # x - floor(x) is np.mod(x, 1.0) bit for bit (exact, or one rounding
-        # of the same sum), at a tenth of the cost
-        gap = np.abs(t[:, None] - (np.interp(c - np.floor(c), tables.us, tables.vs)
-                                   + i * HALF_SQRT3))
+        gap = np.abs(t[:, None] - (profile.values(c) + i * HALF_SQRT3))
         secant = tables.secants.max()
         slack = 2e-9 * (1.0 + np.abs(xs) + np.abs(ys))[:, None] + 1e-10 * secant
         rows = (gap <= (np.minimum.reduce(gap, axis=1, keepdims=True) + slack)
@@ -568,8 +563,7 @@ class ZebraColoring(_ClassifyViews):
         u = np.where(inside, cand, np.where(cand < edges[:, :1], ends[:, :1], ends[:, 1:]))
         xh = self.x_hat
         frame = np.array([[xh.dx, -xh.dy], [xh.dy, xh.dx]])[:, :, None, None]
-        P = (u + half_i) * frame[:, 0] + (np.interp(u - np.floor(u), tables.us, tables.vs)
-                                          + i * HALF_SQRT3) * frame[:, 1]
+        P = (u + half_i) * frame[:, 0] + (profile.values(u) + i * HALF_SQRT3) * frame[:, 1]
         E = P[:, :, 1:] - P[:, :, :-1]
         merge = np.logical_or.reduce(inside[:, 1:-1] & ~_corner(E[:, :, :-1], E[:, :, 1:]),
                                      axis=1).nonzero()[0]

@@ -145,10 +145,6 @@ class Region:
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise GeometryError("region must have positive width and height")
 
-    def contains(self, p: Point, slack: float = 0.0) -> bool:
-        return (self.x0 - slack <= p.x <= self.x1 + slack
-                and self.y0 - slack <= p.y <= self.y1 + slack)
-
     def inflated(self, amount: float) -> "Region":
         return Region(self.x0 - amount, self.y0 - amount,
                       self.x1 + amount, self.y1 + amount)

@@ -301,24 +301,12 @@ def sweep_oracle(q1: Line, q2: Line, q3: Line, angle_step: float = 1e-4,
                 results.append(triangle_at(float(phis[idx])))
             continue
 
-        sign_change = np.flatnonzero(resid[:-1] * resid[1:] < 0.0)
+        brackets = [(float(phis[idx]), float(phis[idx]) + TWO_PI / n_steps)
+                    for idx in np.flatnonzero(resid[:-1] * resid[1:] < 0.0)]
+        if resid[-1] * resid[0] < 0.0:  # closing wrap-around interval
+            brackets.append((float(phis[-1]), TWO_PI))
         roots = [float(phis[idx]) for idx in np.flatnonzero(resid == 0.0)]
-        for idx in sign_change:
-            lo, hi = float(phis[idx]), float(phis[idx]) + TWO_PI / n_steps
-            flo = residual_at(lo)
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = residual_at(mid)
-                if hi - lo < 1e-12:
-                    break
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
-        # closing wrap-around interval
-        if resid[-1] * resid[0] < 0.0:
-            lo, hi = float(phis[-1]), TWO_PI
+        for lo, hi in brackets:
             flo = residual_at(lo)
             for _ in range(80):
                 mid = 0.5 * (lo + hi)

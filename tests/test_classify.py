@@ -280,8 +280,6 @@ class TestZebraKernel:
         want = five_curve_locate(zc, xs, ys, tol)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        tables = zc.profile.tables
-        assert np.array_equal(tables.height(*tables.locate(xs)), zc.profile.values(xs))
 
     @pytest.mark.parametrize("tol", [0.5, 2.0])
     def test_wide_tolerance_widens_the_window(self, tol):
@@ -294,6 +292,21 @@ class TestZebraKernel:
         xs = np.concatenate((xs, rng.uniform(-4.0, 4.0, 400)))
         ys = np.concatenate((ys, rng.uniform(-4.0, 4.0, 400)))
         for g, w in zip(steep._locate(xs, ys, tol), five_curve_locate(steep, xs, ys, tol)):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    def test_on_curve_tolerance_is_the_pieces_own_secant(self, tol):
+        # a steep piece (slope 40) next to a flat one: a point 2 tol above
+        # the flat piece is within the steep piece's vertical tolerance but
+        # off its own curve, and one 0.5 tol secant above the steep piece is on
+        steep = ZebraColoring(ZebraProfile(((0.0, 0.0), (0.01, 0.4), (0.02, 0.0),
+                                            (1.0, 0.0))))
+        secant = math.sqrt(1.0 + 40.0 ** 2)
+        xs = np.array([0.5, 0.005])
+        ys = np.array([2.0 * tol, 0.2 + 0.5 * tol * secant])
+        got = steep._locate(xs, ys, tol)
+        assert got[1].tolist() == [False, True]
+        for g, w in zip(got, five_curve_locate(steep, xs, ys, tol)):
             assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("scale", [3e7, 1e8])
