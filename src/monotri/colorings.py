@@ -45,6 +45,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import product
 from numbers import Real
 from enum import Enum
 from typing import Optional
@@ -112,7 +113,6 @@ class BoundaryPiece:
     color: Color
     ray_start: bool = False
     ray_end: bool = False
-    curve_index: Optional[int] = None
 
     def distance_to(self, p: Point) -> float:
         return point_segment_distance(p, self.seg, self.ray_start, self.ray_end)
@@ -237,8 +237,7 @@ class StripColoring(_ClassifyViews):
                 seg = Segment(Point(window.x0, y), Point(window.x1, y))
             else:
                 seg = Segment(Point(window.x1, y), Point(window.x0, y))
-            pieces.append(BoundaryPiece(seg, color, ray_start=True, ray_end=True,
-                                        curve_index=k))
+            pieces.append(BoundaryPiece(seg, color, ray_start=True, ray_end=True))
         return pieces
 
     def distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -508,7 +507,7 @@ class ZebraColoring(_ClassifyViews):
             flip = above is not Color.WHITE  # +x_hat keeps the upper band on the left
             for seg in self.zebra_curve(i, window):
                 oriented = Segment(seg.q, seg.p) if flip else seg
-                pieces.append(BoundaryPiece(oriented, color, curve_index=i))
+                pieces.append(BoundaryPiece(oriented, color))
         return pieces
 
     def distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -970,26 +969,76 @@ def _segment_event_params(ax, ay, bx, by) -> list[float]:
     return [t for t in events if 0.0 < t < 1.0]
 
 
-def _quad_contains(quad: list[tuple[float, float]], pt: tuple[float, float]) -> bool:
-    sign = 0.0
-    n = len(quad)
-    for j in range(n):
-        ax, ay = quad[j]
-        bx, by = quad[(j + 1) % n]
-        cross = (bx - ax) * (pt[1] - ay) - (by - ay) * (pt[0] - ax)
-        if abs(cross) < 1e-15:
-            continue
-        if sign == 0.0:
-            sign = math.copysign(1.0, cross)
-        elif math.copysign(1.0, cross) != sign:
-            return False
-    return sign != 0.0
-
-
 def _knot_intervals(profile: ZebraProfile, lo: float, hi: float) -> list[tuple[float, float]]:
     """Consecutive linear sub-intervals of [lo, hi] split at profile breakpoints."""
     knots = [lo] + profile.breakpoints_in(lo + 1e-12, hi - 1e-12) + [hi]
     return [(k0, k1) for k0, k1 in zip(knots, knots[1:]) if k1 - k0 > 1e-12]
+
+
+def _parallelogram_violation(tables: ProfileTables, j: int, k: int, m: int,
+                             tol: float) -> Optional[tuple[float, float]]:
+    """First (alpha, beta) on piece j of L_0 and piece k of L_1, shifted by m
+    periods, whose difference vector violates (d): a parallelogram vertex,
+    else the midpoint of an edge sub-interval between zone-boundary crossings.
+    """
+    a0, a1 = float(tables.us[j]), float(tables.us[j + 1])
+    b0, b1 = float(tables.us[k]) + m, float(tables.us[k + 1]) + m
+    mj, fa0 = float(tables.slopes[j]), float(tables.vs[j])
+    mk, fb0 = float(tables.slopes[k]), float(tables.vs[k])
+    corners = [(a0, b0), (a1, b0), (a1, b1), (a0, b1)]
+    quad = [(b - a + 0.5, (fb0 + mk * (b - b0)) - (fa0 + mj * (a - a0)) + HALF_SQRT3)
+            for a, b in corners]
+    for (dx, dy), ab in zip(quad, corners):
+        if _d_violation(dx, dy, tol):
+            return ab
+    for e in range(4):
+        (px, py), (qx, qy) = quad[e], quad[(e + 1) % 4]
+        (pa, pb), (qa, qb) = corners[e], corners[(e + 1) % 4]
+        params = sorted([0.0, 1.0] + _segment_event_params(px, py, qx, qy))
+        for t0, t1 in zip(params, params[1:]):
+            tm = 0.5 * (t0 + t1)
+            if _d_violation(px + tm * (qx - px), py + tm * (qy - py), tol):
+                return (pa + tm * (qa - pa), pb + tm * (qb - pb))
+    return None
+
+
+def _lens_violation(profile: ZebraProfile, alpha: float,
+                    tol: float) -> Optional[tuple[float, float]]:
+    """(alpha, beta) where L_1 breaks the lens containment around L_0(alpha).
+
+    The portion of L_1 between the lens corners must fill the closed lens of
+    unit disks around A and A' = A + sqrt(3) y_hat; the rest stays out of it.
+    """
+    fa = profile.value(alpha)
+    A = (alpha, fa)
+    A2 = (alpha, fa + SQRT3)
+    # Between-corner portion: beta in [alpha - 1, alpha]. The lens is
+    # convex, so breakpoint membership decides the whole polyline.
+    betas = [alpha - 1.0] + profile.breakpoints_in(alpha - 1.0 + 1e-12,
+                                                   alpha - 1e-12) + [alpha]
+    for beta in betas:
+        bx, by = beta + 0.5, profile.value(beta) + HALF_SQRT3
+        if math.hypot(bx - A[0], by - A[1]) > 1.0 + tol or \
+           math.hypot(bx - A2[0], by - A2[1]) > 1.0 + tol:
+            return (alpha, beta)
+    # Remainder of one-plus period on each side must avoid the open lens.
+    outer = _knot_intervals(profile, alpha - 2.5, alpha - 1.0) + \
+        _knot_intervals(profile, alpha, alpha + 1.5)
+    for b_lo, b_hi in outer:
+        p0 = (b_lo + 0.5, profile.value(b_lo) + HALF_SQRT3)
+        p1 = (b_hi + 0.5, profile.value(b_hi) + HALF_SQRT3)
+        iv = _interval_in_disk(p0, p1, A)
+        iv2 = _interval_in_disk(p0, p1, A2)
+        if iv and iv2:
+            lo, hi = max(iv[0], iv2[0]), min(iv[1], iv2[1])
+            if hi > lo:
+                tm = 0.5 * (lo + hi)
+                mx = p0[0] + tm * (p1[0] - p0[0])
+                my = p0[1] + tm * (p1[1] - p0[1])
+                if math.hypot(mx - A[0], my - A[1]) < 1.0 - tol and \
+                   math.hypot(mx - A2[0], my - A2[1]) < 1.0 - tol:
+                    return (alpha, b_lo + tm * (b_hi - b_lo))
+    return None
 
 
 def check_zebra_conditions(zc: ZebraColoring,
@@ -1004,143 +1053,48 @@ def check_zebra_conditions(zc: ZebraColoring,
     and the biconditional fails somewhere iff a parallelogram meets one of
     the two forbidden zones (outside the unit circle at angle >= pi/3 from
     x_hat, or inside at angle < pi/3). Zone membership changes only across
-    the unit circle and the pi/3 rays, so testing vertices, edge
-    sub-intervals split at those crossings, and four zone probe points is a
-    complete check. A failure is reported as a concrete pair (A, B) with
-    its distance and angle. The per-point lens containment stated in the
-    equivalent form of (d) is additionally checked at breakpoint and
-    midpoint candidates of one period.
+    the unit circle and the pi/3 rays, and no zone component fits inside a
+    parallelogram: with the amplitude below sqrt(3)/2, every difference
+    vector has 0 < dy = f(beta) - f(alpha) + sqrt(3)/2 < sqrt(3), while each
+    component is unbounded or reaches dy <= 0 (the inner sectors contain
+    (+-0.5, 0)). So testing vertices and edge sub-intervals split at the
+    crossings is a complete check. A failure is reported as a concrete pair
+    (A, B) with its distance and angle. The per-point lens containment
+    stated in the equivalent form of (d) is additionally checked at
+    breakpoint and midpoint candidates of one period.
     """
     profile = zc.profile
     notes = ("a: profile is one exact period, invariant under u -> u + 1",
              "b: curves generated as L_i = L_0 + i * z by construction",
              "c: band colors assigned by parity of the band index")
-
-    us, vs, slopes = profile.tables.us, profile.tables.vs, profile.tables.slopes
+    us = profile.tables.us
     n_pieces = len(us) - 1
 
-    # Period shifts m wide enough that every violating difference vector
-    # (necessarily |dx| <= 1 since |dy| <= sqrt(3)) is covered.
-    m_lo, m_hi = -3, 2
+    # Period shifts m in [-3, 2] cover every violating difference vector
+    # (necessarily |dx| <= 1 since |dy| <= sqrt(3)).
+    pairs_checked = candidates_checked = 0
+    for j, k, m in product(range(n_pieces), range(n_pieces), range(-3, 3)):
+        pairs_checked += 1
+        pair = _parallelogram_violation(profile.tables, j, k, m, tol)
+        if pair is not None:
+            break
+    else:
+        # Candidate-based lens containment (the equivalent pointwise form).
+        candidates = [float(u) for u in us[:-1]]
+        candidates += [0.5 * float(us[i] + us[i + 1]) for i in range(n_pieces)]
+        for alpha in candidates:
+            candidates_checked += 1
+            pair = _lens_violation(profile, alpha, tol)
+            if pair is not None:
+                break
 
-    pairs_checked = 0
-    witness: Optional[DWitness] = None
-
-    def world_pair(alpha: float, beta: float) -> DWitness:
-        A = zc.curve_point(0, alpha)
-        B = zc.curve_point(1, beta)
+    witness = None
+    if pair is not None:
+        A, B = zc.curve_point(0, pair[0]), zc.curve_point(1, pair[1])
         dx, dy = B - A
-        r = distance(A, B)
         theta = math.atan2(abs(-dx * zc.x_hat.dy + dy * zc.x_hat.dx),
                            abs(dx * zc.x_hat.dx + dy * zc.x_hat.dy))
-        return DWitness(A, B, r, theta)
-
-    for j in range(n_pieces):
-        if witness:
-            break
-        a0, a1 = float(us[j]), float(us[j + 1])
-        mj = float(slopes[j])
-        fa0 = float(vs[j])
-        for k in range(n_pieces):
-            if witness:
-                break
-            mk = float(slopes[k])
-            fb0 = float(vs[k])
-            for m in range(m_lo, m_hi + 1):
-                b0, b1 = float(us[k]) + m, float(us[k + 1]) + m
-
-                def delta(alpha: float, beta: float) -> tuple[float, float]:
-                    fa = fa0 + mj * (alpha - a0)
-                    fb = fb0 + mk * (beta - b0)
-                    return (beta - alpha + 0.5, fb - fa + HALF_SQRT3)
-
-                corners_ab = [(a0, b0), (a1, b0), (a1, b1), (a0, b1)]
-                quad = [delta(a, b) for a, b in corners_ab]
-                pairs_checked += 1
-
-                # vertices
-                for dxy, ab in zip(quad, corners_ab):
-                    if _d_violation(dxy[0], dxy[1], tol):
-                        witness = world_pair(*ab)
-                        break
-                if witness:
-                    break
-                # edge sub-intervals between zone-boundary crossings
-                for e in range(4):
-                    (px, py), (qx, qy) = quad[e], quad[(e + 1) % 4]
-                    (pa, pb), (qa, qb) = corners_ab[e], corners_ab[(e + 1) % 4]
-                    params = sorted([0.0, 1.0] + _segment_event_params(px, py, qx, qy))
-                    for t0, t1 in zip(params, params[1:]):
-                        tm = 0.5 * (t0 + t1)
-                        mx, my = px + tm * (qx - px), py + tm * (qy - py)
-                        if _d_violation(mx, my, tol):
-                            witness = world_pair(pa + tm * (qa - pa), pb + tm * (qb - pb))
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-                # Full containment of a forbidden-zone component: one interior
-                # probe point per component certifies the overlap.
-                det = mk - mj
-                if abs(det) > 1e-12:
-                    c_x = b0 - a0 + 0.5
-                    c_y = fb0 - fa0 + HALF_SQRT3
-                    for probe in ((0.5, 0.0), (-0.5, 0.0), (0.0, 2.0), (0.0, -2.0)):
-                        if _quad_contains(quad, probe):
-                            # Invert the affine map delta(alpha, beta) = probe.
-                            rx, ry = probe[0] - c_x, probe[1] - c_y
-                            alpha_off = (ry - mk * rx) / det
-                            beta_off = alpha_off + rx
-                            witness = world_pair(a0 + alpha_off, b0 + beta_off)
-                            break
-                    if witness:
-                        break
-
-    # Candidate-based lens containment (the equivalent pointwise form):
-    # the portion of L_1 between the lens corners must fill the closed lens
-    # of unit disks around A and A' = A + sqrt(3) y_hat, the rest stays out.
-    candidates = [float(u) for u in us[:-1]]
-    candidates += [0.5 * float(us[i] + us[i + 1]) for i in range(n_pieces)]
-    candidates_checked = 0
-    for alpha in candidates:
-        if witness:
-            break
-        candidates_checked += 1
-        fa = profile.value(alpha)
-        A = (alpha, fa)
-        A2 = (alpha, fa + SQRT3)
-        # Between-corner portion: beta in [alpha - 1, alpha]. The lens is
-        # convex, so breakpoint membership decides the whole polyline.
-        betas = [alpha - 1.0] + profile.breakpoints_in(alpha - 1.0 + 1e-12,
-                                                       alpha - 1e-12) + [alpha]
-        for beta in betas:
-            bx, by = beta + 0.5, profile.value(beta) + HALF_SQRT3
-            if math.hypot(bx - A[0], by - A[1]) > 1.0 + tol or \
-               math.hypot(bx - A2[0], by - A2[1]) > 1.0 + tol:
-                witness = world_pair(alpha, beta)
-                break
-        if witness:
-            break
-        # Remainder of one-plus period on each side must avoid the open lens.
-        outer = _knot_intervals(profile, alpha - 2.5, alpha - 1.0) + \
-            _knot_intervals(profile, alpha, alpha + 1.5)
-        for b_lo, b_hi in outer:
-            p0 = (b_lo + 0.5, profile.value(b_lo) + HALF_SQRT3)
-            p1 = (b_hi + 0.5, profile.value(b_hi) + HALF_SQRT3)
-            iv = _interval_in_disk(p0, p1, A)
-            iv2 = _interval_in_disk(p0, p1, A2)
-            if iv and iv2:
-                lo, hi = max(iv[0], iv2[0]), min(iv[1], iv2[1])
-                if hi > lo:
-                    tm = 0.5 * (lo + hi)
-                    mx = p0[0] + tm * (p1[0] - p0[0])
-                    my = p0[1] + tm * (p1[1] - p0[1])
-                    if math.hypot(mx - A[0], my - A[1]) < 1.0 - tol and \
-                       math.hypot(mx - A2[0], my - A2[1]) < 1.0 - tol:
-                        witness = world_pair(alpha, b_lo + tm * (b_hi - b_lo))
-                        break
-
+        witness = DWitness(A, B, distance(A, B), theta)
     return ZebraConditionReport(
         a_ok=True, b_ok=True, c_ok=True, d_ok=witness is None,
         witness=witness, pairs_checked=pairs_checked,

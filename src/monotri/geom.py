@@ -193,7 +193,8 @@ def third_vertex(A: Point, B: Point, side: float,
 
     ``side`` restates |AB| and is checked against it; ``orientation`` fixes
     which of the two circle intersections is returned ("ccw" puts C to the
-    left of A->B). A tight triangle inequality yields the collinear C.
+    left of A->B). A tight triangle inequality yields the collinear C;
+    coincident A and B raise :class:`DegenerateSegment`.
     """
     d = distance(A, B)
     scale = 1.0 + max(d, apex_dist_a, apex_dist_b)
@@ -204,6 +205,8 @@ def third_vertex(A: Point, B: Point, side: float,
             f"no point at distances {apex_dist_a}, {apex_dist_b} from a base of {side}")
     if orientation not in ("ccw", "cw"):
         raise ValueError(f"orientation must be 'ccw' or 'cw', got {orientation!r}")
+    if d == 0.0:
+        raise DegenerateSegment("the base endpoints coincide")
     ex_x, ex_y = (B.x - A.x) / d, (B.y - A.y) / d
     # Along-base coordinate of C and its (clamped) altitude.
     along = (d * d + apex_dist_a * apex_dist_a - apex_dist_b * apex_dist_b) / (2.0 * d)

@@ -268,32 +268,23 @@ def sweep_oracle(q1: Line, q2: Line, q3: Line, angle_step: float = 1e-4,
     cos_p, sin_p = np.cos(phis), np.sin(phis)
 
     for orientation, verts in offsets.items():
-        def rotated(v: Point):
-            return (cos_p * v.x - sin_p * v.y, sin_p * v.x + cos_p * v.y)
+        # At pose (cos, sin) = (c, s), floats or arrays: the translation that
+        # pins vertices i and j to their lines, and the rotated vertices.
+        def place(c, s):
+            rot = [(c * v.x - s * v.y, s * v.x + c * v.y) for v in verts]
+            bi = ni[2] - (ni[0] * rot[i][0] + ni[1] * rot[i][1])
+            bj = nj[2] - (nj[0] * rot[j][0] + nj[1] * rot[j][1])
+            return (bi * nj[1] - bj * ni[1]) / det, (bj * ni[0] - bi * nj[0]) / det, rot
 
-        rvi, rvj, rvk = rotated(verts[i]), rotated(verts[j]), rotated(verts[k])
-        rhs_i = ni[2] - (ni[0] * rvi[0] + ni[1] * rvi[1])
-        rhs_j = nj[2] - (nj[0] * rvj[0] + nj[1] * rvj[1])
-        tx = (rhs_i * nj[1] - rhs_j * ni[1]) / det
-        ty = (rhs_j * ni[0] - rhs_i * nj[0]) / det
-        resid = nk[0] * (tx + rvk[0]) + nk[1] * (ty + rvk[1]) - nk[2]
+        def residual(c, s):
+            tx, ty, rot = place(c, s)
+            return nk[0] * (tx + rot[k][0]) + nk[1] * (ty + rot[k][1]) - nk[2]
 
         def triangle_at(phi: float):
-            c, s = math.cos(phi), math.sin(phi)
+            tx, ty, rot = place(math.cos(phi), math.sin(phi))
+            return tuple(Point(tx + x, ty + y) for x, y in rot)
 
-            def rot1(v: Point):
-                return (c * v.x - s * v.y, s * v.x + c * v.y)
-
-            r_i, r_j = rot1(verts[i]), rot1(verts[j])
-            bi = ni[2] - (ni[0] * r_i[0] + ni[1] * r_i[1])
-            bj = nj[2] - (nj[0] * r_j[0] + nj[1] * r_j[1])
-            t = ((bi * nj[1] - bj * ni[1]) / det, (bj * ni[0] - bi * nj[0]) / det)
-            return tuple(Point(t[0] + rot1(v)[0], t[1] + rot1(v)[1]) for v in verts)
-
-        def residual_at(phi: float) -> float:
-            tri = triangle_at(phi)
-            return nk[0] * tri[k].x + nk[1] * tri[k].y - nk[2]
-
+        resid = residual(cos_p, sin_p)
         plateau = np.abs(resid) < 1e-10
         if plateau.mean() > 0.5:
             stride = max(1, n_steps // plateau_cap)
@@ -307,10 +298,10 @@ def sweep_oracle(q1: Line, q2: Line, q3: Line, angle_step: float = 1e-4,
             brackets.append((float(phis[-1]), TWO_PI))
         roots = [float(phis[idx]) for idx in np.flatnonzero(resid == 0.0)]
         for lo, hi in brackets:
-            flo = residual_at(lo)
+            flo = residual(math.cos(lo), math.sin(lo))
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                fm = residual_at(mid)
+                fm = residual(math.cos(mid), math.sin(mid))
                 if hi - lo < 1e-12:
                     break
                 if flo * fm <= 0.0:

@@ -483,56 +483,40 @@ def hexagon_probe(coloring: Coloring, A: Point, window: Optional[Region] = None,
             feasible = False
             break
 
-    hits = circle_polyline_intersections(Circle(A, 1.0), [pc.seg for pc in pieces], tol)
-    hit_points = [h.point for h in hits]
-
     sd = host.seg.direction
     def frame_angle(p: Point) -> float:
         vx, vy = p - A
         return math.atan2(-vx * sd.dy + vy * sd.dx, vx * sd.dx + vy * sd.dy)
 
-    regular = len(hits) == 6 and not any(h.tangent for h in hits)
-    alpha: Optional[float] = None
+    hits = sorted(circle_polyline_intersections(Circle(A, 1.0), [pc.seg for pc in pieces], tol),
+                  key=lambda h: frame_angle(h.point))
+    angles = [frame_angle(h.point) for h in hits]
+    # label P_0 by the hit in (-pi/6, pi/6] and the rest in angular order
+    base = [b for b, a in enumerate(angles) if -math.pi / 6.0 < a <= math.pi / 6.0]
+    regular = len(hits) == 6 and not any(h.tangent for h in hits) and len(base) == 1
     max_dev = math.inf
-    ordered = tuple(sorted(hit_points, key=frame_angle))
+    points = tuple(h.point for h in hits)
     if regular:
-        angles = sorted(frame_angle(p) for p in hit_points)
-        # label P_0 by the hit in (-pi/6, pi/6]
-        base = [a for a in angles if -math.pi / 6.0 < a <= math.pi / 6.0]
-        if len(base) != 1:
-            regular = False
-        else:
-            alpha = base[0]
-            devs = []
-            labeled = []
-            for i in range(6):
-                target = alpha + i * math.pi / 3.0
-                target = (target + math.pi) % TWO_PI - math.pi
-                best = min(hit_points,
-                           key=lambda p: abs((frame_angle(p) - target + math.pi) % TWO_PI - math.pi))
-                dev = abs((frame_angle(best) - target + math.pi) % TWO_PI - math.pi)
-                devs.append(dev)
-                labeled.append(best)
-            max_dev = max(devs)
-            if max_dev > max(angular_tol, 1e-12) or len({id(p) for p in labeled}) != 6:
+        b = base[0]
+        labeled = hits[b:] + hits[:b]
+        devs = []
+        for i, angle in enumerate(angles[b:] + angles[:b]):
+            target = angles[b] + i * math.pi / 3.0
+            target = (target + math.pi) % TWO_PI - math.pi
+            devs.append(abs((angle - target + math.pi) % TWO_PI - math.pi))
+        max_dev = max(devs)
+        regular = max_dev <= max(angular_tol, 1e-12)
+    if regular:
+        points = tuple(h.point for h in labeled)
+        # orientation pattern: hits 0 and 3 share the host orientation
+        for i, hit in enumerate(labeled):
+            pdir = pieces[hit.seg_index].seg.direction
+            parallel = abs(pdir.dx * sd.dy - pdir.dy * sd.dx) <= math.sqrt(max(angular_tol, 1e-12))
+            same = pdir.dx * sd.dx + pdir.dy * sd.dy > 0.0
+            if not parallel or same != (i in (0, 3)):
                 regular = False
-                alpha = None
-            else:
-                ordered = tuple(labeled)
-                # orientation pattern: hits 0 and 3 share the host orientation
-                for i, p in enumerate(labeled):
-                    hit = next(h for h in hits if h.point is p)
-                    pdir = pieces[hit.seg_index].seg.direction
-                    cross = abs(pdir.dx * sd.dy - pdir.dy * sd.dx)
-                    dot = pdir.dx * sd.dx + pdir.dy * sd.dy
-                    parallel = cross <= math.sqrt(max(angular_tol, 1e-12))
-                    same = dot > 0.0
-                    want_same = i in (0, 3)
-                    if not parallel or same != want_same:
-                        regular = False
-                        alpha = None
-                        break
-    return HexagonProbe(A, alpha, ordered, regular, feasible,
+                break
+    return HexagonProbe(A, angles[base[0]] if regular else None, points, regular, feasible,
                         max_dev if regular else math.inf)
 
 

@@ -193,6 +193,14 @@ class TestExitStatuses:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verified"] is True and doc["tested_colorings"] == 32
 
+    @pytest.mark.parametrize("part", ["i", "ii"])
+    def test_underflowing_sides_exit_one(self, part, capsys):
+        # a base that underflows to one point used to exit 2 with ZeroDivisionError
+        assert main(["forcing", "--sides", "1e-170,1e-170,1e-170", "--part", part]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no mirror assignment" in captured.err
+
     def test_lines_degenerate(self, capsys):
         code = main(["lines", "--q1=-0.5773502691896258,0",
                      "--q2", "0.5773502691896258,0", "--q3", "vertical:0"])
@@ -409,6 +417,24 @@ def scan_files(strip_file, zigzag_file, halfplane_file, tmp_path):
                            "window": [-4, -4, 4, 4]},
         # no segments: one black face, so every margin is infinite
         "no-boundary": {"type": "polygonal", "seeds": [[0, 0, "black"]]},
+        "flat": {"type": "zebra", "profile": [[0, 0], [1, 0]]},
+        "sawtooth": {"type": "zebra", "profile": [[0, 0], [0.5, 0.8], [1, 0]]},
+        "sawtooth-rotated": {"type": "zebra", "profile": [[0, 0], [0.5, 0.8], [1, 0]],
+                             "x_hat": [0.6, 0.8]},
+        # condition (d) fails only inside a parallelogram edge, not at a vertex
+        "edge-witness": {"type": "zebra",
+                         "profile": [[0, 0], [0.6, -0.09], [0.74, -0.17], [1, 0]]},
+        "zigzag-rotated": {"type": "zebra", "profile": [[0, 0], [0.5, 0.1], [1, 0]],
+                           "x_hat": [0.6, 0.8]},
+        # three parallel lines sqrt(3)/2 apart, all oriented along +x
+        "three-lines": {"type": "polygonal",
+                        "segments": [{"p": [-4, y], "q": [4, y], "ray_start": True,
+                                      "ray_end": True}
+                                     for y in (-math.sqrt(3) / 2, 0.0, math.sqrt(3) / 2)],
+                        "boundary_colors": ["black"] * 3,
+                        "seeds": [[0, -2, "black"], [0, -0.4, "white"], [0, 0.4, "black"],
+                                  [0, 2, "white"]],
+                        "window": [-4, -4, 4, 4]},
     }
     files = {"strip": strip_file, "zigzag": zigzag_file, "halfplane": halfplane_file}
     for name, doc in docs.items():
@@ -419,8 +445,9 @@ def scan_files(strip_file, zigzag_file, halfplane_file, tmp_path):
 
 
 class TestScanBytes:
-    """The stdout bytes (sha256) of ``scan`` and ``avoid`` over all four
-    coloring families: witnesses, counts and examples must not move."""
+    """The stdout bytes (sha256) of ``scan``, ``avoid``, ``check-zebra`` and
+    ``hexagon`` over all four coloring families: witnesses, counts, examples
+    and probe points must not move."""
 
     @pytest.mark.parametrize("family, argv, digest", [
         ("strip", ["avoid", "--triangle", "1,1,1", "--region", "0,0,3,3", "--grid", "0.25",
@@ -451,6 +478,32 @@ class TestScanBytes:
         ("hexagon", ["scan", "--triangle", "0.5,0.5,0.5", "--region=-1.03,-0.91,1,1", "--grid",
                      "0.13", "--angles", "7", "--min-margin", "0.01"],
          "7dfa0688c97bb1958ba7ac249c6c81d0d6849598f2273d040fb3912792137d97"),
+        ("flat", ["check-zebra"],
+         "4a648941205d100057cd2881b5308e70207ab5dc19f153280194978339e6260b"),
+        ("zigzag", ["check-zebra"],
+         "ee0e2ac45730066bf56d9bcdbaad419b79482a3f75aef5a62b9b7e8ae5d5bb7b"),
+        # witness at a parallelogram vertex
+        ("sawtooth", ["check-zebra"],
+         "f6e6c290680fd218d3323f46700151c458932f248fca8585177aaf5a63b9fea4"),
+        ("sawtooth-rotated", ["check-zebra"],
+         "5cc1c11c64b46bc7e1bfce4d9babc6e292bc96e66f513151a88401f20362828c"),
+        # witness inside an edge sub-interval, after 14 pairs
+        ("edge-witness", ["check-zebra"],
+         "5bc8fedb2493bb5891213508796858750c7ceca3833fcc2a9dc0848fa8c95234"),
+        ("zigzag-rotated", ["check-zebra"],
+         "ee0e2ac45730066bf56d9bcdbaad419b79482a3f75aef5a62b9b7e8ae5d5bb7b"),
+        ("zigzag", ["hexagon", "--point", "0.2,0.04"],
+         "fed3f5f666443b9dac0b69f6b88175b9e56e9820169c39a50730e8c1cba4df79"),
+        ("strip", ["hexagon", "--point", "0,0"],
+         "1f3172627d46a50126c1c4fbbd480083ae77aa01c475acb7c9a1256e80be1fe9"),
+        ("halfplane", ["hexagon", "--point", "0,0"],
+         "3c410cf2f397c1fbac22fa052d84d5ea0eaa7b9a62ac24d47132cdec9cffea3f"),
+        # the corner: not feasible
+        ("lshape", ["hexagon", "--point", "0,0"],
+         "6759e2730fddb84ea18ff726d70282fa48686409a03c3ffb1f87f13eec1f5e4f"),
+        # six hits pi/3 apart that fail the orientation check: points stay labeled
+        ("three-lines", ["hexagon", "--point", "0.1,0"],
+         "feeb8fa6ef10ab2b8ffec8b3d3378284757acff1484c8977329141b5d60e1056"),
     ])
     def test_stdout_digest(self, family, argv, digest, scan_files, capsys):
         assert main(argv[:1] + ["--coloring", scan_files[family]] + argv[1:]) == 0

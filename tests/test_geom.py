@@ -76,6 +76,11 @@ class TestThirdVertex:
         with pytest.raises(Infeasible):
             third_vertex(Point(0, 0), Point(1, 0), 1, 0.2, 0.2)
 
+    def test_coincident_base_endpoints(self):
+        P = Point(0.3, -0.2)
+        with pytest.raises(DegenerateSegment):
+            third_vertex(P, P, 0.0, 1.0, 1.0)
+
 
 class TestPlaceTriangle:
     def test_canonical_unit(self):

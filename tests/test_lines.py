@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -195,6 +197,21 @@ class TestSweepOracle:
         with pytest.raises(Exception):
             sweep_oracle(Line.slope_intercept(0, 0), Line.slope_intercept(1, 0),
                          Line.vertical(0), angle_step=0.01)
+
+    @pytest.mark.parametrize("lines, digest", [
+        ((Line.slope_intercept(0.4, 0.1), Line.slope_intercept(-1.3, 0.7),
+          Line.vertical(0.35)), "b68d7a7d6184e20e7b63b17121bc6c549ccf9b0a211fbaf4ca1f18d333d426be"),
+        # a root in the last sweep interval, closed by the wrap-around bracket
+        ((Line.slope_intercept(0.3, 0.0), Line.slope_intercept(-1.2, 1.1996),
+          Line.vertical(0.50035)), "5aeac201bff0ee84d8ef80bea1848670f4131c8bc73537a626358e878c0d7c15"),
+        # the concurrent pencil: sampled placements of the infinite family
+        ((Line.slope_intercept(-INV_SQRT3, 0), Line.slope_intercept(INV_SQRT3, 0),
+          Line.vertical(0)), "4d6bc3e5b27269a3034c8d06c7c025dfe1515afa6580991a41a3366b6acb3b63"),
+    ], ids=["finite", "wrap-around", "pencil"])
+    def test_coordinate_digest(self, lines, digest):
+        tris = sweep_oracle(*lines, angle_step=1e-3)
+        coords = json.dumps([[[v.x, v.y] for v in tri] for tri in tris])
+        assert hashlib.sha256(coords.encode("utf-8")).hexdigest() == digest
 
 
 class TestDedup:
