@@ -100,6 +100,12 @@ def _parse_numbers(flag: str, text: str, count: int) -> list[float]:
 
 def _parse_sides(flag: str, text: str, tol: float = DEFAULT_TOL) -> list[float]:
     sides = [_check_number(flag, v, positive=True) for v in _parse_numbers(flag, text, 3)]
+    # placing a triangle squares its sides; a subnormal square loses the
+    # vertex to underflow, an infinite one makes it NaN
+    squares = [v * v for v in sides]
+    if not (min(squares) >= sys.float_info.min and math.isfinite(sum(squares))):
+        raise SchemaError(f"flag '{flag}' must have squared sides in the normal float range "
+                          f"and a finite sum of squares, got {text!r}")
     if not triangle_inequality_ok(*sides, tol):
         raise SchemaError(f"flag '{flag}' must satisfy the triangle inequality, got {text!r}")
     return sides

@@ -135,9 +135,10 @@ class AvoidanceReport:
 
 def margin_of(coloring: Coloring, points: Sequence[Point]) -> float:
     """Distance from the nearest of ``points`` to the coloring boundary; one
-    ``distance`` call."""
+    ``distance`` call. A zero margin is +0.0 (``+ 0.0`` drops the sign of a
+    strip's -0.0)."""
     return float(coloring.distance(np.array([p.x for p in points]),
-                                   np.array([p.y for p in points])).min())
+                                   np.array([p.y for p in points])).min()) + 0.0
 
 
 def _common_color(coloring: Coloring, points: Sequence[Point], tol: float) -> Optional[Color]:

@@ -2,7 +2,9 @@
 
 ``five_curve_locate`` is the zebra kernel as it was before the three-curve
 window: every point tries curves i0 - 2 .. i0 + 2 and reads heights through
-``np.interp``. ``two_mask_avoidance`` is the avoidance scan as it was before
+``np.interp``. ``mod_strip_classify`` is the strip kernel as it was
+before its fractional parts came from ``floor``: both from ``np.mod``.
+``two_mask_avoidance`` is the avoidance scan as it was before
 it classified each vertex once: one ``black_mask`` and one ``boundary_mask``
 call per vertex, each vertex offset rotated by ``_rotated_offsets``.
 ``walk_color_at`` is the polygonal query as it was before the array kernel:
@@ -97,6 +99,18 @@ def five_curve_locate(zc: ZebraColoring, xs, ys, tol):
         on_curve |= onb
         band = np.maximum(band, np.where(h <= t, i, np.iinfo(np.int64).min))
     return band, on_curve, curve_idx
+
+
+def mod_strip_classify(sc: StripColoring, xs, ys, tol):
+    """Black mask and boundary mask, fractional parts from ``np.mod``."""
+    frac = np.mod(ys / sc.period, 1.0)
+    if sc.boundary_rule == "upper-closed":
+        black = (frac > 0.0) & (frac <= 0.5)
+    else:
+        black = (frac >= 0.0) & (frac < 0.5)
+    half = sc.period / 2.0
+    frac = np.mod(ys / half, 1.0)
+    return black, np.minimum(frac, 1.0 - frac) * half <= tol
 
 
 def scalar_zebra_distance(self: ZebraColoring, p: Point) -> float:
@@ -267,6 +281,25 @@ def curve_points(zc: ZebraColoring, rng, tol, n=60):
     return s * xh.dx - t * xh.dy, s * xh.dy + t * xh.dx
 
 
+class TestStripKernel:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    @pytest.mark.parametrize("rule", ["upper-closed", "lower-closed"])
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    def test_matches_np_mod_oracle(self, scale, rule, tol):
+        sc = StripColoring(scale, rule)
+        rng = np.random.default_rng(31)
+        multiples = np.arange(-60.0, 61.0) * (sc.period / 2.0)
+        ys = np.concatenate(
+            [rng.uniform(-1.0, 1.0, 4000) * magnitude for magnitude in (1.0, 1e3, 1e9, 1e15)]
+            + [multiples, np.nextafter(multiples, -np.inf), np.nextafter(multiples, np.inf),
+               [0.0, -0.0, 5e-324, -5e-324, -1e-300]])
+        xs = rng.uniform(-1.0, 1.0, ys.size)
+        got = sc.classify(xs, ys, tol)
+        want = mod_strip_classify(sc, xs, ys, tol)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 class TestZebraKernel:
     @given(zc=zebra_colorings(), seed=st.integers(0, 2 ** 32 - 1),
            tol=st.sampled_from([1e-9, 1e-7, 1e-3]))
@@ -328,6 +361,31 @@ class TestZebraKernel:
             want = five_curve_locate(near_cap, xs, ts, tol)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.5])
+    @pytest.mark.parametrize("name, peak", [("near-cap", 0.5), ("steep", 0.01)])
+    def test_band_below_the_window_far_from_the_origin(self, name, peak, tol):
+        # Points just below the lowest points of L_{k+1} at |t| ~ 1e8, as
+        # above. At tol 1e-9 the near-cap ones find all three window curves
+        # above them: their band keeps the "no curve below" sentinel until
+        # curve i0 - 2 is looked up. At tol 0.5 both profiles' vertical
+        # tolerance reaches sqrt(3)/2, so i0 - 2 is a window curve.
+        profile = {"near-cap": ((0.0, 0.0), (0.5, HALF_SQRT3 - 2e-9), (1.0, 0.0)),
+                   "steep": ((0.0, 0.0), (0.01, 0.4), (0.02, 0.0), (1.0, 0.0))}[name]
+        zc = ZebraColoring(ZebraProfile(profile))
+        rng = np.random.default_rng(29)
+        k = np.round(rng.uniform(-1e8, 1e8, 20000) / HALF_SQRT3)
+        u = np.where(rng.uniform(size=k.size) < 0.5, peak, rng.uniform(0.0, 1.0, k.size))
+        base = (k + 1) * HALF_SQRT3
+        ts = base - rng.integers(0, 4, k.size) * rng.uniform(0.0, 4e-16, k.size) * np.abs(base)
+        xs = u + 0.5 * k
+        got = zc._locate(xs, ts, tol)
+        want = five_curve_locate(zc, xs, ts, tol)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        if name == "near-cap":
+            i0 = np.floor((ts - zc.profile.v_min) / HALF_SQRT3).astype(np.int64)
+            assert (want[0] == i0 - 2).any()
 
     def test_profile_tables_are_built_once_and_read_only(self):
         profile = ZebraProfile(((0.0, 0.0), (0.5, 0.1), (1.0, 0.0)))

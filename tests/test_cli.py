@@ -187,6 +187,37 @@ class TestEveryNumericFlag:
         assert f"'{flag}'" in captured.err or f"argument {flag}:" in captured.err
 
 
+ZERO_MARGIN_WITNESS = """{
+  "angle": 0.0,
+  "color": "black",
+  "margin": 0.0,
+  "spec": [
+    0.5,
+    0.5,
+    0.5
+  ],
+  "translation": [
+    0.0,
+    -1.7320508075688772
+  ],
+  "vertices": [
+    [
+      0.0,
+      -1.7320508075688772
+    ],
+    [
+      0.5,
+      -1.7320508075688772
+    ],
+    [
+      0.25,
+      -1.299038105676658
+    ]
+  ]
+}
+"""
+
+
 class TestExitStatuses:
     def test_forcing_exit_zero(self, capsys):
         assert main(["forcing", "--sides", "1,1,1", "--part", "i"]) == 0
@@ -199,7 +230,40 @@ class TestExitStatuses:
         assert main(["forcing", "--sides", "1e-170,1e-170,1e-170", "--part", part]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "no mirror assignment" in captured.err
+        assert "'--sides'" in captured.err
+
+    @pytest.mark.parametrize("sides", ["1e-170,1e-170,1e-170", "1e-154,1,1",
+                                       "1e200,1e200,1e200", "1e154,1e154,1e154"])
+    @pytest.mark.parametrize("command, flag", [("scan", "--triangle"), ("avoid", "--triangle"),
+                                               ("forcing", "--sides")])
+    def test_sides_outside_the_float_range_exit_one(self, command, flag, sides, strip_file,
+                                                    capsys):
+        # squared sides that underflow to subnormals (or zero) or overflow,
+        # alone or summed, used to give a degenerate witness or NaN points
+        argv = [command, flag, sides]
+        if command == "forcing":
+            argv += ["--part", "i"]
+        else:
+            argv += ["--coloring", strip_file, "--region", "0,0,1,1", "--grid", "0.5",
+                     "--angles", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'{flag}'" in captured.err and "normal float range" in captured.err
+
+    def test_sides_at_the_ends_of_the_float_range_run(self, capsys):
+        assert main(["forcing", "--sides", "1e-150,1e-150,1e-150", "--part", "i"]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+        assert main(["forcing", "--sides", "1e150,1e150,1e150", "--part", "i"]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
+    def test_zero_margin_has_no_sign(self, scan_files, capsys):
+        # the witness's first two vertices lie on the boundary y = -sqrt(3),
+        # where the strip distance is -0.0
+        assert main(["scan", "--coloring", scan_files["strip-lower"], "--triangle",
+                     "0.5,0.5,0.5", "--region=0,-1.7320508075688772,0.1,-1.6", "--grid",
+                     "0.05", "--angles", "1"]) == 0
+        assert capsys.readouterr().out == ZERO_MARGIN_WITNESS
 
     def test_lines_degenerate(self, capsys):
         code = main(["lines", "--q1=-0.5773502691896258,0",
@@ -417,6 +481,7 @@ def scan_files(strip_file, zigzag_file, halfplane_file, tmp_path):
                            "window": [-4, -4, 4, 4]},
         # no segments: one black face, so every margin is infinite
         "no-boundary": {"type": "polygonal", "seeds": [[0, 0, "black"]]},
+        "strip-lower": {"type": "strip", "scale": 1.0, "boundary_rule": "lower-closed"},
         "flat": {"type": "zebra", "profile": [[0, 0], [1, 0]]},
         "sawtooth": {"type": "zebra", "profile": [[0, 0], [0.5, 0.8], [1, 0]]},
         "sawtooth-rotated": {"type": "zebra", "profile": [[0, 0], [0.5, 0.8], [1, 0]],
@@ -504,6 +569,15 @@ class TestScanBytes:
         # six hits pi/3 apart that fail the orientation check: points stay labeled
         ("three-lines", ["hexagon", "--point", "0.1,0"],
          "feeb8fa6ef10ab2b8ffec8b3d3378284757acff1484c8977329141b5d60e1056"),
+        # exhausted over six strip boundaries at negative y
+        ("strip", ["scan", "--triangle", "1,1,1", "--region=-1,-5.3,1,-0.2", "--grid", "0.1",
+                   "--angles", "12"],
+         "297856bee6d1e336d794e7cb858861243df5fb9f6cc418cc295ced426e41d36d"),
+        # grid rows on the boundaries y = -4 .. -1 times sqrt(3)/2 (rounded)
+        ("strip-lower", ["avoid", "--triangle", "0.5,0.5,0.5",
+                         "--region=-1,-3.4641016151377544,1,-0.2",
+                         "--grid", "0.4330127018922193", "--angles", "12"],
+         "ddacacd9ff6487d05bdce04ae35d93df2aac88c2e045d0a39b225c839ec8976f"),
     ])
     def test_stdout_digest(self, family, argv, digest, scan_files, capsys):
         assert main(argv[:1] + ["--coloring", scan_files[family]] + argv[1:]) == 0
