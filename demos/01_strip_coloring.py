@@ -41,4 +41,4 @@ svg = render_svg(RenderSpec(strips, Region(0, 0, 4, 4), pixels_per_unit=80,
 path = os.path.join(OUT, "strip_coloring.svg")
 with open(path, "w") as fh:
     fh.write(svg)
-print("wrote", path)
+print("wrote", os.path.relpath(path, os.path.dirname(OUT)))

@@ -57,4 +57,4 @@ svg = render_svg(RenderSpec(zigzag, Region(0, 0, 5, 5), pixels_per_unit=70))
 path = os.path.join(OUT, "zebra_zigzag.svg")
 with open(path, "w") as fh:
     fh.write(svg)
-print("wrote", path)
+print("wrote", os.path.relpath(path, os.path.dirname(OUT)))

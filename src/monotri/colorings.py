@@ -406,13 +406,17 @@ class ZebraColoring(_ClassifyViews):
         xh = self.x_hat
         return xs * xh.dx + ys * xh.dy, -xs * xh.dy + ys * xh.dx
 
-    def from_frame(self, s: float, t: float) -> Point:
+    def curve_points(self, i: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """World coordinates of L_i at the profile parameters ``u``."""
+        s = u + 0.5 * i
+        t = self.profile.values(u) + i * HALF_SQRT3
         xh = self.x_hat
-        return Point(s * xh.dx - t * xh.dy, s * xh.dy + t * xh.dx)
+        return s * xh.dx - t * xh.dy, s * xh.dy + t * xh.dx
 
     def curve_point(self, i: int, u: float) -> Point:
         """World point of L_i at profile parameter u."""
-        return self.from_frame(u + 0.5 * i, self.profile.value(u) + i * HALF_SQRT3)
+        xs, ys = self.curve_points(i, np.array([u]))
+        return Point(float(xs[0]), float(ys[0]))
 
     def _locate(self, xs: np.ndarray, ys: np.ndarray, tol: float):
         """Band index, on-curve mask and on-curve index for each point.
@@ -479,8 +483,8 @@ class ZebraColoring(_ClassifyViews):
 
     def _curve_polyline(self, i: int, u_lo: float, u_hi: float) -> list[Point]:
         """Breakpoint polyline of L_i over u in [u_lo, u_hi], collinear joints merged."""
-        params = [u_lo] + self.profile.breakpoints_in(u_lo + 1e-12, u_hi - 1e-12) + [u_hi]
-        pts = [self.curve_point(i, u) for u in params]
+        u = np.array([u_lo] + self.profile.breakpoints_in(u_lo + 1e-12, u_hi - 1e-12) + [u_hi])
+        pts = [Point(x, y) for x, y in zip(*(c.tolist() for c in self.curve_points(i, u)))]
         merged = [pts[0]]
         for j in range(1, len(pts) - 1):
             ax, ay = pts[j] - merged[-1]
@@ -490,16 +494,28 @@ class ZebraColoring(_ClassifyViews):
         merged.append(pts[-1])
         return merged
 
-    def _window_param_range(self, i: int, window: Region) -> tuple[float, float]:
-        corners_s = [self.to_frame(np.array([x]), np.array([y]))[0][0]
-                     for x in (window.x0, window.x1) for y in (window.y0, window.y1)]
-        s_lo, s_hi = min(corners_s), max(corners_s)
-        return s_lo - 0.5 * i - 1.0, s_hi - 0.5 * i + 1.0
+    def _window_frame(self, window: Region) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The ranges of the frame coordinates s and t over the corners of ``window``."""
+        s, t = self.to_frame(np.array([window.x0, window.x0, window.x1, window.x1]),
+                             np.array([window.y0, window.y1, window.y0, window.y1]))
+        return (float(s.min()), float(s.max())), (float(t.min()), float(t.max()))
 
-    def zebra_curve(self, i: int, window: Region) -> list[Segment]:
-        """The polyline of L_i clipped to ``window``."""
-        u_lo, u_hi = self._window_param_range(i, window)
-        pts = self._curve_polyline(i, u_lo, u_hi)
+    @staticmethod
+    def _window_param_range(i: int, s_range: tuple[float, float]) -> tuple[float, float]:
+        """The parameters of L_i over the frame abscissas ``s_range``, one period wider
+        on each side."""
+        return s_range[0] - 0.5 * i - 1.0, s_range[1] - 0.5 * i + 1.0
+
+    def _curve_indices(self, t_range: tuple[float, float]) -> range:
+        """The curves that can reach frame heights in ``t_range``."""
+        i_lo = math.floor((t_range[0] - self.profile.v_max) / HALF_SQRT3) - 1
+        i_hi = math.ceil((t_range[1] - self.profile.v_min) / HALF_SQRT3) + 1
+        return range(i_lo, i_hi + 1)
+
+    def _clipped_curve(self, i: int, s_range: tuple[float, float],
+                       window: Region) -> list[Segment]:
+        """The polyline of L_i over the frame abscissas ``s_range``, clipped to ``window``."""
+        pts = self._curve_polyline(i, *self._window_param_range(i, s_range))
         segments = []
         for p, q in zip(pts, pts[1:]):
             clipped = _clip_segment_to_region(p, q, window)
@@ -507,21 +523,19 @@ class ZebraColoring(_ClassifyViews):
                 segments.append(clipped)
         return segments
 
-    def curve_indices_for(self, window: Region) -> range:
-        ts = [self.to_frame(np.array([x]), np.array([y]))[1][0]
-              for x in (window.x0, window.x1) for y in (window.y0, window.y1)]
-        i_lo = math.floor((min(ts) - self.profile.v_max) / HALF_SQRT3) - 1
-        i_hi = math.ceil((max(ts) - self.profile.v_min) / HALF_SQRT3) + 1
-        return range(i_lo, i_hi + 1)
+    def zebra_curve(self, i: int, window: Region) -> list[Segment]:
+        """The polyline of L_i clipped to ``window``."""
+        return self._clipped_curve(i, self._window_frame(window)[0], window)
 
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         """Clipped curves as oriented pieces, white face on the left."""
         pieces = []
-        for i in self.curve_indices_for(window):
+        s_range, t_range = self._window_frame(window)
+        for i in self._curve_indices(t_range):
             color = _parity_color(i, self.boundary_parity)
             above = _parity_color(i, self.parity_rule)  # band i sits above L_i
             flip = above is not Color.WHITE  # +x_hat keeps the upper band on the left
-            for seg in self.zebra_curve(i, window):
+            for seg in self._clipped_curve(i, s_range, window):
                 oriented = Segment(seg.q, seg.p) if flip else seg
                 pieces.append(BoundaryPiece(oriented, color))
         return pieces

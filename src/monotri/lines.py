@@ -18,6 +18,7 @@ bisection over sign changes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -226,6 +227,16 @@ def solve_unit_triangles(q1: Line, q2: Line, q3: Line,
                          tuple(branch_counts))
 
 
+@functools.lru_cache(maxsize=4)
+def _angle_table(n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep's pose angles ``2*pi*k/n_steps`` with their cosines and sines."""
+    phis = np.arange(n_steps) * (TWO_PI / n_steps)
+    table = (phis, np.cos(phis), np.sin(phis))
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
 def sweep_oracle(q1: Line, q2: Line, q3: Line, angle_step: float = 1e-4,
                  tol: float = DEFAULT_TOL,
                  plateau_cap: int = 400) -> list[tuple[Point, Point, Point]]:
@@ -234,7 +245,11 @@ def sweep_oracle(q1: Line, q2: Line, q3: Line, angle_step: float = 1e-4,
     For each pose angle the first two vertex-on-line constraints fix the
     translation by a 2x2 solve; the residual of the third constraint is
     swept at ``angle_step`` and sign changes are refined by bisection to
-    1e-9. A residual that vanishes on most of the sweep flags the infinite
+    1e-9. The residual is affine in the pose's (cos, sin), so the sweep
+    evaluates ``alpha + beta*cos + gamma*sin`` over a cached angle table,
+    with the coefficients read off the residual at (0, 0), (1, 0) and
+    (0, 1); the bisection and the placements use the residual itself. A
+    residual that vanishes on most of the sweep flags the infinite
     (degenerate concurrent) family and is reported as up to ``plateau_cap``
     sampled placements.
     """
@@ -264,12 +279,11 @@ def sweep_oracle(q1: Line, q2: Line, q3: Line, angle_step: float = 1e-4,
 
     results = []
     n_steps = int(math.ceil(TWO_PI / angle_step))
-    phis = np.arange(n_steps) * (TWO_PI / n_steps)
-    cos_p, sin_p = np.cos(phis), np.sin(phis)
+    phis, cos_p, sin_p = _angle_table(n_steps)
 
     for orientation, verts in offsets.items():
-        # At pose (cos, sin) = (c, s), floats or arrays: the translation that
-        # pins vertices i and j to their lines, and the rotated vertices.
+        # At pose (cos, sin) = (c, s): the translation that pins vertices i
+        # and j to their lines, and the rotated vertices.
         def place(c, s):
             rot = [(c * v.x - s * v.y, s * v.x + c * v.y) for v in verts]
             bi = ni[2] - (ni[0] * rot[i][0] + ni[1] * rot[i][1])
@@ -284,7 +298,9 @@ def sweep_oracle(q1: Line, q2: Line, q3: Line, angle_step: float = 1e-4,
             tx, ty, rot = place(math.cos(phi), math.sin(phi))
             return tuple(Point(tx + x, ty + y) for x, y in rot)
 
-        resid = residual(cos_p, sin_p)
+        alpha = residual(0.0, 0.0)
+        resid = alpha + (residual(1.0, 0.0) - alpha) * cos_p
+        resid += (residual(0.0, 1.0) - alpha) * sin_p
         plateau = np.abs(resid) < 1e-10
         if plateau.mean() > 0.5:
             stride = max(1, n_steps // plateau_cap)

@@ -117,13 +117,12 @@ def _fill_strip(canvas: _Canvas, coloring: StripColoring) -> None:
 def _fill_zebra(canvas: _Canvas, coloring: ZebraColoring) -> None:
     region = canvas.region
     pad = region.inflated(1.0)
-    for i in coloring.curve_indices_for(pad):
+    s_range, t_range = coloring._window_frame(pad)
+    for i in coloring._curve_indices(t_range):
         if _parity_color(i, coloring.parity_rule) is not Color.BLACK:
             continue
-        lo_u = coloring._window_param_range(i, pad)
-        hi_u = coloring._window_param_range(i + 1, pad)
-        lower = coloring._curve_polyline(i, lo_u[0], lo_u[1])
-        upper = coloring._curve_polyline(i + 1, hi_u[0], hi_u[1])
+        lower = coloring._curve_polyline(i, *coloring._window_param_range(i, s_range))
+        upper = coloring._curve_polyline(i + 1, *coloring._window_param_range(i + 1, s_range))
         canvas.polygon(lower + upper[::-1], BLACK_FILL)
 
 

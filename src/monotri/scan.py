@@ -431,23 +431,31 @@ class HexagonProbe:
 def _boundary_vertices(pieces: Sequence[BoundaryPiece], tol: float) -> list[tuple[Point, list[int]]]:
     """Endpoint clusters where at least two pieces meet (true corners).
 
-    Clipped chain ends and ray representatives have degree one there and are
-    not vertices.
+    Each endpoint joins the earliest cluster whose first point lies within
+    10*tol of it, else starts a new cluster. The first points are bucketed
+    by grid cell, and an endpoint looks only at the 3 x 3 cells around its
+    own: with cells at least twice the reach, correctly rounded division
+    keeps two points within reach at most one cell apart (from 2^53 cells
+    out, such points are equal). Clipped chain ends and ray representatives
+    have degree one there and are not vertices.
     """
-    ends: list[tuple[Point, int]] = []
-    for idx, pc in enumerate(pieces):
-        if not pc.ray_start:
-            ends.append((pc.seg.p, idx))
-        if not pc.ray_end:
-            ends.append((pc.seg.q, idx))
+    reach = 10.0 * tol
+    # the floor keeps coordinates / cell finite for any coordinate below 1e292
+    cell = max(2.0 * reach, 1e-16)
     clusters: list[tuple[Point, list[int]]] = []
-    for p, idx in ends:
-        for q, members in clusters:
-            if distance(p, q) <= 10.0 * tol:
-                members.append(idx)
-                break
-        else:
-            clusters.append((p, [idx]))
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for idx, pc in enumerate(pieces):
+        for p, bounded in ((pc.seg.p, not pc.ray_start), (pc.seg.q, not pc.ray_end)):
+            if not bounded:
+                continue
+            kx, ky = math.floor(p.x / cell), math.floor(p.y / cell)
+            near = [c for bx in (kx - 1, kx, kx + 1) for by in (ky - 1, ky, ky + 1)
+                    for c in buckets.get((bx, by), ()) if distance(p, clusters[c][0]) <= reach]
+            if near:
+                clusters[min(near)][1].append(idx)
+            else:
+                buckets.setdefault((kx, ky), []).append(len(clusters))
+                clusters.append((p, [idx]))
     return [(p, members) for p, members in clusters if len(members) >= 2]
 
 
@@ -536,11 +544,11 @@ def _default_audit_window(coloring: Coloring) -> Region:
         return coloring.window
     if hasattr(coloring, "profile"):
         # one period of two consecutive curves, inflated a little
-        pts = [coloring.curve_point(i, u)
-               for i in (0, 1) for u in np.linspace(-0.3, 1.3, 9)]
-        xs = [p.x for p in pts]
-        ys = [p.y for p in pts]
-        return Region(min(xs) - 0.5, min(ys) - 0.5, max(xs) + 0.5, max(ys) + 0.5)
+        u = np.linspace(-0.3, 1.3, 9)
+        (x0, y0), (x1, y1) = coloring.curve_points(0, u), coloring.curve_points(1, u)
+        xs, ys = np.concatenate((x0, x1)), np.concatenate((y0, y1))
+        return Region(float(xs.min()) - 0.5, float(ys.min()) - 0.5,
+                      float(xs.max()) + 0.5, float(ys.max()) + 0.5)
     return Region(-2.0, -2.0, 2.0, 2.0)
 
 

@@ -11,7 +11,11 @@ call per vertex, each vertex offset rotated by ``_rotated_offsets``.
 one point at a time, one seed at a time, one piece at a time.
 ``scalar_distance`` is the ``distance`` query as it was before the array
 kernels, one point at a time; for a zebra coloring it walks the five curve
-polylines of ``scalar_zebra_distance``. ``brute_force_find`` is the find
+polylines of ``scalar_zebra_distance``. ``per_point_polyline`` is a zebra
+curve's polyline as it was before its heights came from one array call, one
+``curve_point`` per breakpoint, and ``per_point_boundary_segments`` clips
+those polylines with the window's corners taken to the frame once per
+curve. ``brute_force_find`` is the find
 scan one pose at a time, coloring each vertex with ``color_at`` and taking
 the margin from ``scalar_distance``; ``walk_avoidance`` is the avoidance
 scan one pose at a time over ``walk_color_at``. All are kept here as
@@ -113,6 +117,49 @@ def mod_strip_classify(sc: StripColoring, xs, ys, tol):
     return black, np.minimum(frac, 1.0 - frac) * half <= tol
 
 
+def per_point_polyline(zc: ZebraColoring, i: int, u_lo: float, u_hi: float) -> list[Point]:
+    """Breakpoint polyline of L_i over u in [u_lo, u_hi], collinear joints merged."""
+    params = [u_lo] + zc.profile.breakpoints_in(u_lo + 1e-12, u_hi - 1e-12) + [u_hi]
+    xh = zc.x_hat
+    pts = []
+    for u in params:
+        s, t = u + 0.5 * i, zc.profile.value(u) + i * HALF_SQRT3
+        pts.append(Point(s * xh.dx - t * xh.dy, s * xh.dy + t * xh.dx))
+    merged = [pts[0]]
+    for j in range(1, len(pts) - 1):
+        ax, ay = pts[j] - merged[-1]
+        bx, by = pts[j + 1] - pts[j]
+        if abs(ax * by - ay * bx) > 1e-12 * (abs(ax) + abs(ay)) * (abs(bx) + abs(by) + 1):
+            merged.append(pts[j])
+    merged.append(pts[-1])
+    return merged
+
+
+def per_point_boundary_segments(zc: ZebraColoring, window: Region) -> list[BoundaryPiece]:
+    """Clipped curves as oriented pieces, white face on the left.
+
+    Coordinates are Python floats, which divide to inf without the warning
+    that numpy scalars give when a clipping quotient overflows.
+    """
+    ts = [float(zc.to_frame(np.array([x]), np.array([y]))[1][0])
+          for x in (window.x0, window.x1) for y in (window.y0, window.y1)]
+    i_lo = math.floor((min(ts) - zc.profile.v_max) / HALF_SQRT3) - 1
+    i_hi = math.ceil((max(ts) - zc.profile.v_min) / HALF_SQRT3) + 1
+    pieces = []
+    for i in range(i_lo, i_hi + 1):
+        corners_s = [float(zc.to_frame(np.array([x]), np.array([y]))[0][0])
+                     for x in (window.x0, window.x1) for y in (window.y0, window.y1)]
+        u_lo, u_hi = min(corners_s) - 0.5 * i - 1.0, max(corners_s) - 0.5 * i + 1.0
+        pts = per_point_polyline(zc, i, u_lo, u_hi)
+        color = colorings._parity_color(i, zc.boundary_parity)
+        flip = colorings._parity_color(i, zc.parity_rule) is not Color.WHITE
+        for p, q in zip(pts, pts[1:]):
+            seg = colorings._clip_segment_to_region(p, q, window)
+            if seg is not None:
+                pieces.append(BoundaryPiece(Segment(seg.q, seg.p) if flip else seg, color))
+    return pieces
+
+
 def scalar_zebra_distance(self: ZebraColoring, p: Point) -> float:
     """Exact distance to the nearest boundary curve."""
     s_arr, t_arr = self.to_frame(np.array([p.x]), np.array([p.y]))
@@ -121,7 +168,7 @@ def scalar_zebra_distance(self: ZebraColoring, p: Point) -> float:
     best = math.inf
     for i in range(i0 - 2, i0 + 3):
         u_lo, u_hi = s - 0.5 * i - 1.5, s - 0.5 * i + 1.5
-        pts = self._curve_polyline(i, u_lo, u_hi)
+        pts = per_point_polyline(self, i, u_lo, u_hi)
         for a, b in zip(pts, pts[1:]):
             best = min(best, point_segment_distance(p, Segment(a, b)))
     return best
@@ -785,6 +832,50 @@ ZEBRA_MERGES = {
     "zigzag": ZIGZAG,
     "near-cap": ZebraProfile(((0.0, 0.0), (0.5, HALF_SQRT3 - 2e-9), (1.0, 0.0))),
 }
+
+
+def piece_bits(pieces) -> list[tuple]:
+    """Each piece's endpoint coordinates as exact hex strings, color and ray flags."""
+    return [(tuple(float.hex(float(c)) for c in (pc.seg.p.x, pc.seg.p.y, pc.seg.q.x, pc.seg.q.y)),
+             pc.color, pc.ray_start, pc.ray_end) for pc in pieces]
+
+
+def random_window(rng, scale: float) -> Region:
+    x0, y0 = rng.uniform(-scale, scale, 2)
+    w, h = rng.uniform(0.05, 6.0, 2)
+    return Region(float(x0), float(y0), float(x0 + w), float(y0 + h))
+
+
+class TestBoundarySegments:
+    """``ZebraColoring.boundary_segments`` equals the per-point oracle bit for bit."""
+
+    @given(zc=zebra_colorings(), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([0.0, 5.0, 1e4]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_profiles_and_windows(self, zc, seed, scale):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            window = random_window(rng, scale)
+            assert piece_bits(zc.boundary_segments(window)) == \
+                piece_bits(per_point_boundary_segments(zc, window))
+
+    @pytest.mark.parametrize("name", sorted(ZEBRA_MERGES))
+    def test_merged_joints(self, name):
+        rng = np.random.default_rng(35)
+        for _ in range(8):
+            zc = ZebraColoring(ZEBRA_MERGES[name], UnitVector.from_angle(rng.uniform(0.0, 6.3)))
+            for scale in (0.0, 8.0):
+                window = random_window(rng, scale)
+                got = zc.boundary_segments(window)
+                assert got and piece_bits(got) == piece_bits(per_point_boundary_segments(zc, window))
+
+    def test_axis_aligned_flat_profile_merges_every_joint(self):
+        zc = ZebraColoring(ZEBRA_MERGES["flat"])
+        window = Region(-1.5, -1.0, 2.5, 2.0)
+        got = zc.boundary_segments(window)
+        # curves 0, 1, 2 and -1 cross the window, each as one full-width piece
+        assert [abs(pc.seg.q.x - pc.seg.p.x) for pc in got] == [4.0] * 4
+        assert piece_bits(got) == piece_bits(per_point_boundary_segments(zc, window))
 
 
 def window_end_points(zc: ZebraColoring, rng, scale: float, n=40):

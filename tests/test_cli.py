@@ -491,6 +491,17 @@ def scan_files(strip_file, zigzag_file, halfplane_file, tmp_path):
                          "profile": [[0, 0], [0.6, -0.09], [0.74, -0.17], [1, 0]]},
         "zigzag-rotated": {"type": "zebra", "profile": [[0, 0], [0.5, 0.1], [1, 0]],
                            "x_hat": [0.6, 0.8]},
+        # a black triangle with corners of about 22, 63 and 95 degrees
+        "sharp": {"type": "polygonal",
+                  "segments": [{"p": [0, 0], "q": [3, 0]}, {"p": [3, 0], "q": [0.5, 1]},
+                               {"p": [0.5, 1], "q": [0, 0]}],
+                  "boundary_colors": ["black"] * 3,
+                  "seeds": [[1, 0.3, "black"], [1, -1, "white"], [-1, 1, "white"],
+                            [2, 2, "white"]],
+                  "window": [-4, -4, 4, 4]},
+        "sharp-zebra": {"type": "zebra",
+                        "profile": [[0, 0], [0.1, 0.4], [0.2, 0.0], [0.6, 0.41], [1, 0]],
+                        "x_hat": [0.6, 0.8]},
         # three parallel lines sqrt(3)/2 apart, all oriented along +x
         "three-lines": {"type": "polygonal",
                         "segments": [{"p": [-4, y], "q": [4, y], "ray_start": True,
@@ -510,9 +521,9 @@ def scan_files(strip_file, zigzag_file, halfplane_file, tmp_path):
 
 
 class TestScanBytes:
-    """The stdout bytes (sha256) of ``scan``, ``avoid``, ``check-zebra`` and
-    ``hexagon`` over all four coloring families: witnesses, counts, examples
-    and probe points must not move."""
+    """The stdout bytes (sha256) of ``scan``, ``avoid``, ``check-zebra``,
+    ``hexagon`` and ``angles`` over all four coloring families: witnesses,
+    counts, examples, probe points and audited corners must not move."""
 
     @pytest.mark.parametrize("family, argv, digest", [
         ("strip", ["avoid", "--triangle", "1,1,1", "--region", "0,0,3,3", "--grid", "0.25",
@@ -578,6 +589,17 @@ class TestScanBytes:
                          "--region=-1,-3.4641016151377544,1,-0.2",
                          "--grid", "0.4330127018922193", "--angles", "12"],
          "ddacacd9ff6487d05bdce04ae35d93df2aac88c2e045d0a39b225c839ec8976f"),
+        # obtuse corners only: nothing reported
+        ("zigzag-rotated", ["angles"],
+         "8efe0b36a7fa51651089b950199db43906e781e6f36571f45a766bd5d370d04a"),
+        ("lshape", ["angles"],
+         "4d1161018ac24c02d9b71c98ac2def02f6acb8d11d7b76dd68312bcaf10a0e28"),
+        # all three corners of the triangle
+        ("sharp", ["angles"],
+         "a5becf9fe08a59c6d605f56db98a6e3e85f72537cf079dd15ad8ddf733d86e59"),
+        # 33 corners of a rotated zebra coloring
+        ("sharp-zebra", ["angles"],
+         "89574a97c81c59a00603ac83c10c06abbccaabc0ea2d0dce2035edc101d1059f"),
     ])
     def test_stdout_digest(self, family, argv, digest, scan_files, capsys):
         assert main(argv[:1] + ["--coloring", scan_files[family]] + argv[1:]) == 0

@@ -213,6 +213,43 @@ class TestSweepOracle:
         coords = json.dumps([[[v.x, v.y] for v in tri] for tri in tris])
         assert hashlib.sha256(coords.encode("utf-8")).hexdigest() == digest
 
+    @staticmethod
+    def sweep_digest(instances) -> str:
+        h = hashlib.sha256()
+        for lines in instances:
+            try:
+                tris = sweep_oracle(*lines, angle_step=1e-3)
+            except AllParallel:
+                h.update(b"all-parallel\n")
+                continue
+            h.update(json.dumps([[[v.x, v.y] for v in tri] for tri in tris]).encode("utf-8")
+                     + b"\n")
+        return h.hexdigest()
+
+    def test_random_instances_digest(self):
+        rng = np.random.default_rng(61)
+        digest = self.sweep_digest([random_lines(rng) for _ in range(200)])
+        assert digest == "d9dca0baf5be6b93f64e11e29b567176f5666224b0a897c1d6e108c4e3353fd5"
+
+    def test_near_pencil_digest(self):
+        """Lines within 1e-12 of a concurrent pencil: the ccw residual stays
+        under the plateau threshold, so each instance reports the sampled
+        family plus the cw branch's two triangles."""
+        rng = np.random.default_rng(67)
+        instances = []
+        for _ in range(40):
+            cx, cy = (float(v) for v in rng.uniform(-1, 1, 2))
+            theta = float(rng.uniform(-math.pi / 6, math.pi / 6))
+            lines = []
+            for k in range(3):
+                a = math.tan(theta + k * math.pi / 3)
+                lines.append(Line.slope_intercept(
+                    a, cy - a * cx + float(rng.uniform(-1e-12, 1e-12))))
+            instances.append(lines)
+        assert all(len(sweep_oracle(*lines, angle_step=1e-3)) == 421 for lines in instances[:3])
+        digest = self.sweep_digest(instances)
+        assert digest == "34dbc3497ccee51a633b4067a38e4954b1a0aaf524b8c6c7e8bc5ad748af4460"
+
 
 class TestDedup:
     def test_same_set_merged(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from monotri.geom import Point, Region, Segment, TriangleSpec, distance
+from monotri.geom import Point, Region, Segment, TriangleSpec, UnitVector, distance
 from monotri.colorings import (
     BoundaryPiece,
     Color,
@@ -19,6 +19,7 @@ from monotri.colorings import (
 )
 from monotri.scan import (
     NotOnBoundary,
+    _boundary_vertices,
     _common_color,
     ScanGrid,
     avoidance_scan,
@@ -298,3 +299,96 @@ class TestBoundaryAngleAudit:
         entries = boundary_angle_audit(sharp)
         assert entries
         assert all(e.convex_angle <= 2 * math.pi / 3 + 1e-9 for e in entries)
+
+
+def linear_boundary_vertices(pieces, tol):
+    """``_boundary_vertices`` as it was before its clusters were bucketed by
+    grid cell: each endpoint tries every earlier cluster in turn."""
+    ends = []
+    for idx, pc in enumerate(pieces):
+        if not pc.ray_start:
+            ends.append((pc.seg.p, idx))
+        if not pc.ray_end:
+            ends.append((pc.seg.q, idx))
+    clusters = []
+    for p, idx in ends:
+        for q, members in clusters:
+            if distance(p, q) <= 10.0 * tol:
+                members.append(idx)
+                break
+        else:
+            clusters.append((p, [idx]))
+    return [(p, members) for p, members in clusters if len(members) >= 2]
+
+
+def _at_reach(p: Point, reach: float, dy: float) -> tuple[Point, Point]:
+    """The points at height about ``p.y + dy`` right of ``p`` that lie
+    furthest within ``reach`` of it and one ulp in x beyond."""
+    y = p.y + dy
+    if abs(y - p.y) > reach:  # rounded beyond reach
+        y = p.y
+    x = p.x + math.sqrt(max(reach * reach - (y - p.y) ** 2, 0.0))
+    while distance(p, Point(x, y)) > reach:
+        x = math.nextafter(x, -math.inf)
+    while distance(p, Point(math.nextafter(x, math.inf), y)) <= reach:
+        x = math.nextafter(x, math.inf)
+    return Point(x, y), Point(math.nextafter(x, math.inf), y)
+
+
+def clustered_pieces(rng, tol: float, scale: float) -> list[BoundaryPiece]:
+    """Pieces joining endpoint clusters around well separated centers.
+
+    A cluster holds its center, the points within 10 tol of it and one ulp
+    beyond, random points within 10 tol, and a chain whose links are 0.6 of
+    that reach. Half of the centers sit on a multiple of the bucket cell, so
+    that their clusters straddle cell edges. A fifth of the pieces are rays
+    at either end.
+    """
+    reach = 10.0 * tol
+    cell = max(20.0 * tol, 1e-16)
+    ends = []
+    for k in range(24):
+        cx, cy = rng.uniform(-scale, scale, 2) + 4.0 * k
+        if k % 2:
+            cx, cy = math.floor(cx / cell) * cell, math.floor(cy / cell) * cell
+        center = Point(float(cx), float(cy))
+        cluster = [center]
+        for dy in (0.0, 0.6 * reach, -reach):
+            cluster.extend(_at_reach(center, reach, dy))
+        for dx, dy in rng.uniform(-0.7, 0.7, (3, 2)) * reach:
+            cluster.append(Point(center.x + dx, center.y + dy))
+        cluster += [Point(center.x - j * 0.6 * reach, center.y) for j in (1, 2, 3)]
+        ends.extend(cluster)
+    order = rng.permutation(len(ends))
+    pieces = []
+    for a, b in zip(order, np.roll(order, 7)):
+        p, q = ends[a], ends[b]
+        if distance(p, q) > 1.0:  # from two clusters
+            pieces.append(BoundaryPiece(Segment(p, q), Color.BLACK,
+                                        bool(rng.uniform() < 0.2), bool(rng.uniform() < 0.2)))
+    return pieces
+
+
+class TestBoundaryVertices:
+    """The bucketed corner clustering equals the linear scan exactly."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 1e-3])
+    @pytest.mark.parametrize("scale", [3.0, 1e6])
+    def test_matches_linear_scan(self, tol, scale):
+        rng = np.random.default_rng(71)
+        for _ in range(4):
+            pieces = clustered_pieces(rng, tol, scale)
+            got = _boundary_vertices(pieces, tol)
+            assert got == linear_boundary_vertices(pieces, tol)
+            assert any(len(members) > 2 for _, members in got)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_coloring_boundaries(self, tol):
+        for coloring, window in ((ZIGZAG, Region(-3, -3, 3, 3)),
+                                 (l_shape_coloring(), Region(-4, -4, 4, 4)),
+                                 (ZebraColoring(ZebraProfile(((0, 0), (0.1, 0.4), (0.2, 0.0),
+                                                              (0.6, 0.41), (1.0, 0.0))),
+                                                UnitVector.from_angle(0.9)),
+                                  Region(-2, -2, 3, 3))):
+            pieces = coloring.boundary_segments(window)
+            assert _boundary_vertices(pieces, tol) == linear_boundary_vertices(pieces, tol)
