@@ -32,8 +32,7 @@ zigzag = ZebraColoring(ZebraProfile(((0.0, 0.0), (0.5, 0.1), (1.0, 0.0))),
 report = check_zebra_conditions(zigzag)
 print("zigzag conditions:", {k: v for k, v in report.to_dict().items()
                              if k in "abcd"})
-print(f"  ({report.pairs_checked} piece pairs, "
-      f"{report.candidates_checked} lens candidates checked)")
+print(f"  ({report.pairs_checked} piece pairs checked)")
 
 grid = ScanGrid(Region(0, 0, 10, 10), position_step=0.1, angle_count=24)
 scan = avoidance_scan(zigzag, TriangleSpec(1, 1, 1), grid)

@@ -14,7 +14,6 @@ from .geom import (
     Segment,
     TriangleSpec,
     UnitVector,
-    acute_angle_with,
     circle_polyline_intersections,
     distance,
     place_triangle,

@@ -317,9 +317,6 @@ class ZebraProfile:
         """Lookup tables of the period, built once per profile."""
         return ProfileTables(self.vertices)
 
-    def value(self, u: float) -> float:
-        return float(self.values(np.array([u]))[0])
-
     def values(self, u: np.ndarray) -> np.ndarray:
         return np.interp(_frac(u), self.tables.us, self.tables.vs)
 
@@ -934,7 +931,6 @@ class ZebraConditionReport:
     d_ok: bool
     witness: Optional[DWitness] = None
     pairs_checked: int = 0
-    candidates_checked: int = 0
     notes: tuple[str, ...] = ()
 
     @property
@@ -948,7 +944,6 @@ class ZebraConditionReport:
             "c": "pass" if self.c_ok else "fail",
             "d": "pass" if self.d_ok else "fail",
             "pairs_checked": self.pairs_checked,
-            "candidates_checked": self.candidates_checked,
             "notes": list(self.notes),
         }
         if self.witness is not None:
@@ -999,12 +994,6 @@ def _segment_event_params(ax, ay, bx, by) -> list[float]:
     return [t for t in events if 0.0 < t < 1.0]
 
 
-def _knot_intervals(profile: ZebraProfile, lo: float, hi: float) -> list[tuple[float, float]]:
-    """Consecutive linear sub-intervals of [lo, hi] split at profile breakpoints."""
-    knots = [lo] + profile.breakpoints_in(lo + 1e-12, hi - 1e-12) + [hi]
-    return [(k0, k1) for k0, k1 in zip(knots, knots[1:]) if k1 - k0 > 1e-12]
-
-
 def _parallelogram_violation(tables: ProfileTables, j: int, k: int, m: int,
                              tol: float) -> Optional[tuple[float, float]]:
     """First (alpha, beta) on piece j of L_0 and piece k of L_1, shifted by m
@@ -1032,45 +1021,6 @@ def _parallelogram_violation(tables: ProfileTables, j: int, k: int, m: int,
     return None
 
 
-def _lens_violation(profile: ZebraProfile, alpha: float,
-                    tol: float) -> Optional[tuple[float, float]]:
-    """(alpha, beta) where L_1 breaks the lens containment around L_0(alpha).
-
-    The portion of L_1 between the lens corners must fill the closed lens of
-    unit disks around A and A' = A + sqrt(3) y_hat; the rest stays out of it.
-    """
-    fa = profile.value(alpha)
-    A = (alpha, fa)
-    A2 = (alpha, fa + SQRT3)
-    # Between-corner portion: beta in [alpha - 1, alpha]. The lens is
-    # convex, so breakpoint membership decides the whole polyline.
-    betas = [alpha - 1.0] + profile.breakpoints_in(alpha - 1.0 + 1e-12,
-                                                   alpha - 1e-12) + [alpha]
-    for beta in betas:
-        bx, by = beta + 0.5, profile.value(beta) + HALF_SQRT3
-        if math.hypot(bx - A[0], by - A[1]) > 1.0 + tol or \
-           math.hypot(bx - A2[0], by - A2[1]) > 1.0 + tol:
-            return (alpha, beta)
-    # Remainder of one-plus period on each side must avoid the open lens.
-    outer = _knot_intervals(profile, alpha - 2.5, alpha - 1.0) + \
-        _knot_intervals(profile, alpha, alpha + 1.5)
-    for b_lo, b_hi in outer:
-        p0 = (b_lo + 0.5, profile.value(b_lo) + HALF_SQRT3)
-        p1 = (b_hi + 0.5, profile.value(b_hi) + HALF_SQRT3)
-        iv = _interval_in_disk(p0, p1, A)
-        iv2 = _interval_in_disk(p0, p1, A2)
-        if iv and iv2:
-            lo, hi = max(iv[0], iv2[0]), min(iv[1], iv2[1])
-            if hi > lo:
-                tm = 0.5 * (lo + hi)
-                mx = p0[0] + tm * (p1[0] - p0[0])
-                my = p0[1] + tm * (p1[1] - p0[1])
-                if math.hypot(mx - A[0], my - A[1]) < 1.0 - tol and \
-                   math.hypot(mx - A2[0], my - A2[1]) < 1.0 - tol:
-                    return (alpha, b_lo + tm * (b_hi - b_lo))
-    return None
-
-
 def check_zebra_conditions(zc: ZebraColoring,
                            tol: float = DEFAULT_TOL) -> ZebraConditionReport:
     """Verify the four structural conditions of a zebra coloring.
@@ -1089,34 +1039,22 @@ def check_zebra_conditions(zc: ZebraColoring,
     component is unbounded or reaches dy <= 0 (the inner sectors contain
     (+-0.5, 0)). So testing vertices and edge sub-intervals split at the
     crossings is a complete check. A failure is reported as a concrete pair
-    (A, B) with its distance and angle. The per-point lens containment
-    stated in the equivalent form of (d) is additionally checked at
-    breakpoint and midpoint candidates of one period.
+    (A, B) with its distance and angle.
     """
     profile = zc.profile
     notes = ("a: profile is one exact period, invariant under u -> u + 1",
              "b: curves generated as L_i = L_0 + i * z by construction",
              "c: band colors assigned by parity of the band index")
-    us = profile.tables.us
-    n_pieces = len(us) - 1
+    n_pieces = len(profile.tables.us) - 1
 
     # Period shifts m in [-3, 2] cover every violating difference vector
     # (necessarily |dx| <= 1 since |dy| <= sqrt(3)).
-    pairs_checked = candidates_checked = 0
+    pairs_checked = 0
     for j, k, m in product(range(n_pieces), range(n_pieces), range(-3, 3)):
         pairs_checked += 1
         pair = _parallelogram_violation(profile.tables, j, k, m, tol)
         if pair is not None:
             break
-    else:
-        # Candidate-based lens containment (the equivalent pointwise form).
-        candidates = [float(u) for u in us[:-1]]
-        candidates += [0.5 * float(us[i] + us[i + 1]) for i in range(n_pieces)]
-        for alpha in candidates:
-            candidates_checked += 1
-            pair = _lens_violation(profile, alpha, tol)
-            if pair is not None:
-                break
 
     witness = None
     if pair is not None:
@@ -1127,26 +1065,7 @@ def check_zebra_conditions(zc: ZebraColoring,
         witness = DWitness(A, B, distance(A, B), theta)
     return ZebraConditionReport(
         a_ok=True, b_ok=True, c_ok=True, d_ok=witness is None,
-        witness=witness, pairs_checked=pairs_checked,
-        candidates_checked=candidates_checked, notes=notes)
-
-
-def _interval_in_disk(p0, p1, center) -> Optional[tuple[float, float]]:
-    """Parameter interval of segment p0-p1 inside the unit disk around center."""
-    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-    fx, fy = p0[0] - center[0], p0[1] - center[1]
-    qa = dx * dx + dy * dy
-    qb = 2.0 * (fx * dx + fy * dy)
-    qc = fx * fx + fy * fy - 1.0
-    disc = qb * qb - 4.0 * qa * qc
-    if disc <= 0.0:
-        return None
-    root = math.sqrt(disc)
-    lo = max((-qb - root) / (2.0 * qa), 0.0)
-    hi = min((-qb + root) / (2.0 * qa), 1.0)
-    if hi <= lo:
-        return None
-    return (lo, hi)
+        witness=witness, pairs_checked=pairs_checked, notes=notes)
 
 
 # ---------------------------------------------------------------------------

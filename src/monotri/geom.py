@@ -3,9 +3,8 @@
 Points, rigid motions (rotation + translation, no reflection), segments,
 circles and axis-aligned windows, together with the handful of predicates
 the coloring and scanning code is built on: third-vertex construction by
-circle intersection, canonical triangle placement, circle/polyline
-intersection with explicit tangency flags, and the acute angle between a
-segment and a direction line.
+circle intersection, canonical triangle placement, and circle/polyline
+intersection with explicit tangency flags.
 
 All comparisons go through a single tolerance ``tol`` defaulting to
 ``DEFAULT_TOL`` (1e-9). Every type is an immutable value and every
@@ -293,20 +292,6 @@ def circle_polyline_intersections(circle: Circle, chain: list[Segment],
             if all(distance(known.point, hit.point) > 10.0 * tol for known in hits):
                 hits.append(hit)
     return hits
-
-
-def acute_angle_with(direction: UnitVector, A: Point, B: Point,
-                     tol: float = DEFAULT_TOL) -> float:
-    """Acute angle in [0, pi/2] between segment AB and the direction line.
-
-    Symmetric in A and B; antiparallel still measures 0.
-    """
-    vx, vy = B - A
-    n = math.hypot(vx, vy)
-    if n <= tol:
-        raise DegenerateSegment("acute_angle_with needs two distinct points")
-    cosang = abs(vx * direction.dx + vy * direction.dy) / n
-    return math.acos(min(cosang, 1.0))
 
 
 def point_segment_distance(p: Point, seg: Segment,

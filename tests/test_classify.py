@@ -123,7 +123,7 @@ def per_point_polyline(zc: ZebraColoring, i: int, u_lo: float, u_hi: float) -> l
     xh = zc.x_hat
     pts = []
     for u in params:
-        s, t = u + 0.5 * i, zc.profile.value(u) + i * HALF_SQRT3
+        s, t = u + 0.5 * i, float(zc.profile.values(np.array([u]))[0]) + i * HALF_SQRT3
         pts.append(Point(s * xh.dx - t * xh.dy, s * xh.dy + t * xh.dx))
     merged = [pts[0]]
     for j in range(1, len(pts) - 1):

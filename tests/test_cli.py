@@ -555,19 +555,19 @@ class TestScanBytes:
                      "0.13", "--angles", "7", "--min-margin", "0.01"],
          "7dfa0688c97bb1958ba7ac249c6c81d0d6849598f2273d040fb3912792137d97"),
         ("flat", ["check-zebra"],
-         "4a648941205d100057cd2881b5308e70207ab5dc19f153280194978339e6260b"),
+         "792acd43f7d99721f3ac152f181dad4dc97f8237ed8a114c928de50e507b39b6"),
         ("zigzag", ["check-zebra"],
-         "ee0e2ac45730066bf56d9bcdbaad419b79482a3f75aef5a62b9b7e8ae5d5bb7b"),
+         "daf73128e3354547625a138d417625241b58056de0354c59e1b505ad6a561c84"),
         # witness at a parallelogram vertex
         ("sawtooth", ["check-zebra"],
-         "f6e6c290680fd218d3323f46700151c458932f248fca8585177aaf5a63b9fea4"),
+         "03ddb4833063ebb726b2d366e3483f270142115afbf687c0ebde593498b1d73e"),
         ("sawtooth-rotated", ["check-zebra"],
-         "5cc1c11c64b46bc7e1bfce4d9babc6e292bc96e66f513151a88401f20362828c"),
+         "6119885e3d3f4b244b64a2855c34ff4ab6ee76081cae57b1735a02b2669a1dd4"),
         # witness inside an edge sub-interval, after 14 pairs
         ("edge-witness", ["check-zebra"],
-         "5bc8fedb2493bb5891213508796858750c7ceca3833fcc2a9dc0848fa8c95234"),
+         "00d4b012d574febc651783ee6be62f9fc9e6bd52f374317ebdc61ce88e74fcad"),
         ("zigzag-rotated", ["check-zebra"],
-         "ee0e2ac45730066bf56d9bcdbaad419b79482a3f75aef5a62b9b7e8ae5d5bb7b"),
+         "daf73128e3354547625a138d417625241b58056de0354c59e1b505ad6a561c84"),
         ("zigzag", ["hexagon", "--point", "0.2,0.04"],
          "fed3f5f666443b9dac0b69f6b88175b9e56e9820169c39a50730e8c1cba4df79"),
         ("strip", ["hexagon", "--point", "0,0"],

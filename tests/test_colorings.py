@@ -1,6 +1,6 @@
-import math
-
 import copy
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from monotri.colorings import (
 from monotri.geom import Segment
 
 SQRT3 = math.sqrt(3.0)
+HALF_SQRT3 = SQRT3 / 2.0
 
 ZIGZAG = ZebraProfile(((0.0, 0.0), (0.5, 0.1), (1.0, 0.0)))
 SAWTOOTH = ZebraProfile(((0.0, 0.0), (0.5, 0.8), (1.0, 0.0)))
@@ -306,6 +307,131 @@ class TestZebraConditions:
                 w = rep.witness
                 assert (w.dist > 1 + 1e-9 and w.theta >= math.pi / 3 + 1e-9) or \
                     (w.dist < 1 - 1e-9 and w.theta <= math.pi / 3 - 1e-9), prof
+
+
+def profile_value(profile: ZebraProfile, u: float) -> float:
+    return float(profile.values(np.array([u]))[0])
+
+
+def knot_intervals(profile: ZebraProfile, lo: float, hi: float) -> list[tuple[float, float]]:
+    """Consecutive linear sub-intervals of [lo, hi] split at profile breakpoints."""
+    knots = [lo] + profile.breakpoints_in(lo + 1e-12, hi - 1e-12) + [hi]
+    return [(k0, k1) for k0, k1 in zip(knots, knots[1:]) if k1 - k0 > 1e-12]
+
+
+def lens_violation(profile: ZebraProfile, alpha: float,
+                   tol: float) -> tuple[float, float] | None:
+    """(alpha, beta) where L_1 breaks the lens containment around L_0(alpha).
+
+    The portion of L_1 between the lens corners must fill the closed lens of
+    unit disks around A and A' = A + sqrt(3) y_hat; the rest stays out of it.
+    """
+    fa = profile_value(profile, alpha)
+    A = (alpha, fa)
+    A2 = (alpha, fa + SQRT3)
+    # Between-corner portion: beta in [alpha - 1, alpha]. The lens is
+    # convex, so breakpoint membership decides the whole polyline.
+    betas = [alpha - 1.0] + profile.breakpoints_in(alpha - 1.0 + 1e-12,
+                                                   alpha - 1e-12) + [alpha]
+    for beta in betas:
+        bx, by = beta + 0.5, profile_value(profile, beta) + HALF_SQRT3
+        if math.hypot(bx - A[0], by - A[1]) > 1.0 + tol or \
+           math.hypot(bx - A2[0], by - A2[1]) > 1.0 + tol:
+            return (alpha, beta)
+    # Remainder of one-plus period on each side must avoid the open lens.
+    outer = knot_intervals(profile, alpha - 2.5, alpha - 1.0) + \
+        knot_intervals(profile, alpha, alpha + 1.5)
+    for b_lo, b_hi in outer:
+        p0 = (b_lo + 0.5, profile_value(profile, b_lo) + HALF_SQRT3)
+        p1 = (b_hi + 0.5, profile_value(profile, b_hi) + HALF_SQRT3)
+        iv = interval_in_disk(p0, p1, A)
+        iv2 = interval_in_disk(p0, p1, A2)
+        if iv and iv2:
+            lo, hi = max(iv[0], iv2[0]), min(iv[1], iv2[1])
+            if hi > lo:
+                tm = 0.5 * (lo + hi)
+                mx = p0[0] + tm * (p1[0] - p0[0])
+                my = p0[1] + tm * (p1[1] - p0[1])
+                if math.hypot(mx - A[0], my - A[1]) < 1.0 - tol and \
+                   math.hypot(mx - A2[0], my - A2[1]) < 1.0 - tol:
+                    return (alpha, b_lo + tm * (b_hi - b_lo))
+    return None
+
+
+def interval_in_disk(p0, p1, center) -> tuple[float, float] | None:
+    """Parameter interval of segment p0-p1 inside the unit disk around center."""
+    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
+    fx, fy = p0[0] - center[0], p0[1] - center[1]
+    qa = dx * dx + dy * dy
+    qb = 2.0 * (fx * dx + fy * dy)
+    qc = fx * fx + fy * fy - 1.0
+    disc = qb * qb - 4.0 * qa * qc
+    if disc <= 0.0:
+        return None
+    root = math.sqrt(disc)
+    lo = max((-qb - root) / (2.0 * qa), 0.0)
+    hi = min((-qb + root) / (2.0 * qa), 1.0)
+    if hi <= lo:
+        return None
+    return (lo, hi)
+
+
+def lens_oracle_cases(n_cases=450, seed=1975):
+    """Zebra colorings with amplitude at most 0.1, each with a tolerance.
+
+    Even cases draw breakpoints and heights uniformly, odd cases put the
+    breakpoints on k/16 and the heights on k/128, where tangencies are exact.
+    Every frame is random and every tolerance is 1e-9 or 1e-3.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < n_cases:
+        n_interior = int(rng.integers(1, 7))
+        if len(cases) % 2:
+            us = np.sort(rng.choice(np.arange(1, 16), n_interior, replace=False)) / 16.0
+            vs = rng.integers(-6, 7, n_interior) / 128.0
+        else:
+            us = np.sort(rng.uniform(0.0, 1.0, n_interior))
+            vs = rng.uniform(-0.05, 0.05, n_interior)
+        prof = ((0.0, 0.0),) + tuple(zip(map(float, us), map(float, vs))) + ((1.0, 0.0),)
+        x_hat = UnitVector.from_angle(float(rng.uniform(0, 2 * math.pi)))
+        tol = (1e-9, 1e-3)[int(rng.integers(0, 2))]
+        try:
+            cases.append((ZebraColoring(ZebraProfile(prof), x_hat=x_hat), tol))
+        except MalformedProfile:
+            continue
+    return cases
+
+
+class TestLensOracle:
+    """The parallelogram test alone decides (d). Whenever it passes, the
+    pointwise lens containment, the equivalent form of (d), must hold at every
+    breakpoint and piece midpoint alpha of L_0."""
+
+    # sha256 of every case's (d_ok, witness, pairs_checked), recorded while
+    # the checker still ran the lens pass after the parallelogram test
+    VERDICTS = "2fd128c86989f2f2b74e2dc5dabc95ba484df1e7e5a072b7708c65fd35f51ff0"
+
+    def test_parallelogram_pass_implies_lens_containment(self):
+        digest = hashlib.sha256()
+        passing, disagreements = 0, []
+        for zc, tol in lens_oracle_cases():
+            rep = check_zebra_conditions(zc, tol)
+            w = rep.witness
+            witness = None if w is None else (w.A.x, w.A.y, w.B.x, w.B.y, w.dist, w.theta)
+            digest.update(repr((rep.d_ok, witness, rep.pairs_checked)).encode())
+            if not rep.d_ok:
+                continue
+            passing += 1
+            us = [float(u) for u in zc.profile.tables.us]
+            alphas = us[:-1] + [0.5 * (a + b) for a, b in zip(us, us[1:])]
+            for alpha in alphas:
+                pair = lens_violation(zc.profile, alpha, tol)
+                if pair is not None:
+                    disagreements.append((zc.profile.vertices, tol, pair))
+        assert disagreements == []
+        assert passing >= 200
+        assert digest.hexdigest() == self.VERDICTS
 
 
 class TestHalfPlane:

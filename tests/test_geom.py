@@ -16,7 +16,6 @@ from monotri.geom import (
     Segment,
     TriangleSpec,
     UnitVector,
-    acute_angle_with,
     circle_polyline_intersections,
     distance,
     place_triangle,
@@ -194,47 +193,6 @@ class TestCirclePolyline:
             assert len(got) == len(want)
             for h in got:
                 assert min(distance(h.point, w) for w in want) < 1e-3
-
-
-class TestAcuteAngle:
-    def test_diagonal(self):
-        x_hat = UnitVector(1, 0)
-        assert acute_angle_with(x_hat, Point(0, 0), Point(1, 1)) == \
-            pytest.approx(math.pi / 4)
-
-    def test_antiparallel_is_zero(self):
-        x_hat = UnitVector(1, 0)
-        assert acute_angle_with(x_hat, Point(0, 0), Point(-3, 0)) == \
-            pytest.approx(0.0, abs=1e-12)
-
-    def test_unit_triangle_edge(self):
-        x_hat = UnitVector(1, 0)
-        assert acute_angle_with(x_hat, Point(0, 0), Point(0.5, SQRT3 / 2)) == \
-            pytest.approx(math.pi / 3)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateSegment):
-            acute_angle_with(UnitVector(1, 0), Point(1, 1), Point(1, 1))
-
-    @given(ax=finite_floats, ay=finite_floats, bx=finite_floats, by=finite_floats,
-           theta=angles)
-    @settings(max_examples=300)
-    def test_symmetric_exactly(self, ax, ay, bx, by, theta):
-        a, b = Point(ax, ay), Point(bx, by)
-        if distance(a, b) <= 1e-9:
-            return
-        d = UnitVector.from_angle(theta)
-        assert acute_angle_with(d, a, b) == acute_angle_with(d, b, a)
-
-    @given(ax=finite_floats, ay=finite_floats, bx=finite_floats, by=finite_floats,
-           theta=angles)
-    @settings(max_examples=300)
-    def test_range(self, ax, ay, bx, by, theta):
-        a, b = Point(ax, ay), Point(bx, by)
-        if distance(a, b) <= 1e-9:
-            return
-        angle = acute_angle_with(UnitVector.from_angle(theta), a, b)
-        assert 0.0 <= angle <= math.pi / 2 + 1e-12
 
 
 class TestPointSegmentDistance:
