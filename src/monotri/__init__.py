@@ -1,74 +1,52 @@
-"""Two-colorings of the plane and monochromatic triangle search."""
+"""Two-colorings of the plane and monochromatic triangle search.
 
-from .geom import (
-    DEFAULT_TOL,
-    Circle,
-    CircleHit,
-    DegenerateSegment,
-    DistanceMismatch,
-    GeometryError,
-    Infeasible,
-    Point,
-    Region,
-    RigidMotion,
-    Segment,
-    TriangleSpec,
-    UnitVector,
-    circle_polyline_intersections,
-    distance,
-    place_triangle,
-    rotate_about,
-    third_vertex,
-)
-from .colorings import (
-    BoundaryPiece,
-    Color,
-    HalfPlaneColoring,
-    MalformedProfile,
-    PolygonalColoring,
-    SchemaError,
-    StripColoring,
-    UnresolvedFace,
-    ZebraColoring,
-    ZebraConditionReport,
-    ZebraProfile,
-    all_black_coloring,
-    check_zebra_conditions,
-    coloring_from_dict,
-    l_shape_coloring,
-)
-from .scan import (
-    AlmostUnitPair,
-    AvoidanceReport,
-    HexagonProbe,
-    NotOnBoundary,
-    ScanGrid,
-    ScanWitness,
-    avoidance_scan,
-    boundary_angle_audit,
-    find_almost_unit,
-    find_monochromatic_copy,
-    hexagon_probe,
-    verify_witness,
-)
-from .forcing import (
-    ConstructionInconsistent,
-    DegenerateSides,
-    EightPointConfig,
-    ForcingVerdict,
-    TripleClassification,
-    build_config,
-    classify_triples,
-    forcing_check_i,
-    forcing_check_ii,
-)
-from .lines import (
-    AllParallel,
-    Line,
-    LinesSolution,
-    solve_unit_triangles,
-    sweep_oracle,
-)
-from .render import RenderSpec, render_svg
+The public names load lazily (PEP 562): ``import monotri`` imports no
+submodule, and the first use of a name, as ``monotri.X`` or
+``from monotri import X``, imports the module that defines it.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from importlib import import_module as _import_module
+
+_EXPORTS = {
+    "geom": (
+        "DEFAULT_TOL", "Circle", "CircleHit", "DegenerateSegment", "DistanceMismatch",
+        "GeometryError", "Infeasible", "Point", "Region", "RigidMotion", "SchemaError",
+        "Segment", "TriangleSpec", "UnitVector", "circle_polyline_intersections",
+        "distance", "place_triangle", "rotate_about", "third_vertex",
+    ),
+    "colorings": (
+        "BoundaryPiece", "Color", "HalfPlaneColoring", "MalformedProfile",
+        "PolygonalColoring", "StripColoring", "UnresolvedFace", "ZebraColoring",
+        "ZebraConditionReport", "ZebraProfile", "all_black_coloring",
+        "check_zebra_conditions", "coloring_from_dict", "l_shape_coloring",
+    ),
+    "scan": (
+        "AlmostUnitPair", "AvoidanceReport", "HexagonProbe", "NotOnBoundary", "ScanGrid",
+        "ScanWitness", "avoidance_scan", "boundary_angle_audit", "find_almost_unit",
+        "find_monochromatic_copy", "hexagon_probe", "verify_witness",
+    ),
+    "forcing": (
+        "ConstructionInconsistent", "DegenerateSides", "EightPointConfig", "ForcingVerdict",
+        "TripleClassification", "build_config", "classify_triples", "forcing_check_i",
+        "forcing_check_ii",
+    ),
+    "lines": ("AllParallel", "Line", "LinesSolution", "solve_unit_triangles", "sweep_oracle"),
+    "render": ("RenderSpec", "render_svg"),
+}
+
+# Each public name, and each submodule's own name, with the submodule that defines it.
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _import_module(f"{__name__}.{module}")
+    return value if name == module else getattr(value, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -6,6 +6,10 @@ output; figures are SVG. Exit status discipline: 0 for any completed
 computation (an exhausted scan or a failed zebra check is an outcome, not
 an error), 1 for usage, parse or schema problems, 2 for internal invariant
 violations. Randomized subcommands require an explicit ``--seed``.
+
+Only ``geom`` loads with this module; each subcommand imports the library
+entry points it runs when it runs, so ``forcing`` and ``lines`` never load
+numpy.
 """
 
 from __future__ import annotations
@@ -14,28 +18,15 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .geom import (DEFAULT_TOL, GeometryError, Point, Region, TriangleSpec,
+from .geom import (DEFAULT_TOL, GeometryError, Point, Region, SchemaError, TriangleSpec,
                    triangle_inequality_ok)
-from .colorings import (
-    Coloring,
-    SchemaError,
-    ZebraColoring,
-    check_zebra_conditions,
-    coloring_from_dict,
-)
-from .scan import (
-    ScanGrid,
-    avoidance_scan,
-    boundary_angle_audit,
-    find_almost_unit,
-    find_monochromatic_copy,
-    hexagon_probe,
-)
-from .forcing import forcing_check_i, forcing_check_ii
-from .lines import AllParallel, Line, solve_unit_triangles
-from .render import RenderSpec, render_svg
+
+if TYPE_CHECKING:
+    from .colorings import Coloring
+    from .lines import Line
+    from .scan import ScanGrid
 
 
 class ParseError(Exception):
@@ -52,6 +43,8 @@ def parse_coloring_file(path: str) -> Coloring:
     A bad field raises ``SchemaError`` naming it; a coloring that breaks an
     invariant of its type raises ``InvariantError``.
     """
+    from .colorings import coloring_from_dict
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -120,6 +113,8 @@ def _parse_region(text: str) -> Region:
 
 def _parse_scan(args: argparse.Namespace) -> tuple[TriangleSpec, ScanGrid]:
     """The triangle and the placement grid of ``scan`` and ``avoid``."""
+    from .scan import ScanGrid
+
     return (TriangleSpec(*_parse_sides("--triangle", args.triangle)),
             ScanGrid(_parse_region(args.region),
                      _check_number("--grid", args.grid, positive=True),
@@ -127,6 +122,8 @@ def _parse_scan(args: argparse.Namespace) -> tuple[TriangleSpec, ScanGrid]:
 
 
 def _parse_line(flag: str, text: str) -> Line:
+    from .lines import Line
+
     try:
         line = Line.parse(text)
     except (ValueError, IndexError) as exc:
@@ -218,6 +215,7 @@ def run(args: argparse.Namespace) -> int:
     cmd = args.command
     coloring = parse_coloring_file(args.coloring) if hasattr(args, "coloring") else None
     if cmd == "scan":
+        from .scan import find_monochromatic_copy
         spec, grid = _parse_scan(args)
         witness = find_monochromatic_copy(coloring, spec, grid,
                                           _check_number("--min-margin", args.min_margin), tol)
@@ -228,10 +226,12 @@ def run(args: argparse.Namespace) -> int:
             _emit(witness.to_dict(spec), args.out)
         return 0
     if cmd == "avoid":
+        from .scan import avoidance_scan
         spec, grid = _parse_scan(args)
         _emit(avoidance_scan(coloring, spec, grid, tol).to_dict(), args.out)
         return 0
     if cmd == "almost":
+        from .scan import find_almost_unit
         epsilon = _check_number("--epsilon", args.epsilon, positive=True)
         if epsilon >= 1.0:
             raise SchemaError(f"flag '--epsilon' must be < 1, got {epsilon!r}")
@@ -241,27 +241,32 @@ def run(args: argparse.Namespace) -> int:
         _emit({"result": "failure"} if pair is None else pair.to_dict(), args.out)
         return 0
     if cmd == "check-zebra":
+        from .colorings import ZebraColoring, check_zebra_conditions
         if not isinstance(coloring, ZebraColoring):
             raise SchemaError("check-zebra requires a zebra coloring")
         _emit(check_zebra_conditions(coloring, tol).to_dict(), args.out)
         return 0
     if cmd == "hexagon":
+        from .scan import hexagon_probe
         point = Point(*_parse_numbers("--point", args.point, 2))
         window = _parse_region(args.region) if args.region else None
         probe = hexagon_probe(coloring, point, window, tol)
         _emit(probe.to_dict(), args.out)
         return 0
     if cmd == "angles":
+        from .scan import boundary_angle_audit
         window = _parse_region(args.region) if args.region else None
         entries = boundary_angle_audit(coloring, window, tol)
         _emit({"vertices": [e.to_dict() for e in entries]}, args.out)
         return 0
     if cmd == "forcing":
+        from .forcing import forcing_check_i, forcing_check_ii
         sides = _parse_sides("--sides", args.sides, tol)
         check = forcing_check_i if args.part == "i" else forcing_check_ii
         _emit({**check(*sides, tol).to_dict(), "part": args.part, "sides": sides}, args.out)
         return 0
     if cmd == "lines":
+        from .lines import AllParallel, solve_unit_triangles
         qs = [_parse_line(f"--q{k}", text)
               for k, text in enumerate((args.q1, args.q2, args.q3), 1)]
         try:
@@ -270,6 +275,7 @@ def run(args: argparse.Namespace) -> int:
             _emit({"kind": "all-parallel"}, args.out)
         return 0
     if cmd == "render":
+        from .render import RenderSpec, render_svg
         witness = None
         if args.witness:
             try:

@@ -58,6 +58,7 @@ from .geom import (
     GeometryError,
     Point,
     Region,
+    SchemaError,
     Segment,
     TriangleSpec,
     UnitVector,
@@ -1073,10 +1074,6 @@ def check_zebra_conditions(zc: ZebraColoring,
 # ---------------------------------------------------------------------------
 
 Coloring = StripColoring | ZebraColoring | HalfPlaneColoring | PolygonalColoring
-
-
-class SchemaError(ValueError):
-    """A document field is missing or has the wrong shape; names the field by its path."""
 
 
 # A reader ``(value, path) -> result`` checks the shape of one field's value

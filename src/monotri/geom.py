@@ -4,7 +4,9 @@ Points, rigid motions (rotation + translation, no reflection), segments,
 circles and axis-aligned windows, together with the handful of predicates
 the coloring and scanning code is built on: third-vertex construction by
 circle intersection, canonical triangle placement, and circle/polyline
-intersection with explicit tangency flags.
+intersection with explicit tangency flags. ``SchemaError``, the error of
+a malformed coloring document or command-line flag, lives here too, so the
+command line can raise it without loading the numpy-backed modules.
 
 All comparisons go through a single tolerance ``tol`` defaulting to
 ``DEFAULT_TOL`` (1e-9). Every type is an immutable value and every
@@ -36,6 +38,10 @@ class DistanceMismatch(GeometryError):
 
 class DegenerateSegment(GeometryError):
     """Two points expected to be distinct coincide within tolerance."""
+
+
+class SchemaError(ValueError):
+    """A document field is missing or has the wrong shape; names the field by its path."""
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .geom import DEFAULT_TOL, SQRT3, TWO_PI, GeometryError, Point
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HALF_SQRT3 = SQRT3 / 2.0
 
@@ -230,6 +231,8 @@ def solve_unit_triangles(q1: Line, q2: Line, q3: Line,
 @functools.lru_cache(maxsize=4)
 def _angle_table(n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sweep's pose angles ``2*pi*k/n_steps`` with their cosines and sines."""
+    import numpy as np
+
     phis = np.arange(n_steps) * (TWO_PI / n_steps)
     table = (phis, np.cos(phis), np.sin(phis))
     for column in table:
@@ -253,6 +256,8 @@ def sweep_oracle(q1: Line, q2: Line, q3: Line, angle_step: float = 1e-4,
     (degenerate concurrent) family and is reported as up to ``plateau_cap``
     sampled placements.
     """
+    import numpy as np
+
     if angle_step > 1e-3:
         raise GeometryError("angle_step must be at most 1e-3")
     lines = (q1, q2, q3)

@@ -96,7 +96,9 @@ class TestParseColoringFile:
 
 
     def test_one_schema_error_class(self):
-        assert SchemaError is monotri.SchemaError
+        from monotri import colorings, geom
+
+        assert geom.SchemaError is colorings.SchemaError is monotri.SchemaError is SchemaError
         assert issubclass(SchemaError, ValueError)
 
 
@@ -526,80 +528,106 @@ class TestScanBytes:
     counts, examples, probe points and audited corners must not move."""
 
     @pytest.mark.parametrize("family, argv, digest", [
-        ("strip", ["avoid", "--triangle", "1,1,1", "--region", "0,0,3,3", "--grid", "0.25",
-                   "--angles", "12"],
-         "e5c5c25151945e67e185f2a0db2148640a8472ea3294a0cf335af1867eddfef3"),
+        pytest.param("strip", ["avoid", "--triangle", "1,1,1", "--region", "0,0,3,3", "--grid",
+                               "0.25", "--angles", "12"],
+                     "e5c5c25151945e67e185f2a0db2148640a8472ea3294a0cf335af1867eddfef3",
+                     id="strip-avoid"),
         # exhausted: the zigzag twin avoids the unit triangle
-        ("zigzag", ["scan", "--triangle", "1,1,1", "--region", "0,0,2,2", "--grid", "0.2",
-                    "--angles", "12"],
-         "d48dd5b6b982a8eb5412f2d0947be5d5cc561f418e60b323697f6cfd78ba1be5"),
+        pytest.param("zigzag", ["scan", "--triangle", "1,1,1", "--region", "0,0,2,2", "--grid",
+                                "0.2", "--angles", "12"],
+                     "d48dd5b6b982a8eb5412f2d0947be5d5cc561f418e60b323697f6cfd78ba1be5",
+                     id="zigzag-scan-exhausted"),
         # no monochromatic placement, 30 near misses
-        ("zigzag", ["avoid", "--triangle", "1,1,1", "--region", "0,0,2,2", "--grid", "0.1",
-                    "--angles", "12"],
-         "29344fd437cd6f4d3615477beb1be441eddbff01a9c262f47160175f5cc86907"),
-        ("halfplane", ["scan", "--triangle", "1,1,1", "--region", "0,0,4,4", "--grid", "0.1",
-                       "--angles", "8", "--min-margin", "0.1"],
-         "1123decf6571f5cfb2c5d88a102d4fa865ea307d9f4d03abb1674bb2d31926e7"),
+        pytest.param("zigzag", ["avoid", "--triangle", "1,1,1", "--region", "0,0,2,2", "--grid",
+                                "0.1", "--angles", "12"],
+                     "29344fd437cd6f4d3615477beb1be441eddbff01a9c262f47160175f5cc86907",
+                     id="zigzag-avoid"),
+        pytest.param("halfplane", ["scan", "--triangle", "1,1,1", "--region", "0,0,4,4", "--grid",
+                                   "0.1", "--angles", "8", "--min-margin", "0.1"],
+                     "1123decf6571f5cfb2c5d88a102d4fa865ea307d9f4d03abb1674bb2d31926e7",
+                     id="halfplane-scan"),
         # a white witness at angle pi/2
-        ("lshape", ["scan", "--triangle", "0.5,0.6,0.7", "--region=-0.3,-0.3,0.15,0.15",
-                    "--grid", "0.05", "--angles", "12", "--min-margin", "0.16"],
-         "59d8ff498f4a074fa9e43eebfa378222ba189e67a189a116175984df96359d48"),
-        ("hexagon", ["avoid", "--triangle", "1,1,1", "--region=-2,-2,2,2", "--grid", "0.25",
-                     "--angles", "6"],
-         "370ab3f57a30cbb9305387d0f51209f2585edd4788a2dd628794a0da2727f7c4"),
+        pytest.param("lshape", ["scan", "--triangle", "0.5,0.6,0.7",
+                                "--region=-0.3,-0.3,0.15,0.15", "--grid", "0.05", "--angles", "12",
+                                "--min-margin", "0.16"],
+                     "59d8ff498f4a074fa9e43eebfa378222ba189e67a189a116175984df96359d48",
+                     id="lshape-scan"),
+        pytest.param("hexagon", ["avoid", "--triangle", "1,1,1", "--region=-2,-2,2,2", "--grid",
+                                 "0.25", "--angles", "6"],
+                     "370ab3f57a30cbb9305387d0f51209f2585edd4788a2dd628794a0da2727f7c4",
+                     id="hexagon-avoid"),
         # witnesses whose margin is a distance to a sloped piece
-        ("zigzag", ["scan", "--triangle", "0.5,0.5,0.5", "--region", "0.03,0.11,2,2", "--grid",
-                    "0.07", "--angles", "7", "--min-margin", "0.01"],
-         "93cf922bbad285ff08db719ce5cec1c61029a0129e9c8d0f92d75afe993916c4"),
-        ("hexagon", ["scan", "--triangle", "0.5,0.5,0.5", "--region=-1.03,-0.91,1,1", "--grid",
-                     "0.13", "--angles", "7", "--min-margin", "0.01"],
-         "7dfa0688c97bb1958ba7ac249c6c81d0d6849598f2273d040fb3912792137d97"),
-        ("flat", ["check-zebra"],
-         "792acd43f7d99721f3ac152f181dad4dc97f8237ed8a114c928de50e507b39b6"),
-        ("zigzag", ["check-zebra"],
-         "daf73128e3354547625a138d417625241b58056de0354c59e1b505ad6a561c84"),
+        pytest.param("zigzag", ["scan", "--triangle", "0.5,0.5,0.5", "--region", "0.03,0.11,2,2",
+                                "--grid", "0.07", "--angles", "7", "--min-margin", "0.01"],
+                     "93cf922bbad285ff08db719ce5cec1c61029a0129e9c8d0f92d75afe993916c4",
+                     id="zigzag-scan-sloped-margin"),
+        pytest.param("hexagon", ["scan", "--triangle", "0.5,0.5,0.5", "--region=-1.03,-0.91,1,1",
+                                 "--grid", "0.13", "--angles", "7", "--min-margin", "0.01"],
+                     "7dfa0688c97bb1958ba7ac249c6c81d0d6849598f2273d040fb3912792137d97",
+                     id="hexagon-scan"),
+        pytest.param("flat", ["check-zebra"],
+                     "792acd43f7d99721f3ac152f181dad4dc97f8237ed8a114c928de50e507b39b6",
+                     id="flat-check-zebra"),
+        pytest.param("zigzag", ["check-zebra"],
+                     "daf73128e3354547625a138d417625241b58056de0354c59e1b505ad6a561c84",
+                     id="zigzag-check-zebra"),
         # witness at a parallelogram vertex
-        ("sawtooth", ["check-zebra"],
-         "03ddb4833063ebb726b2d366e3483f270142115afbf687c0ebde593498b1d73e"),
-        ("sawtooth-rotated", ["check-zebra"],
-         "6119885e3d3f4b244b64a2855c34ff4ab6ee76081cae57b1735a02b2669a1dd4"),
+        pytest.param("sawtooth", ["check-zebra"],
+                     "03ddb4833063ebb726b2d366e3483f270142115afbf687c0ebde593498b1d73e",
+                     id="sawtooth-check-zebra"),
+        pytest.param("sawtooth-rotated", ["check-zebra"],
+                     "6119885e3d3f4b244b64a2855c34ff4ab6ee76081cae57b1735a02b2669a1dd4",
+                     id="sawtooth-rotated-check-zebra"),
         # witness inside an edge sub-interval, after 14 pairs
-        ("edge-witness", ["check-zebra"],
-         "00d4b012d574febc651783ee6be62f9fc9e6bd52f374317ebdc61ce88e74fcad"),
-        ("zigzag-rotated", ["check-zebra"],
-         "daf73128e3354547625a138d417625241b58056de0354c59e1b505ad6a561c84"),
-        ("zigzag", ["hexagon", "--point", "0.2,0.04"],
-         "fed3f5f666443b9dac0b69f6b88175b9e56e9820169c39a50730e8c1cba4df79"),
-        ("strip", ["hexagon", "--point", "0,0"],
-         "1f3172627d46a50126c1c4fbbd480083ae77aa01c475acb7c9a1256e80be1fe9"),
-        ("halfplane", ["hexagon", "--point", "0,0"],
-         "3c410cf2f397c1fbac22fa052d84d5ea0eaa7b9a62ac24d47132cdec9cffea3f"),
+        pytest.param("edge-witness", ["check-zebra"],
+                     "00d4b012d574febc651783ee6be62f9fc9e6bd52f374317ebdc61ce88e74fcad",
+                     id="edge-witness-check-zebra"),
+        pytest.param("zigzag-rotated", ["check-zebra"],
+                     "daf73128e3354547625a138d417625241b58056de0354c59e1b505ad6a561c84",
+                     id="zigzag-rotated-check-zebra"),
+        pytest.param("zigzag", ["hexagon", "--point", "0.2,0.04"],
+                     "fed3f5f666443b9dac0b69f6b88175b9e56e9820169c39a50730e8c1cba4df79",
+                     id="zigzag-hexagon"),
+        pytest.param("strip", ["hexagon", "--point", "0,0"],
+                     "1f3172627d46a50126c1c4fbbd480083ae77aa01c475acb7c9a1256e80be1fe9",
+                     id="strip-hexagon"),
+        pytest.param("halfplane", ["hexagon", "--point", "0,0"],
+                     "3c410cf2f397c1fbac22fa052d84d5ea0eaa7b9a62ac24d47132cdec9cffea3f",
+                     id="halfplane-hexagon"),
         # the corner: not feasible
-        ("lshape", ["hexagon", "--point", "0,0"],
-         "6759e2730fddb84ea18ff726d70282fa48686409a03c3ffb1f87f13eec1f5e4f"),
+        pytest.param("lshape", ["hexagon", "--point", "0,0"],
+                     "6759e2730fddb84ea18ff726d70282fa48686409a03c3ffb1f87f13eec1f5e4f",
+                     id="lshape-hexagon"),
         # six hits pi/3 apart that fail the orientation check: points stay labeled
-        ("three-lines", ["hexagon", "--point", "0.1,0"],
-         "feeb8fa6ef10ab2b8ffec8b3d3378284757acff1484c8977329141b5d60e1056"),
+        pytest.param("three-lines", ["hexagon", "--point", "0.1,0"],
+                     "feeb8fa6ef10ab2b8ffec8b3d3378284757acff1484c8977329141b5d60e1056",
+                     id="three-lines-hexagon"),
         # exhausted over six strip boundaries at negative y
-        ("strip", ["scan", "--triangle", "1,1,1", "--region=-1,-5.3,1,-0.2", "--grid", "0.1",
-                   "--angles", "12"],
-         "297856bee6d1e336d794e7cb858861243df5fb9f6cc418cc295ced426e41d36d"),
+        pytest.param("strip", ["scan", "--triangle", "1,1,1", "--region=-1,-5.3,1,-0.2", "--grid",
+                               "0.1", "--angles", "12"],
+                     "297856bee6d1e336d794e7cb858861243df5fb9f6cc418cc295ced426e41d36d",
+                     id="strip-scan"),
         # grid rows on the boundaries y = -4 .. -1 times sqrt(3)/2 (rounded)
-        ("strip-lower", ["avoid", "--triangle", "0.5,0.5,0.5",
-                         "--region=-1,-3.4641016151377544,1,-0.2",
-                         "--grid", "0.4330127018922193", "--angles", "12"],
-         "ddacacd9ff6487d05bdce04ae35d93df2aac88c2e045d0a39b225c839ec8976f"),
+        pytest.param("strip-lower", ["avoid", "--triangle", "0.5,0.5,0.5",
+                                     "--region=-1,-3.4641016151377544,1,-0.2", "--grid",
+                                     "0.4330127018922193", "--angles", "12"],
+                     "ddacacd9ff6487d05bdce04ae35d93df2aac88c2e045d0a39b225c839ec8976f",
+                     id="strip-lower-avoid"),
         # obtuse corners only: nothing reported
-        ("zigzag-rotated", ["angles"],
-         "8efe0b36a7fa51651089b950199db43906e781e6f36571f45a766bd5d370d04a"),
-        ("lshape", ["angles"],
-         "4d1161018ac24c02d9b71c98ac2def02f6acb8d11d7b76dd68312bcaf10a0e28"),
+        pytest.param("zigzag-rotated", ["angles"],
+                     "8efe0b36a7fa51651089b950199db43906e781e6f36571f45a766bd5d370d04a",
+                     id="zigzag-rotated-angles"),
+        pytest.param("lshape", ["angles"],
+                     "4d1161018ac24c02d9b71c98ac2def02f6acb8d11d7b76dd68312bcaf10a0e28",
+                     id="lshape-angles"),
         # all three corners of the triangle
-        ("sharp", ["angles"],
-         "a5becf9fe08a59c6d605f56db98a6e3e85f72537cf079dd15ad8ddf733d86e59"),
+        pytest.param("sharp", ["angles"],
+                     "a5becf9fe08a59c6d605f56db98a6e3e85f72537cf079dd15ad8ddf733d86e59",
+                     id="sharp-angles"),
         # 33 corners of a rotated zebra coloring
-        ("sharp-zebra", ["angles"],
-         "89574a97c81c59a00603ac83c10c06abbccaabc0ea2d0dce2035edc101d1059f"),
+        pytest.param("sharp-zebra", ["angles"],
+                     "89574a97c81c59a00603ac83c10c06abbccaabc0ea2d0dce2035edc101d1059f",
+                     id="sharp-zebra-angles"),
     ])
     def test_stdout_digest(self, family, argv, digest, scan_files, capsys):
         assert main(argv[:1] + ["--coloring", scan_files[family]] + argv[1:]) == 0
@@ -661,3 +689,110 @@ class TestOtherCommands:
 
     def test_check_zebra_requires_zebra(self, strip_file):
         assert main(["check-zebra", "--coloring", strip_file]) == 1
+
+
+# The parent package's 61 public names by defining module. ``__all__`` also
+# lists the six submodules, which the package used to import eagerly.
+EXPORTS = {
+    "geom": ["DEFAULT_TOL", "Circle", "CircleHit", "DegenerateSegment", "DistanceMismatch",
+             "GeometryError", "Infeasible", "Point", "Region", "RigidMotion", "SchemaError",
+             "Segment", "TriangleSpec", "UnitVector", "circle_polyline_intersections",
+             "distance", "place_triangle", "rotate_about", "third_vertex"],
+    "colorings": ["BoundaryPiece", "Color", "HalfPlaneColoring", "MalformedProfile",
+                  "PolygonalColoring", "StripColoring", "UnresolvedFace", "ZebraColoring",
+                  "ZebraConditionReport", "ZebraProfile", "all_black_coloring",
+                  "check_zebra_conditions", "coloring_from_dict", "l_shape_coloring"],
+    "scan": ["AlmostUnitPair", "AvoidanceReport", "HexagonProbe", "NotOnBoundary", "ScanGrid",
+             "ScanWitness", "avoidance_scan", "boundary_angle_audit", "find_almost_unit",
+             "find_monochromatic_copy", "hexagon_probe", "verify_witness"],
+    "forcing": ["ConstructionInconsistent", "DegenerateSides", "EightPointConfig",
+                "ForcingVerdict", "TripleClassification", "build_config", "classify_triples",
+                "forcing_check_i", "forcing_check_ii"],
+    "lines": ["AllParallel", "Line", "LinesSolution", "solve_unit_triangles", "sweep_oracle"],
+    "render": ["RenderSpec", "render_svg"],
+}
+
+# Runs ``monotri.cli.main`` on its arguments, then reports the modules loaded
+# on the last line of stderr.
+FRESH_MAIN = """
+import json, sys
+from monotri.cli import main
+status = main(sys.argv[1:])
+sys.stdout.flush()
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
+sys.exit(status)
+"""
+
+
+def run_fresh(code: str, *args: str):
+    """Run ``code`` in a fresh interpreter that imports this checkout's monotri."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(monotri.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    return proc
+
+
+class TestImportContract:
+    """Each subcommand loads only the modules it runs; ``import monotri`` is lazy."""
+
+    @staticmethod
+    def fresh_main(argv):
+        proc = run_fresh(FRESH_MAIN, *argv)
+        return proc.stdout, set(json.loads(proc.stderr.decode("utf-8").splitlines()[-1]))
+
+    @pytest.mark.parametrize("argv", [
+        ["forcing", "--sides", "2,2,3", "--part", "i"],
+        ["lines", "--q1=-0.5773502691896258,0", "--q2", "0.5773502691896258,0",
+         "--q3", "vertical:0"],
+    ], ids=["forcing", "lines"])
+    def test_without_numpy(self, argv, capsys):
+        stdout, modules = self.fresh_main(argv)
+        assert "numpy" not in modules
+        assert main(argv) == 0
+        assert stdout == capsys.readouterr().out.encode("utf-8")
+
+    def test_check_zebra_loads_no_scan_or_solver(self, zigzag_file, capsys):
+        argv = ["check-zebra", "--coloring", zigzag_file]
+        stdout, modules = self.fresh_main(argv)
+        assert "monotri.colorings" in modules
+        assert not modules & {"monotri.scan", "monotri.forcing", "monotri.lines",
+                              "monotri.render"}
+        assert main(argv) == 0
+        assert stdout == capsys.readouterr().out.encode("utf-8")
+
+    def test_bare_import_and_star_import(self):
+        proc = run_fresh(
+            "import json, sys\n"
+            "import monotri\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('monotri.'))))\n"
+            "namespace = {}\n"
+            "exec('from monotri import *', namespace)\n"
+            "print(json.dumps(sorted(set(namespace) - {'__builtins__'})))\n")
+        bare, star = proc.stdout.decode("utf-8").splitlines()
+        assert json.loads(bare) == []
+        assert json.loads(star) == monotri.__all__
+
+    def test_all_is_pinned(self):
+        import importlib
+
+        assert monotri.__all__ == sorted([*EXPORTS, *(n for names in EXPORTS.values()
+                                                      for n in names)])
+        assert len(monotri.__all__) == 67
+        assert set(monotri.__all__) <= set(dir(monotri))
+        for module, names in EXPORTS.items():
+            home = importlib.import_module(f"monotri.{module}")
+            assert getattr(monotri, module) is home
+            for name in names:
+                assert getattr(monotri, name) is getattr(home, name), name
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            monotri.no_such_name
+        with pytest.raises(ImportError):
+            from monotri import no_such_name  # noqa: F401
