@@ -300,16 +300,16 @@ class ZebraProfile:
                 raise MalformedProfile(
                     f"consecutive collinear pieces at breakpoint u = {us[i + 1]}")
 
-    @property
+    @cached_property
     def amplitude(self) -> float:
         heights = [v for _, v in self.vertices]
         return max(heights) - min(heights)
 
-    @property
+    @cached_property
     def v_min(self) -> float:
         return min(v for _, v in self.vertices)
 
-    @property
+    @cached_property
     def v_max(self) -> float:
         return max(v for _, v in self.vertices)
 
@@ -422,50 +422,113 @@ class ZebraColoring(_ClassifyViews):
         The band is the largest i with L_i at or below the point, and the
         on-curve index is the first i in ascending order whose curve lies
         within ``tol`` of it, measured vertically as ``tol * sqrt(1 + m^2)``
-        on a piece of slope m. Heights come from ``ZebraProfile.values``;
-        only the points within the largest secant's bound look up their
-        piece's slope. For a point at frame height t, with
-        ``i0 = floor((t - v_min) / (sqrt(3)/2))``, curve i0 - 1 lies below
-        the point and curve i0 + 1 above it, and curves i0 +- 2 are more
-        than sqrt(3)/2 away vertically, since the amplitude stays below
-        sqrt(3)/2. So curves i0 - 1 .. i0 + 1 decide everything, unless the
-        vertical tolerance reaches sqrt(3)/2 and the window widens to
-        i0 +- 2. Rounding at large |t| (from about 10^7 for an amplitude
-        within 1e-9 of the cap) can put all three window curves above the
-        point; curve i0 - 2 is then looked up, as the band only, for those
-        points only.
+        on a piece of slope m; a point on no curve gets index 0. Heights
+        come from ``ZebraProfile.values``, and only the points within
+        ``w = tol * max secant`` of a curve look up their piece's slope.
+
+        Every point is tested against one curve, L_i0 with i0 = floor(q)
+        and ``q = (t - v_min) / (sqrt(3)/2)`` at frame height t: its band is
+        ``i0 - (h > t)`` for the height h of L_i0 at the point, and it is on
+        a curve iff it is on L_i0. That is the answer unless L_i0-1 or
+        L_i0+1 may come within w of the point. The points where they may,
+        the hard ones, take the curve window instead: curves i0 - 1 ..
+        i0 + 1 (i0 - 2 .. i0 + 2 when w >= sqrt(3)/2), then curve i0 - 2,
+        as the band only, where rounding put all three above the point
+        (at |t| from about 10^7, for an amplitude within 1e-9 of the cap).
+        In exact arithmetic that window decides everything: curve i0 - 1
+        lies below the point and curve i0 + 1 above it, and curves i0 +- 2
+        are more than sqrt(3)/2 away vertically, since the amplitude stays
+        below sqrt(3)/2.
+
+        Which points are hard. Let H be the float ``HALF_SQRT3`` in which
+        every height is computed, u = 2^-53, A = v_max - v_min,
+        V = max |v|, and T = max |s| + max |t| over the call, so that
+        T >= |t| at every point; if some s or t is not finite, neither is
+        T, and every point is hard.
+        - L_i's computed height at s is ``fl(fl(i H) + b)``. Here b is one
+          ``np.interp``, ``fp[j] + slope * (x - xp[j])`` with x in
+          [xp[j], xp[j+1]] and four roundings, so it lies in [v_min, v_max]
+          up to 12 u V. The height then lies in [i H + v_min, i H + v_max]
+          up to 3 u |i H| + 14 u V, and |(i0 +- 1) H| <= T + V + 2 while
+          T < 2^48 (from there on eps > H, and every point is hard).
+        - With Q = (t - v_min) / H exactly, the computed q is Q up to
+          2.01 u |Q| and |Q| H <= T + V, so f = q - i0 is Q - i0 up to
+          u + 2.01 u (T + V) / H.
+        - Hence, exactly, with r = 5.1 u T + 19.1 u V + 7 u,
+          ``t - h(i0 - 1) >= f H + (H - A) - r`` and
+          ``h(i0 + 1) - t >= (1 - f) H - r``.
+        - A computed gap exceeds w once its exact value exceeds w (1 + 2 u).
+          So if both right-hand sides exceed w (1 + 2 u), neither L_i0-1
+          nor L_i0+1 is within w of the point, h(i0 - 1) <= t < h(i0 + 1),
+          and the window gives the answer of L_i0 alone.
+        A point is easy iff
+
+            f H + (H - amplitude) > w + eps   and   (1 - f) H > w + eps,
+
+        each tested as a float threshold on f, with
+        eps = 2^-48 (T + V + w + 1) = 32 u (T + V + w + 1). That covers r,
+        2 u w, the rounding of the amplitude (2 u V) and that of eps and
+        the thresholds (6 u (w + eps + 1)). A NaN f fails the test, and
+        when w >= H every point does.
         """
         profile = self.profile
-        us, secants = profile.tables.us, profile.tables.secants
         s, t = self.to_frame(xs, ys)
         # Curve indices are floats until the return: integers below 2^53
         # are exact floats, the form in which 0.5 * i and i * HALF_SQRT3 use them.
-        i0 = np.floor((t - profile.v_min) / HALF_SQRT3)
+        q = (t - profile.v_min) / HALF_SQRT3
+        i0 = np.floor(q)
+        widest = tol * profile.tables.secants.max()
+        h, on_curve = self._near_curve(s, t, i0, tol, widest)
+        band = i0 - (h > t)
+        curve_idx = np.where(on_curve, i0, 0.0)
+        margin = widest + 2.0 ** -48 * (  # w + eps
+            np.abs(s).max(initial=0.0) + np.abs(t).max(initial=0.0)
+            + max(-profile.v_min, profile.v_max) + widest + 1.0)
+        f = q - i0
+        easy = ((f > (margin - (HALF_SQRT3 - profile.amplitude)) / HALF_SQRT3)
+                & (f < 1.0 - margin / HALF_SQRT3))
+        hard = np.flatnonzero(~easy)
+        if hard.size:
+            band[hard], on_curve[hard], curve_idx[hard] = self._curve_window(
+                s[hard], t[hard], i0[hard], tol, widest)
+        return band.astype(np.int64), on_curve, curve_idx.astype(np.int64)
+
+    def _near_curve(self, s: np.ndarray, t: np.ndarray, i: np.ndarray, tol: float,
+                    widest: float) -> tuple[np.ndarray, np.ndarray]:
+        """Height of L_i at each abscissa s, and whether (s, t) is on L_i."""
+        profile = self.profile
+        u = s - 0.5 * i
+        h = i * HALF_SQRT3 + profile.values(u)
+        gap = np.abs(t - h)
+        # tol * secants[k] <= widest, so only these points can be on L_i
+        onb = gap <= widest
+        near = onb.nonzero()[0]
+        if near.size:
+            k = np.searchsorted(profile.tables.us, _frac(u[near]), side="right")
+            onb[near] = gap[near] <= tol * profile.tables.secants[k]
+        return h, onb
+
+    def _curve_window(self, s: np.ndarray, t: np.ndarray, i0: np.ndarray, tol: float,
+                      widest: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_locate``'s three arrays, curve indices as floats, from the window
+        of curves i0 - 1 .. i0 + 1 (i0 +- 2 when ``widest >= sqrt(3)/2``);
+        the band of a point below every window curve is looked up on L_i0-2."""
         band = np.full(s.shape, _NO_CURVE_BELOW)
         on_curve = np.zeros(s.shape, dtype=bool)
         curve_idx = np.zeros(s.shape)
-        widest = tol * secants.max()
         reach = 2 if widest >= HALF_SQRT3 else 1
         for di in range(-reach, reach + 1):
             i = i0 + di
-            u = s - 0.5 * i
-            h = i * HALF_SQRT3 + profile.values(u)
-            gap = np.abs(t - h)
-            # tol * secants[k] <= widest, so only these points can be on L_i
-            onb = gap <= widest
-            near = onb.nonzero()[0]
-            if near.size:
-                k = np.searchsorted(us, _frac(u[near]), side="right")
-                onb[near] = gap[near] <= tol * secants[k]
-                np.copyto(curve_idx, i, where=onb & ~on_curve)
-                on_curve |= onb
+            h, onb = self._near_curve(s, t, i, tol, widest)
+            np.copyto(curve_idx, i, where=onb & ~on_curve)
+            on_curve |= onb
             np.copyto(band, i, where=h <= t)  # i ascends, so this keeps the max
         below = np.flatnonzero(band == _NO_CURVE_BELOW)
         if reach == 1 and below.size:
             i = i0[below] - 2
-            h = i * HALF_SQRT3 + profile.values(s[below] - 0.5 * i)
+            h = i * HALF_SQRT3 + self.profile.values(s[below] - 0.5 * i)
             band[below] = np.where(h <= t[below], i, band[below])
-        return band.astype(np.int64), on_curve, curve_idx.astype(np.int64)
+        return band, on_curve, curve_idx
 
     def classify(self, xs: np.ndarray, ys: np.ndarray,
                  tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

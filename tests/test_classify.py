@@ -434,6 +434,52 @@ class TestZebraKernel:
             i0 = np.floor((ts - zc.profile.v_min) / HALF_SQRT3).astype(np.int64)
             assert (want[0] == i0 - 2).any()
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.5])
+    @pytest.mark.parametrize("name", ["zigzag", "near-cap"])
+    @pytest.mark.parametrize("magnitude", [1.0, 1e4, 1e8])
+    def test_points_at_the_hard_point_thresholds(self, magnitude, name, tol, monkeypatch):
+        # Points just below the lowest points of L_k+1, and just above the
+        # highest points of L_k-1, around the vertical tolerance w: there
+        # the kernel's rounding bound decides whether a point takes the
+        # curve window. Each set holds points on both sides of that bound,
+        # unless w reaches sqrt(3)/2 and every point takes the window.
+        profile = ZebraProfile({"zigzag": ((0.0, 0.0), (0.5, 0.1), (1.0, 0.0)),
+                                "near-cap": ((0.0, 0.0), (0.5, HALF_SQRT3 - 2e-9),
+                                             (1.0, 0.0))}[name])
+        zc = ZebraColoring(profile)  # x_hat = (1, 0): frame and world coordinates agree
+        windowed = []
+        window = ZebraColoring._curve_window
+
+        def counted_window(self, s, *args):
+            windowed.append(s.size)
+            return window(self, s, *args)
+
+        monkeypatch.setattr(ZebraColoring, "_curve_window", counted_window)
+        w = tol * profile.tables.secants.max()
+        k0 = round(magnitude / HALF_SQRT3)
+        k = np.concatenate((np.arange(k0 - 20, k0 + 20), np.arange(-k0 - 20, -k0 + 20)))
+        steps = np.arange(-64.0, 65.0)
+        for below_next in (True, False):
+            if below_next:  # under L_k+1 at its lowest point
+                i, u, base = k + 1, 0.0, (k + 1) * HALF_SQRT3 + profile.v_min - w
+            else:  # over L_k-1 at its highest point
+                i, u, base = k - 1, 0.5, (k - 1) * HALF_SQRT3 + profile.v_max + w
+            near = base[:, None] + steps * 2.0 ** -48 * (np.abs(base)[:, None] + 1.0)
+            ulps = base[:, None] + steps[::8] * np.spacing(base)[:, None]
+            ts = np.concatenate((near, ulps), axis=1).ravel()
+            xs = np.repeat(u + 0.5 * i, ts.size // i.size)
+            windowed.clear()
+            got = zc._locate(xs, ts, tol)
+            want = five_curve_locate(zc, xs, ts, tol)
+            for g, want_part in zip(got, want):
+                assert g.dtype == want_part.dtype and np.array_equal(g, want_part)
+            hard = sum(windowed)
+            if w >= HALF_SQRT3:
+                assert hard == ts.size
+            elif below_next or name == "near-cap":
+                # the zigzag reaches its lower threshold only at w >= sqrt(3)/2 - 0.1
+                assert 0 < hard < ts.size
+
     def test_profile_tables_are_built_once_and_read_only(self):
         profile = ZebraProfile(((0.0, 0.0), (0.5, 0.1), (1.0, 0.0)))
         assert profile.tables is profile.tables
@@ -979,6 +1025,11 @@ class TestDistance:
             p = Point(float(x), float(y))
             assert coloring.boundary_distance(p) == scalar_distance(coloring, p)
         assert coloring.distance(np.empty(0), np.empty(0)).shape == (0,)
+        # find scans pass vertex 3 an empty array where no pair agrees
+        for masks in (coloring.classify(np.empty(0), np.empty(0)),
+                      coloring.resolve(np.empty(0), np.empty(0))):
+            for mask in masks:
+                assert mask.dtype == bool and mask.shape == (0,)
 
 
 def walk_fill(canvas, coloring, cells=160):

@@ -527,41 +527,47 @@ class TestScanBytes:
     ``hexagon`` and ``angles`` over all four coloring families: witnesses,
     counts, examples, probe points and audited corners must not move.
 
-    The ``check-zebra``, ``hexagon`` and ``angles`` cases have explicit ids
-    (family and subcommand), so re-recording one of those pins keeps its id.
-    The ``scan`` and ``avoid`` cases still take pytest's default id
-    (``family-argvN-<digest>``); they move to explicit ids in a later change."""
+    Every case has an explicit id (family and subcommand), so re-recording
+    a pin keeps its id."""
 
     @pytest.mark.parametrize("family, argv, digest", [
         pytest.param("strip", ["avoid", "--triangle", "1,1,1", "--region", "0,0,3,3", "--grid",
                                "0.25", "--angles", "12"],
-                     "e5c5c25151945e67e185f2a0db2148640a8472ea3294a0cf335af1867eddfef3"),
+                     "e5c5c25151945e67e185f2a0db2148640a8472ea3294a0cf335af1867eddfef3",
+                     id="strip-avoid"),
         # exhausted: the zigzag twin avoids the unit triangle
         pytest.param("zigzag", ["scan", "--triangle", "1,1,1", "--region", "0,0,2,2", "--grid",
                                 "0.2", "--angles", "12"],
-                     "d48dd5b6b982a8eb5412f2d0947be5d5cc561f418e60b323697f6cfd78ba1be5"),
+                     "d48dd5b6b982a8eb5412f2d0947be5d5cc561f418e60b323697f6cfd78ba1be5",
+                     id="zigzag-scan-exhausted"),
         # no monochromatic placement, 30 near misses
         pytest.param("zigzag", ["avoid", "--triangle", "1,1,1", "--region", "0,0,2,2", "--grid",
                                 "0.1", "--angles", "12"],
-                     "29344fd437cd6f4d3615477beb1be441eddbff01a9c262f47160175f5cc86907"),
+                     "29344fd437cd6f4d3615477beb1be441eddbff01a9c262f47160175f5cc86907",
+                     id="zigzag-avoid"),
         pytest.param("halfplane", ["scan", "--triangle", "1,1,1", "--region", "0,0,4,4", "--grid",
                                    "0.1", "--angles", "8", "--min-margin", "0.1"],
-                     "1123decf6571f5cfb2c5d88a102d4fa865ea307d9f4d03abb1674bb2d31926e7"),
+                     "1123decf6571f5cfb2c5d88a102d4fa865ea307d9f4d03abb1674bb2d31926e7",
+                     id="halfplane-scan"),
         # a white witness at angle pi/2
         pytest.param("lshape", ["scan", "--triangle", "0.5,0.6,0.7",
                                 "--region=-0.3,-0.3,0.15,0.15", "--grid", "0.05", "--angles", "12",
                                 "--min-margin", "0.16"],
-                     "59d8ff498f4a074fa9e43eebfa378222ba189e67a189a116175984df96359d48"),
+                     "59d8ff498f4a074fa9e43eebfa378222ba189e67a189a116175984df96359d48",
+                     id="lshape-scan"),
         pytest.param("hexagon", ["avoid", "--triangle", "1,1,1", "--region=-2,-2,2,2", "--grid",
                                  "0.25", "--angles", "6"],
-                     "370ab3f57a30cbb9305387d0f51209f2585edd4788a2dd628794a0da2727f7c4"),
+                     "370ab3f57a30cbb9305387d0f51209f2585edd4788a2dd628794a0da2727f7c4",
+                     id="hexagon-avoid"),
         # witnesses whose margin is a distance to a sloped piece
         pytest.param("zigzag", ["scan", "--triangle", "0.5,0.5,0.5", "--region", "0.03,0.11,2,2",
                                 "--grid", "0.07", "--angles", "7", "--min-margin", "0.01"],
-                     "93cf922bbad285ff08db719ce5cec1c61029a0129e9c8d0f92d75afe993916c4"),
+                     "93cf922bbad285ff08db719ce5cec1c61029a0129e9c8d0f92d75afe993916c4",
+                     id="zigzag-scan-sloped-margin"),
         pytest.param("hexagon", ["scan", "--triangle", "0.5,0.5,0.5", "--region=-1.03,-0.91,1,1",
                                  "--grid", "0.13", "--angles", "7", "--min-margin", "0.01"],
-                     "7dfa0688c97bb1958ba7ac249c6c81d0d6849598f2273d040fb3912792137d97"),
+                     "7dfa0688c97bb1958ba7ac249c6c81d0d6849598f2273d040fb3912792137d97",
+                     id="hexagon-scan"),
         pytest.param("flat", ["check-zebra"],
                      "792acd43f7d99721f3ac152f181dad4dc97f8237ed8a114c928de50e507b39b6",
                      id="flat-check-zebra"),
@@ -602,12 +608,14 @@ class TestScanBytes:
         # exhausted over six strip boundaries at negative y
         pytest.param("strip", ["scan", "--triangle", "1,1,1", "--region=-1,-5.3,1,-0.2", "--grid",
                                "0.1", "--angles", "12"],
-                     "297856bee6d1e336d794e7cb858861243df5fb9f6cc418cc295ced426e41d36d"),
+                     "297856bee6d1e336d794e7cb858861243df5fb9f6cc418cc295ced426e41d36d",
+                     id="strip-scan"),
         # grid rows on the boundaries y = -4 .. -1 times sqrt(3)/2 (rounded)
         pytest.param("strip-lower", ["avoid", "--triangle", "0.5,0.5,0.5",
                                      "--region=-1,-3.4641016151377544,1,-0.2", "--grid",
                                      "0.4330127018922193", "--angles", "12"],
-                     "ddacacd9ff6487d05bdce04ae35d93df2aac88c2e045d0a39b225c839ec8976f"),
+                     "ddacacd9ff6487d05bdce04ae35d93df2aac88c2e045d0a39b225c839ec8976f",
+                     id="strip-lower-avoid"),
         # obtuse corners only: nothing reported
         pytest.param("zigzag-rotated", ["angles"],
                      "8efe0b36a7fa51651089b950199db43906e781e6f36571f45a766bd5d370d04a",

@@ -39,10 +39,11 @@ def sample_d_condition(zc, n_pairs=10000, seed=7, tol=1e-9):
     rng = np.random.default_rng(seed)
     alphas = rng.uniform(0.0, 1.0, n_pairs)
     betas = alphas + rng.uniform(-2.0, 2.0, n_pairs)
+    # curve_points is curve_point over an array, bit for bit
+    ax, ay = (c.tolist() for c in zc.curve_points(0, alphas))
+    bx, by = (c.tolist() for c in zc.curve_points(1, betas))
     violations = []
-    for a, b in zip(alphas, betas):
-        A = zc.curve_point(0, float(a))
-        B = zc.curve_point(1, float(b))
+    for A, B in zip(map(Point, ax, ay), map(Point, bx, by)):
         dx, dy = B.x - A.x, B.y - A.y
         r = math.hypot(dx, dy)
         along = dx * zc.x_hat.dx + dy * zc.x_hat.dy
