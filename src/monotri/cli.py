@@ -115,10 +115,18 @@ def _parse_scan(args: argparse.Namespace) -> tuple[TriangleSpec, ScanGrid]:
     """The triangle and the placement grid of ``scan`` and ``avoid``."""
     from .scan import ScanGrid
 
-    return (TriangleSpec(*_parse_sides("--triangle", args.triangle)),
-            ScanGrid(_parse_region(args.region),
-                     _check_number("--grid", args.grid, positive=True),
-                     _check_number("--angles", args.angles, positive=True)))
+    spec = TriangleSpec(*_parse_sides("--triangle", args.triangle))
+    region = _parse_region(args.region)
+    step = _check_number("--grid", args.grid, positive=True)
+    # an axis count that overflows the float range cannot be floored to an int
+    spans = (region.x1 - region.x0, region.y1 - region.y0)
+    if not all(math.isfinite(d) for d in spans):
+        raise SchemaError(f"flag '--region' must have a finite width and height, "
+                          f"got {args.region!r}")
+    if not all(math.isfinite(d / step) for d in spans):
+        raise SchemaError(f"flag '--grid' must leave a finite number of translations "
+                          f"across the region, got {args.grid!r}")
+    return spec, ScanGrid(region, step, _check_number("--angles", args.angles, positive=True))
 
 
 def _parse_line(flag: str, text: str) -> Line:

@@ -8,15 +8,19 @@ boundary vertices.
 
 A placement is a pose index (angle index, x index, y index) applied to the
 canonical triangle of :func:`monotri.geom.place_triangle`. Find and
-avoidance scans share one engine, which walks (angle, translation block) in
-lexicographic pose order, a block being at most ``_SCAN_BLOCK`` consecutive
-translations. Results are deterministic, the first witness found is the
-least one, and a find scan stops in the block of its witness. A find scan
-classifies vertex 3 only where vertices 1 and 2 agree; an avoidance scan
-classifies all three, which its near-miss rule needs. Placements with a
-vertex that no seed of a polygonal coloring reaches are skipped by find and
-counted as ``unresolved`` by avoidance. A scan that exhausts its grid is a
-sampling verdict, never a proof of avoidance.
+avoidance scans share one engine, which walks blocks of poses in
+lexicographic pose order. A block is a run of whole angles over all of a
+grid's n translations, at most ``_SCAN_BLOCK // n`` angles (a find scan's
+first run is one angle and each later one doubles, up to that cap); only
+when one angle has more than ``_SCAN_BLOCK`` translations is a block a
+slice of one angle's translations, at most ``_SCAN_BLOCK`` of them. Results
+are deterministic, the first witness found is the least one, and a find
+scan stops in the block of its witness. A find scan classifies vertex 3
+only where vertices 1 and 2 agree; an avoidance scan classifies all three,
+which its near-miss rule needs. Placements with a vertex that no seed of a
+polygonal coloring reaches are skipped by find and counted as
+``unresolved`` by avoidance. A scan that exhausts its grid is a sampling
+verdict, never a proof of avoidance.
 """
 
 from __future__ import annotations
@@ -65,6 +69,10 @@ class ScanGrid:
             raise GeometryError("position_step must be positive")
         if self.angle_count < 1:
             raise GeometryError("angle_count must be at least 1")
+        r = self.region
+        if not all(math.isfinite((hi - lo) / self.position_step)
+                   for lo, hi in ((r.x0, r.x1), (r.y0, r.y1))):
+            raise GeometryError("region width and height over position_step must be finite")
 
     def angles(self) -> np.ndarray:
         return np.arange(self.angle_count) * (TWO_PI / self.angle_count)
@@ -150,35 +158,55 @@ def _common_color(coloring: Coloring, points: Sequence[Point], tol: float) -> Op
     return None if black.any() else Color.WHITE
 
 
-_SCAN_BLOCK = 4096  # consecutive flat lattice indices per pass of the scan engine
+_SCAN_BLOCK = 4096  # most poses per block of the scan engine
 
 
-def _classified_poses(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid, tol: float):
-    """The scan engine: per (angle, translation block), in pose order,
-    ``(k, angle, xs, ys, vertex)``.
+def _classified_poses(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid, tol: float,
+                      ramp: bool = False):
+    """The scan engine: per block of poses, in pose order, ``(pose, vertex)``.
 
-    A block is a run of at most ``_SCAN_BLOCK`` consecutive flat lattice
-    indices (x major, y minor); ``xs`` and ``ys`` are its translations, as
-    views of the lattice. ``vertex(v, at)`` is ``coloring.resolve`` of vertex
-    ``v`` (0, 1 or 2) over the block, or over its indices ``at`` only. Offsets
-    are rotated in Python floats, so that every vertex is the one
-    :func:`place_triangle` gives for its pose.
+    The grid's n translations are flat lattice indices, x major and y minor.
+    When n <= ``_SCAN_BLOCK``, a block is a run of whole angles k0, k0 + 1,
+    ... over all n translations: ``_SCAN_BLOCK // n`` angles, or, with
+    ``ramp``, one angle in the first block and twice as many in each later
+    one up to that cap. Otherwise a block is one angle and a slice of at
+    most ``_SCAN_BLOCK`` consecutive translations. Pose i of a block of m
+    translations is angle k0 + i // m at translation i % m; ``pose(i)`` is
+    ``(k, angle, x, y)``. ``vertex(v, at)`` is ``coloring.resolve`` of
+    vertex ``v`` (0, 1 or 2) over the block, its points one broadcast add of
+    translations and offsets, or over the block's poses ``at`` only. Offsets
+    are rotated in Python floats, one angle at a time, so that every vertex
+    is the one :func:`place_triangle` gives for its pose.
     """
     X, Y = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
     base = place_triangle(spec, RigidMotion(0.0))
+    angles = grid.angles().tolist()
     block = _SCAN_BLOCK
-
-    for k, angle in enumerate(grid.angles()):
-        c, s = math.cos(angle), math.sin(angle)
-        offsets = tuple((c * p.x - s * p.y, s * p.x + c * p.y) for p in base)
+    cap = max(block // X.size, 1)
+    run = 1 if ramp else cap
+    k0 = 0
+    while k0 < len(angles):
+        rot = [(math.cos(a), math.sin(a)) for a in angles[k0:k0 + run]]
+        # the x offsets of vertices 0, 1 and 2, then their y offsets: a column
+        # per angle, or, for one angle, floats, which numpy adds fastest
+        offsets = ([c * p.x - s * p.y for p in base for c, s in rot]
+                   + [s * p.x + c * p.y for p in base for c, s in rot])
+        if len(rot) > 1:
+            offsets = np.array(offsets).reshape(6, -1, 1)
         for lo in range(0, X.size, block):
             xs, ys = X[lo:lo + block], Y[lo:lo + block]
 
-            def vertex(v: int, at=slice(None), xs=xs, ys=ys, offsets=offsets):
-                ox, oy = offsets[v]
-                return coloring.resolve(xs[at] + ox, ys[at] + oy, tol)
+            def pose(i, k0=k0, xs=xs, ys=ys):
+                k, t = divmod(int(i), xs.size)
+                return k0 + k, angles[k0 + k], float(xs[t]), float(ys[t])
 
-            yield k, float(angle), xs, ys, vertex
+            def vertex(v: int, at=slice(None), xs=xs, ys=ys, offsets=offsets):
+                return coloring.resolve((xs + offsets[v]).ravel()[at],
+                                        (ys + offsets[3 + v]).ravel()[at], tol)
+
+            yield pose, vertex
+        k0 += len(rot)
+        run = min(2 * run, cap)
 
 
 def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
@@ -187,20 +215,23 @@ def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGr
     """First placement (in pose order) that is monochromatic with margin.
 
     Vertex 3 is classified only where vertices 1 and 2 agree, and the scan
-    stops in the translation block of its witness. Placements with a vertex
+    stops in the block of its witness. Runs of whole angles start at one
+    angle and double up to the engine's cap, so a witness at angle k is
+    found after classifying at most 2k + 1 angles. Placements with a vertex
     that no seed of a polygonal coloring reaches are skipped.
 
     Returns None when the grid is exhausted -- a sampling verdict only; no
     claim of avoidance is implied. Vertices may leave the grid region; the
     region constrains translations, not the triangle.
     """
-    for _, angle, xs, ys, vertex in _classified_poses(coloring, spec, grid, tol):
+    for pose, vertex in _classified_poses(coloring, spec, grid, tol, ramp=True):
         b1, _, u1 = vertex(0)
         b2, _, u2 = vertex(1)
         pairs = np.flatnonzero((b1 == b2) & ~(u1 | u2))
         b3, _, u3 = vertex(2, pairs)
         for i in pairs[(b3 == b1[pairs]) & ~u3]:
-            motion = RigidMotion(angle, (float(xs[i]), float(ys[i])))
+            _, angle, x, y = pose(i)
+            motion = RigidMotion(angle, (x, y))
             verts = place_triangle(spec, motion)
             margin = margin_of(coloring, verts)
             if margin >= min_margin:
@@ -224,7 +255,7 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
     unresolved = 0
     mono_ex: list[tuple[int, float, float]] = []
     near_ex: list[tuple[int, float, float]] = []
-    for k, _, xs, ys, vertex in _classified_poses(coloring, spec, grid, tol):
+    for pose, vertex in _classified_poses(coloring, spec, grid, tol):
         (b1, on1, u1), (b2, on2, u2), (b3, on3, u3) = vertex(0), vertex(1), vertex(2)
         mono = (b1 == b2) & (b2 == b3)
         near = (~mono) & (((b1 == b2) & on3) | ((b1 == b3) & on2) | ((b2 == b3) & on1))
@@ -238,7 +269,8 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
         for mask, acc in ((mono, mono_ex), (near, near_ex)):
             if len(acc) < max_examples and mask.any():
                 for i in np.flatnonzero(mask)[:max_examples - len(acc)]:
-                    acc.append((k, float(xs[i]), float(ys[i])))
+                    k, _, x, y = pose(i)
+                    acc.append((k, x, y))
     return AvoidanceReport(grid.placements(), mono_count, near_count,
                            tuple(mono_ex), tuple(near_ex), unresolved)
 

@@ -20,7 +20,8 @@ scan one pose at a time, coloring each vertex with ``color_at`` and taking
 the margin from ``scalar_distance``; ``walk_avoidance`` is the avoidance
 scan one pose at a time over ``walk_color_at``. All are kept here as
 oracles that the fast paths must match exactly, at every size of the scan
-engine's translation blocks.
+engine's blocks: slices of one angle's translations and runs of whole
+angles.
 """
 
 import math
@@ -634,24 +635,48 @@ def test_find_matches_brute_force(coloring, sides, region, step, angles, min_mar
     assert (rejected > 0) == rejects
 
 
-# The plain tests above run at the default block size.
-@pytest.mark.parametrize("block", [1, 7])
+def whole_angle_block(grid, ramp):
+    """A block size of c >= 2 whole angles of ``grid``'s translations.
+
+    c is the least for which the scan's last run of angles holds fewer than
+    c: with ``ramp`` (a find scan) runs of 1, 2, 4, ... angles up to c, else
+    runs of c. That is c = 2 or 3 for most grids; an angle count that runs
+    of 2 and of 3 both divide, such as 12 without ``ramp``, needs more.
+    """
+    n = len(grid.xs()) * len(grid.ys())
+    for c in range(2, grid.angle_count + 2):
+        run, left = (1 if ramp else c), grid.angle_count
+        while left > run:
+            left -= run
+            run = min(2 * run, c)
+        if left < c:
+            return c * n
+
+
+# "runs" stands for a block of a few whole angles of each case's grid, with a
+# short last run. The plain tests above run at the default block size.
+@pytest.mark.parametrize("block", [1, 7, "runs"])
 class TestScanBlocks:
-    """Scan results do not depend on the size of the engine's translation blocks."""
+    """Scan results do not depend on the size of the engine's blocks: slices
+    of one angle's translations (sizes 1 and 7) or runs of whole angles."""
 
     @pytest.mark.parametrize("coloring, sides, region, step, angles, min_margin, rejects",
                              FIND_CASES)
     def test_find(self, block, coloring, sides, region, step, angles, min_margin, rejects,
                   monkeypatch):
-        monkeypatch.setattr(scan, "_SCAN_BLOCK", block)
         spec, grid = TriangleSpec(*sides), ScanGrid(region, step, angles)
+        if block == "runs":
+            block = whole_angle_block(grid, ramp=True)
+        monkeypatch.setattr(scan, "_SCAN_BLOCK", block)
         want, _ = brute_force_find(coloring, spec, grid, min_margin)
         assert find_monochromatic_copy(coloring, spec, grid, min_margin) == want
 
     @pytest.mark.parametrize("coloring, region, side, tol", AVOID_CASES)
     def test_avoid(self, block, coloring, region, side, tol, monkeypatch):
-        monkeypatch.setattr(scan, "_SCAN_BLOCK", block)
         grid = ScanGrid(region, 0.1, 12)
+        if block == "runs":
+            block = whole_angle_block(grid, ramp=False)
+        monkeypatch.setattr(scan, "_SCAN_BLOCK", block)
         spec = TriangleSpec(side, side, side)
         assert avoidance_scan(coloring, spec, grid, tol) == two_mask_avoidance(
             coloring, spec, grid, tol)
@@ -682,13 +707,15 @@ def walk_avoidance(coloring, spec, grid, tol=1e-9, max_examples=8):
                            tuple(mono_ex), tuple(near_ex), unresolved)
 
 
-@pytest.mark.parametrize("block", [1, 7, scan._SCAN_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, "runs", scan._SCAN_BLOCK])
 @pytest.mark.parametrize("side, grid", [
     (1.0, ScanGrid(Region(-1.0, -1.0, 1.0, 1.0), 0.5, 12)),
     # white placements with vertices on the x axis left of (-1.5, 0)
     (0.3, ScanGrid(Region(-2.2, -0.4, -1.6, 0.2), 0.05, 6)),
 ])
 def test_avoidance_scan_counts_unresolved_placements(block, side, grid, monkeypatch):
+    if block == "runs":
+        block = whole_angle_block(grid, ramp=False)
     monkeypatch.setattr(scan, "_SCAN_BLOCK", block)
     spec = TriangleSpec(side, side, side)
     report = avoidance_scan(HEXAGON, spec, grid)
@@ -699,15 +726,18 @@ def test_avoidance_scan_counts_unresolved_placements(block, side, grid, monkeypa
 
 
 class CountingColoring:
-    """A coloring that records the black mask of every query the scan engine makes."""
+    """A coloring that records the black mask of every query the scan engine
+    makes, and the points of every ``resolve`` call."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = []
+        self.points = []
 
     def resolve(self, xs, ys, tol):
         black, on, unresolved = self.inner.resolve(xs, ys, tol)
         self.calls.append(black)
+        self.points.append((xs.copy(), ys.copy()))
         return black, on, unresolved
 
     def classify(self, xs, ys, tol):
@@ -737,6 +767,51 @@ def test_find_gates_vertex_3_and_stops_in_the_witness_block():
     for b1, b2, b3 in zip(*[iter(coloring.calls)] * 3):
         assert b1.size == b2.size == block
         assert b3.size == int((b1 == b2).sum())
+
+
+def assert_placed(spec, grid, k0, points, v, at):
+    """``points`` are vertex ``v`` of poses ``at`` of the block of whole angles
+    from ``k0``, bit for bit as :func:`place_triangle` gives them."""
+    X, Y = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
+    n, angles = X.size, grid.angles()
+    placed = [place_triangle(spec, RigidMotion(float(angles[k0 + i // n]),
+                                               (float(X[i % n]), float(Y[i % n]))))[v]
+              for i in at]
+    assert points[0].tobytes() == np.array([p.x for p in placed]).tobytes()
+    assert points[1].tobytes() == np.array([p.y for p in placed]).tobytes()
+
+
+def test_blocks_are_runs_of_whole_angles():
+    """Black for y >= 0. Avoidance runs ``_SCAN_BLOCK // n`` angles per block;
+    a find scan runs 1, 2, 4, ... angles per block and stops in its witness's."""
+    spec = TriangleSpec(1.0, 1.0, 1.0)
+    coloring = CountingColoring(HalfPlaneColoring(UnitVector(0.0, 1.0)))
+    grid = ScanGrid(Region(0.0, 0.0, 1.0, 1.0), 0.1, 70)
+    n = len(grid.xs()) * len(grid.ys())
+    assert (n, scan._SCAN_BLOCK // n) == (121, 33)
+    avoidance_scan(coloring, spec, grid)
+    # three resolve calls per run of 33, 33 and 4 angles
+    runs = [(0, 33), (33, 33), (66, 4)]
+    assert [xs.size for xs, _ in coloring.points] == [a * n for _, a in runs for _ in range(3)]
+    for call, points in enumerate(coloring.points):
+        k0, a = runs[call // 3]
+        assert_placed(spec, grid, k0, points, call % 3, range(a * n))
+
+    # the first pose all white with margin turns by 5 pi/6, in the block of angles 3 to 6
+    coloring = CountingColoring(coloring.inner)
+    grid = ScanGrid(Region(0.0, -0.625, 0.25, -0.375), 0.125, 12)
+    n = len(grid.xs()) * len(grid.ys())
+    witness = find_monochromatic_copy(coloring, spec, grid, 0.05)
+    assert witness == brute_force_find(coloring.inner, spec, grid, 0.05)[0]
+    assert witness.motion.angle == grid.angles()[5]
+    runs = [(0, 1), (1, 2), (3, 4)]
+    assert len(coloring.points) == 3 * len(runs)
+    for block, (k0, a) in enumerate(runs):
+        b1, b2, b3 = coloring.calls[3 * block:3 * block + 3]
+        pairs = np.flatnonzero(b1 == b2)
+        assert b1.size == b2.size == a * n and b3.size == pairs.size
+        for v, at in enumerate((range(a * n), range(a * n), pairs)):
+            assert_placed(spec, grid, k0, coloring.points[3 * block + v], v, at)
 
 
 

@@ -253,6 +253,19 @@ class TestExitStatuses:
         assert captured.out == ""
         assert f"'{flag}'" in captured.err and "normal float range" in captured.err
 
+    @pytest.mark.parametrize("command", ["scan", "avoid"])
+    @pytest.mark.parametrize("region, grid, flag", [("0,0,1,1", "1e-320", "--grid"),
+                                                    ("-1e308,0,1e308,1", "1", "--region")])
+    def test_overflowing_axis_count_exits_one(self, command, region, grid, flag, strip_file,
+                                              capsys):
+        # a translation count of 1 / 1e-320 or 2e308 / 1 used to exit 2 with
+        # OverflowError; the grid is rejected before any array is built
+        assert main([command, "--coloring", strip_file, "--triangle", "1,1,1",
+                     f"--region={region}", "--grid", grid, "--angles", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'{flag}'" in captured.err and "finite" in captured.err
+
     def test_sides_at_the_ends_of_the_float_range_run(self, capsys):
         assert main(["forcing", "--sides", "1e-150,1e-150,1e-150", "--part", "i"]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True

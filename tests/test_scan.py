@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from monotri.geom import Point, Region, Segment, TriangleSpec, UnitVector, distance
+from monotri.geom import GeometryError, Point, Region, Segment, TriangleSpec, UnitVector, distance
 from monotri.colorings import (
     BoundaryPiece,
     Color,
@@ -114,6 +114,12 @@ class TestFindMonochromatic:
         grid = ScanGrid(Region(0, 0, 1, 1), 0.5, 4)
         assert len(grid.xs()) == 3 and len(grid.ys()) == 3
         assert grid.placements() == 36
+
+    @pytest.mark.parametrize("region, step", [(Region(0, 0, 1, 1), 1e-320),
+                                              (Region(-1e308, 0, 1e308, 1), 1.0)])
+    def test_grid_with_an_overflowing_axis_count_is_rejected(self, region, step):
+        with pytest.raises(GeometryError, match="must be finite"):
+            ScanGrid(region, step, 1)
 
 
 class TestAvoidanceScan:
