@@ -21,7 +21,7 @@ import sys
 from typing import TYPE_CHECKING, Optional
 
 from .geom import (DEFAULT_TOL, GeometryError, Point, Region, SchemaError, TriangleSpec,
-                   triangle_inequality_ok)
+                   WindowTooLarge, triangle_inequality_ok)
 
 if TYPE_CHECKING:
     from .colorings import Coloring
@@ -255,9 +255,16 @@ def run(args: argparse.Namespace) -> int:
         _emit(check_zebra_conditions(coloring, tol).to_dict(), args.out)
         return 0
     if cmd == "hexagon":
-        from .scan import hexagon_probe
+        from .scan import default_probe_window, hexagon_probe
         point = Point(*_parse_numbers("--point", args.point, 2))
-        window = _parse_region(args.region) if args.region else None
+        if args.region:
+            window = _parse_region(args.region)
+        else:
+            try:
+                window = default_probe_window(point)
+            except GeometryError as exc:
+                raise SchemaError(f"flag '--point' must leave the probe window around it a "
+                                  f"positive width and height, got {args.point!r}") from exc
         probe = hexagon_probe(coloring, point, window, tol)
         _emit(probe.to_dict(), args.out)
         return 0
@@ -308,6 +315,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return run(args)
+    except WindowTooLarge as exc:  # only --region sets a window that large
+        print(f"error: flag '--region' {exc}, got {args.region!r}", file=sys.stderr)
+        return 1
     except (ParseError, SchemaError, InvariantError, ValueError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -62,6 +62,7 @@ from .geom import (
     Segment,
     TriangleSpec,
     UnitVector,
+    WindowTooLarge,
     distance,
     point_segment_distance,
 )
@@ -120,6 +121,14 @@ class BoundaryPiece:
 
 
 _RESOLVE_BLOCK = 2048  # points per array pass of ``resolve`` and ``distance``
+_MAX_WINDOW_POINTS = 2 ** 20  # most polyline points of a window's boundary
+
+
+def _check_window(points: float) -> None:
+    """Raise ``WindowTooLarge`` unless ``points <= _MAX_WINDOW_POINTS``."""
+    if not points <= _MAX_WINDOW_POINTS:
+        raise WindowTooLarge(f"holds more than {_MAX_WINDOW_POINTS} boundary polyline "
+                             f"points (about {points:.3g})")
 
 
 def _by_block(kernel, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -231,6 +240,7 @@ class StripColoring(_ClassifyViews):
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         """Horizontal boundary lines clipped to ``window``, white on the left."""
         half = self.period / 2.0
+        _check_window(2.0 * ((window.y1 - window.y0) / half + 5.0))  # two points a line
         k_lo = math.floor(window.y0 / half) - 1
         k_hi = math.ceil(window.y1 / half) + 1
         pieces = []
@@ -321,17 +331,6 @@ class ZebraProfile:
     def values(self, u: np.ndarray) -> np.ndarray:
         return np.interp(_frac(u), self.tables.us, self.tables.vs)
 
-    def breakpoints_in(self, u_lo: float, u_hi: float) -> list[float]:
-        """Parameters of all breakpoints (period images) in [u_lo, u_hi]."""
-        out = []
-        base = [u for u, _ in self.vertices[:-1]]  # u = 1 is the next period's 0
-        for m in range(math.floor(u_lo) - 1, math.ceil(u_hi) + 2):
-            for u in base:
-                uu = u + m
-                if u_lo <= uu <= u_hi:
-                    out.append(uu)
-        return sorted(out)
-
 
 class ProfileTables:
     """Breakpoint tables of one profile period, for vectorized lookups.
@@ -404,8 +403,9 @@ class ZebraColoring(_ClassifyViews):
         xh = self.x_hat
         return xs * xh.dx + ys * xh.dy, -xs * xh.dy + ys * xh.dx
 
-    def curve_points(self, i: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """World coordinates of L_i at the profile parameters ``u``."""
+    def curve_points(self, i, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """World coordinates of L_i at the profile parameters ``u``; an array of
+        curve indices ``i`` broadcasts against ``u``."""
         s = u + 0.5 * i
         t = self.profile.values(u) + i * HALF_SQRT3
         xh = self.x_hat
@@ -542,63 +542,89 @@ class ZebraColoring(_ClassifyViews):
         _, on_curve, idx = self._locate(np.array([p.x]), np.array([p.y]), tol)
         return int(idx[0]) if bool(on_curve[0]) else None
 
-    def _curve_polyline(self, i: int, u_lo: float, u_hi: float) -> list[Point]:
-        """Breakpoint polyline of L_i over u in [u_lo, u_hi], collinear joints merged."""
-        u = np.array([u_lo] + self.profile.breakpoints_in(u_lo + 1e-12, u_hi - 1e-12) + [u_hi])
-        pts = [Point(x, y) for x, y in zip(*(c.tolist() for c in self.curve_points(i, u)))]
-        merged = [pts[0]]
-        for j in range(1, len(pts) - 1):
-            ax, ay = pts[j] - merged[-1]
-            bx, by = pts[j + 1] - pts[j]
-            if abs(ax * by - ay * bx) > 1e-12 * (abs(ax) + abs(ay)) * (abs(bx) + abs(by) + 1):
-                merged.append(pts[j])
-        merged.append(pts[-1])
-        return merged
+    def _window_curves(self, window: Region) -> tuple[range, tuple[float, float]]:
+        """The curves that can reach ``window`` and its range of frame abscissas;
+        ``WindowTooLarge`` if their ``_polylines`` could top ``_MAX_WINDOW_POINTS``."""
+        with np.errstate(over="ignore"):  # an infinite frame is too large below
+            s, t = self.to_frame(np.array([window.x0, window.x0, window.x1, window.x1]),
+                                 np.array([window.y0, window.y1, window.y0, window.y1]))
+        (s_lo, s_hi), (t_lo, t_hi) = ((float(a.min()), float(a.max())) for a in (s, t))
+        profile = self.profile
+        # rows (one to spare) times columns of _polylines
+        _check_window(((t_hi - t_lo + profile.amplitude) / HALF_SQRT3 + 6.0)
+                      * ((len(profile.vertices) - 1) * (s_hi - s_lo + 7.0) + 2.0))
+        return range(math.floor((t_lo - profile.v_max) / HALF_SQRT3) - 1,
+                     math.ceil((t_hi - profile.v_min) / HALF_SQRT3) + 2), (s_lo, s_hi)
 
-    def _window_frame(self, window: Region) -> tuple[tuple[float, float], tuple[float, float]]:
-        """The ranges of the frame coordinates s and t over the corners of ``window``."""
-        s, t = self.to_frame(np.array([window.x0, window.x0, window.x1, window.x1]),
-                             np.array([window.y0, window.y1, window.y0, window.y1]))
-        return (float(s.min()), float(s.max())), (float(t.min()), float(t.max()))
+    def _polylines(self, curves: np.ndarray, s_range: tuple[float, float]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Polylines of the curves L_i, i in ``curves``, over u in
+        [s_lo - i/2 - 1, s_hi - i/2 + 1], collinear joints merged: the points
+        (x, y on axis 0) and the mask of the kept ones, ends included.
 
-    @staticmethod
-    def _window_param_range(i: int, s_range: tuple[float, float]) -> tuple[float, float]:
-        """The parameters of L_i over the frame abscissas ``s_range``, one period wider
-        on each side."""
-        return s_range[0] - 0.5 * i - 1.0, s_range[1] - 0.5 * i + 1.0
-
-    def _curve_indices(self, t_range: tuple[float, float]) -> range:
-        """The curves that can reach frame heights in ``t_range``."""
-        i_lo = math.floor((t_range[0] - self.profile.v_max) / HALF_SQRT3) - 1
-        i_hi = math.ceil((t_range[1] - self.profile.v_min) / HALF_SQRT3) + 1
-        return range(i_lo, i_hi + 1)
-
-    def _clipped_curve(self, i: int, s_range: tuple[float, float],
-                       window: Region) -> list[Segment]:
-        """The polyline of L_i over the frame abscissas ``s_range``, clipped to ``window``."""
-        pts = self._curve_polyline(i, *self._window_param_range(i, s_range))
-        segments = []
-        for p, q in zip(pts, pts[1:]):
-            clipped = _clip_segment_to_region(p, q, window)
-            if clipped is not None:
-                segments.append(clipped)
-        return segments
-
-    def zebra_curve(self, i: int, window: Region) -> list[Segment]:
-        """The polyline of L_i clipped to ``window``."""
-        return self._clipped_curve(i, self._window_frame(window)[0], window)
+        A row holds its ends and the breakpoints of the periods that cover
+        [u_lo + 1e-12, u_hi - 1e-12], ascending, clamped onto the nearer end
+        outside it, as in ``_distance_block``. A joint is kept iff ``_corner``
+        holds for the steps to it from the last kept point and on to the next
+        point; rows that drop one replay that rule, a dropped joint taking the
+        last kept point's value, so that consecutive columns are the
+        polyline's segments and zero-length ones.
+        """
+        i = np.asarray(curves, dtype=float)[:, None]
+        ends = np.hstack((s_range[0] - 0.5 * i - 1.0, s_range[1] - 0.5 * i + 1.0))
+        lo, hi = (ends + np.array([1e-12, -1e-12])).T[:, :, None]
+        m = np.floor(lo) - 1.0 + np.arange(int((np.ceil(hi) - np.floor(lo)).max()) + 3)
+        cand = np.sort((self.profile.tables.us[:-1] + m[:, :, None]).reshape(len(i), -1), axis=1)
+        inside = (lo <= cand) & (cand <= hi)
+        u = np.hstack((ends[:, :1], np.where(inside, cand, np.where(
+            cand < lo, ends[:, :1], ends[:, 1:])), ends[:, 1:]))
+        P = np.array(self.curve_points(i, u))
+        kept = np.ones(u.shape, dtype=bool)
+        kept[:, 1:-1] = inside
+        E = P[:, :, 1:] - P[:, :, :-1]
+        merge = (inside & ~_corner(E[:, :, :-1], E[:, :, 1:])).any(axis=1).nonzero()[0]
+        if merge.size:
+            Q = P[:, merge]
+            last = Q[:, :, 0]
+            for j in range(1, Q.shape[2] - 1):
+                keep = kept[merge, j] & _corner(Q[:, :, j] - last, Q[:, :, j + 1] - Q[:, :, j])
+                last = Q[:, :, j] = np.where(keep, Q[:, :, j], last)
+                kept[merge, j] = keep
+            P[:, merge] = Q
+        return P, kept
 
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
-        """Clipped curves as oriented pieces, white face on the left."""
+        """Clipped curves as oriented pieces, white face on the left: the
+        segments of ``_polylines``, clipped in one array pass in the float
+        expressions of ``_clip_segment_to_region``."""
+        curves, s_range = self._window_curves(window)
+        P, _ = self._polylines(np.arange(len(curves)) + float(curves.start), s_range)
+        p, d = P[:, :, :-1].reshape(2, -1), (P[:, :, 1:] - P[:, :, :-1]).reshape(2, -1)
+        t0, t1, missed = np.zeros(p.shape[1]), np.ones(p.shape[1]), np.zeros(p.shape[1], bool)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for start, delta, lo, hi in ((p[0], d[0], window.x0, window.x1),
+                                         (p[1], d[1], window.y0, window.y1)):
+                flat = delta == 0.0
+                missed |= flat & ((start < lo) | (start > hi))
+                ta, tb = (lo - start) / delta, (hi - start) / delta
+                swap = ta > tb
+                ta, tb = np.where(swap, tb, ta), np.where(swap, ta, tb)
+                # max(t0, ta) and min(t1, tb) as Python takes them, signed zeros too
+                t0 = np.where((ta > t0) & ~flat, ta, t0)
+                t1 = np.where((tb < t1) & ~flat, tb, t1)
+        hit = np.flatnonzero(~missed & (t0 < t1))
+        p, d = p[:, hit], d[:, hit]
+        a, b = (p + t0[hit] * d).tolist(), (p + t1[hit] * d).tolist()
+        # band i sits above L_i, and +x_hat keeps the upper band on the left
+        styles = [(_parity_color(i, self.boundary_parity),
+                   _parity_color(i, self.parity_rule) is not Color.WHITE) for i in (0, 1)]
         pieces = []
-        s_range, t_range = self._window_frame(window)
-        for i in self._curve_indices(t_range):
-            color = _parity_color(i, self.boundary_parity)
-            above = _parity_color(i, self.parity_rule)  # band i sits above L_i
-            flip = above is not Color.WHITE  # +x_hat keeps the upper band on the left
-            for seg in self._clipped_curve(i, s_range, window):
-                oriented = Segment(seg.q, seg.p) if flip else seg
-                pieces.append(BoundaryPiece(oriented, color))
+        for i, ax, ay, bx, by in zip((hit // (P.shape[2] - 1) + curves.start).tolist(), *a, *b):
+            if math.hypot(ax - bx, ay - by) > DEFAULT_TOL:
+                color, flip = styles[i % 2]
+                head, tail = Point(ax, ay), Point(bx, by)
+                pieces.append(BoundaryPiece(Segment(tail, head) if flip else Segment(head, tail),
+                                            color))
         return pieces
 
     def distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -614,7 +640,7 @@ class ZebraColoring(_ClassifyViews):
         """One array pass over the points and their curves i0 - 2 .. i0 + 2.
 
         i0 is as in ``_locate``. Curve i of a point at frame (s, t) is
-        ``_curve_polyline(i, c - 1.5, c + 1.5)`` with ``c = s - i/2``. Its
+        its polyline over u in [c - 1.5, c + 1.5] with ``c = s - i/2``. Its
         vertical gap at c is at least its distance and at most the largest
         secant times it, so a curve is dropped when that lower bound
         exceeds the point's least gap by more than rounding and the few
@@ -692,8 +718,8 @@ class ZebraColoring(_ClassifyViews):
 
 
 def _corner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The joint rule of ``_curve_polyline`` over arrays: whether the joint
-    between the steps ``a`` and ``b`` (x and y along axis 0) is kept."""
+    """The joint rule of the zebra polylines: whether the joint between the
+    steps ``a`` and ``b`` (x and y along axis 0) is kept."""
     return np.abs(a[0] * b[1] - a[1] * b[0]) > 1e-12 * (np.abs(a[0]) + np.abs(a[1])) * (
         np.abs(b[0]) + np.abs(b[1]) + 1)
 

@@ -44,6 +44,10 @@ class SchemaError(ValueError):
     """A document field is missing or has the wrong shape; names the field by its path."""
 
 
+class WindowTooLarge(GeometryError):
+    """A window holds too much boundary to build; the message says how much."""
+
+
 @dataclass(frozen=True)
 class Point:
     x: float
@@ -291,9 +295,23 @@ def circle_polyline_intersections(circle: Circle, chain: list[Segment],
     Duplicate hits at shared endpoints are merged (the lower segment index
     wins); tangential contacts come back as single flagged hits so callers
     can tell grazing from crossing.
+
+    A segment pq whose bounding box lies farther than ``r + pad`` from the
+    center c in the max norm, at ``gap``, has no hit and is skipped, with
+    ``pad = tol + 2^-20 (|c_x| + |c_y| + r + gap + |q_x - p_x| + |q_y - p_y|)``:
+    a hit lies within tol of pq and of the circle as computed (rounding below
+    2^-50 (|c| + |p - c| + |q - p|)), or at a root whose point is within
+    2^-22 (|p - c| + |q - p| + r) of the disk, the square root of the
+    discriminant's rounding error.
     """
+    cx, cy, r = circle.center.x, circle.center.y, circle.radius
+    reach = r + tol + 2.0 ** -20 * (abs(cx) + abs(cy) + r)
     hits: list[CircleHit] = []
     for i, seg in enumerate(chain):
+        (px, py), (qx, qy) = (seg.p.x - cx, seg.p.y - cy), (seg.q.x - cx, seg.q.y - cy)
+        gap = max(min(px, qx), -max(px, qx), min(py, qy), -max(py, qy))
+        if gap > reach + 2.0 ** -20 * (gap + abs(qx - px) + abs(qy - py)):
+            continue
         for hit in _circle_segment_hits(circle, seg, i, tol):
             if all(distance(known.point, hit.point) > 10.0 * tol for known in hits):
                 hits.append(hit)

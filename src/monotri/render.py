@@ -115,15 +115,15 @@ def _fill_strip(canvas: _Canvas, coloring: StripColoring) -> None:
 
 
 def _fill_zebra(canvas: _Canvas, coloring: ZebraColoring) -> None:
-    region = canvas.region
-    pad = region.inflated(1.0)
-    s_range, t_range = coloring._window_frame(pad)
-    for i in coloring._curve_indices(t_range):
-        if _parity_color(i, coloring.parity_rule) is not Color.BLACK:
-            continue
-        lower = coloring._curve_polyline(i, *coloring._window_param_range(i, s_range))
-        upper = coloring._curve_polyline(i + 1, *coloring._window_param_range(i + 1, s_range))
-        canvas.polygon(lower + upper[::-1], BLACK_FILL)
+    """Each black band as the polygon between its lower and upper curve."""
+    curves, s_range = coloring._window_curves(canvas.region.inflated(1.0))
+    # the polylines of the window's curves and of the one above the last
+    P, kept = coloring._polylines(np.arange(len(curves) + 1) + float(curves.start), s_range)
+    lines = [[Point(x, y) for x, y in zip(xs[k].tolist(), ys[k].tolist())]
+             for xs, ys, k in zip(P[0], P[1], kept)]
+    for r, i in enumerate(curves):
+        if _parity_color(i, coloring.parity_rule) is Color.BLACK:
+            canvas.polygon(lines[r] + lines[r + 1][::-1], BLACK_FILL)
 
 
 def _fill_halfplane(canvas: _Canvas, coloring: HalfPlaneColoring) -> None:
@@ -163,6 +163,8 @@ def render_svg(spec: RenderSpec) -> str:
     canvas = _Canvas(spec.region, spec.pixels_per_unit)
     canvas.rect(0.0, 0.0, canvas.width, canvas.height, WHITE_FILL)
     coloring = spec.coloring
+    # before any fill, so that a window too large for its boundary fails first
+    pieces = coloring.boundary_segments(spec.region)
     if isinstance(coloring, StripColoring):
         _fill_strip(canvas, coloring)
     elif isinstance(coloring, ZebraColoring):
@@ -175,7 +177,7 @@ def render_svg(spec: RenderSpec) -> str:
         raise ValueError(f"cannot render coloring of type {type(coloring).__name__}")
 
     stroke_w = max(1.5, 0.02 * spec.pixels_per_unit)
-    for piece in coloring.boundary_segments(spec.region):
+    for piece in pieces:
         canvas.line(piece.seg, STROKE, stroke_w)
 
     if spec.witness is not None:

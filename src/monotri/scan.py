@@ -464,8 +464,11 @@ def _boundary_vertices(pieces: Sequence[BoundaryPiece], tol: float) -> list[tupl
     """Endpoint clusters where at least two pieces meet (true corners).
 
     Each endpoint joins the earliest cluster whose first point lies within
-    10*tol of it, else starts a new cluster. The first points are bucketed
-    by grid cell, and an endpoint looks only at the 3 x 3 cells around its
+    10*tol of it, else starts a new cluster. So the first points lie
+    pairwise farther apart than that reach, and an endpoint equal to one
+    of them (a shared joint) has it as its only cluster in reach: it is
+    looked up by its coordinates first. Other endpoints look among the
+    first points, bucketed by grid cell, in the 3 x 3 cells around their
     own: with cells at least twice the reach, correctly rounded division
     keeps two points within reach at most one cell apart (from 2^53 cells
     out, such points are equal). Clipped chain ends and ray representatives
@@ -475,10 +478,15 @@ def _boundary_vertices(pieces: Sequence[BoundaryPiece], tol: float) -> list[tupl
     # the floor keeps coordinates / cell finite for any coordinate below 1e292
     cell = max(2.0 * reach, 1e-16)
     clusters: list[tuple[Point, list[int]]] = []
+    firsts: dict[tuple[float, float], int] = {}
     buckets: dict[tuple[int, int], list[int]] = {}
     for idx, pc in enumerate(pieces):
         for p, bounded in ((pc.seg.p, not pc.ray_start), (pc.seg.q, not pc.ray_end)):
             if not bounded:
+                continue
+            c = firsts.get((p.x, p.y))
+            if c is not None:
+                clusters[c][1].append(idx)
                 continue
             kx, ky = math.floor(p.x / cell), math.floor(p.y / cell)
             near = [c for bx in (kx - 1, kx, kx + 1) for by in (ky - 1, ky, ky + 1)
@@ -487,6 +495,7 @@ def _boundary_vertices(pieces: Sequence[BoundaryPiece], tol: float) -> list[tupl
                 clusters[min(near)][1].append(idx)
             else:
                 buckets.setdefault((kx, ky), []).append(len(clusters))
+                firsts[p.x, p.y] = len(clusters)
                 clusters.append((p, [idx]))
     return [(p, members) for p, members in clusters if len(members) >= 2]
 

@@ -13,9 +13,11 @@ one point at a time, one seed at a time, one piece at a time.
 kernels, one point at a time; for a zebra coloring it walks the five curve
 polylines of ``scalar_zebra_distance``. ``per_point_polyline`` is a zebra
 curve's polyline as it was before its heights came from one array call, one
-``curve_point`` per breakpoint, and ``per_point_boundary_segments`` clips
-those polylines with the window's corners taken to the frame once per
-curve. ``brute_force_find`` is the find
+``curve_point`` per breakpoint at the parameters ``breakpoints_in`` lists,
+and ``per_point_boundary_segments`` clips those polylines one segment at a
+time, with the window's corners taken to the frame once per curve: the
+boundary of a window as it was before it came from one array pass.
+``brute_force_find`` is the find
 scan one pose at a time, coloring each vertex with ``color_at`` and taking
 the margin from ``scalar_distance``; ``walk_avoidance`` is the avoidance
 scan one pose at a time over ``walk_color_at``. All are kept here as
@@ -118,9 +120,21 @@ def mod_strip_classify(sc: StripColoring, xs, ys, tol):
     return black, np.minimum(frac, 1.0 - frac) * half <= tol
 
 
+def breakpoints_in(profile: ZebraProfile, u_lo: float, u_hi: float) -> list[float]:
+    """Parameters of all breakpoints (period images) in [u_lo, u_hi]."""
+    out = []
+    base = [u for u, _ in profile.vertices[:-1]]  # u = 1 is the next period's 0
+    for m in range(math.floor(u_lo) - 1, math.ceil(u_hi) + 2):
+        for u in base:
+            uu = u + m
+            if u_lo <= uu <= u_hi:
+                out.append(uu)
+    return sorted(out)
+
+
 def per_point_polyline(zc: ZebraColoring, i: int, u_lo: float, u_hi: float) -> list[Point]:
     """Breakpoint polyline of L_i over u in [u_lo, u_hi], collinear joints merged."""
-    params = [u_lo] + zc.profile.breakpoints_in(u_lo + 1e-12, u_hi - 1e-12) + [u_hi]
+    params = [u_lo] + breakpoints_in(zc.profile, u_lo + 1e-12, u_hi - 1e-12) + [u_hi]
     xh = zc.x_hat
     pts = []
     for u in params:
@@ -997,6 +1011,124 @@ class TestBoundarySegments:
         # curves 0, 1, 2 and -1 cross the window, each as one full-width piece
         assert [abs(pc.seg.q.x - pc.seg.p.x) for pc in got] == [4.0] * 4
         assert piece_bits(got) == piece_bits(per_point_boundary_segments(zc, window))
+
+    @given(zc=zebra_colorings(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_far_windows(self, zc, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            window = random_window(rng, 1e8)
+            assert piece_bits(zc.boundary_segments(window)) == \
+                piece_bits(per_point_boundary_segments(zc, window))
+
+    @pytest.mark.parametrize("name", sorted(ZEBRA_MERGES))
+    def test_edge_through_a_breakpoint(self, name):
+        rng = np.random.default_rng(36)
+        for angle in (0.0, math.pi / 2, 1.1):
+            zc = ZebraColoring(ZEBRA_MERGES[name], UnitVector.from_angle(angle))
+            for u, _ in zc.profile.vertices:
+                p = zc.curve_point(int(rng.integers(-3, 4)), u + int(rng.integers(-2, 3)))
+                w, h = rng.uniform(0.3, 3.0, 2)
+                for window in (Region(p.x, p.y - h, p.x + w, p.y + h),
+                               Region(p.x - w, p.y - h, p.x, p.y + h),
+                               Region(p.x - w, p.y, p.x + w, p.y + h),
+                               Region(p.x - w, p.y - h, p.x + w, p.y)):
+                    got = zc.boundary_segments(window)
+                    assert got and piece_bits(got) == \
+                        piece_bits(per_point_boundary_segments(zc, window))
+
+    def test_window_between_curves(self):
+        for name in ("flat", "zigzag"):
+            zc = ZebraColoring(ZEBRA_MERGES[name])
+            window = Region(-3.0, 0.2, 4.0, 0.7)  # above L_0, below L_1
+            assert zc.boundary_segments(window) == []
+            assert per_point_boundary_segments(zc, window) == []
+
+
+class TestWindowSize:
+    """Windows whose boundary would hold more than ``_MAX_WINDOW_POINTS``
+    polyline points raise ``WindowTooLarge`` before anything is built; the
+    counts are checked against small windows only."""
+
+    @staticmethod
+    def zebra_points(zc: ZebraColoring, window: Region) -> int:
+        """The points ``render`` builds for ``window``: ``boundary_segments``'
+        rows and columns and one row more."""
+        curves, s_range = zc._window_curves(window)
+        _, kept = zc._polylines(np.arange(len(curves)) + float(curves.start), s_range)
+        return (kept.shape[0] + 1) * kept.shape[1]
+
+    @given(zc=zebra_colorings(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_zebra_bound_covers_the_points_built(self, zc, seed):
+        rng = np.random.default_rng(seed)
+        window = random_window(rng, float(rng.choice([0.0, 1e4, 1e8])))
+        built = self.zebra_points(zc, window)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(colorings, "_MAX_WINDOW_POINTS", built - 1)
+            with pytest.raises(colorings.WindowTooLarge):
+                zc.boundary_segments(window)
+            with pytest.raises(colorings.WindowTooLarge):
+                render_svg(RenderSpec(zc, window))
+
+    def test_default_probe_windows_hold_a_few_hundred_points(self, monkeypatch):
+        monkeypatch.setattr(colorings, "_MAX_WINDOW_POINTS", 600)
+        rng = np.random.default_rng(37)
+        for angle in rng.uniform(0.0, 2 * math.pi, 20):
+            zc = ZebraColoring(ZIGZAG, UnitVector.from_angle(float(angle)))
+            window = scan.default_probe_window(zc.curve_point(int(rng.integers(-3, 4)), 0.3))
+            assert 200 <= self.zebra_points(zc, window) <= 600
+            assert zc.boundary_segments(window)
+        strip = StripColoring()
+        assert len(strip.boundary_segments(scan.default_probe_window(Point(0.0, 0.0)))) == 7
+        monkeypatch.setattr(colorings, "_MAX_WINDOW_POINTS", 2 * 7 - 1)
+        with pytest.raises(colorings.WindowTooLarge):
+            strip.boundary_segments(scan.default_probe_window(Point(0.0, 0.0)))
+
+    @pytest.mark.parametrize("coloring", [StripColoring(), ZebraColoring(ZIGZAG),
+                                          ZebraColoring(ZIGZAG, UnitVector.from_angle(0.7))],
+                             ids=["strip", "zigzag", "zigzag-turned"])
+    @pytest.mark.parametrize("window", [Region(-1e300, -1e300, 1e300, 1e300),
+                                        Region(-1.7e308, -1.7e308, 1.7e308, 1.7e308),
+                                        Region(0.0, 0.0, 1e3, 1e6)],
+                             ids=["1e300", "1.7e308", "1e6"])
+    def test_huge_windows_raise(self, coloring, window):
+        with pytest.raises(colorings.WindowTooLarge, match="more than 1048576"):
+            coloring.boundary_segments(window)
+        with pytest.raises(colorings.WindowTooLarge):
+            render_svg(RenderSpec(coloring, window))
+
+
+class TestProbesEndToEnd:
+    """Hexagon probes and angle audits are unchanged when the boundary comes
+    from the per-point oracle."""
+
+    def test_random_zebras(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        probes, audits = [], []
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            us = [0.0] + sorted(rng.uniform(0.05, 0.95, n - 2).tolist()) + [1.0]
+            hs = rng.uniform(0.0, float(rng.choice([0.1, 0.4, 0.8])), n - 1).tolist()
+            try:
+                zc = ZebraColoring(ZebraProfile(tuple(zip(us, hs + hs[:1]))),
+                                   UnitVector.from_angle(float(rng.uniform(0.0, 2 * math.pi))),
+                                   boundary_parity=str(rng.choice(["even-black", "even-white"])))
+            except MalformedProfile:
+                continue
+            A = zc.curve_point(int(rng.integers(-3, 4)), float(rng.uniform(0.0, 1.0)))
+            probes.append((zc, A))
+            audits.append(zc)
+
+        def results():
+            return ([scan.hexagon_probe(zc, A).to_dict() for zc, A in probes],
+                    [[e.to_dict() for e in scan.boundary_angle_audit(zc)] for zc in audits])
+
+        fast = results()
+        monkeypatch.setattr(ZebraColoring, "boundary_segments", per_point_boundary_segments)
+        assert len(probes) >= 30
+        assert results() == fast
+        assert any(doc["regular"] for doc in fast[0]) and any(fast[1])
 
 
 def window_end_points(zc: ZebraColoring, rng, scale: float, n=40):

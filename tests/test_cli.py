@@ -266,6 +266,29 @@ class TestExitStatuses:
         assert captured.out == ""
         assert f"'{flag}'" in captured.err and "finite" in captured.err
 
+    @pytest.mark.parametrize("region", ["-1e300,-1e300,1e300,1e300",
+                                        "-1.7e308,-1.7e308,1.7e308,1.7e308", "0,0,1,1e6"])
+    @pytest.mark.parametrize("command", [["hexagon", "--point", "0.2,0.04"], ["angles"],
+                                         ["render"]], ids=["hexagon", "angles", "render"])
+    @pytest.mark.parametrize("family", ["strip", "zigzag"])
+    def test_window_too_large_exits_one(self, family, command, region, strip_file, zigzag_file,
+                                        capsys):
+        # a window of about 1e300 curves or lines used to run until killed;
+        # its size is now checked before any boundary is built
+        coloring = {"strip": strip_file, "zigzag": zigzag_file}[family]
+        assert main(command + ["--coloring", coloring, f"--region={region}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'--region'" in captured.err and "more than 1048576" in captured.err
+
+    def test_probe_point_without_a_window_exits_one(self, zigzag_file, capsys):
+        # the default window around x = 1e300 used to have zero width, and
+        # the message named the region, which no flag had set
+        assert main(["hexagon", "--coloring", zigzag_file, "--point=1e300,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'--point'" in captured.err
+
     def test_sides_at_the_ends_of_the_float_range_run(self, capsys):
         assert main(["forcing", "--sides", "1e-150,1e-150,1e-150", "--part", "i"]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True

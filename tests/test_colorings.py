@@ -112,6 +112,13 @@ class TestZebraProfileValidation:
             ZebraColoring(ZebraProfile(((0.0, 0.0), (0.5, 0.9), (1.0, 0.0))))
 
 
+def curve_segments(zc: ZebraColoring, i: int, window: Region) -> list[Segment]:
+    """The segments of the ``boundary_segments`` pieces that lie on L_i."""
+    return [pc.seg for pc in zc.boundary_segments(window)
+            if zc.curve_index_at(Point(0.5 * (pc.seg.p.x + pc.seg.q.x),
+                                       0.5 * (pc.seg.p.y + pc.seg.q.y))) == i]
+
+
 class TestZebraColoring:
     def test_flat_examples(self):
         flat = ZebraColoring()
@@ -121,7 +128,7 @@ class TestZebraColoring:
 
     def test_flat_curve_is_single_segment(self):
         flat = ZebraColoring()
-        segs = flat.zebra_curve(0, Region(-1, -1, 1, 1))
+        segs = curve_segments(flat, 0, Region(-1, -1, 1, 1))
         assert len(segs) == 1
         (p, q) = segs[0].p, segs[0].q
         assert {round(p.x, 9), round(q.x, 9)} == {-1.0, 1.0}
@@ -129,13 +136,13 @@ class TestZebraColoring:
 
     def test_flat_curve_index_two(self):
         flat = ZebraColoring()
-        segs = flat.zebra_curve(2, Region(-1, -1, 2, 2))
+        segs = curve_segments(flat, 2, Region(-1, -1, 2, 2))
         assert len(segs) == 1
         assert segs[0].p.y == pytest.approx(SQRT3)
 
     def test_zigzag_curve_echoes_profile(self):
         zc = ZebraColoring(ZIGZAG)
-        segs = zc.zebra_curve(0, Region(0, -1, 1, 1))
+        segs = curve_segments(zc, 0, Region(0, -1, 1, 1))
         assert len(segs) == 2
         corners = sorted({(round(s.p.x, 6), round(s.p.y, 6)) for s in segs} |
                          {(round(s.q.x, 6), round(s.q.y, 6)) for s in segs})
@@ -314,9 +321,16 @@ def profile_value(profile: ZebraProfile, u: float) -> float:
     return float(profile.values(np.array([u]))[0])
 
 
+def breakpoints_in(profile: ZebraProfile, u_lo: float, u_hi: float) -> list[float]:
+    """Parameters of all breakpoints (period images) in [u_lo, u_hi]."""
+    base = [u for u, _ in profile.vertices[:-1]]  # u = 1 is the next period's 0
+    return sorted(u + m for m in range(math.floor(u_lo) - 1, math.ceil(u_hi) + 2)
+                  for u in base if u_lo <= u + m <= u_hi)
+
+
 def knot_intervals(profile: ZebraProfile, lo: float, hi: float) -> list[tuple[float, float]]:
     """Consecutive linear sub-intervals of [lo, hi] split at profile breakpoints."""
-    knots = [lo] + profile.breakpoints_in(lo + 1e-12, hi - 1e-12) + [hi]
+    knots = [lo] + breakpoints_in(profile, lo + 1e-12, hi - 1e-12) + [hi]
     return [(k0, k1) for k0, k1 in zip(knots, knots[1:]) if k1 - k0 > 1e-12]
 
 
@@ -332,8 +346,8 @@ def lens_violation(profile: ZebraProfile, alpha: float,
     A2 = (alpha, fa + SQRT3)
     # Between-corner portion: beta in [alpha - 1, alpha]. The lens is
     # convex, so breakpoint membership decides the whole polyline.
-    betas = [alpha - 1.0] + profile.breakpoints_in(alpha - 1.0 + 1e-12,
-                                                   alpha - 1e-12) + [alpha]
+    betas = [alpha - 1.0] + breakpoints_in(profile, alpha - 1.0 + 1e-12,
+                                           alpha - 1e-12) + [alpha]
     for beta in betas:
         bx, by = beta + 0.5, profile_value(profile, beta) + HALF_SQRT3
         if math.hypot(bx - A[0], by - A[1]) > 1.0 + tol or \

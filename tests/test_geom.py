@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monotri import geom
 from monotri.geom import (
     Circle,
     DegenerateSegment,
@@ -151,7 +152,57 @@ def _sampling_intersections(circle, chain, step=1e-4):
     return dedup
 
 
+def unfiltered_intersections(circle, chain, tol=1e-9):
+    """``circle_polyline_intersections`` as it was before it skipped the
+    segments far from the circle: every segment goes through the quadratic."""
+    hits = []
+    for i, seg in enumerate(chain):
+        for hit in geom._circle_segment_hits(circle, seg, i, tol):
+            if all(distance(known.point, hit.point) > 10.0 * tol for known in hits):
+                hits.append(hit)
+    return hits
+
+
+def probing_chain(rng, circle, tol):
+    """Segments on lines at distance r +- tol, r +- 100 tol, r (tangent) and
+    far from the center, each around, before or past the foot of the
+    center's perpendicular, and long segments whose line crosses the circle
+    but whose ends lie on one side of it."""
+    c, r = circle.center, circle.radius
+    chain = []
+    for gap in (tol, -tol, 100 * tol, -100 * tol, 0.0, 0.0, 1.0, 5.0, -0.5):
+        theta = float(rng.uniform(0.0, 2 * math.pi))
+        nx, ny = math.cos(theta), math.sin(theta)
+        fx, fy = c.x + (r + gap) * nx, c.y + (r + gap) * ny
+        for lo, hi in ((-0.3, 0.4), (-2.0, -0.1), (0.05, 3.0), (-1e-6, 1e-6)):
+            if hi - lo > 1e-3:
+                lo, hi = sorted(rng.uniform(lo, hi, 2).tolist())
+            chain.append(Segment(Point(fx - lo * ny, fy + lo * nx),
+                                 Point(fx - hi * ny, fy + hi * nx)))
+    for start, length in ((1.5 * r, 1e6), (r + 200 * tol, 3.0)):
+        theta = float(rng.uniform(0.0, 2 * math.pi))
+        nx, ny = math.cos(theta), math.sin(theta)
+        chain.append(Segment(Point(c.x + start * nx, c.y + start * ny),
+                             Point(c.x + (start + length) * nx, c.y + (start + length) * ny)))
+    return [chain[k] for k in rng.permutation(len(chain))]
+
+
 class TestCirclePolyline:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_matches_unfiltered_loop(self, scale, tol):
+        rng = np.random.default_rng(78)
+        tangents = crossings = 0
+        for _ in range(60):
+            circle = Circle(Point(*rng.uniform(-scale, scale, 2).tolist()),
+                            float(rng.uniform(0.3, 2.0)))
+            chain = probing_chain(rng, circle, tol)
+            got = circle_polyline_intersections(circle, chain, tol)
+            assert got == unfiltered_intersections(circle, chain, tol)
+            tangents += sum(h.tangent for h in got)
+            crossings += sum(not h.tangent for h in got)
+        assert tangents and crossings
+
     def test_axis_crossings(self):
         chain = [Segment(Point(-2, 0), Point(2, 0))]
         hits = circle_polyline_intersections(Circle(Point(0, 0), 1), chain)

@@ -398,3 +398,27 @@ class TestBoundaryVertices:
                                   Region(-2, -2, 3, 3))):
             pieces = coloring.boundary_segments(window)
             assert _boundary_vertices(pieces, tol) == linear_boundary_vertices(pieces, tol)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9])
+    def test_shared_signed_zero_and_ulp_joints(self, tol):
+        # chains whose joints are shared exactly, shared as +0.0 and -0.0, or
+        # one ulp apart, so that the lookup of exact coordinates and the
+        # bucket scan both decide clusters
+        rng = np.random.default_rng(72)
+        for _ in range(20):
+            pts = [Point(0.0, -0.0), Point(-0.0, 0.0)]
+            for x, y in rng.uniform(-3.0, 3.0, (10, 2)).tolist():
+                pts.append(Point(x, y))
+                if rng.uniform() < 0.4:
+                    pts.append(Point(math.nextafter(x, math.inf), y))
+            pieces = []
+            for _ in range(30):
+                a, b = rng.choice(len(pts), 2, replace=False)
+                if distance(pts[a], pts[b]) > 1e-6:
+                    pieces.append(BoundaryPiece(Segment(pts[a], pts[b]), Color.BLACK))
+            got = _boundary_vertices(pieces, tol)
+            # hex strings tell +0.0 from -0.0, which compare equal
+            assert [(p.x.hex(), p.y.hex(), members) for p, members in got] == \
+                [(p.x.hex(), p.y.hex(), members)
+                 for p, members in linear_boundary_vertices(pieces, tol)]
+            assert any(len(members) > 2 for _, members in got)
