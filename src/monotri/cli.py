@@ -290,7 +290,7 @@ def run(args: argparse.Namespace) -> int:
             _emit({"kind": "all-parallel"}, args.out)
         return 0
     if cmd == "render":
-        from .render import RenderSpec, render_svg
+        from .render import CanvasSizeError, RenderSpec, render_svg
         witness = None
         if args.witness:
             try:
@@ -301,7 +301,12 @@ def run(args: argparse.Namespace) -> int:
         spec = RenderSpec(coloring, _parse_region(args.region),
                           _check_number("--pixels-per-unit", args.pixels_per_unit, positive=True),
                           witness)
-        _write(render_svg(spec), args.out)
+        try:
+            svg = render_svg(spec)
+        except CanvasSizeError as exc:
+            raise SchemaError(f"flags '--region' and '--pixels-per-unit': {exc}, got "
+                              f"{args.region!r} and {args.pixels_per_unit!r}") from exc
+        _write(svg, args.out)
         return 0
     raise SchemaError(f"unknown command {cmd!r}")
 
@@ -315,8 +320,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return run(args)
-    except WindowTooLarge as exc:  # only --region sets a window that large
-        print(f"error: flag '--region' {exc}, got {args.region!r}", file=sys.stderr)
+    except WindowTooLarge as exc:
+        # a default window is too large only for the document's own scale
+        if args.region is None:
+            print(f"error: flag '--coloring' {exc} in its default window, "
+                  f"got {args.coloring!r}", file=sys.stderr)
+        else:
+            print(f"error: flag '--region' {exc}, got {args.region!r}", file=sys.stderr)
         return 1
     except (ParseError, SchemaError, InvariantError, ValueError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,9 +6,10 @@ Four families, each a total map from points to black/white:
   ``scale * sqrt(3)/2``, the classical unit-triangle-avoiding coloring.
 * ``ZebraColoring`` -- the boundary is an infinite family of congruent
   piecewise-linear curves ``L_i``, each 1-periodic along a unit vector
-  ``x_hat``, with ``L_{i+1} = L_i + x_hat/2 + (sqrt(3)/2) y_hat``. Interior
-  bands alternate colors; points on the curves are colored separately by a
-  boundary parity rule, which is what the twin operation toggles.
+  ``x_hat``, with ``L_{i+1} = L_i + x_hat/2 + (sqrt(3)/2) x_hat'`` for the
+  ccw quarter turn ``x_hat'`` of ``x_hat``. Interior bands alternate
+  colors; points on the curves are colored separately by a boundary parity
+  rule, which is what the twin operation toggles.
 * ``PolygonalColoring`` -- an explicit list of oriented boundary segments
   (white face on the left), per-segment boundary colors, and one seed point
   per face; interior points resolve by crossing parity from a seed, in one
@@ -18,16 +19,14 @@ Four families, each a total map from points to black/white:
 
 Every family answers one vectorized query, ``classify(xs, ys, tol)``, which
 returns the black mask and the on-boundary mask of the points
-``(xs[k], ys[k])`` together; ``black_mask``, ``boundary_mask`` and the
-single-point ``color_at`` are views over it, for every family. So is
-``resolve``, which adds the mask of points no seed reaches: all False
-outside the polygonal family, whose own ``resolve`` underlies its
-``classify``. The fifth query, ``distance(xs, ys)``, returns the exact
-distance of each point to the boundary in one array pass (the witness
-margin of a scan); the single-point ``boundary_distance`` is a view over
-it. Every family also exposes its boundary as oriented segments for
-probing and rendering. Colorings are immutable after construction; all
-queries are pure.
+``(xs[k], ys[k])`` together. ``resolve`` adds the mask of points no seed
+reaches: all False outside the polygonal family, whose own ``resolve``
+underlies its ``classify``. ``black_mask`` and the single-point
+``color_at`` are views over ``classify``. ``distance(xs, ys)`` returns the
+exact distance of each point to the boundary in one array pass (the
+witness margin of a scan), and ``boundary_segments`` gives the boundary
+as oriented segments for probing and rendering. Colorings are immutable
+after construction; all queries are pure.
 
 ``coloring_from_dict`` is the one reader of the JSON document form that
 ``to_dict`` writes: it checks each field's shape as it builds, and raises
@@ -162,8 +161,7 @@ def _nearest(n: int, owner: np.ndarray, gx: np.ndarray, gy: np.ndarray,
 
 
 class _ClassifyViews:
-    """``black_mask``, ``boundary_mask``, ``color_at`` and ``resolve`` as views
-    over ``classify``, and ``boundary_distance`` as a view over ``distance``."""
+    """``resolve``, ``black_mask`` and ``color_at`` as views over ``classify``."""
 
     def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,17 +173,9 @@ class _ClassifyViews:
                    tol: float = DEFAULT_TOL) -> np.ndarray:
         return self.classify(xs, ys, tol)[0]
 
-    def boundary_mask(self, xs: np.ndarray, ys: np.ndarray,
-                      tol: float = DEFAULT_TOL) -> np.ndarray:
-        return self.classify(xs, ys, tol)[1]
-
     def color_at(self, p: Point, tol: float = DEFAULT_TOL) -> Color:
         black = self.black_mask(np.array([p.x]), np.array([p.y]), tol)[0]
         return Color.BLACK if bool(black) else Color.WHITE
-
-    def boundary_distance(self, p: Point) -> float:
-        """Exact distance from ``p`` to the nearest boundary piece."""
-        return float(self.distance(np.array([p.x]), np.array([p.y]))[0])
 
 
 def _frac(q: np.ndarray) -> np.ndarray:
@@ -368,7 +358,7 @@ _NO_CURVE_BELOW = float(np.iinfo(np.int64).min)
 class ZebraColoring(_ClassifyViews):
     """Coloring whose boundary is the curve family ``L_i = L_0 + i*z``.
 
-    ``z = x_hat/2 + (sqrt(3)/2) y_hat`` with ``y_hat`` the ccw perpendicular
+    ``z = x_hat/2 + (sqrt(3)/2) x_hat'`` with ``x_hat'`` the ccw quarter turn
     of ``x_hat``. Open bands between consecutive curves are colored by
     ``parity_rule`` of the band index; points on ``L_i`` by
     ``boundary_parity`` of i. Both rules are explicit: boundary colors are
@@ -389,27 +379,21 @@ class ZebraColoring(_ClassifyViews):
                 "profile amplitude must stay below sqrt(3)/2 so consecutive "
                 "curves are disjoint")
 
-    @property
-    def y_hat(self) -> UnitVector:
-        return self.x_hat.perp()
-
-    @property
-    def z_step(self) -> tuple[float, float]:
-        xh, yh = self.x_hat, self.y_hat
-        return (0.5 * xh.dx + HALF_SQRT3 * yh.dx, 0.5 * xh.dy + HALF_SQRT3 * yh.dy)
-
-    # Frame coordinates: s along x_hat, t along y_hat.
+    # Frame coordinates: s along x_hat, t along its ccw perpendicular.
     def to_frame(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xh = self.x_hat
         return xs * xh.dx + ys * xh.dy, -xs * xh.dy + ys * xh.dx
 
-    def curve_points(self, i, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """World coordinates of L_i at the profile parameters ``u``; an array of
-        curve indices ``i`` broadcasts against ``u``."""
+    def curve_points(self, i, u: np.ndarray) -> np.ndarray:
+        """World coordinates of L_i at the profile parameters ``u``, x and y
+        along axis 0; an array of curve indices ``i`` broadcasts against ``u``.
+
+        x is ``s * dx - t * dy`` bit for bit: ``a + (-b)`` rounds as ``a - b``.
+        """
         s = u + 0.5 * i
         t = self.profile.values(u) + i * HALF_SQRT3
         xh = self.x_hat
-        return s * xh.dx - t * xh.dy, s * xh.dy + t * xh.dx
+        return np.multiply.outer((xh.dx, xh.dy), s) + np.multiply.outer((-xh.dy, xh.dx), t)
 
     def curve_point(self, i: int, u: float) -> Point:
         """World point of L_i at profile parameter u."""
@@ -538,10 +522,6 @@ class ZebraColoring(_ClassifyViews):
                              self.parity_rule == "even-white")
         return even != odd_black, on_curve
 
-    def curve_index_at(self, p: Point, tol: float = DEFAULT_TOL) -> Optional[int]:
-        _, on_curve, idx = self._locate(np.array([p.x]), np.array([p.y]), tol)
-        return int(idx[0]) if bool(on_curve[0]) else None
-
     def _window_curves(self, window: Region) -> tuple[range, tuple[float, float]]:
         """The curves that can reach ``window`` and its range of frame abscissas;
         ``WindowTooLarge`` if their ``_polylines`` could top ``_MAX_WINDOW_POINTS``."""
@@ -564,11 +544,8 @@ class ZebraColoring(_ClassifyViews):
 
         A row holds its ends and the breakpoints of the periods that cover
         [u_lo + 1e-12, u_hi - 1e-12], ascending, clamped onto the nearer end
-        outside it, as in ``_distance_block``. A joint is kept iff ``_corner``
-        holds for the steps to it from the last kept point and on to the next
-        point; rows that drop one replay that rule, a dropped joint taking the
-        last kept point's value, so that consecutive columns are the
-        polyline's segments and zero-length ones.
+        outside it, as in ``_distance_block``; ``_merge_joints`` merges its
+        collinear joints.
         """
         i = np.asarray(curves, dtype=float)[:, None]
         ends = np.hstack((s_range[0] - 0.5 * i - 1.0, s_range[1] - 0.5 * i + 1.0))
@@ -578,19 +555,10 @@ class ZebraColoring(_ClassifyViews):
         inside = (lo <= cand) & (cand <= hi)
         u = np.hstack((ends[:, :1], np.where(inside, cand, np.where(
             cand < lo, ends[:, :1], ends[:, 1:])), ends[:, 1:]))
-        P = np.array(self.curve_points(i, u))
+        P = self.curve_points(i, u)
         kept = np.ones(u.shape, dtype=bool)
         kept[:, 1:-1] = inside
-        E = P[:, :, 1:] - P[:, :, :-1]
-        merge = (inside & ~_corner(E[:, :, :-1], E[:, :, 1:])).any(axis=1).nonzero()[0]
-        if merge.size:
-            Q = P[:, merge]
-            last = Q[:, :, 0]
-            for j in range(1, Q.shape[2] - 1):
-                keep = kept[merge, j] & _corner(Q[:, :, j] - last, Q[:, :, j + 1] - Q[:, :, j])
-                last = Q[:, :, j] = np.where(keep, Q[:, :, j], last)
-                kept[merge, j] = keep
-            P[:, merge] = Q
+        _merge_joints(P, kept)
         return P, kept
 
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
@@ -652,48 +620,31 @@ class ZebraColoring(_ClassifyViews):
         breakpoint outside the window is clamped onto its end, which makes
         zero-length segments that are masked out. (The other periods reach
         the window only as a copy of an end, which the joint rule drops.)
-        Every float expression is the one of ``curve_point``, the joint rule
-        and ``point_segment_distance``, so each distance is the scalar one
-        bit for bit. Rows where the joint rule drops a joint (a flat or
-        collinear wrap-around profile, a breakpoint next to a window end)
-        replay the merge joint by joint.
+        The points come from ``curve_points``, joints merge in
+        ``_merge_joints`` and distances take the float expressions of
+        ``point_segment_distance``, so each distance is the scalar one bit
+        for bit.
         """
         profile = self.profile
         tables = profile.tables
         s, t = self.to_frame(xs, ys)
         i = np.floor((t - profile.v_min) / HALF_SQRT3)[:, None] + np.arange(-2.0, 3.0)
-        half_i = 0.5 * i
-        c = s[:, None] - half_i
+        c = s[:, None] - 0.5 * i
         gap = np.abs(t[:, None] - (profile.values(c) + i * HALF_SQRT3))
         secant = tables.secants.max()
         slack = 2e-9 * (1.0 + np.abs(xs) + np.abs(ys))[:, None] + 1e-10 * secant
         rows = (gap <= (np.minimum.reduce(gap, axis=1, keepdims=True) + slack)
                 * secant).ravel().nonzero()[0]
         owner = rows // 5
-        i, half_i, c = (a.reshape(-1, 1)[rows] for a in (i, half_i, c))
+        i, c = (a.reshape(-1, 1)[rows] for a in (i, c))
 
         ends = c + np.array([-1.5, 1.5])
         edges = ends + np.array([1e-12, -1e-12])
         cand = tables.window_us + (np.floor(c + 0.5) - 2.0 + tables.window_periods)
         inside = (edges[:, :1] <= cand) & (cand <= edges[:, 1:])
         u = np.where(inside, cand, np.where(cand < edges[:, :1], ends[:, :1], ends[:, 1:]))
-        xh = self.x_hat
-        frame = np.array([[xh.dx, -xh.dy], [xh.dy, xh.dx]])[:, :, None, None]
-        P = (u + half_i) * frame[:, 0] + (profile.values(u) + i * HALF_SQRT3) * frame[:, 1]
-        E = P[:, :, 1:] - P[:, :, :-1]
-        merge = np.logical_or.reduce(inside[:, 1:-1] & ~_corner(E[:, :, :-1], E[:, :, 1:]),
-                                     axis=1).nonzero()[0]
-        if merge.size:
-            # a dropped joint takes the value of the last kept one
-            Q = P[:, merge]
-            last = Q[:, :, 0]
-            for j in range(1, Q.shape[2] - 1):
-                keep = inside[merge, j] & _corner(Q[:, :, j] - last, Q[:, :, j + 1] - Q[:, :, j])
-                last = np.where(keep, Q[:, :, j], last)
-                Q[:, :, j] = last
-            P[:, merge] = Q
-            E = P[:, :, 1:] - P[:, :, :-1]
-
+        P = self.curve_points(i, u)
+        E = _merge_joints(P, inside)
         A = P[:, :, :-1]
         p = np.array((xs, ys))[:, owner, None]
         L2 = np.add(*(E * E))
@@ -722,6 +673,31 @@ def _corner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     steps ``a`` and ``b`` (x and y along axis 0) is kept."""
     return np.abs(a[0] * b[1] - a[1] * b[0]) > 1e-12 * (np.abs(a[0]) + np.abs(a[1])) * (
         np.abs(b[0]) + np.abs(b[1]) + 1)
+
+
+def _merge_joints(P: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Merge the collinear joints of polylines in place; return their steps.
+
+    ``P`` holds a polyline per row (x, y on axis 0) and ``kept`` marks the
+    columns that may stay joints; ends always stay. A joint is kept iff
+    ``_corner`` holds for the steps to it from the last kept point and on
+    to the next point. Rows that drop a joint replay that rule joint by
+    joint, a dropped joint taking the last kept point's value, so that
+    consecutive columns are the polyline's segments and zero-length ones;
+    ``kept`` is cleared where a joint is dropped.
+    """
+    E = P[:, :, 1:] - P[:, :, :-1]
+    merge = (kept[:, 1:-1] & ~_corner(E[:, :, :-1], E[:, :, 1:])).any(axis=1).nonzero()[0]
+    if not merge.size:
+        return E
+    Q = P[:, merge]
+    last = Q[:, :, 0]
+    for j in range(1, Q.shape[2] - 1):
+        keep = kept[merge, j] & _corner(Q[:, :, j] - last, Q[:, :, j + 1] - Q[:, :, j])
+        last = Q[:, :, j] = np.where(keep, Q[:, :, j], last)
+        kept[merge, j] = keep
+    P[:, merge] = Q
+    return P[:, :, 1:] - P[:, :, :-1]
 
 
 def _clip_segment_to_region(p: Point, q: Point, window: Region) -> Optional[Segment]:

@@ -26,7 +26,6 @@ from .geom import (
     GeometryError,
     Infeasible,
     Point,
-    RigidMotion,
     distance,
     third_vertex,
     triangle_inequality_ok,
@@ -69,10 +68,6 @@ class EightPointConfig:
             for u, v in ((p, q), (q, r), (r, p)):
                 errs.append(abs(distance(self.points[u], self.points[v]) - s))
         return errs
-
-    def transformed(self, motion: RigidMotion) -> "EightPointConfig":
-        return EightPointConfig({k: motion.apply(p) for k, p in self.points.items()},
-                                self.sides)
 
 
 def _check_spec_sides(a: float, b: float, c: float, tol: float) -> None:

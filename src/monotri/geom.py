@@ -86,10 +86,6 @@ class UnitVector:
     def from_angle(angle: float) -> "UnitVector":
         return UnitVector(math.cos(angle), math.sin(angle))
 
-    def perp(self) -> "UnitVector":
-        """Counterclockwise quarter turn."""
-        return UnitVector(-self.dy, self.dx)
-
 
 @dataclass(frozen=True)
 class RigidMotion:

@@ -7,7 +7,10 @@ coordinates, so a given input always renders to the same bytes. Strip,
 zebra and half-plane fills are exact band/half-plane polygons (cropped by
 the viewBox); generic polygonal interiors fall back to a fine cell raster,
 colored by one ``resolve`` call over all cell centres (cells no seed
-reaches stay white), while their boundaries stay exact.
+reaches stay white), while their boundaries stay exact. A canvas is 1 to
+2^20 pixels a side; ``render_svg`` raises ``CanvasSizeError`` for any other
+region and scale, after the boundary has been built (so that a window too
+large for its boundary raises ``WindowTooLarge`` first).
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ BLACK_FILL = "#3a3a3a"
 WHITE_FILL = "#f4f1ea"
 STROKE = "#b03030"
 WITNESS_STROKE = "#1060c0"
+
+
+class CanvasSizeError(ValueError):
+    """The region and pixels per unit make a canvas that cannot be drawn."""
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,11 @@ class _Canvas:
         self.ppu = ppu
         self.width = (region.x1 - region.x0) * ppu
         self.height = (region.y1 - region.y0) * ppu
+        # a side outside [1, 2^20] pixels (or NaN) draws nothing useful
+        if not (1.0 <= self.width <= 2.0 ** 20 and 1.0 <= self.height <= 2.0 ** 20):
+            raise CanvasSizeError(
+                f"the canvas would be {self.width:.3g} x {self.height:.3g} pixels; "
+                "each side must be from 1 to 1048576 pixels")
         self.parts: list[str] = []
 
     def to_svg(self, p: Point) -> tuple[float, float]:
@@ -160,11 +172,11 @@ def _fill_polygonal(canvas: _Canvas, coloring: PolygonalColoring, cells: int = 1
 
 def render_svg(spec: RenderSpec) -> str:
     """Render a coloring (and optional witness overlay) to an SVG document."""
+    coloring = spec.coloring
+    # before the canvas, so that a window too large for its boundary fails first
+    pieces = coloring.boundary_segments(spec.region)
     canvas = _Canvas(spec.region, spec.pixels_per_unit)
     canvas.rect(0.0, 0.0, canvas.width, canvas.height, WHITE_FILL)
-    coloring = spec.coloring
-    # before any fill, so that a window too large for its boundary fails first
-    pieces = coloring.boundary_segments(spec.region)
     if isinstance(coloring, StripColoring):
         _fill_strip(canvas, coloring)
     elif isinstance(coloring, ZebraColoring):

@@ -5,8 +5,9 @@ window: every point tries curves i0 - 2 .. i0 + 2 and reads heights through
 ``np.interp``. ``mod_strip_classify`` is the strip kernel as it was
 before its fractional parts came from ``floor``: both from ``np.mod``.
 ``two_mask_avoidance`` is the avoidance scan as it was before
-it classified each vertex once: one ``black_mask`` and one ``boundary_mask``
-call per vertex, each vertex offset rotated by ``_rotated_offsets``.
+it classified each vertex once: one ``black_mask`` call and one boundary
+mask (``classify(...)[1]``) per vertex, each vertex offset rotated by
+``_rotated_offsets``.
 ``walk_color_at`` is the polygonal query as it was before the array kernel:
 one point at a time, one seed at a time, one piece at a time.
 ``scalar_distance`` is the ``distance`` query as it was before the array
@@ -189,6 +190,11 @@ def scalar_zebra_distance(self: ZebraColoring, p: Point) -> float:
     return best
 
 
+def one_point_distance(coloring, p: Point) -> float:
+    """``distance`` of the one point ``p``."""
+    return float(coloring.distance(np.array([p.x]), np.array([p.y]))[0])
+
+
 def scalar_distance(coloring, p: Point) -> float:
     """Distance from ``p`` to the boundary, one point at a time."""
     if isinstance(coloring, ZebraColoring):
@@ -232,7 +238,7 @@ def two_mask_avoidance(coloring, spec, grid, tol=1e-9, max_examples=8):
         blacks, bounds = [], []
         for ox, oy in _rotated_offsets(spec, angle):
             blacks.append(coloring.black_mask(X + ox, Y + oy, tol))
-            bounds.append(coloring.boundary_mask(X + ox, Y + oy, tol))
+            bounds.append(coloring.classify(X + ox, Y + oy, tol)[1])
         b1, b2, b3 = blacks
         mono = (b1 == b2) & (b2 == b3)
         near = (~mono) & (((b1 == b2) & bounds[2]) | ((b1 == b3) & bounds[1])
@@ -567,7 +573,7 @@ def test_classify_is_the_pair_of_masks(family, tol):
     black, on = coloring.classify(xs, ys, tol)
     assert on[:len(bx)].all()
     assert np.array_equal(black, coloring.black_mask(xs, ys, tol))
-    assert np.array_equal(on, coloring.boundary_mask(xs, ys, tol))
+    assert np.array_equal(on, coloring.resolve(xs, ys, tol)[1])
     colors = [coloring.color_at(Point(float(x), float(y)), tol) for x, y in zip(xs, ys)]
     assert colors == [Color.BLACK if b else Color.WHITE for b in black]
 
@@ -946,7 +952,7 @@ class TestPolygonalKernel:
         xs, ys = np.array([2.0, -0.5, -0.25]), np.array([0.3, -0.5, -0.25])
         assert walk_color_at(pc, Point(-0.5, -0.5), 1e-9) is None
         message = re.escape("no seed reaches (-0.5, -0.5) unambiguously")
-        for query in (pc.classify, pc.black_mask, pc.boundary_mask):
+        for query in (pc.classify, pc.black_mask):
             with pytest.raises(UnresolvedFace, match=message):
                 query(xs, ys)
         with pytest.raises(UnresolvedFace, match=message):
@@ -1003,6 +1009,19 @@ class TestBoundarySegments:
                 window = random_window(rng, scale)
                 got = zc.boundary_segments(window)
                 assert got and piece_bits(got) == piece_bits(per_point_boundary_segments(zc, window))
+
+    @pytest.mark.parametrize("name", sorted(ZEBRA_MERGES))
+    def test_kept_points_are_the_merged_polyline(self, name):
+        # render fills its bands from the kept points of _polylines
+        rng = np.random.default_rng(38)
+        for _ in range(8):
+            zc = ZebraColoring(ZEBRA_MERGES[name], UnitVector.from_angle(rng.uniform(0.0, 6.3)))
+            curves, (s_lo, s_hi) = zc._window_curves(random_window(rng, 8.0))
+            P, kept = zc._polylines(np.arange(len(curves)) + float(curves.start), (s_lo, s_hi))
+            for r, i in enumerate(curves):
+                want = per_point_polyline(zc, i, s_lo - 0.5 * i - 1.0, s_hi - 0.5 * i + 1.0)
+                assert P[0, r, kept[r]].tolist() == [p.x for p in want]
+                assert P[1, r, kept[r]].tolist() == [p.y for p in want]
 
     def test_axis_aligned_flat_profile_merges_every_joint(self):
         zc = ZebraColoring(ZEBRA_MERGES["flat"])
@@ -1230,7 +1249,7 @@ class TestDistance:
         rng = np.random.default_rng(36)
         for x, y in rng.uniform(-3.0, 3.0, (5, 2)):
             p = Point(float(x), float(y))
-            assert coloring.boundary_distance(p) == scalar_distance(coloring, p)
+            assert one_point_distance(coloring, p) == scalar_distance(coloring, p)
         assert coloring.distance(np.empty(0), np.empty(0)).shape == (0,)
         # find scans pass vertex 3 an empty array where no pair agrees
         for masks in (coloring.classify(np.empty(0), np.empty(0)),

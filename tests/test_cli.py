@@ -12,15 +12,16 @@ from monotri.cli import (
     main,
     parse_coloring_file,
 )
-from monotri.geom import Region
+from monotri.geom import Region, UnitVector
 from monotri.colorings import (
+    HalfPlaneColoring,
     PolygonalColoring,
     StripColoring,
     ZebraColoring,
     coloring_from_dict,
     l_shape_coloring,
 )
-from monotri.render import RenderSpec, render_svg
+from monotri.render import CanvasSizeError, RenderSpec, render_svg
 
 
 @pytest.fixture
@@ -289,6 +290,38 @@ class TestExitStatuses:
         assert captured.out == ""
         assert "'--point'" in captured.err
 
+    @pytest.mark.parametrize("command", [["angles"], ["hexagon", "--point", "0,0"]],
+                             ids=["angles", "hexagon"])
+    def test_default_window_too_large_names_the_document(self, command, tmp_path, capsys):
+        # a strip of scale 1e-320 puts infinitely many lines in any window; the
+        # message used to name '--region', which no flag had set, and end in
+        # "got None"
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"type": "strip", "scale": 1e-320}))
+        assert main(command + ["--coloring", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'--coloring'" in captured.err and "more than 1048576" in captured.err
+        assert "'--region'" not in captured.err and "None" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["--region=-1e300,-1e300,1e300,1e300"],
+                                      ["--region=0,0,1,1", "--pixels-per-unit", "1e300"],
+                                      ["--region=0,0,1,1", "--pixels-per-unit", "1e-300"]],
+                             ids=["huge-region", "huge-scale", "tiny-scale"])
+    @pytest.mark.parametrize("family", ["halfplane", "polygonal"])
+    def test_absurd_canvas_exits_one(self, family, argv, halfplane_file, tmp_path, capsys):
+        # these used to exit 0 with an SVG 1.2e302 or 1e300 pixels wide, or a
+        # 0.0000 x 0.0000 viewBox
+        polygonal = tmp_path / "polygonal.json"  # the README's document
+        polygonal.write_text(json.dumps(
+            {"type": "polygonal", "segments": [{"p": [16, 0], "q": [0, 0], "ray_start": True}],
+             "boundary_colors": ["black"], "seeds": [[1, 1, "black"], [-1, -1, "white"]]}))
+        coloring = {"halfplane": halfplane_file, "polygonal": str(polygonal)}[family]
+        assert main(["render", "--coloring", coloring] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'--region'" in captured.err and "'--pixels-per-unit'" in captured.err
+
     def test_sides_at_the_ends_of_the_float_range_run(self, capsys):
         assert main(["forcing", "--sides", "1e-150,1e-150,1e-150", "--part", "i"]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
@@ -475,6 +508,17 @@ class TestRenderDeterminism:
         visible = [n for n in range(-3, 5)
                    if n * period < region.y1 and (n + 0.5) * period > region.y0]
         assert len(visible) == 3
+
+    @pytest.mark.parametrize("coloring", [HalfPlaneColoring(), l_shape_coloring(),
+                                          ZebraColoring(x_hat=UnitVector.from_angle(0.3))],
+                             ids=["halfplane", "lshape", "zebra"])
+    def test_canvas_sides_from_one_to_2_20_pixels(self, coloring):
+        region = Region(0.0, 0.0, 1.0, 2.0)
+        for ppu in (1.0, 2.0 ** 19):  # 1 x 2 and 2^19 x 2^20 pixels
+            assert render_svg(RenderSpec(coloring, region, ppu)).endswith("</svg>\n")
+        for ppu in (0.5, 2.0 ** 19 * (1.0 + 2.0 ** -52)):
+            with pytest.raises(CanvasSizeError, match="from 1 to 1048576 pixels"):
+                render_svg(RenderSpec(coloring, region, ppu))
 
     def test_zebra_render_has_boundary_polylines(self):
         zc = ZebraColoring()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monotri.geom import GeometryError, Point, Region, UnitVector
+from monotri.geom import DEFAULT_TOL, GeometryError, Point, Region, UnitVector
 from monotri.colorings import (
     Color,
     HalfPlaneColoring,
@@ -31,6 +31,17 @@ HALF_SQRT3 = SQRT3 / 2.0
 
 ZIGZAG = ZebraProfile(((0.0, 0.0), (0.5, 0.1), (1.0, 0.0)))
 SAWTOOTH = ZebraProfile(((0.0, 0.0), (0.5, 0.8), (1.0, 0.0)))
+
+
+def one_point_distance(coloring, p: Point) -> float:
+    """``distance`` of the one point ``p``."""
+    return float(coloring.distance(np.array([p.x]), np.array([p.y]))[0])
+
+
+def curve_index_at(zc: ZebraColoring, p: Point, tol: float = DEFAULT_TOL):
+    """The index of the first curve within ``tol`` of ``p``, None if none is."""
+    _, on_curve, idx = zc._locate(np.array([p.x]), np.array([p.y]), tol)
+    return int(idx[0]) if bool(on_curve[0]) else None
 
 
 def sample_d_condition(zc, n_pairs=10000, seed=7, tol=1e-9):
@@ -86,8 +97,8 @@ class TestStripColoring:
 
     def test_boundary_distance(self):
         sc = StripColoring(1.0)
-        assert sc.boundary_distance(Point(3.0, 0.1)) == pytest.approx(0.1)
-        assert sc.boundary_distance(Point(-1.0, SQRT3 / 2)) == pytest.approx(0.0, abs=1e-12)
+        assert one_point_distance(sc, Point(3.0, 0.1)) == pytest.approx(0.1)
+        assert one_point_distance(sc, Point(-1.0, SQRT3 / 2)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestZebraProfileValidation:
@@ -115,8 +126,8 @@ class TestZebraProfileValidation:
 def curve_segments(zc: ZebraColoring, i: int, window: Region) -> list[Segment]:
     """The segments of the ``boundary_segments`` pieces that lie on L_i."""
     return [pc.seg for pc in zc.boundary_segments(window)
-            if zc.curve_index_at(Point(0.5 * (pc.seg.p.x + pc.seg.q.x),
-                                       0.5 * (pc.seg.p.y + pc.seg.q.y))) == i]
+            if curve_index_at(zc, Point(0.5 * (pc.seg.p.x + pc.seg.q.x),
+                                        0.5 * (pc.seg.p.y + pc.seg.q.y))) == i]
 
 
 class TestZebraColoring:
@@ -163,9 +174,11 @@ class TestZebraColoring:
         zc = ZebraColoring(ZIGZAG)
         xs = rng.uniform(-5, 5, 10 ** 4)
         ys = rng.uniform(-5, 5, 10 ** 4)
-        off = ~zc.boundary_mask(xs, ys, 1e-7)
-        zx, zy = zc.z_step
-        off &= ~zc.boundary_mask(xs + zx, ys + zy, 1e-7)
+        off = ~zc.classify(xs, ys, 1e-7)[1]
+        # z = x_hat/2 + (sqrt(3)/2) times the ccw quarter turn of x_hat
+        zx = 0.5 * zc.x_hat.dx - HALF_SQRT3 * zc.x_hat.dy
+        zy = 0.5 * zc.x_hat.dy + HALF_SQRT3 * zc.x_hat.dx
+        off &= ~zc.classify(xs + zx, ys + zy, 1e-7)[1]
         a = zc.black_mask(xs, ys)
         b = zc.black_mask(xs + zx, ys + zy)
         assert (a[off] != b[off]).all()
@@ -197,8 +210,8 @@ class TestZebraColoring:
     def test_rotated_frame(self):
         zc = ZebraColoring(x_hat=UnitVector.from_angle(math.pi / 5))
         p = zc.curve_point(3, 0.42)
-        assert zc.curve_index_at(p) == 3
-        assert zc.boundary_distance(p) < 1e-12
+        assert curve_index_at(zc, p) == 3
+        assert one_point_distance(zc, p) < 1e-12
 
 
 class TestTwin:
@@ -208,7 +221,7 @@ class TestTwin:
         rng = np.random.default_rng(9)
         xs = rng.uniform(-3, 3, 5000)
         ys = rng.uniform(-3, 3, 5000)
-        off = ~zc.boundary_mask(xs, ys, 1e-7)
+        off = ~zc.classify(xs, ys, 1e-7)[1]
         a = zc.black_mask(xs, ys)
         b = tw.black_mask(xs, ys)
         assert (a[off] == b[off]).all()
@@ -263,8 +276,8 @@ class TestZebraConditions:
         assert (w.dist > 1 and w.theta >= math.pi / 3) or \
             (w.dist <= 1 and w.theta < math.pi / 3)
         # and its endpoints really lie on consecutive curves
-        assert zc.curve_index_at(w.A) == 0
-        assert zc.curve_index_at(w.B) == 1
+        assert curve_index_at(zc, w.A) == 0
+        assert curve_index_at(zc, w.B) == 1
 
     def test_checker_agrees_with_oracle_on_varied_profiles(self):
         profiles = [

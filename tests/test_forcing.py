@@ -6,6 +6,7 @@ import pytest
 from monotri.geom import Infeasible, RigidMotion, distance
 from monotri.forcing import (
     DegenerateSides,
+    EightPointConfig,
     LABELS,
     build_config,
     classify_triples,
@@ -92,7 +93,9 @@ class TestClassifyTriples:
     def test_rigid_motion_invariance(self):
         cfg = build_config(1.3, 2.1, 2.9)
         cls = classify_triples(cfg)
-        moved = cfg.transformed(RigidMotion(0.83, (4.2, -1.7)))
+        motion = RigidMotion(0.83, (4.2, -1.7))
+        moved = EightPointConfig({k: motion.apply(p) for k, p in cfg.points.items()},
+                                 cfg.sides)
         cls2 = classify_triples(moved)
         for key in cls.triples:
             assert cls.triples[key] == pytest.approx(cls2.triples[key], abs=1e-9)
