@@ -798,6 +798,16 @@ class PolygonTables:
     (pieces, points) grid keeps the points on its fast axis. ``piece_len``
     is ``math.hypot`` of e, ``piece_black`` the piece color and
     ``seed_dist[j, k]`` the distance of seed k from piece j.
+
+    ``seed_clear[k]``, the least ``seed_dist[j, k]`` over the pieces (inf
+    without pieces), is seed k's clear radius: no piece comes nearer to
+    the seed. A point well inside its nearest seed's clear disk takes
+    that seed's color without the piece pass; ``clear_scale``, the
+    largest ``|ax| + |ay| + |ex| + |ey|`` plus the largest seed
+    ``|x| + |y|``, sizes the pad of that test
+    (``PolygonalColoring._resolve_block``). It is inf, and no point is
+    clear, when it exceeds 2^200 or a piece is shorter than 2^-200:
+    outside those bounds the pad's error analysis does not hold.
     """
 
     def __init__(self, pieces: tuple[BoundaryPiece, ...],
@@ -822,8 +832,14 @@ class PolygonTables:
         self.seed_black = np.array([c is Color.BLACK for _, c in seeds], dtype=bool)
         self.seed_dist = np.array([[pc.distance_to(p) for p, _ in seeds]
                                    for pc in pieces]).reshape(len(pieces), len(seeds))
+        self.seed_clear = self.seed_dist.min(axis=0, initial=np.inf)
         for table in vars(self).values():
             table.setflags(write=False)
+        scale = float(np.max(np.abs(self.ax) + np.abs(self.ay) + np.abs(self.ex)
+                             + np.abs(self.ey), initial=0.0)
+                      + np.max(np.abs(self.seed_x) + np.abs(self.seed_y)))
+        in_range = scale <= 2.0 ** 200 and np.all(self.piece_len >= 2.0 ** -200)
+        self.clear_scale = scale if in_range else math.inf
 
 
 @dataclass(frozen=True)
@@ -839,6 +855,9 @@ class PolygonalColoring(_ClassifyViews):
     ambiguous; each point tries the seeds nearest first and takes the
     first unambiguous one. ``resolve`` does all of this over whole arrays;
     ``classify`` raises ``UnresolvedFace`` where no seed reaches a point.
+    A point well inside its nearest seed's clear disk (``PolygonTables``)
+    skips the piece pass: no piece is near it or crosses its sight line,
+    so it takes that seed's color, as the walk would give it.
     """
 
     pieces: tuple[BoundaryPiece, ...]
@@ -883,6 +902,95 @@ class PolygonalColoring(_ClassifyViews):
         return xs - (tb.ax + t * tb.ex), ys - (tb.ay + t * tb.ey)
 
     def _resolve_block(self, xs: np.ndarray, ys: np.ndarray, tol: float):
+        """``resolve`` on one block: clear points first, the walk for the rest.
+
+        With u = 2^-53, a point p whose nearest seed s = seed k (the first
+        least of the computed distances: the walk's first seed) is *clear*
+        when its computed distance d from s is below the seed's reach,
+
+            (c - 3 tol - 2 B kappa) / (1 + 1.5 kappa),   kappa = 64 u (1 + 1/tol),
+
+        for c = ``seed_clear[k]`` and B = ``clear_scale``, all in floats:
+        that is, d + pad < c for pad = 3 tol + kappa L, L = 2 B + 1.5 d. A
+        clear point takes s's color and is neither on the boundary nor
+        unresolved, as the walk would have it; only the other points go
+        through ``_gaps`` and the walk, with the distances already
+        computed. A tol <= 0, a non-finite tol and a non-finite
+        ``3 tol + 2 B kappa`` clear no point; nor does a NaN or infinite d,
+        which a non-finite x or y gives.
+
+        Why the walk agrees. Piece j is a + v e for v in [v_lo, v_hi], in
+        the table's floats (v is ``_crossing_parity``'s u); w = a - p and
+        D = s - p. The 1-norms of s, a, e and s - a are at most B, and
+        |D|_1 <= sqrt(2) |D| <= 1.5 d, so those of p, w and D are at most
+        L. Every operation errs by at most u relative (hypot by 2u).
+        1. Range. ``clear_scale`` is finite only when it is at most 2^200
+           and every piece is at least 2^-200 long. A clear point has
+           64 u L < pad < c + 7 u L < 2.51 * 2^200 (by 2 and 3), so
+           L < 2^249 and no product overflows; an underflow errs by
+           2^-1074 absolute, negligible at every step here.
+        2. Gaps. ``_gaps`` and ``point_segment_distance`` compute the
+           parameter of the nearest point of a piece to q within
+           6.1 u |q - a| / |e| of the exact one, and the offset from q to
+           the piece point at the computed parameter within 7.4 u L.
+           So the exact distance of s from piece j is at least
+           ``seed_dist[j, k]`` - 21 u L >= c - 21 u L, and a piece is
+           ``near`` p only if it comes within tol (1 + 2.01 u) + 7.4 u L
+           of p. Also c < 2.5 B <= 2.5 L.
+        3. Clearance. The exact |D| is at most d + 4 u L, and every point
+           of the sight segment [p, s] is within |D| of s, so every piece
+           stays at least c - d - 25.1 u L from that segment. The clear
+           test, rounded, gives d + pad (1 - 5.01 u) < c + 6.1 u L, as
+           c < 2.5 L; so that clearance exceeds
+           2.99 tol + 32 u L + 63 u L / tol.
+        4. ``near`` is False for every piece, by 2 and 3. The
+           ``parallel & seed_dist <= tol`` term of ``ambiguous`` is False,
+           since every ``seed_dist[j, k] >= c`` and c > 2.99 tol by 3.
+        5. No piece gives ``hit``. Suppose one did; the rule for d <= tol
+           (the point is at its seed) ignores hits, so let d > tol. Not
+           being ``parallel`` means |denom| > tol |D| |e| (1 - 7.01 u),
+           and denom errs by at most 3.01 u |D| |e|, that is by a relative
+           theta = 3.02 u / tol. A clear point has 64 u L / tol < pad
+           < c + 7 u L < 2.51 L, so tol > 25 u, theta < 1/8, and
+           |denom| > 2^-300. The lines then meet at X = p + t* D = a + v* e,
+           and the numerators of t and v err by 3.01 u |w| |e| and
+           3.01 u |w| |D|. For T = |t - t*| |D| and V = |v - v*| |e|:
+           T (1 - theta) <= theta |w| + (theta + u) |t| |D|, with
+           |t| |D| <= (1 + u)(|D| + tol (1 + 4.01 u)) from the hit's range
+           of t; and V (1 - u) <= theta |w| + (theta + u) |v*| |e|, with
+           |v*| |e| = |X - a| <= |w| + |t| |D| + T. With u < tol / 25 that
+           gives T <= 6.91 u L / tol + 1.15 u L + 0.15 tol and
+           V <= 9.95 u L / tol + 2.16 u L + 0.15 tol. The hit's ranges of t
+           and v put X within tol (1 + 5.02 u) + u L + T of the sight
+           segment and within tol (1 + 4.02 u) + u L + V of piece j. So
+           the piece comes within 2.31 tol + 5.31 u L + 16.9 u L / tol of
+           the segment, inside the clearance of 3: a contradiction.
+        So the walk's first seed gives an even, unambiguous crossing
+        count, and the point takes ``seed_black[k]``.
+        """
+        tb = self.tables
+        dist = np.hypot(tb.seed_x - xs[:, None], tb.seed_y - ys[:, None])
+        t = float(tol)  # Python floats: a huge 1/t or B kappa is inf or NaN, without a warning
+        kappa = 64.0 * 2.0 ** -53 * (1.0 + 1.0 / t) if t > 0.0 else math.nan
+        base = 3.0 * t + 2.0 * tb.clear_scale * kappa
+        if not math.isfinite(base):
+            return self._walk(xs, ys, dist, tol)
+        nearest = dist.argmin(axis=1)
+        reach = (tb.seed_clear - base) / (1.0 + 1.5 * kappa)
+        clear = dist.min(axis=1) < reach[nearest]
+        if not clear.any():
+            return self._walk(xs, ys, dist, tol)
+        black = tb.seed_black[nearest]
+        on = np.zeros(xs.shape, dtype=bool)
+        unresolved = np.zeros(xs.shape, dtype=bool)
+        rest = np.flatnonzero(~clear)
+        if rest.size:
+            black[rest], on[rest], unresolved[rest] = self._walk(
+                xs[rest], ys[rest], dist[rest], tol)
+        return black, on, unresolved
+
+    def _walk(self, xs: np.ndarray, ys: np.ndarray, dist: np.ndarray, tol: float):
+        """``resolve`` by the piece pass and the seed walk, given the seed distances."""
         tb = self.tables
         gx, gy = self._gaps(xs, ys)
         # np.hypot(gx, gy) >= max(|gx|, |gy|), so it is needed only where both are within tol
@@ -894,8 +1002,7 @@ class PolygonalColoring(_ClassifyViews):
             black[on] = tb.piece_black[near[:, on].argmax(axis=0)]
         # The walk: each point off the boundary tries its seeds nearest first.
         pend = np.flatnonzero(~on)
-        px, py = xs[pend], ys[pend]
-        dist = np.hypot(tb.seed_x - px[:, None], tb.seed_y - py[:, None])
+        px, py, dist = xs[pend], ys[pend], dist[pend]
         order = np.argsort(dist, axis=1, kind="stable")
         todo = np.arange(pend.size)
         for rank in range(order.shape[1]):

@@ -342,8 +342,12 @@ def find_almost_unit(coloring: Coloring, epsilon: float, tries: int = 10 ** 6,
     same-colored sample pair whose chord falls in [1-eps, 1+eps] closes a
     triangle with R or S. Uniform random unit triangles serve as a fallback
     when the guided walk stalls. Returns None once the try budget is spent
-    with a class still missing -- which is the expected outcome exactly when
-    that class cannot contain such a triangle.
+    with a class still missing. None is a sampling verdict, "budget spent",
+    not a proof that the class holds no such triangle: the pair search
+    samples only [-1, 1]^2, so a coloring that is one color there can spend
+    the whole budget on it. ``HalfPlaneColoring(UnitVector(0, 1), -2.0)``,
+    black on that square, gives None at ``epsilon=0.1, tries=2000, seed=0``,
+    though its white class holds unit triangles.
     """
     if not (0.0 < epsilon < 1.0):
         raise GeometryError("epsilon must lie strictly between 0 and 1")

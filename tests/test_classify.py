@@ -29,6 +29,7 @@ angles.
 
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -871,7 +872,35 @@ POLYGONAL = {
                        ray_start=True, ray_end=True),),
         ((Point(-1.0, 1.0), Color.BLACK), (Point(1.0, 1.0), Color.WHITE)),
         Region(-8.0, -8.0, 8.0, 8.0))],
+    # seeds of opposite colors whose clear disks overlap: a point in both
+    # disks takes its nearest seed's color, not that of any seed whose disk holds it
+    "overlapping-disks": [PolygonalColoring(
+        (BoundaryPiece(Segment(Point(8.0, 0.0), Point(-8.0, 0.0)), Color.BLACK,
+                       ray_start=True, ray_end=True),),
+        ((Point(-0.5, 2.0), Color.BLACK), (Point(0.5, 2.0), Color.WHITE)),
+        Region(-8.0, -8.0, 8.0, 8.0))],
 }
+
+NON_FINITE = (np.array([math.nan, math.inf, -math.inf, 0.5, math.nan, math.inf, 0.5, -math.inf]),
+              np.array([0.5, 0.5, 0.5, math.nan, math.nan, math.inf, -math.inf, math.inf]))
+
+
+def clear_reach(clear: float, scale: float, tol: float) -> float:
+    """The distance from a seed of clear radius ``clear`` below which a
+    point is clear (``_resolve_block``); ``clear`` itself at tol <= 0."""
+    if not tol > 0.0:
+        return clear
+    kappa = 64.0 * 2.0 ** -53 * (1.0 + 1.0 / tol)
+    return (clear - 3.0 * tol - 2.0 * scale * kappa) / (1.0 + 1.5 * kappa)
+
+
+def nearest_on_piece(piece: BoundaryPiece, p: Point) -> tuple[float, float]:
+    """The point of ``piece`` nearest to ``p``, as ``point_segment_distance`` finds it."""
+    a, b = piece.seg.p, piece.seg.q
+    ex, ey = b.x - a.x, b.y - a.y
+    t = ((p.x - a.x) * ex + (p.y - a.y) * ey) / (ex * ex + ey * ey)
+    t = min(max(t, -math.inf if piece.ray_start else 0.0), math.inf if piece.ray_end else 1.0)
+    return a.x + t * ex, a.y + t * ey
 
 
 def polygonal_points(pc: PolygonalColoring, rng, tol):
@@ -881,8 +910,12 @@ def polygonal_points(pc: PolygonalColoring, rng, tol):
     ends of rays) and at +-0.5 tol and +-2 tol from it along its normal;
     points on the sight lines from each seed through each piece endpoint,
     before and past the endpoint, and on the lines through each seed along
-    each piece; points at and next to each seed; and points equidistant
-    from two seeds.
+    each piece; points at and next to each seed; points equidistant
+    from two seeds; and points about the edge of each seed's clear disk,
+    on circles of radius ``seed_clear - pad`` (the reach within which
+    points are clear), a few ulps either side of it, ``pad`` either side of
+    it and ``seed_clear``, towards each piece's nearest point and at eight
+    spread angles.
     """
     xs, ys = [rng.uniform(-4.0, 4.0, 150)], [rng.uniform(-4.0, 4.0, 150)]
     ends = []
@@ -911,31 +944,77 @@ def polygonal_points(pc: PolygonalColoring, rng, tol):
         f = rng.uniform(-2.0, 2.0, 4)
         xs.append(0.5 * (s1.x + s2.x) - f * (s2.y - s1.y))
         ys.append(0.5 * (s1.y + s2.y) + f * (s2.x - s1.x))
+    for (seed, _), clear in zip(pc.seeds, pc.tables.seed_clear.tolist()):
+        if not math.isfinite(clear):
+            continue
+        r0 = clear_reach(clear, pc.tables.clear_scale, tol)
+        pad = clear - r0
+        radii = np.array([r0, r0 - 3 * math.ulp(r0), r0 + 3 * math.ulp(r0),
+                          r0 - pad, r0 + pad, clear])
+        theta = np.concatenate(([math.atan2(y - seed.y, x - seed.x)
+                                 for x, y in (nearest_on_piece(pc_, seed) for pc_ in pc.pieces)],
+                                rng.uniform(0.0, 2.0 * math.pi) + np.arange(8) * (math.pi / 4)))
+        xs.append((seed.x + radii[:, None] * np.cos(theta)).ravel())
+        ys.append((seed.y + radii[:, None] * np.sin(theta)).ravel())
     return np.concatenate(xs), np.concatenate(ys)
+
+
+class RawPoint(NamedTuple):
+    """A point for the walk that, unlike ``Point``, may be NaN or infinite."""
+    x: float
+    y: float
 
 
 def assert_resolve_matches_walk(pc, xs, ys, tol):
     black, on, unresolved = pc.resolve(xs, ys, tol)
-    want = [walk_color_at(pc, Point(float(x), float(y)), tol) for x, y in zip(xs, ys)]
+    points = [RawPoint(float(x), float(y)) for x, y in zip(xs, ys)]
+    want = [walk_color_at(pc, p, tol) for p in points]
     assert unresolved.tolist() == [w is None for w in want]
     assert black.tolist() == [w is Color.BLACK for w in want]
-    near = [any(pc_.distance_to(Point(float(x), float(y))) <= tol for pc_ in pc.pieces)
-            for x, y in zip(xs, ys)]
+    near = [any(pc_.distance_to(p) <= tol for pc_ in pc.pieces) for p in points]
     assert on.tolist() == near
     return unresolved
 
 
 class TestPolygonalKernel:
     @pytest.mark.parametrize("name", sorted(POLYGONAL))
-    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
     def test_resolve_matches_walk(self, name, tol):
         rng = np.random.default_rng(21)
         unresolved = 0
         for pc in POLYGONAL[name]:
             xs, ys = polygonal_points(pc, rng, tol)
             unresolved += int(assert_resolve_matches_walk(pc, xs, ys, tol).sum())
+            # non-finite points among finite ones; numpy warns of the NaNs they make
+            with np.errstate(invalid="ignore"):
+                assert_resolve_matches_walk(pc, np.concatenate((NON_FINITE[0], xs[:40])),
+                                            np.concatenate((NON_FINITE[1], ys[:40])), tol)
         if name == "square-1-seed":
             assert unresolved > 0
+
+    def test_clear_points_skip_the_walk(self, monkeypatch):
+        """Points inside a convex face's seed disk never reach ``_crossing_parity``."""
+        calls = []
+        crossing_parity = PolygonalColoring._crossing_parity
+
+        def counted(self, px, *args):
+            calls.append(px.size)
+            return crossing_parity(self, px, *args)
+
+        monkeypatch.setattr(PolygonalColoring, "_crossing_parity", counted)
+        rng = np.random.default_rng(23)
+        for pc in POLYGONAL["convex"]:
+            (seed, _), clear = pc.seeds[0], float(pc.tables.seed_clear[0])
+            # within half the clear radius, the inside seed is the nearest
+            r = 0.5 * clear * np.sqrt(rng.uniform(0.0, 1.0, 64))
+            theta = rng.uniform(0.0, 2.0 * math.pi, 64)
+            xs, ys = seed.x + r * np.cos(theta), seed.y + r * np.sin(theta)
+            assert_resolve_matches_walk(pc, xs, ys, 1e-9)
+            assert calls == []
+            # one point past the clear radius takes the walk
+            pc.resolve(np.array([seed.x + 1.1 * clear]), np.array([seed.y]), 1e-9)
+            assert calls == [1]
+            calls.clear()
 
     def test_resolve_across_blocks(self):
         block = colorings._RESOLVE_BLOCK
