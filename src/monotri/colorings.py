@@ -990,7 +990,19 @@ class PolygonalColoring(_ClassifyViews):
         return black, on, unresolved
 
     def _walk(self, xs: np.ndarray, ys: np.ndarray, dist: np.ndarray, tol: float):
-        """``resolve`` by the piece pass and the seed walk, given the seed distances."""
+        """``resolve`` by the piece pass and the seed walk, given the seed distances.
+
+        A point with a NaN or infinite coordinate is unresolved, and takes
+        neither pass, whose arithmetic would warn of it.
+        """
+        finite = np.isfinite(xs) & np.isfinite(ys)
+        if not finite.all():
+            black, on = np.zeros(xs.shape, dtype=bool), np.zeros(xs.shape, dtype=bool)
+            unresolved = ~finite
+            keep = np.flatnonzero(finite)
+            black[keep], on[keep], unresolved[keep] = self._walk(xs[keep], ys[keep],
+                                                                 dist[keep], tol)
+            return black, on, unresolved
         tb = self.tables
         gx, gy = self._gaps(xs, ys)
         # np.hypot(gx, gy) >= max(|gx|, |gy|), so it is needed only where both are within tol

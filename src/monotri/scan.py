@@ -13,14 +13,17 @@ lexicographic pose order. A block is a run of whole angles over all of a
 grid's n translations, at most ``_SCAN_BLOCK // n`` angles (a find scan's
 first run is one angle and each later one doubles, up to that cap); only
 when one angle has more than ``_SCAN_BLOCK`` translations is a block a
-slice of one angle's translations, at most ``_SCAN_BLOCK`` of them. Results
-are deterministic, the first witness found is the least one, and a find
-scan stops in the block of its witness. A find scan classifies vertex 3
-only where vertices 1 and 2 agree; an avoidance scan classifies all three,
-which its near-miss rule needs. Placements with a vertex that no seed of a
-polygonal coloring reaches are skipped by find and counted as
-``unresolved`` by avoidance. A scan that exhausts its grid is a sampling
-verdict, never a proof of avoidance.
+slice of one angle's translations, at most ``_SCAN_BLOCK`` of them (a find
+scan's first slice is ``isqrt(_SCAN_BLOCK)`` and each later one doubles,
+up to that cap). Results are deterministic, the first witness found is the
+least one, and a find scan stops in the block of its witness. A find scan
+classifies vertex 3 only where vertices 1 and 2 agree, and takes the
+margins of a block's monochromatic poses in batches of doubling size, one
+``distance`` call per batch, in pose order; an avoidance scan classifies
+all three vertices, which its near-miss rule needs. Placements with a
+vertex that no seed of a polygonal coloring reaches are skipped by find
+and counted as ``unresolved`` by avoidance. A scan that exhausts its grid
+is a sampling verdict, never a proof of avoidance.
 """
 
 from __future__ import annotations
@@ -159,24 +162,32 @@ def _common_color(coloring: Coloring, points: Sequence[Point], tol: float) -> Op
 
 
 _SCAN_BLOCK = 4096  # most poses per block of the scan engine
+# Candidates in a find scan's first margin batch; later batches of a block
+# double. A zebra ``distance`` call costs about 115 us plus 1.55 us per
+# point, so 4 candidates (12 points) cost about an eighth more than one, and
+# doubling spends at most about as many points past the witness as before it.
+_MARGIN_BATCH = 4
 
 
-def _classified_poses(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid, tol: float,
-                      ramp: bool = False):
-    """The scan engine: per block of poses, in pose order, ``(pose, vertex)``.
+def _placed_poses(spec: TriangleSpec, grid: ScanGrid, ramp: bool = False):
+    """The scan engine: per block of poses, in pose order, ``(pose, place)``.
 
     The grid's n translations are flat lattice indices, x major and y minor.
     When n <= ``_SCAN_BLOCK``, a block is a run of whole angles k0, k0 + 1,
     ... over all n translations: ``_SCAN_BLOCK // n`` angles, or, with
     ``ramp``, one angle in the first block and twice as many in each later
-    one up to that cap. Otherwise a block is one angle and a slice of at
-    most ``_SCAN_BLOCK`` consecutive translations. Pose i of a block of m
-    translations is angle k0 + i // m at translation i % m; ``pose(i)`` is
-    ``(k, angle, x, y)``. ``vertex(v, at)`` is ``coloring.resolve`` of
-    vertex ``v`` (0, 1 or 2) over the block, its points one broadcast add of
-    translations and offsets, or over the block's poses ``at`` only. Offsets
-    are rotated in Python floats, one angle at a time, so that every vertex
-    is the one :func:`place_triangle` gives for its pose.
+    one up to that cap. Otherwise a block is one angle and a slice of
+    consecutive translations: ``_SCAN_BLOCK`` of them, or, with ``ramp``,
+    ``isqrt(_SCAN_BLOCK)`` in the first slice and twice as many in each
+    later one up to ``_SCAN_BLOCK``; a slice ends at its angle's last
+    translation. Pose i of a block of m translations is angle k0 + i // m
+    at translation i % m; ``pose(i)`` is ``(k, angle, x, y)``.
+    ``place(v, at)`` is the points ``(xs, ys)`` of vertex ``v`` (0, 1 or 2)
+    over the block, one broadcast add of translations and offsets, or over
+    the block's poses ``at`` only, whose translations and offsets are
+    gathered before the add. Offsets are rotated in Python floats, one angle
+    at a time, so that every vertex is the one :func:`place_triangle` gives
+    for its pose.
     """
     X, Y = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
     base = place_triangle(spec, RigidMotion(0.0))
@@ -184,6 +195,9 @@ def _classified_poses(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid, to
     block = _SCAN_BLOCK
     cap = max(block // X.size, 1)
     run = 1 if ramp else cap
+    # 64 poses at the default block: a zebra ``resolve`` call costs about
+    # 33 us plus 40 ns per point, so a smaller first slice saves under 3 us
+    size = math.isqrt(block) if ramp and X.size > block else block
     k0 = 0
     while k0 < len(angles):
         rot = [(math.cos(a), math.sin(a)) for a in angles[k0:k0 + run]]
@@ -193,18 +207,26 @@ def _classified_poses(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid, to
                    + [s * p.x + c * p.y for p in base for c, s in rot])
         if len(rot) > 1:
             offsets = np.array(offsets).reshape(6, -1, 1)
-        for lo in range(0, X.size, block):
-            xs, ys = X[lo:lo + block], Y[lo:lo + block]
+        lo = 0
+        while lo < X.size:
+            xs, ys = X[lo:lo + size], Y[lo:lo + size]
 
             def pose(i, k0=k0, xs=xs, ys=ys):
                 k, t = divmod(int(i), xs.size)
                 return k0 + k, angles[k0 + k], float(xs[t]), float(ys[t])
 
-            def vertex(v: int, at=slice(None), xs=xs, ys=ys, offsets=offsets):
-                return coloring.resolve((xs + offsets[v]).ravel()[at],
-                                        (ys + offsets[3 + v]).ravel()[at], tol)
+            def place(v: int, at=None, xs=xs, ys=ys, offsets=offsets, runs=len(rot)):
+                ox, oy = offsets[v], offsets[3 + v]
+                if at is None:
+                    return (xs + ox).ravel(), (ys + oy).ravel()
+                if runs > 1:
+                    k, at = np.divmod(at, xs.size)
+                    ox, oy = ox[k, 0], oy[k, 0]
+                return xs[at] + ox, ys[at] + oy
 
-            yield pose, vertex
+            yield pose, place
+            lo += size
+            size = min(2 * size, block)
         k0 += len(rot)
         run = min(2 * run, cap)
 
@@ -217,26 +239,42 @@ def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGr
     Vertex 3 is classified only where vertices 1 and 2 agree, and the scan
     stops in the block of its witness. Runs of whole angles start at one
     angle and double up to the engine's cap, so a witness at angle k is
-    found after classifying at most 2k + 1 angles. Placements with a vertex
-    that no seed of a polygonal coloring reaches are skipped.
+    found after classifying at most 2k + 1 angles; where one angle holds
+    more translations than a block, its slices ramp up the same way. The
+    monochromatic poses of a block take their margins in pose order, one
+    ``distance`` call per batch of ``_MARGIN_BATCH``, then twice as many
+    in each later batch, and the first with margin at least ``min_margin``
+    is the witness. ``distance`` is per point, so a batch gives each pose
+    the margin :func:`margin_of` gives its vertices, bit for bit.
+    Placements with a vertex that no seed of a polygonal coloring reaches
+    are skipped.
 
     Returns None when the grid is exhausted -- a sampling verdict only; no
     claim of avoidance is implied. Vertices may leave the grid region; the
     region constrains translations, not the triangle.
     """
-    for pose, vertex in _classified_poses(coloring, spec, grid, tol, ramp=True):
-        b1, _, u1 = vertex(0)
-        b2, _, u2 = vertex(1)
+    for pose, place in _placed_poses(spec, grid, ramp=True):
+        b1, _, u1 = coloring.resolve(*place(0), tol)
+        b2, _, u2 = coloring.resolve(*place(1), tol)
         pairs = np.flatnonzero((b1 == b2) & ~(u1 | u2))
-        b3, _, u3 = vertex(2, pairs)
-        for i in pairs[(b3 == b1[pairs]) & ~u3]:
-            _, angle, x, y = pose(i)
-            motion = RigidMotion(angle, (x, y))
-            verts = place_triangle(spec, motion)
-            margin = margin_of(coloring, verts)
-            if margin >= min_margin:
+        b3, _, u3 = coloring.resolve(*place(2, pairs), tol)
+        mono = pairs[(b3 == b1[pairs]) & ~u3]
+        lo, size = 0, _MARGIN_BATCH
+        while lo < mono.size:
+            batch = mono[lo:lo + size]
+            xs, ys = (np.concatenate(c) for c in zip(*(place(v, batch) for v in range(3))))
+            margins = coloring.distance(xs, ys).reshape(3, -1).min(axis=0)
+            ok = np.flatnonzero(margins >= min_margin)
+            if ok.size:
+                i = batch[ok[0]]
+                _, angle, x, y = pose(i)
+                motion = RigidMotion(angle, (x, y))
                 color = Color.BLACK if bool(b1[i]) else Color.WHITE
-                return ScanWitness(motion, verts, color, margin)
+                # + 0.0 drops the sign of a zero margin, as in margin_of
+                return ScanWitness(motion, place_triangle(spec, motion), color,
+                                   float(margins[ok[0]]) + 0.0)
+            lo += size
+            size *= 2
     return None
 
 
@@ -255,8 +293,9 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
     unresolved = 0
     mono_ex: list[tuple[int, float, float]] = []
     near_ex: list[tuple[int, float, float]] = []
-    for pose, vertex in _classified_poses(coloring, spec, grid, tol):
-        (b1, on1, u1), (b2, on2, u2), (b3, on3, u3) = vertex(0), vertex(1), vertex(2)
+    for pose, place in _placed_poses(spec, grid):
+        (b1, on1, u1), (b2, on2, u2), (b3, on3, u3) = (coloring.resolve(*place(v), tol)
+                                                       for v in range(3))
         mono = (b1 == b2) & (b2 == b3)
         near = (~mono) & (((b1 == b2) & on3) | ((b1 == b3) & on2) | ((b2 == b3) & on1))
         bad = u1 | u2 | u3

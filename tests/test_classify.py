@@ -256,7 +256,10 @@ def two_mask_avoidance(coloring, spec, grid, tol=1e-9, max_examples=8):
 
 
 def walk_color_at(pc: PolygonalColoring, p: Point, tol: float):
-    """Color of ``p`` by the per-point walk, None where no seed reaches it."""
+    """Color of ``p`` by the per-point walk, None where no seed reaches it
+    or a coordinate is NaN or infinite."""
+    if not (math.isfinite(p.x) and math.isfinite(p.y)):
+        return None
     for piece in pc.pieces:
         if piece.distance_to(p) <= tol:
             return piece.color
@@ -645,6 +648,14 @@ FIND_CASES = [
     # the first pose's vertices 1 and 2, then its vertex 3, lie on the x axis left of (-1.5, 0)
     (HEXAGON, (0.3, 0.3, 0.3), Region(-2.0, 0.0, -1.8, 0.2), 0.1, 1, 0.0, False),
     (HEXAGON, (0.3, 0.3, 0.3), Region(-1.85, -0.15 * SQRT3, -1.65, 0.2), 0.1, 1, 0.0, False),
+    # black for x >= 0: 68 black poses rejected for margin, then the witness
+    # at x = 0.25, past four margin batches of its block
+    (HalfPlaneColoring(UnitVector(1.0, 0.0)), (1.0, 1.0, 1.0), Region(-0.25, 0.0, 0.5, 1.0),
+     0.0625, 4, 0.25, True),
+    # angles of more translations than a block: 6561 with a witness of margin
+    # exactly min_margin after 82 rejections, and 21605 after 5
+    (l_shape_coloring(), (1.0, 1.0, 1.0), Region(0.0, 0.0, 4.0, 4.0), 0.05, 16, 0.05, True),
+    (ZebraColoring(ZIGZAG), (0.5, 0.5, 0.5), Region(0.03, 0.11, 3.0, 3.0), 0.02, 12, 0.1, True),
 ]
 
 
@@ -748,12 +759,18 @@ def test_avoidance_scan_counts_unresolved_placements(block, side, grid, monkeypa
 
 class CountingColoring:
     """A coloring that records the black mask of every query the scan engine
-    makes, and the points of every ``resolve`` call."""
+    makes, the points of every ``resolve`` call and those of every
+    ``distance`` call."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = []
         self.points = []
+        self.distances = []
+
+    def distance(self, xs, ys):
+        self.distances.append((xs.copy(), ys.copy()))
+        return self.inner.distance(xs, ys)
 
     def resolve(self, xs, ys, tol):
         black, on, unresolved = self.inner.resolve(xs, ys, tol)
@@ -771,33 +788,64 @@ class CountingColoring:
 
 
 def test_find_gates_vertex_3_and_stops_in_the_witness_block():
-    """Black for x >= 0; only translations with x >= 0.005 leave a margin of 0.005."""
+    """Black for x >= 0; only translations with x >= 0.005 leave a margin of 0.005.
+
+    Angle 0 holds more translations than a block, so its slices ramp from
+    ``isqrt(_SCAN_BLOCK)`` poses, doubling up to ``_SCAN_BLOCK``."""
     block = scan._SCAN_BLOCK
     coloring = CountingColoring(HalfPlaneColoring(UnitVector(1.0, 0.0)))
     spec, grid = TriangleSpec(1.0, 1.0, 1.0), ScanGrid(Region(-1.0, 0.0, 1.0, 1.0), 0.01, 6)
     ny = len(grid.ys())
-    assert len(grid.xs()) * ny > 2 * block + 37
+    assert len(grid.xs()) * ny > 3 * block
     witness = find_monochromatic_copy(coloring, spec, grid, 0.005)
     assert witness == brute_force_find(coloring.inner, spec, grid, 0.005)[0]
     assert witness.motion.angle == 0.0
     tx, ty = witness.motion.translation
     flat = int(np.argmin(np.abs(grid.xs() - tx))) * ny + int(np.argmin(np.abs(grid.ys() - ty)))
-    assert flat // block == 2
-    # vertices 1, 2 and 3 of blocks 0, 1 and 2 of angle 0, and nothing after
-    assert len(coloring.calls) == 3 * 3
-    for b1, b2, b3 in zip(*[iter(coloring.calls)] * 3):
-        assert b1.size == b2.size == block
-        assert b3.size == int((b1 == b2).sum())
+    sizes = [64, 128, 256, 512, 1024, 2048, block, block]
+    assert (block, flat) == (4096, 10201)
+    assert sum(sizes[:-1]) <= flat < sum(sizes)
+    # vertices 1, 2 and 3 of the slices of angle 0 up to the witness's, and nothing after
+    assert len(coloring.calls) == 3 * len(sizes)
+    for s, size in enumerate(sizes):
+        b1, b2, b3 = coloring.calls[3 * s:3 * s + 3]
+        pairs = np.flatnonzero(b1 == b2)
+        assert b1.size == b2.size == size and b3.size == pairs.size
+        for v, at in enumerate((range(size), range(size), pairs)):
+            assert_placed(spec, grid, sum(sizes[:s]), coloring.points[3 * s + v], v, at)
 
 
-def assert_placed(spec, grid, k0, points, v, at):
-    """``points`` are vertex ``v`` of poses ``at`` of the block of whole angles
-    from ``k0``, bit for bit as :func:`place_triangle` gives them."""
+def test_find_takes_margins_in_doubling_batches():
+    """Black for x >= 0. At angle 0 the 18 black poses at x = 0 and x = 0.125
+    fall short of margin 0.25, and the witness is the 19th black pose: three
+    ``distance`` calls, over 4, 8 and 16 candidates, not one per candidate."""
+    coloring = CountingColoring(HalfPlaneColoring(UnitVector(1.0, 0.0)))
+    spec, grid = TriangleSpec(1.0, 1.0, 1.0), ScanGrid(Region(-0.25, 0.0, 0.5, 1.0), 0.125, 4)
+    witness = find_monochromatic_copy(coloring, spec, grid, 0.25)
+    want, rejected = brute_force_find(coloring.inner, spec, grid, 0.25)
+    assert witness == want and rejected == 18
+    assert witness.motion.translation == (0.25, 0.0) and witness.margin == 0.25
+    # the black poses are 18, 19, ... (x index 2 on, 9 translations per x)
+    assert len(coloring.distances) == 3
+    lo = 18
+    for (xs, ys), size in zip(coloring.distances, (4, 8, 16)):
+        assert xs.size == 3 * size
+        for v in range(3):
+            part = slice(v * size, (v + 1) * size)
+            assert_placed(spec, grid, 0, (xs[part], ys[part]), v, range(lo, lo + size))
+        lo += size
+
+
+def assert_placed(spec, grid, first, points, v, at):
+    """``points`` are vertex ``v`` of poses ``at`` of the block whose pose 0
+    is pose ``first`` of the grid, bit for bit as :func:`place_triangle`
+    gives them."""
     X, Y = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
     n, angles = X.size, grid.angles()
-    placed = [place_triangle(spec, RigidMotion(float(angles[k0 + i // n]),
-                                               (float(X[i % n]), float(Y[i % n]))))[v]
-              for i in at]
+    poses = [first + i for i in at]
+    placed = [place_triangle(spec, RigidMotion(float(angles[g // n]),
+                                               (float(X[g % n]), float(Y[g % n]))))[v]
+              for g in poses]
     assert points[0].tobytes() == np.array([p.x for p in placed]).tobytes()
     assert points[1].tobytes() == np.array([p.y for p in placed]).tobytes()
 
@@ -816,7 +864,7 @@ def test_blocks_are_runs_of_whole_angles():
     assert [xs.size for xs, _ in coloring.points] == [a * n for _, a in runs for _ in range(3)]
     for call, points in enumerate(coloring.points):
         k0, a = runs[call // 3]
-        assert_placed(spec, grid, k0, points, call % 3, range(a * n))
+        assert_placed(spec, grid, k0 * n, points, call % 3, range(a * n))
 
     # the first pose all white with margin turns by 5 pi/6, in the block of angles 3 to 6
     coloring = CountingColoring(coloring.inner)
@@ -832,7 +880,7 @@ def test_blocks_are_runs_of_whole_angles():
         pairs = np.flatnonzero(b1 == b2)
         assert b1.size == b2.size == a * n and b3.size == pairs.size
         for v, at in enumerate((range(a * n), range(a * n), pairs)):
-            assert_placed(spec, grid, k0, coloring.points[3 * block + v], v, at)
+            assert_placed(spec, grid, k0 * n, coloring.points[3 * block + v], v, at)
 
 
 
@@ -985,10 +1033,10 @@ class TestPolygonalKernel:
         for pc in POLYGONAL[name]:
             xs, ys = polygonal_points(pc, rng, tol)
             unresolved += int(assert_resolve_matches_walk(pc, xs, ys, tol).sum())
-            # non-finite points among finite ones; numpy warns of the NaNs they make
-            with np.errstate(invalid="ignore"):
-                assert_resolve_matches_walk(pc, np.concatenate((NON_FINITE[0], xs[:40])),
-                                            np.concatenate((NON_FINITE[1], ys[:40])), tol)
+            # non-finite points among finite ones are unresolved, without a warning
+            mixed = assert_resolve_matches_walk(pc, np.concatenate((NON_FINITE[0], xs[:40])),
+                                                np.concatenate((NON_FINITE[1], ys[:40])), tol)
+            assert mixed[:NON_FINITE[0].size].all()
         if name == "square-1-seed":
             assert unresolved > 0
 

@@ -648,6 +648,16 @@ class TestScanBytes:
                                  "--grid", "0.13", "--angles", "7", "--min-margin", "0.01"],
                      "7dfa0688c97bb1958ba7ac249c6c81d0d6849598f2273d040fb3912792137d97",
                      id="hexagon-scan"),
+        # 6561 translations per angle, 82 rejections; the witness margin is exactly 0.05
+        pytest.param("lshape", ["scan", "--triangle", "1,1,1", "--region", "0,0,4,4", "--grid",
+                                "0.05", "--angles", "16", "--min-margin", "0.05"],
+                     "d7f5904ca259b8eab41d67b5f184b5608f45b416e5a1409515f599bdc6aa6403",
+                     id="lshape-scan-wide-tie"),
+        # 21605 translations per angle, 5 rejections before the witness
+        pytest.param("zigzag", ["scan", "--triangle", "0.5,0.5,0.5", "--region", "0.03,0.11,3,3",
+                                "--grid", "0.02", "--angles", "12", "--min-margin", "0.1"],
+                     "ff8cb53dcd0034655253c50b5808653ab05f7c859b7a55b32b72a2150d231d2a",
+                     id="zigzag-scan-wide"),
         pytest.param("flat", ["check-zebra"],
                      "792acd43f7d99721f3ac152f181dad4dc97f8237ed8a114c928de50e507b39b6",
                      id="flat-check-zebra"),
