@@ -111,7 +111,7 @@ def _parse_region(text: str) -> Region:
     return Region(x0, y0, x1, y1)
 
 
-def _parse_scan(args: argparse.Namespace) -> tuple[TriangleSpec, ScanGrid]:
+def _parse_scan(args: argparse.Namespace, tol: float) -> tuple[TriangleSpec, ScanGrid]:
     """The triangle and the placement grid of ``scan`` and ``avoid``."""
     from .scan import ScanGrid
 
@@ -126,6 +126,11 @@ def _parse_scan(args: argparse.Namespace) -> tuple[TriangleSpec, ScanGrid]:
     if not all(math.isfinite(d / step) for d in spans):
         raise SchemaError(f"flag '--grid' must leave a finite number of translations "
                           f"across the region, got {args.grid!r}")
+    # rounding a vertex near the region must not move a side past verify_witness's bound
+    reach, side = max(map(abs, (region.x0, region.y0, region.x1, region.y1))), max(spec.sides())
+    if 2.0 * math.ulp(reach + side) > tol * (1.0 + side):
+        raise SchemaError(f"flag '--region' lies too far from the origin: rounding alone can "
+                          f"move a side by more than the tolerance, got {args.region!r}")
     return spec, ScanGrid(region, step, _check_number("--angles", args.angles, positive=True))
 
 
@@ -224,7 +229,7 @@ def run(args: argparse.Namespace) -> int:
     coloring = parse_coloring_file(args.coloring) if hasattr(args, "coloring") else None
     if cmd == "scan":
         from .scan import find_monochromatic_copy
-        spec, grid = _parse_scan(args)
+        spec, grid = _parse_scan(args, tol)
         witness = find_monochromatic_copy(coloring, spec, grid,
                                           _check_number("--min-margin", args.min_margin), tol)
         if witness is None:
@@ -235,7 +240,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
     if cmd == "avoid":
         from .scan import avoidance_scan
-        spec, grid = _parse_scan(args)
+        spec, grid = _parse_scan(args, tol)
         _emit(avoidance_scan(coloring, spec, grid, tol).to_dict(), args.out)
         return 0
     if cmd == "almost":

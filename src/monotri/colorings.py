@@ -17,12 +17,12 @@ Four families, each a total map from points to black/white:
 * ``HalfPlaneColoring`` -- the simplest polygonal coloring, kept as its own
   family for cheap negative tests.
 
-Every family answers one vectorized query, ``classify(xs, ys, tol)``, which
-returns the black mask and the on-boundary mask of the points
-``(xs[k], ys[k])`` together. ``resolve`` adds the mask of points no seed
-reaches: all False outside the polygonal family, whose own ``resolve``
-underlies its ``classify``. ``black_mask`` and the single-point
-``color_at`` are views over ``classify``. ``distance(xs, ys)`` returns the
+Every family answers one vectorized mask query, ``resolve(xs, ys, tol)``,
+which returns the black, on-boundary and unresolved masks of the points
+``(xs[k], ys[k])`` together; a point is unresolved when no seed of a
+polygonal coloring reaches it, so the mask is all False in the other
+families. The single-point ``color_at`` is a view over it, and raises
+``UnresolvedFace`` at an unresolved point. ``distance(xs, ys)`` returns the
 exact distance of each point to the boundary in one array pass (the
 witness margin of a scan), and ``boundary_segments`` gives the boundary
 as oriented segments for probing and rendering. Colorings are immutable
@@ -160,21 +160,22 @@ def _nearest(n: int, owner: np.ndarray, gx: np.ndarray, gy: np.ndarray,
     return out
 
 
-class _ClassifyViews:
-    """``resolve``, ``black_mask`` and ``color_at`` as views over ``classify``."""
+def _resolved_black(coloring: Coloring, xs: np.ndarray, ys: np.ndarray,
+                    tol: float) -> np.ndarray:
+    """The black mask of ``coloring.resolve``; ``UnresolvedFace`` naming the
+    first point that no seed reaches, if there is one."""
+    black, _, unresolved = coloring.resolve(xs, ys, tol)
+    if np.count_nonzero(unresolved):
+        j = int(unresolved.argmax())
+        raise UnresolvedFace(f"no seed reaches ({float(xs[j])}, {float(ys[j])}) unambiguously")
+    return black
 
-    def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``classify`` and an all-False unresolved mask; polygonal colorings override it."""
-        black, on = self.classify(xs, ys, tol)
-        return black, on, np.zeros(black.shape, dtype=bool)
 
-    def black_mask(self, xs: np.ndarray, ys: np.ndarray,
-                   tol: float = DEFAULT_TOL) -> np.ndarray:
-        return self.classify(xs, ys, tol)[0]
+class _ColorAt:
+    """``color_at``, the one-point view over ``resolve``."""
 
     def color_at(self, p: Point, tol: float = DEFAULT_TOL) -> Color:
-        black = self.black_mask(np.array([p.x]), np.array([p.y]), tol)[0]
+        black = _resolved_black(self, np.array([p.x]), np.array([p.y]), tol)[0]
         return Color.BLACK if bool(black) else Color.WHITE
 
 
@@ -193,7 +194,7 @@ def _frac(q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StripColoring(_ClassifyViews):
+class StripColoring(_ColorAt):
     """Alternating horizontal strips of width ``scale * sqrt(3)/2``.
 
     Under the upper-closed rule a point is black iff
@@ -214,8 +215,8 @@ class StripColoring(_ClassifyViews):
     def period(self) -> float:
         return self.scale * SQRT3
 
-    def classify(self, xs: np.ndarray, ys: np.ndarray,
-                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Strip membership is decided by the half-open rule exactly; tol
         # widens the boundary mask only.
         frac = _frac(ys / self.period)
@@ -225,7 +226,7 @@ class StripColoring(_ClassifyViews):
             black = (frac >= 0.0) & (frac < 0.5)
         half = self.period / 2.0
         frac = _frac(ys / half)
-        return black, np.minimum(frac, 1.0 - frac) * half <= tol
+        return black, np.minimum(frac, 1.0 - frac) * half <= tol, np.zeros(black.shape, bool)
 
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         """Horizontal boundary lines clipped to ``window``, white on the left."""
@@ -355,7 +356,7 @@ _NO_CURVE_BELOW = float(np.iinfo(np.int64).min)
 
 
 @dataclass(frozen=True)
-class ZebraColoring(_ClassifyViews):
+class ZebraColoring(_ColorAt):
     """Coloring whose boundary is the curve family ``L_i = L_0 + i*z``.
 
     ``z = x_hat/2 + (sqrt(3)/2) x_hat'`` with ``x_hat'`` the ccw quarter turn
@@ -514,13 +515,13 @@ class ZebraColoring(_ClassifyViews):
             band[below] = np.where(h <= t[below], i, band[below])
         return band, on_curve, curve_idx
 
-    def classify(self, xs: np.ndarray, ys: np.ndarray,
-                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         band, on_curve, curve_idx = self._locate(xs, ys, tol)
         even = (np.where(on_curve, curve_idx, band) & 1) == 0
         odd_black = np.where(on_curve, self.boundary_parity == "even-white",
                              self.parity_rule == "even-white")
-        return even != odd_black, on_curve
+        return even != odd_black, on_curve, np.zeros(on_curve.shape, bool)
 
     def _window_curves(self, window: Region) -> tuple[range, tuple[float, float]]:
         """The curves that can reach ``window`` and its range of frame abscissas;
@@ -728,19 +729,19 @@ def _clip_segment_to_region(p: Point, q: Point, window: Region) -> Optional[Segm
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HalfPlaneColoring(_ClassifyViews):
+class HalfPlaneColoring(_ColorAt):
     """Closed half-plane {p : p . normal >= offset} in one color, open rest other."""
 
     normal: UnitVector = UnitVector(0.0, 1.0)
     offset: float = 0.0
     closed_side_color: Color = Color.BLACK
 
-    def classify(self, xs: np.ndarray, ys: np.ndarray,
-                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s = xs * self.normal.dx + ys * self.normal.dy
         closed = s >= self.offset - tol
         black = closed if self.closed_side_color is Color.BLACK else ~closed
-        return black, np.abs(s - self.offset) <= tol
+        return black, np.abs(s - self.offset) <= tol, np.zeros(s.shape, bool)
 
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         n = self.normal
@@ -843,7 +844,7 @@ class PolygonTables:
 
 
 @dataclass(frozen=True)
-class PolygonalColoring(_ClassifyViews):
+class PolygonalColoring(_ColorAt):
     """Coloring given by explicit boundary pieces and face seed points.
 
     Pieces may be rays or lines via their ray flags (the stored segment is a
@@ -853,8 +854,8 @@ class PolygonalColoring(_ClassifyViews):
     from the point to that seed with the boundary. Sight lines that graze
     an endpoint, cross at a boundary vertex or run along a piece are
     ambiguous; each point tries the seeds nearest first and takes the
-    first unambiguous one. ``resolve`` does all of this over whole arrays;
-    ``classify`` raises ``UnresolvedFace`` where no seed reaches a point.
+    first unambiguous one. ``resolve`` does all of this over whole arrays
+    and flags the points that no seed reaches.
     A point well inside its nearest seed's clear disk (``PolygonTables``)
     skips the piece pass: no piece is near it or crosses its sight line,
     so it takes that seed's color, as the walk would give it.
@@ -1058,15 +1059,6 @@ class PolygonalColoring(_ClassifyViews):
         ambiguous = (hit & (graze | vertex)) | (parallel & (tb.seed_dist[:, k] <= tol))
         short = seg_len <= tol  # the point is at its seed
         return np.logical_xor.reduce(hit, axis=0) & ~short, ambiguous.any(axis=0) & ~short
-
-    def classify(self, xs: np.ndarray, ys: np.ndarray,
-                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-        black, on, unresolved = self.resolve(xs, ys, tol)
-        if unresolved.any():
-            j = int(unresolved.argmax())
-            raise UnresolvedFace(
-                f"no seed reaches ({float(xs[j])}, {float(ys[j])}) unambiguously")
-        return black, on
 
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         return list(self.pieces)

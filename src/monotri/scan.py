@@ -47,7 +47,7 @@ from .geom import (
     distance,
     place_triangle,
 )
-from .colorings import BoundaryPiece, Color, Coloring, PolygonalColoring
+from .colorings import BoundaryPiece, Color, Coloring, PolygonalColoring, _resolved_black
 
 
 class NotOnBoundary(GeometryError):
@@ -153,9 +153,10 @@ def margin_of(coloring: Coloring, points: Sequence[Point]) -> float:
 
 
 def _common_color(coloring: Coloring, points: Sequence[Point], tol: float) -> Optional[Color]:
-    """The color of every one of ``points``, None if they differ; one ``black_mask`` call."""
-    black = coloring.black_mask(np.array([p.x for p in points]),
-                                np.array([p.y for p in points]), tol)
+    """The color of every one of ``points``, None if they differ; one ``resolve``
+    call, and ``UnresolvedFace`` at the first point that no seed reaches."""
+    black = _resolved_black(coloring, np.array([p.x for p in points]),
+                            np.array([p.y for p in points]), tol)
     if black.all():
         return Color.BLACK
     return None if black.any() else Color.WHITE
@@ -433,7 +434,7 @@ def find_almost_unit(coloring: Coloring, epsilon: float, tries: int = 10 ** 6,
                 break
             kx = center.x + np.cos(thetas)
             ky = center.y + np.sin(thetas)
-            blacks = coloring.black_mask(kx, ky, tol)
+            blacks = _resolved_black(coloring, kx, ky, tol)
             consume(n)
             for off in range(off_lo, off_hi + 1):
                 if len(found) == 2:

@@ -1,12 +1,12 @@
-"""The ``classify`` query against reference implementations.
+"""The ``resolve`` query against reference implementations.
 
 ``five_curve_locate`` is the zebra kernel as it was before the three-curve
 window: every point tries curves i0 - 2 .. i0 + 2 and reads heights through
 ``np.interp``. ``mod_strip_classify`` is the strip kernel as it was
 before its fractional parts came from ``floor``: both from ``np.mod``.
 ``two_mask_avoidance`` is the avoidance scan as it was before
-it classified each vertex once: one ``black_mask`` call and one boundary
-mask (``classify(...)[1]``) per vertex, each vertex offset rotated by
+it classified each vertex once: one ``resolve`` call for the black mask
+and another for the boundary mask per vertex, each vertex offset rotated by
 ``_rotated_offsets``.
 ``walk_color_at`` is the polygonal query as it was before the array kernel:
 one point at a time, one seed at a time, one piece at a time.
@@ -238,8 +238,8 @@ def two_mask_avoidance(coloring, spec, grid, tol=1e-9, max_examples=8):
     for k, angle in enumerate(grid.angles()):
         blacks, bounds = [], []
         for ox, oy in _rotated_offsets(spec, angle):
-            blacks.append(coloring.black_mask(X + ox, Y + oy, tol))
-            bounds.append(coloring.classify(X + ox, Y + oy, tol)[1])
+            blacks.append(coloring.resolve(X + ox, Y + oy, tol)[0])
+            bounds.append(coloring.resolve(X + ox, Y + oy, tol)[1])
         b1, b2, b3 = blacks
         mono = (b1 == b2) & (b2 == b3)
         near = (~mono) & (((b1 == b2) & bounds[2]) | ((b1 == b3) & bounds[1])
@@ -366,9 +366,10 @@ class TestStripKernel:
             + [multiples, np.nextafter(multiples, -np.inf), np.nextafter(multiples, np.inf),
                [0.0, -0.0, 5e-324, -5e-324, -1e-300]])
         xs = rng.uniform(-1.0, 1.0, ys.size)
-        got = sc.classify(xs, ys, tol)
+        *got, unresolved = sc.resolve(xs, ys, tol)
         want = mod_strip_classify(sc, xs, ys, tol)
-        for g, w in zip(got, want):
+        assert not unresolved.any()
+        for g, w in zip(got, want, strict=True):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
@@ -569,15 +570,15 @@ def boundary_points(coloring, rng, n=40):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("tol", [1e-9, 1e-3])
 def test_classify_is_the_pair_of_masks(family, tol):
+    """``resolve`` flags boundary points on the boundary and no point
+    unresolved, and ``color_at`` is the one-point view of its black mask."""
     coloring = FAMILIES[family]
     rng = np.random.default_rng(3)
     bx, by = boundary_points(coloring, rng)
     xs = np.concatenate((bx, rng.uniform(-3.0, 3.0, 300)))
     ys = np.concatenate((by, rng.uniform(-3.0, 3.0, 300)))
-    black, on = coloring.classify(xs, ys, tol)
-    assert on[:len(bx)].all()
-    assert np.array_equal(black, coloring.black_mask(xs, ys, tol))
-    assert np.array_equal(on, coloring.resolve(xs, ys, tol)[1])
+    black, on, unresolved = coloring.resolve(xs, ys, tol)
+    assert on[:len(bx)].all() and not unresolved.any()
     colors = [coloring.color_at(Point(float(x), float(y)), tol) for x, y in zip(xs, ys)]
     assert colors == [Color.BLACK if b else Color.WHITE for b in black]
 
@@ -777,11 +778,6 @@ class CountingColoring:
         self.calls.append(black)
         self.points.append((xs.copy(), ys.copy()))
         return black, on, unresolved
-
-    def classify(self, xs, ys, tol):
-        black, on = self.inner.classify(xs, ys, tol)
-        self.calls.append(black)
-        return black, on
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -1074,16 +1070,34 @@ class TestPolygonalKernel:
         unresolved = assert_resolve_matches_walk(pc, xs, ys, 1e-9)
         assert unresolved[ends].all()
 
-    def test_unresolved_points_raise_with_the_walk_message(self):
+    def test_unresolved_points_raise_with_the_walk_message(self, monkeypatch):
+        """``color_at``, ``_common_color`` and the almost-unit search's circle
+        pass all raise at the first point that no seed reaches."""
         pc = POLYGONAL["square-1-seed"][0]
-        xs, ys = np.array([2.0, -0.5, -0.25]), np.array([0.3, -0.5, -0.25])
-        assert walk_color_at(pc, Point(-0.5, -0.5), 1e-9) is None
+        points = (Point(2.0, 0.3), Point(-0.5, -0.5), Point(-0.25, -0.25))
+        assert walk_color_at(pc, points[1], 1e-9) is None
         message = re.escape("no seed reaches (-0.5, -0.5) unambiguously")
-        for query in (pc.classify, pc.black_mask):
-            with pytest.raises(UnresolvedFace, match=message):
-                query(xs, ys)
         with pytest.raises(UnresolvedFace, match=message):
-            pc.color_at(Point(-0.5, -0.5))
+            pc.color_at(points[1])
+        with pytest.raises(UnresolvedFace, match=message):
+            scan._common_color(pc, points, 1e-9)
+        # at tol = 1e-3 the first unit circle of this search crosses the
+        # wedge of ambiguous sight lines behind a corner
+        queries, resolved_black = [], scan._resolved_black
+
+        def spy(coloring, xs, ys, tol):
+            queries.append((xs, ys))
+            return resolved_black(coloring, xs, ys, tol)
+
+        monkeypatch.setattr(scan, "_resolved_black", spy)
+        with pytest.raises(UnresolvedFace) as raised:
+            scan.find_almost_unit(pc, 0.1, 10 ** 4, seed=2, tol=1e-3)
+        xs, ys = queries[-1]
+        assert len(xs) == 252  # the circle's ceil(2 pi / (0.1 / 4)) samples
+        j = int(pc.resolve(xs, ys, 1e-3)[2].argmax())
+        first = Point(float(xs[j]), float(ys[j]))
+        assert walk_color_at(pc, first, 1e-3) is None
+        assert str(raised.value) == f"no seed reaches ({first.x}, {first.y}) unambiguously"
 
     def test_tables_are_built_once_and_read_only(self):
         pc = l_shape_coloring()
@@ -1379,10 +1393,10 @@ class TestDistance:
             assert one_point_distance(coloring, p) == scalar_distance(coloring, p)
         assert coloring.distance(np.empty(0), np.empty(0)).shape == (0,)
         # find scans pass vertex 3 an empty array where no pair agrees
-        for masks in (coloring.classify(np.empty(0), np.empty(0)),
-                      coloring.resolve(np.empty(0), np.empty(0))):
-            for mask in masks:
-                assert mask.dtype == bool and mask.shape == (0,)
+        masks = coloring.resolve(np.empty(0), np.empty(0))
+        assert len(masks) == 3
+        for mask in masks:
+            assert mask.dtype == bool and mask.shape == (0,)
 
 
 def walk_fill(canvas, coloring, cells=160):

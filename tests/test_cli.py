@@ -267,6 +267,29 @@ class TestExitStatuses:
         assert captured.out == ""
         assert f"'{flag}'" in captured.err and "finite" in captured.err
 
+    @pytest.mark.parametrize("command", ["scan", "avoid"])
+    @pytest.mark.parametrize("family", ["strip", "zigzag"])
+    def test_far_region_exits_one(self, family, command, strip_file, zigzag_file, capsys):
+        # at y = 1e17 the apex's 0.866 rounds away: scan printed a flat white
+        # "unit triangle" that verify_witness rejects, and avoid counted 4
+        coloring = strip_file if family == "strip" else zigzag_file
+        assert main([command, "--coloring", coloring, "--triangle", "1,1,1",
+                     "--region=0,1e17,1,100000000000000016", "--grid", "1e300",
+                     "--angles", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'--region'" in captured.err and "too far from the origin" in captured.err
+
+    @pytest.mark.parametrize("region, tolerance, code", [("0,0,1,4e6", "1e-9", 0),
+                                                         ("0,0,1,1e7", "1e-9", 1),
+                                                         ("-1e7,0,0,1", "1e-9", 1),
+                                                         ("0,0,1,1e7", "1e-3", 0)])
+    def test_far_region_bound(self, region, tolerance, code, strip_file, capsys):
+        """2 ulp(R + s) > tol (1 + s) exits 1: R = 4e6 passes at the default tolerance."""
+        assert main(["--tolerance", tolerance, "avoid", "--coloring", strip_file, "--triangle",
+                     "1,1,1", f"--region={region}", "--grid", "1e300", "--angles", "1"]) == code
+        assert ("'--region'" in capsys.readouterr().err) == bool(code)
+
     @pytest.mark.parametrize("region", ["-1e300,-1e300,1e300,1e300",
                                         "-1.7e308,-1.7e308,1.7e308,1.7e308", "0,0,1,1e6"])
     @pytest.mark.parametrize("command", [["hexagon", "--point", "0.2,0.04"], ["angles"],
@@ -561,6 +584,9 @@ def scan_files(strip_file, zigzag_file, halfplane_file, tmp_path):
                            "boundary_colors": ["black"] * 6,
                            "seeds": [[0, 0, "black"], [3, 0, "white"]],
                            "window": [-4, -4, 4, 4]},
+        # black on [-1, 1]^2: the almost-unit search never sees white
+        "halfplane-low": {"type": "halfplane", "normal": [0, 1], "offset": -2,
+                          "closed_color": "black"},
         # no segments: one black face, so every margin is infinite
         "no-boundary": {"type": "polygonal", "seeds": [[0, 0, "black"]]},
         "strip-lower": {"type": "strip", "scale": 1.0, "boundary_rule": "lower-closed"},
@@ -603,9 +629,10 @@ def scan_files(strip_file, zigzag_file, halfplane_file, tmp_path):
 
 
 class TestScanBytes:
-    """The stdout bytes (sha256) of ``scan``, ``avoid``, ``check-zebra``,
-    ``hexagon`` and ``angles`` over all four coloring families: witnesses,
-    counts, examples, probe points and audited corners must not move.
+    """The stdout bytes (sha256) of ``scan``, ``avoid``, ``almost``,
+    ``check-zebra``, ``hexagon`` and ``angles`` over all four coloring
+    families: witnesses, counts, examples, almost-unit pairs, probe points
+    and audited corners must not move.
 
     Every case has an explicit id (family and subcommand), so re-recording
     a pin keeps its id."""
@@ -658,6 +685,20 @@ class TestScanBytes:
                                 "--grid", "0.02", "--angles", "12", "--min-margin", "0.1"],
                      "ff8cb53dcd0034655253c50b5808653ab05f7c859b7a55b32b72a2150d231d2a",
                      id="zigzag-scan-wide"),
+        pytest.param("strip", ["almost", "--epsilon", "0.1", "--seed", "0", "--tries", "2000"],
+                     "f135c28e1aa00ae375a2870a840236b204327aad2d26a8aa370fa0c50cdb54c3",
+                     id="strip-almost"),
+        pytest.param("zigzag", ["almost", "--epsilon", "0.2", "--seed", "1", "--tries", "1000"],
+                     "a0ff99b39dadc288a8f7ce03ef2fb4e4540c8bd3780b0c326fe8b3e35c37ef95",
+                     id="zigzag-almost"),
+        pytest.param("lshape", ["almost", "--epsilon", "0.05", "--seed", "5", "--tries", "3000"],
+                     "cab804141f99284e2560155f5d7f3ddee01581abd1e3654335486938a21f0fc1",
+                     id="lshape-almost"),
+        # {"result": "failure"}: the budget is spent, though white holds unit triangles
+        pytest.param("halfplane-low", ["almost", "--epsilon", "0.1", "--seed", "0", "--tries",
+                                       "2000"],
+                     "f771a92761c47b9ed5c9fb4ac27a3d3bddfd4a4bcb14d525784c403fd6ac9b85",
+                     id="halfplane-low-almost"),
         pytest.param("flat", ["check-zebra"],
                      "792acd43f7d99721f3ac152f181dad4dc97f8237ed8a114c928de50e507b39b6",
                      id="flat-check-zebra"),

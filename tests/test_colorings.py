@@ -92,7 +92,7 @@ class TestStripColoring:
         rng = np.random.default_rng(2024)
         xs = rng.uniform(0, 100, 10 ** 5)
         ys = rng.uniform(0, 100, 10 ** 5)
-        frac = sc.black_mask(xs, ys).mean()
+        frac = sc.resolve(xs, ys)[0].mean()
         assert abs(frac - 0.5) < 0.01
 
     def test_boundary_distance(self):
@@ -165,8 +165,8 @@ class TestZebraColoring:
             zc = ZebraColoring(prof, x_hat=UnitVector.from_angle(0.3))
             xs = rng.uniform(-5, 5, 10 ** 4)
             ys = rng.uniform(-5, 5, 10 ** 4)
-            a = zc.black_mask(xs, ys)
-            b = zc.black_mask(xs + zc.x_hat.dx, ys + zc.x_hat.dy)
+            a = zc.resolve(xs, ys)[0]
+            b = zc.resolve(xs + zc.x_hat.dx, ys + zc.x_hat.dy)[0]
             assert (a == b).all()
 
     def test_anti_periodicity_off_boundary(self):
@@ -174,13 +174,13 @@ class TestZebraColoring:
         zc = ZebraColoring(ZIGZAG)
         xs = rng.uniform(-5, 5, 10 ** 4)
         ys = rng.uniform(-5, 5, 10 ** 4)
-        off = ~zc.classify(xs, ys, 1e-7)[1]
+        off = ~zc.resolve(xs, ys, 1e-7)[1]
         # z = x_hat/2 + (sqrt(3)/2) times the ccw quarter turn of x_hat
         zx = 0.5 * zc.x_hat.dx - HALF_SQRT3 * zc.x_hat.dy
         zy = 0.5 * zc.x_hat.dy + HALF_SQRT3 * zc.x_hat.dx
-        off &= ~zc.classify(xs + zx, ys + zy, 1e-7)[1]
-        a = zc.black_mask(xs, ys)
-        b = zc.black_mask(xs + zx, ys + zy)
+        off &= ~zc.resolve(xs + zx, ys + zy, 1e-7)[1]
+        a = zc.resolve(xs, ys)[0]
+        b = zc.resolve(xs + zx, ys + zy)[0]
         assert (a[off] != b[off]).all()
 
     def test_flat_matches_strip_off_boundary(self):
@@ -189,7 +189,7 @@ class TestZebraColoring:
         rng = np.random.default_rng(7)
         xs = rng.uniform(-50, 50, 10 ** 5)
         ys = rng.uniform(-50, 50, 10 ** 5)
-        assert (flat.black_mask(xs, ys) == sc.black_mask(xs, ys)).all()
+        assert (flat.resolve(xs, ys)[0] == sc.resolve(xs, ys)[0]).all()
 
     def test_boundary_parity_coloring(self):
         zc = ZebraColoring(ZIGZAG, boundary_parity="even-black")
@@ -203,7 +203,7 @@ class TestZebraColoring:
         rng = np.random.default_rng(8)
         xs = rng.uniform(-3, 3, 200)
         ys = rng.uniform(-3, 3, 200)
-        mask = zc.black_mask(xs, ys)
+        mask = zc.resolve(xs, ys)[0]
         for x, y, m in zip(xs, ys, mask):
             assert (zc.color_at(Point(float(x), float(y))) is Color.BLACK) == bool(m)
 
@@ -221,9 +221,9 @@ class TestTwin:
         rng = np.random.default_rng(9)
         xs = rng.uniform(-3, 3, 5000)
         ys = rng.uniform(-3, 3, 5000)
-        off = ~zc.classify(xs, ys, 1e-7)[1]
-        a = zc.black_mask(xs, ys)
-        b = tw.black_mask(xs, ys)
+        off = ~zc.resolve(xs, ys, 1e-7)[1]
+        a = zc.resolve(xs, ys)[0]
+        b = tw.resolve(xs, ys)[0]
         assert (a[off] == b[off]).all()
         p = zc.curve_point(0, 0.25)
         assert zc.color_at(p) is not tw.color_at(p)
@@ -571,7 +571,7 @@ class TestSerialization:
         rng = np.random.default_rng(14)
         xs = rng.uniform(-10, 10, 10 ** 4)
         ys = rng.uniform(-10, 10, 10 ** 4)
-        assert (first.black_mask(xs, ys) == second.black_mask(xs, ys)).all()
+        assert (first.resolve(xs, ys)[0] == second.resolve(xs, ys)[0]).all()
 
     def test_polygonal_round_trip(self):
         pc = l_shape_coloring()

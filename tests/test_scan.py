@@ -183,9 +183,9 @@ class TestWitnessSoundness:
         calls = []
 
         class Counting:
-            def black_mask(self, xs, ys, tol):
+            def resolve(self, xs, ys, tol):
                 calls.append(len(xs))
-                return hp.black_mask(xs, ys, tol)
+                return hp.resolve(xs, ys, tol)
 
             def distance(self, xs, ys):
                 return hp.distance(xs, ys)
