@@ -7,6 +7,12 @@ computation (an exhausted scan or a failed zebra check is an outcome, not
 an error), 1 for usage, parse or schema problems, 2 for internal invariant
 violations. Randomized subcommands require an explicit ``--seed``.
 
+The library states each input rule once, in the entry point that needs it,
+and raises ``InvalidArgument`` naming the parameter. This module parses the
+flags, applies the ``--tolerance`` policy (at most ``MAX_TOLERANCE``), and
+maps each parameter name to the flag that feeds it (``FLAGS``), so that a
+bad value exits 1 with ``error: flag '<flag>' <reason>, got <value>``.
+
 Only ``geom`` loads with this module; each subcommand imports the library
 entry points it runs when it runs, so ``forcing`` and ``lines`` never load
 numpy.
@@ -20,8 +26,8 @@ import math
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from .geom import (DEFAULT_TOL, GeometryError, Point, Region, SchemaError, TriangleSpec,
-                   WindowTooLarge, triangle_inequality_ok)
+from .geom import (DEFAULT_TOL, GeometryError, InvalidArgument, Point, Region, SchemaError,
+                   TriangleSpec, WindowTooLarge)
 
 if TYPE_CHECKING:
     from .colorings import Coloring
@@ -80,7 +86,9 @@ def _check_finite(flag: str, values, text: str) -> None:
 
 
 def _parse_numbers(flag: str, text: str, count: int) -> list[float]:
-    """The ``count`` comma-separated finite numbers of ``flag``."""
+    """The ``count`` comma-separated finite numbers of ``flag``: flag syntax
+    has no nan or inf, which ``Region``, ``Line`` and ``Point`` would not
+    refuse by name."""
     try:
         values = [float(p) for p in text.split(",")]
     except ValueError:
@@ -91,47 +99,16 @@ def _parse_numbers(flag: str, text: str, count: int) -> list[float]:
     return values
 
 
-def _parse_sides(flag: str, text: str, tol: float = DEFAULT_TOL) -> list[float]:
-    sides = [_check_number(flag, v, positive=True) for v in _parse_numbers(flag, text, 3)]
-    # placing a triangle squares its sides; a subnormal square loses the
-    # vertex to underflow, an infinite one makes it NaN
-    squares = [v * v for v in sides]
-    if not (min(squares) >= sys.float_info.min and math.isfinite(sum(squares))):
-        raise SchemaError(f"flag '{flag}' must have squared sides in the normal float range "
-                          f"and a finite sum of squares, got {text!r}")
-    if not triangle_inequality_ok(*sides, tol):
-        raise SchemaError(f"flag '{flag}' must satisfy the triangle inequality, got {text!r}")
-    return sides
-
-
 def _parse_region(text: str) -> Region:
-    x0, y0, x1, y1 = _parse_numbers("--region", text, 4)
-    if not (x0 < x1 and y0 < y1):
-        raise SchemaError(f"flag '--region' must have x0 < x1 and y0 < y1, got {text!r}")
-    return Region(x0, y0, x1, y1)
+    return Region(*_parse_numbers("--region", text, 4))
 
 
-def _parse_scan(args: argparse.Namespace, tol: float) -> tuple[TriangleSpec, ScanGrid]:
+def _parse_scan(args: argparse.Namespace) -> tuple[TriangleSpec, ScanGrid]:
     """The triangle and the placement grid of ``scan`` and ``avoid``."""
     from .scan import ScanGrid
 
-    spec = TriangleSpec(*_parse_sides("--triangle", args.triangle))
-    region = _parse_region(args.region)
-    step = _check_number("--grid", args.grid, positive=True)
-    # an axis count that overflows the float range cannot be floored to an int
-    spans = (region.x1 - region.x0, region.y1 - region.y0)
-    if not all(math.isfinite(d) for d in spans):
-        raise SchemaError(f"flag '--region' must have a finite width and height, "
-                          f"got {args.region!r}")
-    if not all(math.isfinite(d / step) for d in spans):
-        raise SchemaError(f"flag '--grid' must leave a finite number of translations "
-                          f"across the region, got {args.grid!r}")
-    # rounding a vertex near the region must not move a side past verify_witness's bound
-    reach, side = max(map(abs, (region.x0, region.y0, region.x1, region.y1))), max(spec.sides())
-    if 2.0 * math.ulp(reach + side) > tol * (1.0 + side):
-        raise SchemaError(f"flag '--region' lies too far from the origin: rounding alone can "
-                          f"move a side by more than the tolerance, got {args.region!r}")
-    return spec, ScanGrid(region, step, _check_number("--angles", args.angles, positive=True))
+    spec = TriangleSpec(*_parse_numbers("--triangle", args.triangle, 3))
+    return spec, ScanGrid(_parse_region(args.region), args.grid, args.angles)
 
 
 def _parse_line(flag: str, text: str) -> Line:
@@ -146,16 +123,20 @@ def _parse_line(flag: str, text: str) -> Line:
     return line
 
 
-def _check_number(flag: str, value, positive: bool = False, most: float = math.inf):
-    """``value`` if it is finite, >= 0 (> 0 when ``positive``) and <= ``most``."""
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0) and value <= most):
-        bound = f" and <= {most:g}" if most < math.inf else ""
-        raise SchemaError(f"flag '{flag}' must be a finite number "
-                          f"{'> 0' if positive else '>= 0'}{bound}, got {value!r}")
-    return value
-
-
 MAX_TOLERANCE = 1e-3
+
+# The flag that feeds each library parameter, by subcommand where two do.
+FLAGS = {
+    "sides": {"scan": "--triangle", "avoid": "--triangle", "forcing": "--sides"},
+    "region": "--region",
+    "position_step": "--grid",
+    "angle_count": "--angles",
+    "min_margin": "--min-margin",
+    "epsilon": "--epsilon",
+    "tries": "--tries",
+    "seed": "--seed",
+    "pixels_per_unit": "--pixels-per-unit",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -224,14 +205,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> int:
-    tol = _check_number("--tolerance", args.tolerance, positive=True, most=MAX_TOLERANCE)
+    tol = args.tolerance
+    if not (0.0 < tol <= MAX_TOLERANCE):
+        raise SchemaError(f"flag '--tolerance' must be a finite number > 0 and "
+                          f"<= {MAX_TOLERANCE:g}, got {tol!r}")
     cmd = args.command
     coloring = parse_coloring_file(args.coloring) if hasattr(args, "coloring") else None
     if cmd == "scan":
         from .scan import find_monochromatic_copy
-        spec, grid = _parse_scan(args, tol)
-        witness = find_monochromatic_copy(coloring, spec, grid,
-                                          _check_number("--min-margin", args.min_margin), tol)
+        spec, grid = _parse_scan(args)
+        witness = find_monochromatic_copy(coloring, spec, grid, args.min_margin, tol)
         if witness is None:
             _emit({"result": "exhausted",
                    "placements_tested": grid.placements()}, args.out)
@@ -240,17 +223,12 @@ def run(args: argparse.Namespace) -> int:
         return 0
     if cmd == "avoid":
         from .scan import avoidance_scan
-        spec, grid = _parse_scan(args, tol)
+        spec, grid = _parse_scan(args)
         _emit(avoidance_scan(coloring, spec, grid, tol).to_dict(), args.out)
         return 0
     if cmd == "almost":
         from .scan import find_almost_unit
-        epsilon = _check_number("--epsilon", args.epsilon, positive=True)
-        if epsilon >= 1.0:
-            raise SchemaError(f"flag '--epsilon' must be < 1, got {epsilon!r}")
-        pair = find_almost_unit(coloring, epsilon,
-                                _check_number("--tries", args.tries, positive=True),
-                                _check_number("--seed", args.seed), tol)
+        pair = find_almost_unit(coloring, args.epsilon, args.tries, args.seed, tol)
         _emit({"result": "failure"} if pair is None else pair.to_dict(), args.out)
         return 0
     if cmd == "check-zebra":
@@ -281,7 +259,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
     if cmd == "forcing":
         from .forcing import forcing_check_i, forcing_check_ii
-        sides = _parse_sides("--sides", args.sides, tol)
+        sides = _parse_numbers("--sides", args.sides, 3)
         check = forcing_check_i if args.part == "i" else forcing_check_ii
         _emit({**check(*sides, tol).to_dict(), "part": args.part, "sides": sides}, args.out)
         return 0
@@ -303,9 +281,7 @@ def run(args: argparse.Namespace) -> int:
                     witness = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ParseError(f"cannot read witness {args.witness}: {exc}") from exc
-        spec = RenderSpec(coloring, _parse_region(args.region),
-                          _check_number("--pixels-per-unit", args.pixels_per_unit, positive=True),
-                          witness)
+        spec = RenderSpec(coloring, _parse_region(args.region), args.pixels_per_unit, witness)
         try:
             svg = render_svg(spec)
         except CanvasSizeError as exc:
@@ -332,6 +308,16 @@ def main(argv: Optional[list[str]] = None) -> int:
                   f"got {args.coloring!r}", file=sys.stderr)
         else:
             print(f"error: flag '--region' {exc}, got {args.region!r}", file=sys.stderr)
+        return 1
+    except InvalidArgument as exc:
+        flag = FLAGS.get(exc.param)
+        if isinstance(flag, dict):
+            flag = flag.get(args.command)
+        value = getattr(args, flag[2:].replace("-", "_"), None) if flag else None
+        if value is None:  # no flag set this parameter
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            print(f"error: flag '{flag}' {exc.reason}, got {value!r}", file=sys.stderr)
         return 1
     except (ParseError, SchemaError, InvariantError, ValueError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,8 +19,10 @@ Four families, each a total map from points to black/white:
 
 Every family answers one vectorized mask query, ``resolve(xs, ys, tol)``,
 which returns the black, on-boundary and unresolved masks of the points
-``(xs[k], ys[k])`` together; a point is unresolved when no seed of a
-polygonal coloring reaches it, so the mask is all False in the other
+``(xs[k], ys[k])`` together. A point is unresolved when no seed of a
+polygonal coloring reaches it, or when a zebra coloring cannot locate its
+band exactly: a coordinate that is not finite, or frame coordinates with
+``|s| + |t| >= 2^48``. The mask is all False in the strip and half-plane
 families. The single-point ``color_at`` is a view over it, and raises
 ``UnresolvedFace`` at an unresolved point. ``distance(xs, ys)`` returns the
 exact distance of each point to the boundary in one array pass (the
@@ -81,7 +83,8 @@ class MalformedProfile(GeometryError):
 
 
 class UnresolvedFace(GeometryError):
-    """No seed reaches the queried point without an ambiguous crossing."""
+    """The queried point is unresolved: no seed of a polygonal coloring reaches
+    it without an ambiguous crossing, or it is too far out for the zebra kernel."""
 
 
 class Color(Enum):
@@ -163,16 +166,18 @@ def _nearest(n: int, owner: np.ndarray, gx: np.ndarray, gy: np.ndarray,
 def _resolved_black(coloring: Coloring, xs: np.ndarray, ys: np.ndarray,
                     tol: float) -> np.ndarray:
     """The black mask of ``coloring.resolve``; ``UnresolvedFace`` naming the
-    first point that no seed reaches, if there is one."""
+    first unresolved point, if there is one."""
     black, _, unresolved = coloring.resolve(xs, ys, tol)
     if np.count_nonzero(unresolved):
         j = int(unresolved.argmax())
-        raise UnresolvedFace(f"no seed reaches ({float(xs[j])}, {float(ys[j])}) unambiguously")
+        raise UnresolvedFace(coloring._UNRESOLVED.format(float(xs[j]), float(ys[j])))
     return black
 
 
 class _ColorAt:
     """``color_at``, the one-point view over ``resolve``."""
+
+    _UNRESOLVED = "no seed reaches ({}, {}) unambiguously"
 
     def color_at(self, p: Point, tol: float = DEFAULT_TOL) -> Color:
         black = _resolved_black(self, np.array([p.x]), np.array([p.y]), tol)[0]
@@ -371,6 +376,8 @@ class ZebraColoring(_ColorAt):
     parity_rule: str = "even-black"
     boundary_parity: str = "even-black"
 
+    _UNRESOLVED = "({}, {}) lies too far from the origin to locate its band exactly"
+
     def __post_init__(self):
         for rule in (self.parity_rule, self.boundary_parity):
             if rule not in ("even-black", "even-white"):
@@ -401,8 +408,10 @@ class ZebraColoring(_ColorAt):
         xs, ys = self.curve_points(i, np.array([u]))
         return Point(float(xs[0]), float(ys[0]))
 
-    def _locate(self, xs: np.ndarray, ys: np.ndarray, tol: float):
-        """Band index, on-curve mask and on-curve index for each point.
+    def _locate(self, xs: np.ndarray, ys: np.ndarray, tol: float,
+                unresolved: Optional[np.ndarray] = None):
+        """Band index, on-curve mask and on-curve index for each point; the
+        points it cannot locate are set in ``unresolved``, if given.
 
         The band is the largest i with L_i at or below the point, and the
         on-curve index is the first i in ascending order whose curve lies
@@ -427,9 +436,11 @@ class ZebraColoring(_ColorAt):
 
         Which points are hard. Let H be the float ``HALF_SQRT3`` in which
         every height is computed, u = 2^-53, A = v_max - v_min,
-        V = max |v|, and T = max |s| + max |t| over the call, so that
-        T >= |t| at every point; if some s or t is not finite, neither is
-        T, and every point is hard.
+        V = max |v|, and T = 1.5 (max |x| + max |y|) over the call. Then
+        T >= max |s| + max |t| >= |t| at every point: |s| + |t| <=
+        (|dx| + |dy|) (|x| + |y|) (1 + u)^2 for x_hat = (dx, dy), and
+        |dx| + |dy| <= sqrt(2) (1 + 1e-7). If some x or y is not finite,
+        neither is T, and every point is hard.
         - L_i's computed height at s is ``fl(fl(i H) + b)``. Here b is one
           ``np.interp``, ``fp[j] + slope * (x - xp[j])`` with x in
           [xp[j], xp[j+1]] and four roundings, so it lies in [v_min, v_max]
@@ -455,7 +466,22 @@ class ZebraColoring(_ColorAt):
         2 u w, the rounding of the amplitude (2 u V) and that of eps and
         the thresholds (6 u (w + eps + 1)). A NaN f fails the test, and
         when w >= H every point does.
+
+        The proof needs T < 2^48, and the window, which sees one point at a
+        time, is trusted as far: a hard point with |s| + |t| >= 2^48, or
+        with a coordinate that is not finite, is unresolved, with band and
+        index 0. Only a call with T >= 2^48, where every point is hard,
+        computes under ``np.errstate``, since infinities and overflow warn.
         """
+        size = 1.5 * (np.abs(xs).max(initial=0.0) + np.abs(ys).max(initial=0.0))
+        if size < 2.0 ** 48:
+            return self._locate_within(xs, ys, tol, size, unresolved)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self._locate_within(xs, ys, tol, size, unresolved)
+
+    def _locate_within(self, xs: np.ndarray, ys: np.ndarray, tol: float, size: float,
+                       unresolved: Optional[np.ndarray]):
+        """``_locate`` with ``size`` for T."""
         profile = self.profile
         s, t = self.to_frame(xs, ys)
         # Curve indices are floats until the return: integers below 2^53
@@ -467,13 +493,18 @@ class ZebraColoring(_ColorAt):
         band = i0 - (h > t)
         curve_idx = np.where(on_curve, i0, 0.0)
         margin = widest + 2.0 ** -48 * (  # w + eps
-            np.abs(s).max(initial=0.0) + np.abs(t).max(initial=0.0)
-            + max(-profile.v_min, profile.v_max) + widest + 1.0)
+            size + max(-profile.v_min, profile.v_max) + widest + 1.0)
         f = q - i0
         easy = ((f > (margin - (HALF_SQRT3 - profile.amplitude)) / HALF_SQRT3)
                 & (f < 1.0 - margin / HALF_SQRT3))
         hard = np.flatnonzero(~easy)
         if hard.size:
+            far = ~(np.abs(s[hard]) + np.abs(t[hard]) < 2.0 ** 48)
+            if far.any():
+                out, hard = hard[far], hard[~far]
+                band[out], on_curve[out], curve_idx[out] = 0.0, False, 0.0
+                if unresolved is not None:
+                    unresolved[out] = True
             band[hard], on_curve[hard], curve_idx[hard] = self._curve_window(
                 s[hard], t[hard], i0[hard], tol, widest)
         return band.astype(np.int64), on_curve, curve_idx.astype(np.int64)
@@ -517,11 +548,12 @@ class ZebraColoring(_ColorAt):
 
     def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        band, on_curve, curve_idx = self._locate(xs, ys, tol)
+        unresolved = np.zeros(xs.shape, bool)
+        band, on_curve, curve_idx = self._locate(xs, ys, tol, unresolved)
         even = (np.where(on_curve, curve_idx, band) & 1) == 0
         odd_black = np.where(on_curve, self.boundary_parity == "even-white",
                              self.parity_rule == "even-white")
-        return even != odd_black, on_curve, np.zeros(on_curve.shape, bool)
+        return even != odd_black, on_curve, unresolved
 
     def _window_curves(self, window: Region) -> tuple[range, tuple[float, float]]:
         """The curves that can reach ``window`` and its range of frame abscissas;

@@ -25,10 +25,11 @@ from .geom import (
     DEFAULT_TOL,
     GeometryError,
     Infeasible,
+    InvalidArgument,
     Point,
+    check_sides,
     distance,
     third_vertex,
-    triangle_inequality_ok,
 )
 
 LABELS = ("A", "B", "C", "D", "A'", "B'", "C'", "D'")
@@ -48,7 +49,7 @@ class ConstructionInconsistent(GeometryError):
     """No mirror-choice assignment satisfies all six constraints."""
 
 
-class DegenerateSides(GeometryError):
+class DegenerateSides(InvalidArgument):
     """Two distinct side values collide within tolerance; matching would be unsafe."""
 
 
@@ -71,16 +72,13 @@ class EightPointConfig:
 
 
 def _check_spec_sides(a: float, b: float, c: float, tol: float) -> None:
-    if min(a, b, c) <= 0.0:
-        raise Infeasible(f"side lengths must be positive: {(a, b, c)}")
-    if not triangle_inequality_ok(a, b, c, tol):
-        raise Infeasible(f"triangle inequality fails for {(a, b, c)}")
+    check_sides(a, b, c, tol)
     scale = 1.0 + max(a, b, c)
     for x, y in ((a, b), (b, c), (a, c)):
         if x != y and abs(x - y) <= tol * scale:
-            raise DegenerateSides(
-                f"distinct side values {x} and {y} collide within tolerance; "
-                "refusing to classify triples")
+            raise DegenerateSides("sides", f"must not hold distinct values {x} and {y} "
+                                           "within tolerance: triples could not be classified",
+                                  (a, b, c))
 
 
 def build_config(a: float, b: float, c: float,

@@ -5,8 +5,9 @@ circles and axis-aligned windows, together with the handful of predicates
 the coloring and scanning code is built on: third-vertex construction by
 circle intersection, canonical triangle placement, and circle/polyline
 intersection with explicit tangency flags. ``SchemaError``, the error of
-a malformed coloring document or command-line flag, lives here too, so the
-command line can raise it without loading the numpy-backed modules.
+a malformed coloring document or command-line flag, and ``InvalidArgument``,
+the error of an argument outside its domain, live here too, so the command
+line can raise and catch them without loading the numpy-backed modules.
 
 All comparisons go through a single tolerance ``tol`` defaulting to
 ``DEFAULT_TOL`` (1e-9). Every type is an immutable value and every
@@ -16,6 +17,7 @@ operation is pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 DEFAULT_TOL = 1e-9
@@ -28,7 +30,17 @@ class GeometryError(Exception):
     """Base class for geometric precondition failures."""
 
 
-class Infeasible(GeometryError):
+class InvalidArgument(GeometryError, ValueError):
+    """An argument outside its domain: ``param`` names it and ``reason`` says
+    what it must be; the message is ``"<param> <reason>, got <value>"``."""
+
+    def __init__(self, param: str, reason: str, value):
+        super().__init__(f"{param} {reason}, got {value!r}")
+        self.param = param
+        self.reason = reason
+
+
+class Infeasible(InvalidArgument):
     """Requested construction violates the (degenerate) triangle inequality."""
 
 
@@ -139,7 +151,8 @@ class Circle:
 
 @dataclass(frozen=True)
 class Region:
-    """Closed axis-aligned rectangle [x0, x1] x [y0, y1]."""
+    """Closed axis-aligned rectangle [x0, x1] x [y0, y1]; ``InvalidArgument``
+    naming ``region`` unless x0 < x1 and y0 < y1."""
 
     x0: float
     y0: float
@@ -148,7 +161,8 @@ class Region:
 
     def __post_init__(self):
         if not (self.x0 < self.x1 and self.y0 < self.y1):
-            raise GeometryError("region must have positive width and height")
+            raise InvalidArgument("region", "must have x0 < x1 and y0 < y1",
+                                  (self.x0, self.y0, self.x1, self.y1))
 
     def inflated(self, amount: float) -> "Region":
         return Region(self.x0 - amount, self.y0 - amount,
@@ -168,6 +182,26 @@ def triangle_inequality_ok(a: float, b: float, c: float, tol: float = DEFAULT_TO
     return (a <= b + c + slack) and (b <= a + c + slack) and (c <= a + b + slack)
 
 
+def check_sides(a: float, b: float, c: float, tol: float = DEFAULT_TOL) -> None:
+    """Refuse side lengths that no triangle can be placed with, naming ``sides``.
+
+    Sides must be positive, satisfy the degenerate triangle inequality at
+    ``tol``, and have squares in the normal float range with a finite sum:
+    placing a triangle squares its sides, so a subnormal square loses the
+    vertex to underflow and an infinite one makes it NaN.
+    """
+    sides = (a, b, c)
+    if min(sides) <= 0.0:
+        raise Infeasible("sides", "must be positive", sides)
+    # a NaN side fails the sum if min() skips it
+    if not (min(a * a, b * b, c * c) >= sys.float_info.min
+            and math.isfinite(a * a + b * b + c * c)):
+        raise InvalidArgument("sides", "must have squared sides in the normal float range "
+                                       "and a finite sum of squares", sides)
+    if not triangle_inequality_ok(a, b, c, tol):
+        raise Infeasible("sides", "must satisfy the triangle inequality", sides)
+
+
 @dataclass(frozen=True)
 class TriangleSpec:
     """Side lengths of a sought congruence class.
@@ -182,10 +216,7 @@ class TriangleSpec:
     c: float
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) <= 0.0:
-            raise Infeasible(f"side lengths must be positive: {(self.a, self.b, self.c)}")
-        if not triangle_inequality_ok(self.a, self.b, self.c):
-            raise Infeasible(f"triangle inequality fails for {(self.a, self.b, self.c)}")
+        check_sides(self.a, self.b, self.c)
 
     def sides(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
@@ -206,8 +237,8 @@ def third_vertex(A: Point, B: Point, side: float,
     if abs(d - side) > tol * scale:
         raise DistanceMismatch(f"|AB| = {d}, expected side {side}")
     if not triangle_inequality_ok(side, apex_dist_a, apex_dist_b, tol):
-        raise Infeasible(
-            f"no point at distances {apex_dist_a}, {apex_dist_b} from a base of {side}")
+        raise Infeasible("sides", "must satisfy the triangle inequality",
+                         (side, apex_dist_a, apex_dist_b))
     if orientation not in ("ccw", "cw"):
         raise ValueError(f"orientation must be 'ccw' or 'cw', got {orientation!r}")
     if d == 0.0:

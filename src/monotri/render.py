@@ -7,10 +7,12 @@ coordinates, so a given input always renders to the same bytes. Strip,
 zebra and half-plane fills are exact band/half-plane polygons (cropped by
 the viewBox); generic polygonal interiors fall back to a fine cell raster,
 colored by one ``resolve`` call over all cell centres (cells no seed
-reaches stay white), while their boundaries stay exact. A canvas is 1 to
-2^20 pixels a side; ``render_svg`` raises ``CanvasSizeError`` for any other
-region and scale, after the boundary has been built (so that a window too
-large for its boundary raises ``WindowTooLarge`` first).
+reaches stay white), while their boundaries stay exact. ``RenderSpec``
+raises ``InvalidArgument`` for a ``pixels_per_unit`` that is not a finite
+number > 0. A canvas is 1 to 2^20 pixels a side; ``render_svg`` raises
+``CanvasSizeError`` for any other region and scale, after the boundary has
+been built (so that a window too large for its boundary raises
+``WindowTooLarge`` first).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import Point, Region, Segment
+from .geom import InvalidArgument, Point, Region, Segment
 from .colorings import (
     Color,
     Coloring,
@@ -53,8 +55,9 @@ class RenderSpec:
     witness: Optional[dict] = None
 
     def __post_init__(self):
-        if not (self.pixels_per_unit > 0.0):
-            raise ValueError("pixels_per_unit must be positive")
+        if not (0.0 < self.pixels_per_unit < math.inf):
+            raise InvalidArgument("pixels_per_unit", "must be a finite number > 0",
+                                  self.pixels_per_unit)
         if self.witness is not None:
             _witness_vertices(self.witness)
 

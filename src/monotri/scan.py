@@ -20,10 +20,15 @@ least one, and a find scan stops in the block of its witness. A find scan
 classifies vertex 3 only where vertices 1 and 2 agree, and takes the
 margins of a block's monochromatic poses in batches of doubling size, one
 ``distance`` call per batch, in pose order; an avoidance scan classifies
-all three vertices, which its near-miss rule needs. Placements with a
-vertex that no seed of a polygonal coloring reaches are skipped by find
-and counted as ``unresolved`` by avoidance. A scan that exhausts its grid
-is a sampling verdict, never a proof of avoidance.
+all three vertices, which its near-miss rule needs. Placements with an
+unresolved vertex (see :mod:`monotri.colorings`) are skipped by find and
+counted as ``unresolved`` by avoidance. A scan that exhausts its grid is a
+sampling verdict, never a proof of avoidance.
+
+Each entry point checks its own arguments and raises ``InvalidArgument``
+naming the one outside its domain: ``ScanGrid`` its step, angle count and
+lattice size, the scans their triangle and region against ``tol``, and
+``find_almost_unit`` its epsilon, try budget and seed.
 """
 
 from __future__ import annotations
@@ -39,10 +44,12 @@ from .geom import (
     TWO_PI,
     Circle,
     GeometryError,
+    InvalidArgument,
     Point,
     Region,
     RigidMotion,
     TriangleSpec,
+    check_sides,
     circle_polyline_intersections,
     distance,
     place_triangle,
@@ -54,13 +61,19 @@ class NotOnBoundary(GeometryError):
     """The probed point is farther than the tolerance from every boundary piece."""
 
 
+# The most translations a grid may have: numpy refuses a float array of
+# more bytes than np.intp holds.
+_MOST_TRANSLATIONS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
 @dataclass(frozen=True)
 class ScanGrid:
     """Placement grid: poses (angle k, x i, y j) over a region.
 
     Angles are the ``angle_count`` uniform values in [0, 2*pi); translations
     run over the region at ``position_step`` spacing, region corners
-    included.
+    included. A grid whose translations numpy cannot hold in one float
+    array raises ``InvalidArgument`` naming ``position_step``.
     """
 
     region: Region
@@ -68,14 +81,22 @@ class ScanGrid:
     angle_count: int = 720
 
     def __post_init__(self):
-        if not (self.position_step > 0.0):
-            raise GeometryError("position_step must be positive")
-        if self.angle_count < 1:
-            raise GeometryError("angle_count must be at least 1")
-        r = self.region
-        if not all(math.isfinite((hi - lo) / self.position_step)
-                   for lo, hi in ((r.x0, r.x1), (r.y0, r.y1))):
-            raise GeometryError("region width and height over position_step must be finite")
+        step, r = self.position_step, self.region
+        if not (0.0 < step < math.inf):
+            raise InvalidArgument("position_step", "must be a finite number > 0", step)
+        if not (self.angle_count >= 1):
+            raise InvalidArgument("angle_count", "must be at least 1", self.angle_count)
+        spans = (r.x1 - r.x0, r.y1 - r.y0)
+        if not all(math.isfinite(d) for d in spans):
+            raise InvalidArgument("region", "width and height must be finite", r)
+        # an axis count that overflows the float range cannot be floored to an int
+        if not all(math.isfinite(d / step) for d in spans):
+            raise InvalidArgument("position_step", "divides the region's width and height "
+                                                   "into counts that must be finite", step)
+        if self._count(r.x0, r.x1) * self._count(r.y0, r.y1) > _MOST_TRANSLATIONS:
+            raise InvalidArgument("position_step", f"leaves more translations across the region "
+                                                   f"than numpy can index ({_MOST_TRANSLATIONS})",
+                                  step)
 
     def angles(self) -> np.ndarray:
         return np.arange(self.angle_count) * (TWO_PI / self.angle_count)
@@ -160,6 +181,23 @@ def _common_color(coloring: Coloring, points: Sequence[Point], tol: float) -> Op
     if black.all():
         return Color.BLACK
     return None if black.any() else Color.WHITE
+
+
+def _check_scan(spec: TriangleSpec, grid: ScanGrid, tol: float) -> None:
+    """Refuse a triangle and grid that a scan at ``tol`` cannot place faithfully.
+
+    The sides must satisfy the triangle inequality at ``tol`` too, and
+    rounding a vertex near the region must not move a side past
+    :func:`verify_witness`'s bound: with R the largest |coordinate| of the
+    region and s the longest side, ``2 ulp(R + s) <= tol (1 + s)``. At the
+    default tolerance and unit sides, R = 4e6 passes and R = 1e7 does not.
+    """
+    check_sides(*spec.sides(), tol)
+    r = grid.region
+    reach, side = max(map(abs, (r.x0, r.y0, r.x1, r.y1))), max(spec.sides())
+    if 2.0 * math.ulp(reach + side) > tol * (1.0 + side):
+        raise InvalidArgument("region", "lies too far from the origin: rounding alone can "
+                                        "move a side by more than the tolerance", r)
 
 
 _SCAN_BLOCK = 4096  # most poses per block of the scan engine
@@ -247,13 +285,17 @@ def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGr
     in each later batch, and the first with margin at least ``min_margin``
     is the witness. ``distance`` is per point, so a batch gives each pose
     the margin :func:`margin_of` gives its vertices, bit for bit.
-    Placements with a vertex that no seed of a polygonal coloring reaches
-    are skipped.
+    Placements with an unresolved vertex are skipped.
 
     Returns None when the grid is exhausted -- a sampling verdict only; no
     claim of avoidance is implied. Vertices may leave the grid region; the
-    region constrains translations, not the triangle.
+    region constrains translations, not the triangle. A negative or
+    non-finite ``min_margin``, and a triangle and grid that ``tol`` cannot
+    scan (see ``_check_scan``), raise ``InvalidArgument`` naming the parameter.
     """
+    if not (0.0 <= min_margin < math.inf):
+        raise InvalidArgument("min_margin", "must be a finite number >= 0", min_margin)
+    _check_scan(spec, grid, tol)
     for pose, place in _placed_poses(spec, grid, ramp=True):
         b1, _, u1 = coloring.resolve(*place(0), tol)
         b2, _, u2 = coloring.resolve(*place(1), tol)
@@ -285,10 +327,11 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
 
     Boundary points are colored by the coloring's own rule. A near miss is
     a non-monochromatic placement with two same-colored vertices whose
-    third vertex sits within tolerance of the boundary. Placements with a
-    vertex that no seed of a polygonal coloring reaches count as
-    ``unresolved`` and as neither.
+    third vertex sits within tolerance of the boundary. Placements with an
+    unresolved vertex count as ``unresolved`` and as neither. A triangle and
+    grid that ``tol`` cannot scan raise ``InvalidArgument`` (see ``_check_scan``).
     """
+    _check_scan(spec, grid, tol)
     mono_count = 0
     near_count = 0
     unresolved = 0
@@ -387,10 +430,16 @@ def find_almost_unit(coloring: Coloring, epsilon: float, tries: int = 10 ** 6,
     samples only [-1, 1]^2, so a coloring that is one color there can spend
     the whole budget on it. ``HalfPlaneColoring(UnitVector(0, 1), -2.0)``,
     black on that square, gives None at ``epsilon=0.1, tries=2000, seed=0``,
-    though its white class holds unit triangles.
+    though its white class holds unit triangles. An ``epsilon`` outside
+    (0, 1), ``tries`` below 1 and a negative ``seed`` raise
+    ``InvalidArgument`` naming the parameter.
     """
     if not (0.0 < epsilon < 1.0):
-        raise GeometryError("epsilon must lie strictly between 0 and 1")
+        raise InvalidArgument("epsilon", "must lie strictly between 0 and 1", epsilon)
+    if not (1 <= tries < math.inf):
+        raise InvalidArgument("tries", "must be a finite number >= 1", tries)
+    if not (seed >= 0):
+        raise InvalidArgument("seed", "must be >= 0", seed)
     rng = np.random.default_rng(seed)
     budget = tries
     found: dict[Color, tuple[Point, Point, Point]] = {}
@@ -455,12 +504,13 @@ def find_almost_unit(coloring: Coloring, epsilon: float, tries: int = 10 ** 6,
                             break
 
     # Phase 3: random exact-unit triangles anywhere in Q(2).
+    unit = TriangleSpec(1.0, 1.0, 1.0)
     while len(found) < 2 and budget > 0:
         consume()
         cx, cy = rng.uniform(-2, 2), rng.uniform(-2, 2)
         ang = rng.uniform(0.0, TWO_PI)
         motion = RigidMotion(float(ang), (float(cx), float(cy)))
-        tri = place_triangle(TriangleSpec(1.0, 1.0, 1.0), motion)
+        tri = place_triangle(unit, motion)
         color = _common_color(coloring, tri, tol)
         if color is not None and color not in found and _almost_unit_shape(tri, epsilon):
             found[color] = tri
