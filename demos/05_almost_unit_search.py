@@ -9,15 +9,21 @@ such a triangle with the nearby off-circle point.
 """
 
 from monotri.colorings import StripColoring
-from monotri.scan import find_almost_unit, _triangle_sides
+from monotri.geom import distance
+from monotri.scan import find_almost_unit
 
 strips = StripColoring(1.0)
+
+
+def sides(tri):
+    return (distance(tri[0], tri[1]), distance(tri[1], tri[2]), distance(tri[2], tri[0]))
+
 
 for eps in (0.2, 0.1, 0.05, 0.02):
     pair = find_almost_unit(strips, eps, tries=10 ** 5, seed=17)
     assert pair is not None
-    bs = _triangle_sides(pair.black_triangle)
-    ws = _triangle_sides(pair.white_triangle)
+    bs = sides(pair.black_triangle)
+    ws = sides(pair.white_triangle)
     print(f"eps = {eps}:")
     print(f"  black sides: {[round(s, 4) for s in bs]}")
     print(f"  white sides: {[round(s, 4) for s in ws]}")

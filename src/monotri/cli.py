@@ -87,8 +87,7 @@ def _check_finite(flag: str, values, text: str) -> None:
 
 def _parse_numbers(flag: str, text: str, count: int) -> list[float]:
     """The ``count`` comma-separated finite numbers of ``flag``: flag syntax
-    has no nan or inf, which ``Region``, ``Line`` and ``Point`` would not
-    refuse by name."""
+    has no nan or inf, which ``Line`` and ``Point`` would not refuse by name."""
     try:
         values = [float(p) for p in text.split(",")]
     except ValueError:
@@ -136,6 +135,7 @@ FLAGS = {
     "tries": "--tries",
     "seed": "--seed",
     "pixels_per_unit": "--pixels-per-unit",
+    "tol": "--tolerance",
 }
 
 
@@ -149,9 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, coloring=True, region=False):
-        if coloring:
-            p.add_argument("--coloring", required=True, help="coloring JSON file")
+    def add_common(p, region=False):
+        p.add_argument("--coloring", required=True, help="coloring JSON file")
         if region:
             p.add_argument("--region", required=True, help="x0,y0,x1,y1")
         p.add_argument("--out", help="output path (default: stdout)")

@@ -28,7 +28,10 @@ families. The single-point ``color_at`` is a view over it, and raises
 exact distance of each point to the boundary in one array pass (the
 witness margin of a scan), and ``boundary_segments`` gives the boundary
 as oriented segments for probing and rendering. Colorings are immutable
-after construction; all queries are pure.
+after construction; all queries are pure. Two array kernels hold the
+segment arithmetic: ``_clip``, the one Liang-Barsky clip (zebra and
+half-plane ``boundary_segments``), and ``_offsets`` from points to their
+nearest segment points (polygonal queries and seed table, zebra ``distance``).
 
 ``coloring_from_dict`` is the one reader of the JSON document form that
 ``to_dict`` writes: it checks each field's shape as it builds, and raises
@@ -64,6 +67,7 @@ from .geom import (
     TriangleSpec,
     UnitVector,
     WindowTooLarge,
+    check_tol,
     distance,
     point_segment_distance,
 )
@@ -161,6 +165,40 @@ def _nearest(n: int, owner: np.ndarray, gx: np.ndarray, gy: np.ndarray,
     np.minimum.at(out, owner[rows], list(map(math.hypot, gx[rows, cols].tolist(),
                                              gy[rows, cols].tolist())))
     return out
+
+
+def _offsets(px, py, ax, ay, ex, ey, len2, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets from points p to their nearest points ``a + u e``, u in [lo, hi],
+    with ``len2 = |e|^2``; the arguments broadcast. ``math.hypot`` of an offset
+    is ``point_segment_distance`` bit for bit."""
+    u = ((px - ax) * ex + (py - ay) * ey) / len2
+    u = np.minimum(np.maximum(u, lo), hi)
+    return px - (ax + u * ex), py - (ay + u * ey)
+
+
+def _clip(p: np.ndarray, d: np.ndarray, window: Region
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Liang-Barsky clip of the segments ``p + t d``, t in [0, 1] (x, y on
+    axis 0), to ``window``: the indices of those that keep a piece longer
+    than ``DEFAULT_TOL`` (by ``math.hypot``), and its ends a and b."""
+    t0, t1, missed = np.zeros(p.shape[1]), np.ones(p.shape[1]), np.zeros(p.shape[1], bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start, delta, lo, hi in ((p[0], d[0], window.x0, window.x1),
+                                     (p[1], d[1], window.y0, window.y1)):
+            flat = delta == 0.0
+            missed |= flat & ((start < lo) | (start > hi))
+            ta, tb = (lo - start) / delta, (hi - start) / delta
+            swap = ta > tb
+            ta, tb = np.where(swap, tb, ta), np.where(swap, ta, tb)
+            # max(t0, ta) and min(t1, tb) as Python takes them, signed zeros too
+            t0 = np.where((ta > t0) & ~flat, ta, t0)
+            t1 = np.where((tb < t1) & ~flat, tb, t1)
+    hit = np.flatnonzero(~missed & (t0 < t1))
+    p, d = p[:, hit], d[:, hit]
+    a, b = p + t0[hit] * d, p + t1[hit] * d
+    gx, gy = (a - b).tolist()
+    long = np.fromiter(map(math.hypot, gx, gy), float, hit.size) > DEFAULT_TOL
+    return hit[long], a[:, long], b[:, long]
 
 
 def _resolved_black(coloring: Coloring, xs: np.ndarray, ys: np.ndarray,
@@ -408,10 +446,9 @@ class ZebraColoring(_ColorAt):
         xs, ys = self.curve_points(i, np.array([u]))
         return Point(float(xs[0]), float(ys[0]))
 
-    def _locate(self, xs: np.ndarray, ys: np.ndarray, tol: float,
-                unresolved: Optional[np.ndarray] = None):
-        """Band index, on-curve mask and on-curve index for each point; the
-        points it cannot locate are set in ``unresolved``, if given.
+    def _locate(self, xs: np.ndarray, ys: np.ndarray, tol: float):
+        """Band index, on-curve mask, on-curve index and unresolved mask for
+        each point.
 
         The band is the largest i with L_i at or below the point, and the
         on-curve index is the first i in ascending order whose curve lies
@@ -475,12 +512,11 @@ class ZebraColoring(_ColorAt):
         """
         size = 1.5 * (np.abs(xs).max(initial=0.0) + np.abs(ys).max(initial=0.0))
         if size < 2.0 ** 48:
-            return self._locate_within(xs, ys, tol, size, unresolved)
+            return self._locate_within(xs, ys, tol, size)
         with np.errstate(invalid="ignore", over="ignore"):
-            return self._locate_within(xs, ys, tol, size, unresolved)
+            return self._locate_within(xs, ys, tol, size)
 
-    def _locate_within(self, xs: np.ndarray, ys: np.ndarray, tol: float, size: float,
-                       unresolved: Optional[np.ndarray]):
+    def _locate_within(self, xs: np.ndarray, ys: np.ndarray, tol: float, size: float):
         """``_locate`` with ``size`` for T."""
         profile = self.profile
         s, t = self.to_frame(xs, ys)
@@ -498,16 +534,16 @@ class ZebraColoring(_ColorAt):
         easy = ((f > (margin - (HALF_SQRT3 - profile.amplitude)) / HALF_SQRT3)
                 & (f < 1.0 - margin / HALF_SQRT3))
         hard = np.flatnonzero(~easy)
+        unresolved = np.zeros(xs.shape, bool)
         if hard.size:
             far = ~(np.abs(s[hard]) + np.abs(t[hard]) < 2.0 ** 48)
             if far.any():
                 out, hard = hard[far], hard[~far]
                 band[out], on_curve[out], curve_idx[out] = 0.0, False, 0.0
-                if unresolved is not None:
-                    unresolved[out] = True
+                unresolved[out] = True
             band[hard], on_curve[hard], curve_idx[hard] = self._curve_window(
                 s[hard], t[hard], i0[hard], tol, widest)
-        return band.astype(np.int64), on_curve, curve_idx.astype(np.int64)
+        return band.astype(np.int64), on_curve, curve_idx.astype(np.int64), unresolved
 
     def _near_curve(self, s: np.ndarray, t: np.ndarray, i: np.ndarray, tol: float,
                     widest: float) -> tuple[np.ndarray, np.ndarray]:
@@ -548,8 +584,7 @@ class ZebraColoring(_ColorAt):
 
     def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        unresolved = np.zeros(xs.shape, bool)
-        band, on_curve, curve_idx = self._locate(xs, ys, tol, unresolved)
+        band, on_curve, curve_idx, unresolved = self._locate(xs, ys, tol)
         even = (np.where(on_curve, curve_idx, band) & 1) == 0
         odd_black = np.where(on_curve, self.boundary_parity == "even-white",
                              self.parity_rule == "even-white")
@@ -596,36 +631,21 @@ class ZebraColoring(_ColorAt):
 
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         """Clipped curves as oriented pieces, white face on the left: the
-        segments of ``_polylines``, clipped in one array pass in the float
-        expressions of ``_clip_segment_to_region``."""
+        segments of ``_polylines``, clipped by ``_clip``."""
         curves, s_range = self._window_curves(window)
         P, _ = self._polylines(np.arange(len(curves)) + float(curves.start), s_range)
-        p, d = P[:, :, :-1].reshape(2, -1), (P[:, :, 1:] - P[:, :, :-1]).reshape(2, -1)
-        t0, t1, missed = np.zeros(p.shape[1]), np.ones(p.shape[1]), np.zeros(p.shape[1], bool)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for start, delta, lo, hi in ((p[0], d[0], window.x0, window.x1),
-                                         (p[1], d[1], window.y0, window.y1)):
-                flat = delta == 0.0
-                missed |= flat & ((start < lo) | (start > hi))
-                ta, tb = (lo - start) / delta, (hi - start) / delta
-                swap = ta > tb
-                ta, tb = np.where(swap, tb, ta), np.where(swap, ta, tb)
-                # max(t0, ta) and min(t1, tb) as Python takes them, signed zeros too
-                t0 = np.where((ta > t0) & ~flat, ta, t0)
-                t1 = np.where((tb < t1) & ~flat, tb, t1)
-        hit = np.flatnonzero(~missed & (t0 < t1))
-        p, d = p[:, hit], d[:, hit]
-        a, b = (p + t0[hit] * d).tolist(), (p + t1[hit] * d).tolist()
+        kept, a, b = _clip(P[:, :, :-1].reshape(2, -1),
+                           (P[:, :, 1:] - P[:, :, :-1]).reshape(2, -1), window)
         # band i sits above L_i, and +x_hat keeps the upper band on the left
         styles = [(_parity_color(i, self.boundary_parity),
                    _parity_color(i, self.parity_rule) is not Color.WHITE) for i in (0, 1)]
         pieces = []
-        for i, ax, ay, bx, by in zip((hit // (P.shape[2] - 1) + curves.start).tolist(), *a, *b):
-            if math.hypot(ax - bx, ay - by) > DEFAULT_TOL:
-                color, flip = styles[i % 2]
-                head, tail = Point(ax, ay), Point(bx, by)
-                pieces.append(BoundaryPiece(Segment(tail, head) if flip else Segment(head, tail),
-                                            color))
+        for i, ax, ay, bx, by in zip((kept // (P.shape[2] - 1) + curves.start).tolist(),
+                                     *a.tolist(), *b.tolist()):
+            color, flip = styles[i % 2]
+            head, tail = Point(ax, ay), Point(bx, by)
+            pieces.append(BoundaryPiece(Segment(tail, head) if flip else Segment(head, tail),
+                                        color))
         return pieces
 
     def distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -654,9 +674,8 @@ class ZebraColoring(_ColorAt):
         zero-length segments that are masked out. (The other periods reach
         the window only as a copy of an end, which the joint rule drops.)
         The points come from ``curve_points``, joints merge in
-        ``_merge_joints`` and distances take the float expressions of
-        ``point_segment_distance``, so each distance is the scalar one bit
-        for bit.
+        ``_merge_joints`` and distances come from ``_offsets``, so each
+        distance is the scalar one bit for bit.
         """
         profile = self.profile
         tables = profile.tables
@@ -677,14 +696,11 @@ class ZebraColoring(_ColorAt):
         inside = (edges[:, :1] <= cand) & (cand <= edges[:, 1:])
         u = np.where(inside, cand, np.where(cand < edges[:, :1], ends[:, :1], ends[:, 1:]))
         P = self.curve_points(i, u)
-        E = _merge_joints(P, inside)
-        A = P[:, :, :-1]
-        p = np.array((xs, ys))[:, owner, None]
-        L2 = np.add(*(E * E))
+        ex, ey = _merge_joints(P, inside)
+        L2 = ex * ex + ey * ey
         seg = L2 > 0.0
-        w = np.add(*((p - A) * E)) / np.where(seg, L2, 1.0)
-        w = np.minimum(np.maximum(w, 0.0), 1.0)
-        gx, gy = p - (A + w * E)
+        gx, gy = _offsets(xs[owner, None], ys[owner, None], P[0, :, :-1], P[1, :, :-1],
+                          ex, ey, np.where(seg, L2, 1.0), 0.0, 1.0)
         return (_nearest(xs.shape[0], owner, gx, gy, seg),)
 
     def twin(self, new_boundary_parity: str) -> "ZebraColoring":
@@ -733,29 +749,6 @@ def _merge_joints(P: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return P[:, :, 1:] - P[:, :, :-1]
 
 
-def _clip_segment_to_region(p: Point, q: Point, window: Region) -> Optional[Segment]:
-    """Liang-Barsky clip; returns None for segments missing the window."""
-    dx, dy = q.x - p.x, q.y - p.y
-    t0, t1 = 0.0, 1.0
-    for delta, lo, hi, start in ((dx, window.x0, window.x1, p.x),
-                                 (dy, window.y0, window.y1, p.y)):
-        if delta == 0.0:
-            if start < lo or start > hi:
-                return None
-            continue
-        ta, tb = (lo - start) / delta, (hi - start) / delta
-        if ta > tb:
-            ta, tb = tb, ta
-        t0, t1 = max(t0, ta), min(t1, tb)
-        if t0 >= t1:
-            return None
-    a = Point(p.x + t0 * dx, p.y + t0 * dy)
-    b = Point(p.x + t1 * dx, p.y + t1 * dy)
-    if distance(a, b) <= DEFAULT_TOL:
-        return None
-    return Segment(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Half-plane coloring
 # ---------------------------------------------------------------------------
@@ -784,11 +777,10 @@ class HalfPlaneColoring(_ColorAt):
         reach = abs(window.x0) + abs(window.x1) + abs(window.y0) + abs(window.y1) + 4.0
         a = Point(anchor.x - reach * d[0], anchor.y - reach * d[1])
         b = Point(anchor.x + reach * d[0], anchor.y + reach * d[1])
-        seg = _clip_segment_to_region(a, b, window)
-        if seg is None:
-            return []
-        return [BoundaryPiece(seg, self.closed_side_color,
-                              ray_start=True, ray_end=True)]
+        _, p, q = _clip(np.array([[a.x], [a.y]]), np.array([[b.x - a.x], [b.y - a.y]]), window)
+        return [BoundaryPiece(Segment(Point(px, py), Point(qx, qy)), self.closed_side_color,
+                              ray_start=True, ray_end=True)
+                for px, py, qx, qy in zip(*p.tolist(), *q.tolist())]
 
     def distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return np.abs(xs * self.normal.dx + ys * self.normal.dy - self.offset)
@@ -803,18 +795,18 @@ class HalfPlaneColoring(_ColorAt):
 # General polygonal colorings
 # ---------------------------------------------------------------------------
 
-def _pieces_cross(a: Segment, b: Segment, tol: float = DEFAULT_TOL) -> bool:
+def _pieces_cross(a: Segment, b: Segment) -> bool:
     """True when the segments meet at a point interior to at least one of them."""
     d1x, d1y = a.q.x - a.p.x, a.q.y - a.p.y
     d2x, d2y = b.q.x - b.p.x, b.q.y - b.p.y
     denom = d1x * d2y - d1y * d2x
     len1, len2 = math.hypot(d1x, d1y), math.hypot(d2x, d2y)
-    if abs(denom) <= tol * len1 * len2:
+    if abs(denom) <= DEFAULT_TOL * len1 * len2:
         return False  # parallel or collinear: overlaps share whole stretches, not checked
     wx, wy = b.p.x - a.p.x, b.p.y - a.p.y
     t = (wx * d2y - wy * d2x) / denom
     u = (wx * d1y - wy * d1x) / denom
-    t_tol, u_tol = tol / len1, tol / len2
+    t_tol, u_tol = DEFAULT_TOL / len1, DEFAULT_TOL / len2
     inside_t = t_tol < t < 1.0 - t_tol
     inside_u = u_tol < u < 1.0 - u_tol
     on_t = -t_tol <= t <= 1.0 + t_tol
@@ -830,7 +822,8 @@ class PolygonTables:
     side. Piece fields are columns of shape (pieces, 1), so that a
     (pieces, points) grid keeps the points on its fast axis. ``piece_len``
     is ``math.hypot`` of e, ``piece_black`` the piece color and
-    ``seed_dist[j, k]`` the distance of seed k from piece j.
+    ``seed_dist[j, k]`` the distance of seed k from piece j (as
+    ``BoundaryPiece.distance_to`` gives it, bit for bit).
 
     ``seed_clear[k]``, the least ``seed_dist[j, k]`` over the pieces (inf
     without pieces), is seed k's clear radius: no piece comes nearer to
@@ -863,8 +856,9 @@ class PolygonTables:
         self.seed_x = np.array([p.x for p, _ in seeds])
         self.seed_y = np.array([p.y for p, _ in seeds])
         self.seed_black = np.array([c is Color.BLACK for _, c in seeds], dtype=bool)
-        self.seed_dist = np.array([[pc.distance_to(p) for p, _ in seeds]
-                                   for pc in pieces]).reshape(len(pieces), len(seeds))
+        gx, gy = self.gaps(self.seed_x, self.seed_y)
+        self.seed_dist = np.fromiter(map(math.hypot, gx.ravel().tolist(), gy.ravel().tolist()),
+                                     float, gx.size).reshape(gx.shape)
         self.seed_clear = self.seed_dist.min(axis=0, initial=np.inf)
         for table in vars(self).values():
             table.setflags(write=False)
@@ -873,6 +867,11 @@ class PolygonTables:
                       + np.max(np.abs(self.seed_x) + np.abs(self.seed_y)))
         in_range = scale <= 2.0 ** 200 and np.all(self.piece_len >= 2.0 ** -200)
         self.clear_scale = scale if in_range else math.inf
+
+    def gaps(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_offsets`` from each point to each piece, as (pieces, points) arrays."""
+        return _offsets(xs, ys, self.ax, self.ay, self.ex, self.ey, self.len2,
+                        self.u_lo, self.u_hi)
 
 
 @dataclass(frozen=True)
@@ -900,10 +899,9 @@ class PolygonalColoring(_ColorAt):
     def __post_init__(self):
         if not self.seeds:
             raise GeometryError("polygonal coloring needs at least one seed")
-        for k, (p, _) in enumerate(self.seeds):
-            for piece in self.pieces:
-                if piece.distance_to(p) <= DEFAULT_TOL:
-                    raise GeometryError(f"seed {k} lies on the boundary")
+        on = np.flatnonzero((self.tables.seed_dist <= DEFAULT_TOL).any(axis=0))
+        if on.size:
+            raise GeometryError(f"seed {on[0]} lies on the boundary")
         for i in range(len(self.pieces)):
             for j in range(i + 1, len(self.pieces)):
                 if _pieces_cross(self.pieces[i].seg, self.pieces[j].seg):
@@ -926,14 +924,6 @@ class PolygonalColoring(_ColorAt):
         """
         return _by_block(lambda x, y: self._resolve_block(x, y, tol), xs, ys)
 
-    def _gaps(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Offsets to each point from its nearest point on each piece, as
-        (pieces, points) arrays, in the arithmetic of ``point_segment_distance``."""
-        tb = self.tables
-        t = ((xs - tb.ax) * tb.ex + (ys - tb.ay) * tb.ey) / tb.len2
-        t = np.minimum(np.maximum(t, tb.u_lo), tb.u_hi)
-        return xs - (tb.ax + t * tb.ex), ys - (tb.ay + t * tb.ey)
-
     def _resolve_block(self, xs: np.ndarray, ys: np.ndarray, tol: float):
         """``resolve`` on one block: clear points first, the walk for the rest.
 
@@ -947,7 +937,7 @@ class PolygonalColoring(_ColorAt):
         that is, d + pad < c for pad = 3 tol + kappa L, L = 2 B + 1.5 d. A
         clear point takes s's color and is neither on the boundary nor
         unresolved, as the walk would have it; only the other points go
-        through ``_gaps`` and the walk, with the distances already
+        through ``PolygonTables.gaps`` and the walk, with the distances already
         computed. A tol <= 0, a non-finite tol and a non-finite
         ``3 tol + 2 B kappa`` clear no point; nor does a NaN or infinite d,
         which a non-finite x or y gives.
@@ -962,7 +952,7 @@ class PolygonalColoring(_ColorAt):
            64 u L < pad < c + 7 u L < 2.51 * 2^200 (by 2 and 3), so
            L < 2^249 and no product overflows; an underflow errs by
            2^-1074 absolute, negligible at every step here.
-        2. Gaps. ``_gaps`` and ``point_segment_distance`` compute the
+        2. Gaps. ``gaps`` and ``point_segment_distance`` compute the
            parameter of the nearest point of a piece to q within
            6.1 u |q - a| / |e| of the exact one, and the offset from q to
            the piece point at the computed parameter within 7.4 u L.
@@ -1037,7 +1027,7 @@ class PolygonalColoring(_ColorAt):
                                                                  dist[keep], tol)
             return black, on, unresolved
         tb = self.tables
-        gx, gy = self._gaps(xs, ys)
+        gx, gy = tb.gaps(xs, ys)
         # np.hypot(gx, gy) >= max(|gx|, |gy|), so it is needed only where both are within tol
         near = (np.abs(gx) <= tol) & (np.abs(gy) <= tol)
         near[near] = np.hypot(gx[near], gy[near]) <= tol
@@ -1102,7 +1092,7 @@ class PolygonalColoring(_ColorAt):
         return _by_block(self._distance_block, xs, ys)[0]
 
     def _distance_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray]:
-        gx, gy = self._gaps(xs, ys)
+        gx, gy = self.tables.gaps(xs, ys)
         return (_nearest(xs.shape[0], np.arange(xs.shape[0]), gx.T, gy.T),)
 
     def to_dict(self) -> dict:
@@ -1250,6 +1240,7 @@ def check_zebra_conditions(zc: ZebraColoring,
     crossings is a complete check. A failure is reported as a concrete pair
     (A, B) with its distance and angle.
     """
+    check_tol(tol)
     profile = zc.profile
     notes = ("a: profile is one exact period, invariant under u -> u + 1",
              "b: curves generated as L_i = L_0 + i * z by construction",
@@ -1413,23 +1404,23 @@ def coloring_from_dict(doc: dict) -> Coloring:
     return PolygonalColoring(pieces, seeds, Region(*window))
 
 
-def l_shape_coloring(arm: float = 16.0) -> PolygonalColoring:
+def l_shape_coloring() -> PolygonalColoring:
     """Open first quadrant black, the rest white; corner of angle pi/2.
 
-    The two boundary rays leave the origin along +x and +y, clipped at
-    ``arm`` for representation but flagged unbounded.
+    The two boundary rays leave the origin along +x and +y, clipped at 16
+    for representation but flagged unbounded; the window is [-16, 16]^2.
     """
-    along_x = BoundaryPiece(Segment(Point(arm, 0.0), Point(0.0, 0.0)),
+    along_x = BoundaryPiece(Segment(Point(16.0, 0.0), Point(0.0, 0.0)),
                             Color.BLACK, ray_start=True)
-    along_y = BoundaryPiece(Segment(Point(0.0, 0.0), Point(0.0, arm)),
+    along_y = BoundaryPiece(Segment(Point(0.0, 0.0), Point(0.0, 16.0)),
                             Color.BLACK, ray_end=True)
     return PolygonalColoring(
         (along_x, along_y),
         ((Point(1.0, 1.0), Color.BLACK), (Point(-1.0, -1.0), Color.WHITE)),
-        Region(-arm, -arm, arm, arm))
+        Region(-16.0, -16.0, 16.0, 16.0))
 
 
-def all_black_coloring(arm: float = 16.0) -> PolygonalColoring:
+def all_black_coloring() -> PolygonalColoring:
     """Degenerate polygonal coloring with no boundary: everything black."""
     return PolygonalColoring((), ((Point(0.0, 0.0), Color.BLACK),),
-                             Region(-arm, -arm, arm, arm))
+                             Region(-16.0, -16.0, 16.0, 16.0))

@@ -28,6 +28,7 @@ from .geom import (
     InvalidArgument,
     Point,
     check_sides,
+    check_tol,
     distance,
     third_vertex,
 )
@@ -72,6 +73,7 @@ class EightPointConfig:
 
 
 def _check_spec_sides(a: float, b: float, c: float, tol: float) -> None:
+    check_tol(tol)
     check_sides(a, b, c, tol)
     scale = 1.0 + max(a, b, c)
     for x, y in ((a, b), (b, c), (a, c)):

@@ -10,8 +10,8 @@ the error of an argument outside its domain, live here too, so the command
 line can raise and catch them without loading the numpy-backed modules.
 
 All comparisons go through a single tolerance ``tol`` defaulting to
-``DEFAULT_TOL`` (1e-9). Every type is an immutable value and every
-operation is pure.
+``DEFAULT_TOL`` (1e-9); ``check_tol`` is the one rule of the entry points
+that take it. Every type is an immutable value and every operation is pure.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ DEFAULT_TOL = 1e-9
 
 TWO_PI = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)
+# The most entries of one float64 array: numpy refuses more bytes than
+# np.intp, as wide as sys.maxsize, holds.
+MOST_FLOATS = sys.maxsize // 8
 
 
 class GeometryError(Exception):
@@ -38,6 +41,12 @@ class InvalidArgument(GeometryError, ValueError):
         super().__init__(f"{param} {reason}, got {value!r}")
         self.param = param
         self.reason = reason
+
+
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not a finite number >= 0, naming ``tol``."""
+    if not (0.0 <= tol < math.inf):
+        raise InvalidArgument("tol", "must be a finite number >= 0", tol)
 
 
 class Infeasible(InvalidArgument):
@@ -152,7 +161,7 @@ class Circle:
 @dataclass(frozen=True)
 class Region:
     """Closed axis-aligned rectangle [x0, x1] x [y0, y1]; ``InvalidArgument``
-    naming ``region`` unless x0 < x1 and y0 < y1."""
+    naming ``region`` unless x0 < x1 and y0 < y1 and every corner is finite."""
 
     x0: float
     y0: float
@@ -160,9 +169,11 @@ class Region:
     y1: float
 
     def __post_init__(self):
+        corners = (self.x0, self.y0, self.x1, self.y1)
         if not (self.x0 < self.x1 and self.y0 < self.y1):
-            raise InvalidArgument("region", "must have x0 < x1 and y0 < y1",
-                                  (self.x0, self.y0, self.x1, self.y1))
+            raise InvalidArgument("region", "must have x0 < x1 and y0 < y1", corners)
+        if not all(map(math.isfinite, corners)):
+            raise InvalidArgument("region", "must have finite corners", corners)
 
     def inflated(self, amount: float) -> "Region":
         return Region(self.x0 - amount, self.y0 - amount,
@@ -254,8 +265,7 @@ def third_vertex(A: Point, B: Point, side: float,
     return Point(A.x + along * ex_x - h * ex_y, A.y + along * ex_y + h * ex_x)
 
 
-def place_triangle(spec: TriangleSpec, motion: RigidMotion,
-                   tol: float = DEFAULT_TOL) -> tuple[Point, Point, Point]:
+def place_triangle(spec: TriangleSpec, motion: RigidMotion) -> tuple[Point, Point, Point]:
     """Place the canonical (a, b, c) triangle and apply ``motion``.
 
     Canonical pose: first vertex at the origin, second at (a, 0), third in
@@ -264,7 +274,7 @@ def place_triangle(spec: TriangleSpec, motion: RigidMotion,
     """
     p1 = Point(0.0, 0.0)
     p2 = Point(spec.a, 0.0)
-    p3 = third_vertex(p1, p2, spec.a, spec.c, spec.b, "ccw", tol)
+    p3 = third_vertex(p1, p2, spec.a, spec.c, spec.b, "ccw")
     return (motion.apply(p1), motion.apply(p2), motion.apply(p3))
 
 

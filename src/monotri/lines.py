@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .geom import DEFAULT_TOL, SQRT3, TWO_PI, GeometryError, Point
+from .geom import (DEFAULT_TOL, MOST_FLOATS, SQRT3, TWO_PI, GeometryError, InvalidArgument,
+                   Point, check_tol)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -140,6 +141,7 @@ def solve_unit_triangles(q1: Line, q2: Line, q3: Line,
     (equivalently: common point, pairwise angles pi/3). Nearly-degenerate
     data with distinct intercepts yields a finite (possibly empty) branch.
     """
+    check_tol(tol)
     lines = (q1, q2, q3)
     if _parallel(q1, q2, tol) and _parallel(q2, q3, tol) and _parallel(q1, q3, tol):
         raise AllParallel("all three lines are parallel")
@@ -241,8 +243,7 @@ def _angle_table(n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def sweep_oracle(q1: Line, q2: Line, q3: Line, angle_step: float = 1e-4,
-                 tol: float = DEFAULT_TOL,
-                 plateau_cap: int = 400) -> list[tuple[Point, Point, Point]]:
+                 tol: float = DEFAULT_TOL) -> list[tuple[Point, Point, Point]]:
     """Independent pose-sweep cross-check of :func:`solve_unit_triangles`.
 
     For each pose angle the first two vertex-on-line constraints fix the
@@ -253,13 +254,16 @@ def sweep_oracle(q1: Line, q2: Line, q3: Line, angle_step: float = 1e-4,
     with the coefficients read off the residual at (0, 0), (1, 0) and
     (0, 1); the bisection and the placements use the residual itself. A
     residual that vanishes on most of the sweep flags the infinite
-    (degenerate concurrent) family and is reported as up to ``plateau_cap``
-    sampled placements.
+    (degenerate concurrent) family and is reported as up to 400 sampled
+    placements. ``angle_step`` must be in (0, 1e-3] and give at most
+    ``MOST_FLOATS`` sweep angles, or ``InvalidArgument`` names it.
     """
     import numpy as np
 
-    if angle_step > 1e-3:
-        raise GeometryError("angle_step must be at most 1e-3")
+    check_tol(tol)
+    if not (0.0 < angle_step <= 1e-3 and TWO_PI / angle_step <= MOST_FLOATS):
+        raise InvalidArgument("angle_step", f"must be a number > 0 and <= 0.001 whose sweep "
+                                            f"holds at most {MOST_FLOATS} angles", angle_step)
     lines = (q1, q2, q3)
     if _parallel(q1, q2, tol) and _parallel(q2, q3, tol) and _parallel(q1, q3, tol):
         raise AllParallel("all three lines are parallel")
@@ -308,7 +312,7 @@ def sweep_oracle(q1: Line, q2: Line, q3: Line, angle_step: float = 1e-4,
         resid += (residual(0.0, 1.0) - alpha) * sin_p
         plateau = np.abs(resid) < 1e-10
         if plateau.mean() > 0.5:
-            stride = max(1, n_steps // plateau_cap)
+            stride = max(1, n_steps // 400)
             for idx in np.flatnonzero(plateau)[::stride]:
                 results.append(triangle_at(float(phis[idx])))
             continue

@@ -158,10 +158,10 @@ def _fill_halfplane(canvas: _Canvas, coloring: HalfPlaneColoring) -> None:
     ], BLACK_FILL)
 
 
-def _fill_polygonal(canvas: _Canvas, coloring: PolygonalColoring, cells: int = 160) -> None:
+def _fill_polygonal(canvas: _Canvas, coloring: PolygonalColoring) -> None:
     region = canvas.region
-    nx = cells
-    ny = max(int(round(cells * (region.y1 - region.y0) / (region.x1 - region.x0))), 1)
+    nx = 160
+    ny = max(int(round(nx * (region.y1 - region.y0) / (region.x1 - region.x0))), 1)
     dx = (region.x1 - region.x0) / nx
     dy = (region.y1 - region.y0) / ny
     ci, cj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")

@@ -28,7 +28,8 @@ sampling verdict, never a proof of avoidance.
 Each entry point checks its own arguments and raises ``InvalidArgument``
 naming the one outside its domain: ``ScanGrid`` its step, angle count and
 lattice size, the scans their triangle and region against ``tol``, and
-``find_almost_unit`` its epsilon, try budget and seed.
+``find_almost_unit`` its epsilon, try budget and seed. Every entry point
+that takes ``tol`` checks it first (``geom.check_tol``).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np
 
 from .geom import (
     DEFAULT_TOL,
+    MOST_FLOATS,
     TWO_PI,
     Circle,
     GeometryError,
@@ -50,6 +52,7 @@ from .geom import (
     RigidMotion,
     TriangleSpec,
     check_sides,
+    check_tol,
     circle_polyline_intersections,
     distance,
     place_triangle,
@@ -59,11 +62,6 @@ from .colorings import BoundaryPiece, Color, Coloring, PolygonalColoring, _resol
 
 class NotOnBoundary(GeometryError):
     """The probed point is farther than the tolerance from every boundary piece."""
-
-
-# The most translations a grid may have: numpy refuses a float array of
-# more bytes than np.intp holds.
-_MOST_TRANSLATIONS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -93,9 +91,9 @@ class ScanGrid:
         if not all(math.isfinite(d / step) for d in spans):
             raise InvalidArgument("position_step", "divides the region's width and height "
                                                    "into counts that must be finite", step)
-        if self._count(r.x0, r.x1) * self._count(r.y0, r.y1) > _MOST_TRANSLATIONS:
+        if self._count(r.x0, r.x1) * self._count(r.y0, r.y1) > MOST_FLOATS:
             raise InvalidArgument("position_step", f"leaves more translations across the region "
-                                                   f"than numpy can index ({_MOST_TRANSLATIONS})",
+                                                   f"than numpy can index ({MOST_FLOATS})",
                                   step)
 
     def angles(self) -> np.ndarray:
@@ -192,6 +190,7 @@ def _check_scan(spec: TriangleSpec, grid: ScanGrid, tol: float) -> None:
     region and s the longest side, ``2 ulp(R + s) <= tol (1 + s)``. At the
     default tolerance and unit sides, R = 4e6 passes and R = 1e7 does not.
     """
+    check_tol(tol)
     check_sides(*spec.sides(), tol)
     r = grid.region
     reach, side = max(map(abs, (r.x0, r.y0, r.x1, r.y1))), max(spec.sides())
@@ -206,6 +205,7 @@ _SCAN_BLOCK = 4096  # most poses per block of the scan engine
 # point, so 4 candidates (12 points) cost about an eighth more than one, and
 # doubling spends at most about as many points past the witness as before it.
 _MARGIN_BATCH = 4
+_EXAMPLES = 8  # the first monochromatic placements and near misses an avoidance report lists
 
 
 def _placed_poses(spec: TriangleSpec, grid: ScanGrid, ramp: bool = False):
@@ -322,7 +322,7 @@ def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGr
 
 
 def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
-                   tol: float = DEFAULT_TOL, max_examples: int = 8) -> AvoidanceReport:
+                   tol: float = DEFAULT_TOL) -> AvoidanceReport:
     """Count monochromatic placements over the whole grid.
 
     Boundary points are colored by the coloring's own rule. A near miss is
@@ -350,8 +350,8 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
         mono_count += int(mono.sum())
         near_count += int(near.sum())
         for mask, acc in ((mono, mono_ex), (near, near_ex)):
-            if len(acc) < max_examples and mask.any():
-                for i in np.flatnonzero(mask)[:max_examples - len(acc)]:
+            if len(acc) < _EXAMPLES and mask.any():
+                for i in np.flatnonzero(mask)[:_EXAMPLES - len(acc)]:
                     k, _, x, y = pose(i)
                     acc.append((k, x, y))
     return AvoidanceReport(grid.placements(), mono_count, near_count,
@@ -361,6 +361,7 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
 def verify_witness(coloring: Coloring, spec: TriangleSpec, witness: ScanWitness,
                    tol: float = DEFAULT_TOL) -> bool:
     """Independent re-check of a witness: pose, side lengths, colors, margin."""
+    check_tol(tol)
     v1, v2, v3 = witness.vertices
     placed = place_triangle(spec, witness.motion)
     scale = 1.0 + max(spec.sides())
@@ -397,22 +398,11 @@ class AlmostUnitPair:
         }
 
 
-def _triangle_sides(tri: Sequence[Point]) -> tuple[float, float, float]:
-    return (distance(tri[0], tri[1]), distance(tri[1], tri[2]),
-            distance(tri[2], tri[0]))
-
-
-def _almost_unit_shape(tri: Sequence[Point], epsilon: float, half_square: float = 3.0) -> bool:
-    """Inside the square [-half_square, half_square]^2, sides in [1-eps, 1+eps]."""
-    return (all(abs(v.x) <= half_square and abs(v.y) <= half_square for v in tri)
-            and all(1.0 - epsilon <= s <= 1.0 + epsilon for s in _triangle_sides(tri)))
-
-
-def _valid_almost_unit(coloring: Coloring, tri: Sequence[Point], color: Color,
-                       epsilon: float, half_square: float = 3.0,
-                       tol: float = DEFAULT_TOL) -> bool:
-    return (_almost_unit_shape(tri, epsilon, half_square)
-            and _common_color(coloring, tri, tol) is color)
+def _almost_unit_shape(tri: Sequence[Point], epsilon: float) -> bool:
+    """Inside the square [-3, 3]^2, sides in [1-eps, 1+eps]."""
+    sides = (distance(tri[0], tri[1]), distance(tri[1], tri[2]), distance(tri[2], tri[0]))
+    return (all(abs(v.x) <= 3.0 and abs(v.y) <= 3.0 for v in tri)
+            and all(1.0 - epsilon <= s <= 1.0 + epsilon for s in sides))
 
 
 def find_almost_unit(coloring: Coloring, epsilon: float, tries: int = 10 ** 6,
@@ -434,6 +424,7 @@ def find_almost_unit(coloring: Coloring, epsilon: float, tries: int = 10 ** 6,
     (0, 1), ``tries`` below 1 and a negative ``seed`` raise
     ``InvalidArgument`` naming the parameter.
     """
+    check_tol(tol)
     if not (0.0 < epsilon < 1.0):
         raise InvalidArgument("epsilon", "must lie strictly between 0 and 1", epsilon)
     if not (1 <= tries < math.inf):
@@ -498,7 +489,8 @@ def find_almost_unit(coloring: Coloring, epsilon: float, tries: int = 10 ** 6,
                     tri = (apex, Point(float(kx[i]), float(ky[i])),
                            Point(float(kx[j]), float(ky[j])))
                     consume()
-                    if _valid_almost_unit(coloring, tri, color, epsilon, tol=tol):
+                    if (_almost_unit_shape(tri, epsilon)
+                            and _common_color(coloring, tri, tol) is color):
                         found[color] = tri
                         if len(found) == 2:
                             break
@@ -594,19 +586,19 @@ def _boundary_vertices(pieces: Sequence[BoundaryPiece], tol: float) -> list[tupl
     return [(p, members) for p, members in clusters if len(members) >= 2]
 
 
-def default_probe_window(A: Point, reach: float = 2.25) -> Region:
-    return Region(A.x - reach, A.y - reach, A.x + reach, A.y + reach)
+def default_probe_window(A: Point) -> Region:
+    return Region(A.x - 2.25, A.y - 2.25, A.x + 2.25, A.y + 2.25)
 
 
 def hexagon_probe(coloring: Coloring, A: Point, window: Optional[Region] = None,
-                  tol: float = DEFAULT_TOL,
-                  angular_tol: float = DEFAULT_TOL) -> HexagonProbe:
+                  tol: float = DEFAULT_TOL) -> HexagonProbe:
     """Intersect the unit circle around boundary point ``A`` with the boundary.
 
     ``A`` must lie within tolerance of some boundary piece, else
     :class:`NotOnBoundary` is raised. Feasibility means A is not a boundary
     vertex and no boundary vertex lies on the unit circle around A.
     """
+    check_tol(tol)
     if window is None:
         window = default_probe_window(A)
     pieces = coloring.boundary_segments(window)
@@ -649,13 +641,13 @@ def hexagon_probe(coloring: Coloring, A: Point, window: Optional[Region] = None,
             target = (target + math.pi) % TWO_PI - math.pi
             devs.append(abs((angle - target + math.pi) % TWO_PI - math.pi))
         max_dev = max(devs)
-        regular = max_dev <= max(angular_tol, 1e-12)
+        regular = max_dev <= DEFAULT_TOL
     if regular:
         points = tuple(h.point for h in labeled)
         # orientation pattern: hits 0 and 3 share the host orientation
         for i, hit in enumerate(labeled):
             pdir = pieces[hit.seg_index].seg.direction
-            parallel = abs(pdir.dx * sd.dy - pdir.dy * sd.dx) <= math.sqrt(max(angular_tol, 1e-12))
+            parallel = abs(pdir.dx * sd.dy - pdir.dy * sd.dx) <= math.sqrt(DEFAULT_TOL)
             same = pdir.dx * sd.dx + pdir.dy * sd.dy > 0.0
             if not parallel or same != (i in (0, 3)):
                 regular = False
@@ -696,6 +688,7 @@ def boundary_angle_audit(coloring: Coloring, window: Optional[Region] = None,
     coloring whose every monochromatic unit triangle touches the boundary
     cannot have a corner this sharp.
     """
+    check_tol(tol)
     if window is None:
         window = _default_audit_window(coloring)
     pieces = coloring.boundary_segments(window)

@@ -8,13 +8,16 @@ import warnings
 import numpy as np
 import pytest
 
-from monotri.cli import main
-from monotri.colorings import StripColoring, UnresolvedFace, ZebraColoring, ZebraProfile
-from monotri.forcing import DegenerateSides, forcing_check_i
+from monotri import lines
+from monotri.cli import FLAGS, main
+from monotri.colorings import (StripColoring, UnresolvedFace, ZebraColoring, ZebraProfile,
+                               check_zebra_conditions, l_shape_coloring)
+from monotri.forcing import DegenerateSides, forcing_check_i, forcing_check_ii
 from monotri.geom import Infeasible, InvalidArgument, Point, Region, TriangleSpec, UnitVector
+from monotri.lines import Line, solve_unit_triangles, sweep_oracle
 from monotri.render import RenderSpec
-from monotri.scan import (ScanGrid, avoidance_scan, find_almost_unit,
-                          find_monochromatic_copy, verify_witness)
+from monotri.scan import (ScanGrid, avoidance_scan, boundary_angle_audit, find_almost_unit,
+                          find_monochromatic_copy, hexagon_probe, verify_witness)
 
 ZIGZAG = ZebraColoring(ZebraProfile(((0.0, 0.0), (0.5, 0.1), (1.0, 0.0))))
 UNIT = TriangleSpec(1.0, 1.0, 1.0)
@@ -133,6 +136,72 @@ class TestOtherEntryPoints:
     def test_region_order(self):
         refused("region", Region, 1.0, 0.0, 0.0, 1.0)
         refused("region", Region, 0.0, math.nan, 1.0, 1.0)
+
+
+# the exact pi/3 pencil through the origin
+PENCIL = (Line.slope_intercept(-0.5773502691896258, 0.0),
+          Line.slope_intercept(0.5773502691896258, 0.0), Line.vertical(0.0))
+SMALL = TriangleSpec(0.2, 0.2, 0.2)
+
+TOL_ENTRY_POINTS = {
+    "find_monochromatic_copy": lambda tol: find_monochromatic_copy(
+        StripColoring(), UNIT, SMALL_GRID, 0.0, tol),
+    "avoidance_scan": lambda tol: avoidance_scan(ZIGZAG, UNIT, SMALL_GRID, tol),
+    "verify_witness": lambda tol: verify_witness(
+        StripColoring(), SMALL, find_monochromatic_copy(StripColoring(), SMALL, SMALL_GRID), tol),
+    "find_almost_unit": lambda tol: find_almost_unit(StripColoring(), 0.2, 100, 1, tol),
+    "hexagon_probe": lambda tol: hexagon_probe(StripColoring(), Point(0.0, 0.0), None, tol),
+    "boundary_angle_audit": lambda tol: boundary_angle_audit(l_shape_coloring(), None, tol),
+    "check_zebra_conditions": lambda tol: check_zebra_conditions(
+        ZebraColoring(ZebraProfile(((0.0, 0.0), (0.5, 0.4), (1.0, 0.0)))), tol),
+    "forcing_check_i": lambda tol: forcing_check_i(2.0, 2.0, 3.0, tol),
+    "forcing_check_ii": lambda tol: forcing_check_ii(2.0, 2.0, 3.0, tol),
+    "solve_unit_triangles": lambda tol: solve_unit_triangles(*PENCIL, tol=tol),
+    "sweep_oracle": lambda tol: sweep_oracle(*PENCIL, 1e-3, tol),
+}
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+    def test_every_entry_point_names_tol(self, entry, tol):
+        # at nan, check_zebra_conditions passed (d) and hexagon_probe called
+        # the strip irregular; others blamed sides or raised ZeroDivisionError
+        exc = refused("tol", TOL_ENTRY_POINTS[entry], tol)
+        assert exc.reason == "must be a finite number >= 0"
+
+    def test_zero_is_a_tolerance(self):
+        assert forcing_check_i(2.0, 2.0, 3.0, 0.0).verified
+
+    def test_command_line_names_the_tolerance_flag(self):
+        assert FLAGS["tol"] == "--tolerance"
+
+
+class TestRegionCorners:
+    @pytest.mark.parametrize("corners", [(-math.inf, -2.0, 2.0, 2.0), (-2.0, -math.inf, 2.0, 2.0),
+                                         (-2.0, -2.0, math.inf, 2.0), (-2.0, -2.0, 2.0, math.inf),
+                                         (-math.inf, -math.inf, math.inf, math.inf)])
+    def test_corners_must_be_finite(self, corners):
+        # Region(-inf, -2, 2, 2) used to reach boundary_angle_audit, which
+        # raised an unnamed "non-finite point"
+        exc = refused("region", Region, *corners)
+        assert exc.reason == "must have finite corners"
+
+
+class TestSweepStep:
+    @pytest.mark.parametrize("step", [math.nan, -1e-4, 0.01, 1e-300, 0.0])
+    def test_angle_step_is_named(self, step, monkeypatch):
+        # nan raised "cannot convert float NaN to integer", -1e-4 an
+        # IndexError, 0.01 an unnamed GeometryError; 1e-300 is refused
+        # before the angle table is built
+        def no_table(n_steps):
+            raise AssertionError(f"an angle table of {n_steps} steps was built")
+
+        monkeypatch.setattr(lines, "_angle_table", no_table)
+        refused("angle_step", sweep_oracle, *PENCIL, step)
+
+    def test_largest_step_is_accepted(self):
+        assert len(sweep_oracle(*PENCIL, 1e-3)) == 421  # the sampled pencil
 
 
 class TestCommandLineNamesTheFlag:

@@ -16,8 +16,11 @@ polylines of ``scalar_zebra_distance``. ``per_point_polyline`` is a zebra
 curve's polyline as it was before its heights came from one array call, one
 ``curve_point`` per breakpoint at the parameters ``breakpoints_in`` lists,
 and ``per_point_boundary_segments`` clips those polylines one segment at a
-time, with the window's corners taken to the frame once per curve: the
-boundary of a window as it was before it came from one array pass.
+time with ``clip_segment_to_region``, the scalar Liang-Barsky clip, with
+the window's corners taken to the frame once per curve: the boundary of a
+window as it was before it came from one array pass.
+``scalar_halfplane_segments`` is a half-plane's boundary clipped the same
+way.
 ``brute_force_find`` is the find
 scan one pose at a time, coloring each vertex with ``color_at`` and taking
 the margin from ``scalar_distance``; ``walk_avoidance`` is the avoidance
@@ -29,7 +32,7 @@ angles.
 
 import math
 import re
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -51,7 +54,9 @@ from monotri.colorings import (
     l_shape_coloring,
 )
 from monotri.geom import (
+    DEFAULT_TOL,
     DegenerateSegment,
+    GeometryError,
     Point,
     Region,
     RigidMotion,
@@ -152,6 +157,29 @@ def per_point_polyline(zc: ZebraColoring, i: int, u_lo: float, u_hi: float) -> l
     return merged
 
 
+def clip_segment_to_region(p: Point, q: Point, window: Region) -> Optional[Segment]:
+    """Liang-Barsky clip; returns None for segments missing the window."""
+    dx, dy = q.x - p.x, q.y - p.y
+    t0, t1 = 0.0, 1.0
+    for delta, lo, hi, start in ((dx, window.x0, window.x1, p.x),
+                                 (dy, window.y0, window.y1, p.y)):
+        if delta == 0.0:
+            if start < lo or start > hi:
+                return None
+            continue
+        ta, tb = (lo - start) / delta, (hi - start) / delta
+        if ta > tb:
+            ta, tb = tb, ta
+        t0, t1 = max(t0, ta), min(t1, tb)
+        if t0 >= t1:
+            return None
+    a = Point(p.x + t0 * dx, p.y + t0 * dy)
+    b = Point(p.x + t1 * dx, p.y + t1 * dy)
+    if distance(a, b) <= DEFAULT_TOL:
+        return None
+    return Segment(a, b)
+
+
 def per_point_boundary_segments(zc: ZebraColoring, window: Region) -> list[BoundaryPiece]:
     """Clipped curves as oriented pieces, white face on the left.
 
@@ -171,10 +199,24 @@ def per_point_boundary_segments(zc: ZebraColoring, window: Region) -> list[Bound
         color = colorings._parity_color(i, zc.boundary_parity)
         flip = colorings._parity_color(i, zc.parity_rule) is not Color.WHITE
         for p, q in zip(pts, pts[1:]):
-            seg = colorings._clip_segment_to_region(p, q, window)
+            seg = clip_segment_to_region(p, q, window)
             if seg is not None:
                 pieces.append(BoundaryPiece(Segment(seg.q, seg.p) if flip else seg, color))
     return pieces
+
+
+def scalar_halfplane_segments(hp: HalfPlaneColoring, window: Region) -> list[BoundaryPiece]:
+    """The boundary line as one long segment through the window, clipped by
+    ``clip_segment_to_region``, white face on the left."""
+    n = hp.normal
+    d = (n.dy, -n.dx) if hp.closed_side_color is Color.WHITE else (-n.dy, n.dx)
+    anchor = Point(n.dx * hp.offset, n.dy * hp.offset)
+    reach = abs(window.x0) + abs(window.x1) + abs(window.y0) + abs(window.y1) + 4.0
+    seg = clip_segment_to_region(Point(anchor.x - reach * d[0], anchor.y - reach * d[1]),
+                                 Point(anchor.x + reach * d[0], anchor.y + reach * d[1]), window)
+    if seg is None:
+        return []
+    return [BoundaryPiece(seg, hp.closed_side_color, ray_start=True, ray_end=True)]
 
 
 def scalar_zebra_distance(self: ZebraColoring, p: Point) -> float:
@@ -382,9 +424,10 @@ class TestZebraKernel:
         xs, ys = curve_points(zc, rng, tol)
         xs = np.concatenate((xs, rng.uniform(-6.0, 6.0, 200)))
         ys = np.concatenate((ys, rng.uniform(-6.0, 6.0, 200)))
-        got = zc._locate(xs, ys, tol)
+        *got, unresolved = zc._locate(xs, ys, tol)
         want = five_curve_locate(zc, xs, ys, tol)
-        for g, w in zip(got, want):
+        assert not unresolved.any()
+        for g, w in zip(got, want, strict=True):
             assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("tol", [0.5, 2.0])
@@ -397,7 +440,9 @@ class TestZebraKernel:
         xs, ys = curve_points(steep, rng, tol)
         xs = np.concatenate((xs, rng.uniform(-4.0, 4.0, 400)))
         ys = np.concatenate((ys, rng.uniform(-4.0, 4.0, 400)))
-        for g, w in zip(steep._locate(xs, ys, tol), five_curve_locate(steep, xs, ys, tol)):
+        *got, unresolved = steep._locate(xs, ys, tol)
+        assert not unresolved.any()
+        for g, w in zip(got, five_curve_locate(steep, xs, ys, tol), strict=True):
             assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-3])
@@ -410,9 +455,9 @@ class TestZebraKernel:
         secant = math.sqrt(1.0 + 40.0 ** 2)
         xs = np.array([0.5, 0.005])
         ys = np.array([2.0 * tol, 0.2 + 0.5 * tol * secant])
-        got = steep._locate(xs, ys, tol)
-        assert got[1].tolist() == [False, True]
-        for g, w in zip(got, five_curve_locate(steep, xs, ys, tol)):
+        *got, unresolved = steep._locate(xs, ys, tol)
+        assert got[1].tolist() == [False, True] and not unresolved.any()
+        for g, w in zip(got, five_curve_locate(steep, xs, ys, tol), strict=True):
             assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("scale", [3e7, 1e8])
@@ -430,9 +475,10 @@ class TestZebraKernel:
         ts = base - rng.integers(0, 4, k.size) * rng.uniform(0.0, 4e-16, k.size) * np.abs(base)
         xs = u + 0.5 * k
         for tol in (1e-9, 1e-7):
-            got = near_cap._locate(xs, ts, tol)
+            *got, unresolved = near_cap._locate(xs, ts, tol)
             want = five_curve_locate(near_cap, xs, ts, tol)
-            for g, w in zip(got, want):
+            assert not unresolved.any()
+            for g, w in zip(got, want, strict=True):
                 assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("tol", [1e-9, 0.5])
@@ -452,9 +498,10 @@ class TestZebraKernel:
         base = (k + 1) * HALF_SQRT3
         ts = base - rng.integers(0, 4, k.size) * rng.uniform(0.0, 4e-16, k.size) * np.abs(base)
         xs = u + 0.5 * k
-        got = zc._locate(xs, ts, tol)
+        *got, unresolved = zc._locate(xs, ts, tol)
         want = five_curve_locate(zc, xs, ts, tol)
-        for g, w in zip(got, want):
+        assert not unresolved.any()
+        for g, w in zip(got, want, strict=True):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         if name == "near-cap":
             i0 = np.floor((ts - zc.profile.v_min) / HALF_SQRT3).astype(np.int64)
@@ -495,9 +542,10 @@ class TestZebraKernel:
             ts = np.concatenate((near, ulps), axis=1).ravel()
             xs = np.repeat(u + 0.5 * i, ts.size // i.size)
             windowed.clear()
-            got = zc._locate(xs, ts, tol)
+            *got, unresolved = zc._locate(xs, ts, tol)
             want = five_curve_locate(zc, xs, ts, tol)
-            for g, want_part in zip(got, want):
+            assert not unresolved.any()
+            for g, want_part in zip(got, want, strict=True):
                 assert g.dtype == want_part.dtype and np.array_equal(g, want_part)
             hard = sum(windowed)
             if w >= HALF_SQRT3:
@@ -925,6 +973,36 @@ POLYGONAL = {
         Region(-8.0, -8.0, 8.0, 8.0))],
 }
 
+class TestSeedDistances:
+    """``PolygonTables.seed_dist`` is the ``distance_to`` matrix bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(POLYGONAL))
+    def test_table_is_the_scalar_matrix(self, name):
+        colorings_ = POLYGONAL[name]
+        if name == "convex":
+            colorings_ = colorings_ + [convex_face(np.random.default_rng(300 + k))
+                                       for k in range(48)]
+        for pc in colorings_:
+            want = [[float.hex(piece.distance_to(p)) for p, _ in pc.seeds]
+                    for piece in pc.pieces]
+            got = pc.tables.seed_dist
+            assert got.shape == (len(pc.pieces), len(pc.seeds))
+            assert [[float.hex(d) for d in row] for row in got.tolist()] == want
+
+    def test_first_seed_on_the_boundary_is_named(self):
+        # seed 1 lies 5e-10 from the unbounded part of the L-shape's x ray,
+        # seed 2 on its y ray; seed 0 lies 2e-9 below the x ray
+        pieces, window = l_shape_coloring().pieces, Region(-4.0, -4.0, 4.0, 4.0)
+        seeds = ((Point(2.5, -2e-9), Color.WHITE), (Point(40.0, 5e-10), Color.BLACK),
+                 (Point(0.0, 3.0), Color.BLACK))
+        with pytest.raises(GeometryError, match="^seed 1 lies on the boundary$"):
+            PolygonalColoring(pieces, seeds, window)
+        with pytest.raises(GeometryError, match="^seed 0 lies on the boundary$"):
+            PolygonalColoring(pieces, seeds[2:] + seeds[:1], window)
+        clear = PolygonalColoring(pieces, seeds[:1], window).tables.seed_clear[0]
+        assert clear == pytest.approx(2e-9)
+
+
 NON_FINITE = (np.array([math.nan, math.inf, -math.inf, 0.5, math.nan, math.inf, 0.5, -math.inf]),
               np.array([0.5, 0.5, 0.5, math.nan, math.nan, math.inf, -math.inf, math.inf]))
 
@@ -1203,6 +1281,49 @@ class TestBoundarySegments:
             window = Region(-3.0, 0.2, 4.0, 0.7)  # above L_0, below L_1
             assert zc.boundary_segments(window) == []
             assert per_point_boundary_segments(zc, window) == []
+
+
+class TestHalfPlaneSegments:
+    """``HalfPlaneColoring.boundary_segments`` equals the scalar clip bit for bit."""
+
+    @staticmethod
+    def assert_matches(hp: HalfPlaneColoring, window: Region) -> list[BoundaryPiece]:
+        got = hp.boundary_segments(window)
+        assert piece_bits(got) == piece_bits(scalar_halfplane_segments(hp, window))
+        return got
+
+    def test_random_lines_and_windows(self):
+        rng = np.random.default_rng(41)
+        kept = 0
+        for k in range(400):
+            hp = HalfPlaneColoring(UnitVector.from_angle(rng.uniform(0.0, 2.0 * math.pi)),
+                                   float(rng.uniform(-6.0, 6.0)),
+                                   Color.BLACK if k % 2 else Color.WHITE)
+            kept += len(self.assert_matches(hp, random_window(rng, 4.0)))
+        # the line misses some windows and crosses others
+        assert 50 < kept < 350
+
+    def test_lines_through_a_window_corner(self):
+        rng = np.random.default_rng(42)
+        for _ in range(40):
+            window = random_window(rng, 4.0)
+            for x, y in ((window.x0, window.y0), (window.x1, window.y0),
+                         (window.x0, window.y1), (window.x1, window.y1)):
+                for angle in (rng.uniform(0.0, 2.0 * math.pi), math.pi / 4, 3 * math.pi / 4):
+                    n = UnitVector.from_angle(angle)
+                    self.assert_matches(HalfPlaneColoring(n, x * n.dx + y * n.dy), window)
+                # axis-aligned lines along the window's edges and through its corner
+                for n, offset in ((UnitVector(1.0, 0.0), x), (UnitVector(-1.0, 0.0), -x),
+                                  (UnitVector(0.0, 1.0), y), (UnitVector(0.0, -1.0), -y)):
+                    for color in Color:
+                        assert self.assert_matches(HalfPlaneColoring(n, offset, color), window)
+
+    def test_far_windows(self):
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            hp = HalfPlaneColoring(UnitVector.from_angle(rng.uniform(0.0, 2.0 * math.pi)),
+                                   float(rng.uniform(-1e8, 1e8)))
+            self.assert_matches(hp, random_window(rng, 1e8))
 
 
 class TestWindowSize:

@@ -40,7 +40,7 @@ def one_point_distance(coloring, p: Point) -> float:
 
 def curve_index_at(zc: ZebraColoring, p: Point, tol: float = DEFAULT_TOL):
     """The index of the first curve within ``tol`` of ``p``, None if none is."""
-    _, on_curve, idx = zc._locate(np.array([p.x]), np.array([p.y]), tol)
+    _, on_curve, idx, _ = zc._locate(np.array([p.x]), np.array([p.y]), tol)
     return int(idx[0]) if bool(on_curve[0]) else None
 
 
