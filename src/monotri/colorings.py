@@ -25,13 +25,15 @@ band exactly: a coordinate that is not finite, or frame coordinates with
 ``|s| + |t| >= 2^48``. The mask is all False in the strip and half-plane
 families. The single-point ``color_at`` is a view over it, and raises
 ``UnresolvedFace`` at an unresolved point. ``distance(xs, ys)`` returns the
-exact distance of each point to the boundary in one array pass (the
-witness margin of a scan), and ``boundary_segments`` gives the boundary
-as oriented segments for probing and rendering. Colorings are immutable
-after construction; all queries are pure. Two array kernels hold the
-segment arithmetic: ``_clip``, the one Liang-Barsky clip (zebra and
-half-plane ``boundary_segments``), and ``_offsets`` from points to their
-nearest segment points (polygonal queries and seed table, zebra ``distance``).
+exact distance of each point to the boundary in one array pass (the witness
+margin of a scan), NaN where a coordinate is not finite or a zebra point is
+unresolved, and ``boundary_segments`` gives the boundary as oriented
+segments for probing and rendering. Colorings are immutable after
+construction; all queries are pure. Two array kernels hold the segment
+arithmetic: ``_clip``, the one Liang-Barsky clip (zebra and half-plane
+``boundary_segments``), and ``_offsets`` from points to their nearest
+segment points (polygonal queries and seed table, zebra ``distance``); one
+builder, ``ZebraColoring._polylines``, makes every zebra polyline row.
 
 ``coloring_from_dict`` is the one reader of the JSON document form that
 ``to_dict`` writes: it checks each field's shape as it builds, and raises
@@ -159,7 +161,7 @@ def _nearest(n: int, owner: np.ndarray, gx: np.ndarray, gy: np.ndarray,
     """
     sq = np.where(valid, gx * gx + gy * gy, np.inf)
     least = np.full(n, np.inf)
-    np.minimum.at(least, owner, np.minimum.reduce(sq, axis=1))
+    np.minimum.at(least, owner, np.minimum.reduce(sq, axis=1, initial=np.inf))
     rows, cols = np.nonzero(sq <= least[owner, None] * (1.0 + 1e-14) + 1e-300)
     out = np.full(n, np.inf)
     np.minimum.at(out, owner[rows], list(map(math.hypot, gx[rows, cols].tolist(),
@@ -212,14 +214,28 @@ def _resolved_black(coloring: Coloring, xs: np.ndarray, ys: np.ndarray,
     return black
 
 
-class _ColorAt:
-    """``color_at``, the one-point view over ``resolve``."""
+class _Queries:
+    """``color_at``, the one-point view over ``resolve``, and ``distance``."""
 
     _UNRESOLVED = "no seed reaches ({}, {}) unambiguously"
 
     def color_at(self, p: Point, tol: float = DEFAULT_TOL) -> Color:
         black = _resolved_black(self, np.array([p.x]), np.array([p.y]), tol)[0]
         return Color.BLACK if bool(black) else Color.WHITE
+
+    def distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Exact distance of each point to the boundary; NaN outside ``_measurable``."""
+        ok = self._measurable(xs, ys)
+        if ok is None:
+            return _by_block(self._distance_block, xs, ys)[0]
+        out = np.full(xs.shape, np.nan)
+        out[ok] = _by_block(self._distance_block, xs[ok], ys[ok])[0]
+        return out
+
+    def _measurable(self, xs: np.ndarray, ys: np.ndarray) -> Optional[np.ndarray]:
+        """The mask of the points with finite coordinates; None if that is all."""
+        ok = np.isfinite(xs) & np.isfinite(ys)
+        return None if ok.all() else ok
 
 
 def _frac(q: np.ndarray) -> np.ndarray:
@@ -237,7 +253,7 @@ def _frac(q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StripColoring(_ColorAt):
+class StripColoring(_Queries):
     """Alternating horizontal strips of width ``scale * sqrt(3)/2``.
 
     Under the upper-closed rule a point is black iff
@@ -295,13 +311,13 @@ class StripColoring(_ColorAt):
             pieces.append(BoundaryPiece(seg, color, ray_start=True, ray_end=True))
         return pieces
 
-    def distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def _distance_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray]:
         # fmod, not _frac: at negative multiples of the half period this is
         # -0.0 where _frac gives +0.0
         half = self.period / 2.0
         frac = np.fmod(ys / half, 1.0)
         frac = np.where(frac < 0.0, frac + 1.0, frac)
-        return np.minimum(frac, 1.0 - frac) * half
+        return (np.minimum(frac, 1.0 - frac) * half,)
 
     def to_dict(self) -> dict:
         return {"type": "strip", "scale": self.scale,
@@ -383,11 +399,6 @@ class ProfileTables:
         self.us, self.vs, self.slopes = us, vs, slopes
         m = np.concatenate((slopes[:1], slopes, slopes[-1:]))
         self.secants = np.sqrt(1.0 + m * m)
-        # the breakpoints of four consecutive periods between two sentinels,
-        # as parameters within their period and period offsets
-        self.window_us = np.concatenate(([-np.inf], np.tile(us[:-1], 4), [np.inf]))
-        self.window_periods = np.concatenate(([0.0], np.repeat(np.arange(4.0), len(us) - 1),
-                                              [0.0]))
         for table in vars(self).values():
             table.setflags(write=False)
 
@@ -399,7 +410,7 @@ _NO_CURVE_BELOW = float(np.iinfo(np.int64).min)
 
 
 @dataclass(frozen=True)
-class ZebraColoring(_ColorAt):
+class ZebraColoring(_Queries):
     """Coloring whose boundary is the curve family ``L_i = L_0 + i*z``.
 
     ``z = x_hat/2 + (sqrt(3)/2) x_hat'`` with ``x_hat'`` the ccw quarter turn
@@ -510,7 +521,8 @@ class ZebraColoring(_ColorAt):
         index 0. Only a call with T >= 2^48, where every point is hard,
         computes under ``np.errstate``, since infinities and overflow warn.
         """
-        size = 1.5 * (np.abs(xs).max(initial=0.0) + np.abs(ys).max(initial=0.0))
+        # Python floats, whose sum overflows to inf without a warning
+        size = 1.5 * (float(np.abs(xs).max(initial=0.0)) + float(np.abs(ys).max(initial=0.0)))
         if size < 2.0 ** 48:
             return self._locate_within(xs, ys, tol, size)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -545,19 +557,22 @@ class ZebraColoring(_ColorAt):
                 s[hard], t[hard], i0[hard], tol, widest)
         return band.astype(np.int64), on_curve, curve_idx.astype(np.int64), unresolved
 
+    def _height(self, s: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Frame height of L_i at frame abscissa s."""
+        return i * HALF_SQRT3 + self.profile.values(s - 0.5 * i)
+
     def _near_curve(self, s: np.ndarray, t: np.ndarray, i: np.ndarray, tol: float,
                     widest: float) -> tuple[np.ndarray, np.ndarray]:
         """Height of L_i at each abscissa s, and whether (s, t) is on L_i."""
-        profile = self.profile
-        u = s - 0.5 * i
-        h = i * HALF_SQRT3 + profile.values(u)
+        tables = self.profile.tables
+        h = self._height(s, i)
         gap = np.abs(t - h)
         # tol * secants[k] <= widest, so only these points can be on L_i
         onb = gap <= widest
         near = onb.nonzero()[0]
         if near.size:
-            k = np.searchsorted(profile.tables.us, _frac(u[near]), side="right")
-            onb[near] = gap[near] <= tol * profile.tables.secants[k]
+            k = np.searchsorted(tables.us, _frac(s[near] - 0.5 * i[near]), side="right")
+            onb[near] = gap[near] <= tol * tables.secants[k]
         return h, onb
 
     def _curve_window(self, s: np.ndarray, t: np.ndarray, i0: np.ndarray, tol: float,
@@ -578,8 +593,7 @@ class ZebraColoring(_ColorAt):
         below = np.flatnonzero(band == _NO_CURVE_BELOW)
         if reach == 1 and below.size:
             i = i0[below] - 2
-            h = i * HALF_SQRT3 + self.profile.values(s[below] - 0.5 * i)
-            band[below] = np.where(h <= t[below], i, band[below])
+            band[below] = np.where(self._height(s[below], i) <= t[below], i, band[below])
         return band, on_curve, curve_idx
 
     def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
@@ -590,52 +604,52 @@ class ZebraColoring(_ColorAt):
                              self.parity_rule == "even-white")
         return even != odd_black, on_curve, unresolved
 
-    def _window_curves(self, window: Region) -> tuple[range, tuple[float, float]]:
-        """The curves that can reach ``window`` and its range of frame abscissas;
-        ``WindowTooLarge`` if their ``_polylines`` could top ``_MAX_WINDOW_POINTS``."""
+    def _window_polylines(self, window: Region) -> tuple[range, np.ndarray, ...]:
+        """The curves that can reach ``window`` and the one above, and their
+        ``_polylines`` over its frame abscissas widened by 1 each side;
+        ``WindowTooLarge`` if those could top ``_MAX_WINDOW_POINTS`` points."""
         with np.errstate(over="ignore"):  # an infinite frame is too large below
             s, t = self.to_frame(np.array([window.x0, window.x0, window.x1, window.x1]),
                                  np.array([window.y0, window.y1, window.y0, window.y1]))
         (s_lo, s_hi), (t_lo, t_hi) = ((float(a.min()), float(a.max())) for a in (s, t))
         profile = self.profile
-        # rows (one to spare) times columns of _polylines
+        # rows (one to spare) times the columns of a row
         _check_window(((t_hi - t_lo + profile.amplitude) / HALF_SQRT3 + 6.0)
-                      * ((len(profile.vertices) - 1) * (s_hi - s_lo + 7.0) + 2.0))
-        return range(math.floor((t_lo - profile.v_max) / HALF_SQRT3) - 1,
-                     math.ceil((t_hi - profile.v_min) / HALF_SQRT3) + 2), (s_lo, s_hi)
+                      * ((len(profile.vertices) - 1) * (s_hi - s_lo + 4.0) + 2.0))
+        curves = range(math.floor((t_lo - profile.v_max) / HALF_SQRT3) - 1,
+                       math.ceil((t_hi - profile.v_min) / HALF_SQRT3) + 3)
+        i = np.arange(len(curves), dtype=float)[:, None] + curves.start
+        return curves, *self._polylines(i, s_lo - 0.5 * i - 1.0, s_hi - 0.5 * i + 1.0)
 
-    def _polylines(self, curves: np.ndarray, s_range: tuple[float, float]
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Polylines of the curves L_i, i in ``curves``, over u in
-        [s_lo - i/2 - 1, s_hi - i/2 + 1], collinear joints merged: the points
-        (x, y on axis 0) and the mask of the kept ones, ends included.
-
-        A row holds its ends and the breakpoints of the periods that cover
-        [u_lo + 1e-12, u_hi - 1e-12], ascending, clamped onto the nearer end
-        outside it, as in ``_distance_block``; ``_merge_joints`` merges its
-        collinear joints.
+    def _polylines(self, i: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Polylines of the curves L_i over u in [lo, hi], a row per entry of the
+        columns ``i``, ``lo``, ``hi``: points (x, y on axis 0), kept mask (ends
+        included) and steps between columns. A row holds its ends and the sorted
+        breakpoints u_j + m of the periods m = ceil(a - u_{n-2}) .. floor(b - u_0)
+        that can meet [a, b] = [lo + 1e-12, hi - 1e-12] (periods overlap by up
+        to 2e-9), clamped onto the nearer end outside [a, b]. ``_merge_joints``
+        merges collinear joints; clamped and merged columns repeat the last
+        kept point, so their steps have length zero.
         """
-        i = np.asarray(curves, dtype=float)[:, None]
-        ends = np.hstack((s_range[0] - 0.5 * i - 1.0, s_range[1] - 0.5 * i + 1.0))
-        lo, hi = (ends + np.array([1e-12, -1e-12])).T[:, :, None]
-        m = np.floor(lo) - 1.0 + np.arange(int((np.ceil(hi) - np.floor(lo)).max()) + 3)
-        cand = np.sort((self.profile.tables.us[:-1] + m[:, :, None]).reshape(len(i), -1), axis=1)
-        inside = (lo <= cand) & (cand <= hi)
-        u = np.hstack((ends[:, :1], np.where(inside, cand, np.where(
-            cand < lo, ends[:, :1], ends[:, 1:])), ends[:, 1:]))
+        us = self.profile.tables.us
+        a, b = lo + 1e-12, hi - 1e-12
+        first = np.ceil(a - us[-2])
+        m = first + np.arange(int((np.floor(b - us[0]) - first).max(initial=-1.0)) + 1)
+        cand = np.sort((us[:-1] + m[:, :, None]).reshape(len(i), m.shape[1] * (len(us) - 1)),
+                       axis=1)
+        inside = (a <= cand) & (cand <= b)
+        u = np.concatenate((lo, np.where(inside, cand, np.where(cand < a, lo, hi)), hi), axis=1)
         P = self.curve_points(i, u)
         kept = np.ones(u.shape, dtype=bool)
         kept[:, 1:-1] = inside
-        _merge_joints(P, kept)
-        return P, kept
+        return P, kept, _merge_joints(P, kept)
 
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         """Clipped curves as oriented pieces, white face on the left: the
         segments of ``_polylines``, clipped by ``_clip``."""
-        curves, s_range = self._window_curves(window)
-        P, _ = self._polylines(np.arange(len(curves)) + float(curves.start), s_range)
-        kept, a, b = _clip(P[:, :, :-1].reshape(2, -1),
-                           (P[:, :, 1:] - P[:, :, :-1]).reshape(2, -1), window)
+        curves, P, _, E = self._window_polylines(window)
+        kept, a, b = _clip(P[:, :, :-1].reshape(2, -1), E.reshape(2, -1), window)
         # band i sits above L_i, and +x_hat keeps the upper band on the left
         styles = [(_parity_color(i, self.boundary_parity),
                    _parity_color(i, self.parity_rule) is not Color.WHITE) for i in (0, 1)]
@@ -648,55 +662,40 @@ class ZebraColoring(_ColorAt):
                                         color))
         return pieces
 
-    def distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Exact distance of each point to the nearest boundary curve.
-
-        Where a breakpoint lies within 1e-9 of a curve window's end, the
-        window's polyline has a segment shorter than ``Segment`` accepts;
-        it is measured like any other.
-        """
-        return _by_block(self._distance_block, xs, ys)[0]
+    def _measurable(self, xs: np.ndarray, ys: np.ndarray) -> Optional[np.ndarray]:
+        """The points ``resolve`` resolves, finite with ``|s| + |t| < 2^48``; None
+        if that is all, as when max(|x|, |y|) < 2^46 (see ``_locate``)."""
+        if np.abs(np.concatenate((xs, ys))).max(initial=0.0) < 2.0 ** 46:
+            return None
+        with np.errstate(invalid="ignore", over="ignore"):
+            s, t = self.to_frame(xs, ys)
+            return np.abs(s) + np.abs(t) < 2.0 ** 48
 
     def _distance_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray]:
         """One array pass over the points and their curves i0 - 2 .. i0 + 2.
 
-        i0 is as in ``_locate``. Curve i of a point at frame (s, t) is
-        its polyline over u in [c - 1.5, c + 1.5] with ``c = s - i/2``. Its
+        i0 is as in ``_locate``. Curve i of a point at frame (s, t) is its
+        ``_polylines`` row over u in [c - 1.5, c + 1.5], ``c = s - i/2``. Its
         vertical gap at c is at least its distance and at most the largest
-        secant times it, so a curve is dropped when that lower bound
-        exceeds the point's least gap by more than rounding and the few
-        1e-12 by which merged joints move a polyline.
-
-        A row of the pass is one kept (point, curve) pair. Its columns are
-        the window ends and the breakpoints ``u + m`` of the four periods
-        m = r - 2 .. r + 1, r = floor(c + 1/2), which cover the window; a
-        breakpoint outside the window is clamped onto its end, which makes
-        zero-length segments that are masked out. (The other periods reach
-        the window only as a copy of an end, which the joint rule drops.)
-        The points come from ``curve_points``, joints merge in
-        ``_merge_joints`` and distances come from ``_offsets``, so each
-        distance is the scalar one bit for bit.
+        secant times it, so a curve is dropped when that lower bound exceeds
+        the point's least gap by more than rounding and the few 1e-12 by which
+        merged joints move a polyline. A row of the pass is one kept (point,
+        curve) pair; its zero-length steps are masked out. Distances come from
+        ``_offsets``: the scalar ones bit for bit, also on segments shorter
+        than ``Segment`` accepts.
         """
         profile = self.profile
-        tables = profile.tables
         s, t = self.to_frame(xs, ys)
         i = np.floor((t - profile.v_min) / HALF_SQRT3)[:, None] + np.arange(-2.0, 3.0)
-        c = s[:, None] - 0.5 * i
-        gap = np.abs(t[:, None] - (profile.values(c) + i * HALF_SQRT3))
-        secant = tables.secants.max()
+        gap = np.abs(t[:, None] - self._height(s[:, None], i))
+        secant = profile.tables.secants.max()
         slack = 2e-9 * (1.0 + np.abs(xs) + np.abs(ys))[:, None] + 1e-10 * secant
         rows = (gap <= (np.minimum.reduce(gap, axis=1, keepdims=True) + slack)
                 * secant).ravel().nonzero()[0]
         owner = rows // 5
-        i, c = (a.reshape(-1, 1)[rows] for a in (i, c))
-
-        ends = c + np.array([-1.5, 1.5])
-        edges = ends + np.array([1e-12, -1e-12])
-        cand = tables.window_us + (np.floor(c + 0.5) - 2.0 + tables.window_periods)
-        inside = (edges[:, :1] <= cand) & (cand <= edges[:, 1:])
-        u = np.where(inside, cand, np.where(cand < edges[:, :1], ends[:, :1], ends[:, 1:]))
-        P = self.curve_points(i, u)
-        ex, ey = _merge_joints(P, inside)
+        i = i.reshape(-1, 1)[rows]
+        c = s[owner, None] - 0.5 * i
+        P, _, (ex, ey) = self._polylines(i, c - 1.5, c + 1.5)
         L2 = ex * ex + ey * ey
         seg = L2 > 0.0
         gx, gy = _offsets(xs[owner, None], ys[owner, None], P[0, :, :-1], P[1, :, :-1],
@@ -754,7 +753,7 @@ def _merge_joints(P: np.ndarray, kept: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HalfPlaneColoring(_ColorAt):
+class HalfPlaneColoring(_Queries):
     """Closed half-plane {p : p . normal >= offset} in one color, open rest other."""
 
     normal: UnitVector = UnitVector(0.0, 1.0)
@@ -782,8 +781,8 @@ class HalfPlaneColoring(_ColorAt):
                               ray_start=True, ray_end=True)
                 for px, py, qx, qy in zip(*p.tolist(), *q.tolist())]
 
-    def distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.abs(xs * self.normal.dx + ys * self.normal.dy - self.offset)
+    def _distance_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray]:
+        return (np.abs(xs * self.normal.dx + ys * self.normal.dy - self.offset),)
 
     def to_dict(self) -> dict:
         return {"type": "halfplane", "normal": [self.normal.dx, self.normal.dy],
@@ -875,7 +874,7 @@ class PolygonTables:
 
 
 @dataclass(frozen=True)
-class PolygonalColoring(_ColorAt):
+class PolygonalColoring(_Queries):
     """Coloring given by explicit boundary pieces and face seed points.
 
     Pieces may be rays or lines via their ray flags (the stored segment is a
@@ -1085,11 +1084,9 @@ class PolygonalColoring(_ColorAt):
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         return list(self.pieces)
 
-    def distance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Distance of each point to the nearest piece, ``inf`` with no pieces."""
-        if not self.pieces:
-            return np.full(xs.shape, np.inf)
-        return _by_block(self._distance_block, xs, ys)[0]
+    def _measurable(self, xs: np.ndarray, ys: np.ndarray) -> Optional[np.ndarray]:
+        """Every point with no pieces, where all distances are inf."""
+        return super()._measurable(xs, ys) if self.pieces else None
 
     def _distance_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray]:
         gx, gy = self.tables.gaps(xs, ys)

@@ -131,12 +131,10 @@ def _fill_strip(canvas: _Canvas, coloring: StripColoring) -> None:
 
 def _fill_zebra(canvas: _Canvas, coloring: ZebraColoring) -> None:
     """Each black band as the polygon between its lower and upper curve."""
-    curves, s_range = coloring._window_curves(canvas.region.inflated(1.0))
-    # the polylines of the window's curves and of the one above the last
-    P, kept = coloring._polylines(np.arange(len(curves) + 1) + float(curves.start), s_range)
+    curves, P, kept, _ = coloring._window_polylines(canvas.region.inflated(1.0))
     lines = [[Point(x, y) for x, y in zip(xs[k].tolist(), ys[k].tolist())]
              for xs, ys, k in zip(P[0], P[1], kept)]
-    for r, i in enumerate(curves):
+    for r, i in enumerate(curves[:-1]):
         if _parity_color(i, coloring.parity_rule) is Color.BLACK:
             canvas.polygon(lines[r] + lines[r + 1][::-1], BLACK_FILL)
 

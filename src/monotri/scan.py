@@ -187,13 +187,16 @@ def _check_scan(spec: TriangleSpec, grid: ScanGrid, tol: float) -> None:
     The sides must satisfy the triangle inequality at ``tol`` too, and
     rounding a vertex near the region must not move a side past
     :func:`verify_witness`'s bound: with R the largest |coordinate| of the
-    region and s the longest side, ``2 ulp(R + s) <= tol (1 + s)``. At the
-    default tolerance and unit sides, R = 4e6 passes and R = 1e7 does not.
+    region and s the longest side, ``2 ulp(R + s) <= tol (1 + s)``; ``tol``
+    is named if R = 0 fails. At the default tolerance and unit sides, R = 4e6
+    passes and R = 1e7 does not.
     """
     check_tol(tol)
     check_sides(*spec.sides(), tol)
     r = grid.region
     reach, side = max(map(abs, (r.x0, r.y0, r.x1, r.y1))), max(spec.sides())
+    if 2.0 * math.ulp(side) > tol * (1.0 + side):
+        raise InvalidArgument("tol", "is too small for the triangle's rounding", tol)
     if 2.0 * math.ulp(reach + side) > tol * (1.0 + side):
         raise InvalidArgument("region", "lies too far from the origin: rounding alone can "
                                         "move a side by more than the tolerance", r)

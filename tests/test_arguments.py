@@ -63,6 +63,16 @@ class TestScans:
         assert "too far from the origin" in exc.reason
         refused("region", avoidance_scan, coloring, UNIT, grid)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-30])
+    @pytest.mark.parametrize("scan", [find_monochromatic_copy, avoidance_scan],
+                             ids=["find", "avoid"])
+    def test_too_small_tol_is_named(self, scan, tol):
+        # the rounding bound fails even at the origin: the region used to be
+        # named, though no region could pass
+        exc = refused("tol", scan, StripColoring(), TriangleSpec(0.2, 0.2, 0.2), SMALL_GRID,
+                      tol=tol)
+        assert "too small" in exc.reason
+
     @pytest.mark.parametrize("top, tol, ok", [(4e6, 1e-9, True), (1e7, 1e-9, False),
                                               (1e7, 1e-3, True)])
     def test_far_region_bound(self, top, tol, ok):

@@ -280,6 +280,15 @@ class TestExitStatuses:
         assert captured.out == ""
         assert "'--region'" in captured.err and "too far from the origin" in captured.err
 
+    @pytest.mark.parametrize("command", ["scan", "avoid"])
+    def test_too_small_tolerance_exits_one(self, command, strip_file, capsys):
+        # no region passes the rounding bound at 1e-30: '--region' used to be named
+        assert main(["--tolerance", "1e-30", command, "--coloring", strip_file, "--triangle",
+                     "1,1,1", "--region=0,0,1,1", "--grid", "0.5", "--angles", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'--tolerance'" in captured.err and "'--region'" not in captured.err
+
     @pytest.mark.parametrize("region, tolerance, code", [("0,0,1,4e6", "1e-9", 0),
                                                          ("0,0,1,1e7", "1e-9", 1),
                                                          ("-1e7,0,0,1", "1e-9", 1),
