@@ -756,6 +756,19 @@ class TestScanBytes:
                                      "0.4330127018922193", "--angles", "12"],
                      "ddacacd9ff6487d05bdce04ae35d93df2aac88c2e045d0a39b225c839ec8976f",
                      id="strip-lower-avoid"),
+        # the zero-margin white "witness" of the upper-closed strip, which avoids
+        # the unit triangle exactly: ROADMAP item 4 will change these bytes on purpose
+        pytest.param("strip", ["scan", "--triangle", "1,1,1",
+                               "--region=-1,-3.4641016151377544,1,-0.2", "--grid",
+                               "0.4330127018922193", "--angles", "12"],
+                     "c9e5b335d9c4f4f09ba39a8c599ff38b1f603f9320d9a7c9984235ade64d5d29",
+                     id="strip-scan-zero-margin"),
+        # five zero-margin monochromatic placements at angle 4, one per column
+        pytest.param("strip", ["avoid", "--triangle", "1,1,1",
+                               "--region=-1,-3.4641016151377544,1,-0.2", "--grid",
+                               "0.4330127018922193", "--angles", "12"],
+                     "60136eaf1f7769e4f93dc9fc0ed768304917a3093d34271c5033f599e96f7da8",
+                     id="strip-avoid-zero-margin"),
         # obtuse corners only: nothing reported
         pytest.param("zigzag-rotated", ["angles"],
                      "8efe0b36a7fa51651089b950199db43906e781e6f36571f45a766bd5d370d04a",
