@@ -20,13 +20,17 @@ Four families, each a total map from points to black/white:
 Every family answers one vectorized mask query, ``resolve(xs, ys, tol)``,
 which returns the black, on-boundary and unresolved masks of the points
 ``(xs[k], ys[k])`` together. A point is unresolved when no seed of a
-polygonal coloring reaches it, or when a zebra coloring cannot locate its
-band exactly: a coordinate that is not finite, or frame coordinates with
-``|s| + |t| >= 2^48``. The mask is all False in the strip and half-plane
-families. The single-point ``color_at`` is a view over it, and raises
-``UnresolvedFace`` at an unresolved point. ``distance(xs, ys)`` returns the
-exact distance of each point to the boundary in one array pass (the witness
-margin of a scan), NaN where a coordinate is not finite or a zebra point is
+polygonal coloring reaches it, when a zebra coloring cannot locate its
+band exactly (a coordinate that is not finite, or frame coordinates with
+``|s| + |t| >= 2^48``), when a strip point's ``y / (period / 2)`` is not
+finite, or when a half-plane point's projection on the normal is not finite;
+a quotient or sum that overflows counts as not finite, and no numpy warning
+is raised. The strip reads y alone: its masks, and its distances at finite
+x, are the same at (x, y) and (x', y). The single-point ``color_at`` is a
+view over ``resolve``, and raises ``UnresolvedFace`` at an unresolved point.
+``distance(xs, ys)`` returns the exact distance of each point to the
+boundary in one array pass (the witness margin of a scan), NaN where a
+coordinate is not finite and where a zebra, strip or half-plane point is
 unresolved, and ``boundary_segments`` gives the boundary as oriented
 segments for probing and rendering. Colorings are immutable after
 construction; all queries are pure. Two array kernels hold the segment
@@ -218,6 +222,9 @@ class _Queries:
     """``color_at``, the one-point view over ``resolve``, and ``distance``."""
 
     _UNRESOLVED = "no seed reaches ({}, {}) unambiguously"
+    # True where ``resolve`` reads ys alone, and ``distance`` does at finite
+    # xs: a scan then classifies one lattice column (see monotri.scan)
+    _YS_ONLY = False
 
     def color_at(self, p: Point, tol: float = DEFAULT_TOL) -> Color:
         black = _resolved_black(self, np.array([p.x]), np.array([p.y]), tol)[0]
@@ -259,6 +266,15 @@ class StripColoring(_Queries):
     Under the upper-closed rule a point is black iff
     ``n * scale * sqrt(3) < y <= (n + 1/2) * scale * sqrt(3)`` for some
     integer n; the lower-closed rule flips the strictness of both bounds.
+    A point whose ``y / (period / 2)`` is not finite (y not finite, or the
+    quotient overflows) is unresolved, and its distance is NaN.
+
+    The queries read y alone (``distance`` also takes a non-finite x to
+    NaN), so find and avoidance scans classify only the first lattice
+    column of each angle: every column's placements have the same vertex
+    ys, hence bit for bit the same colors and margins. Counts are the
+    column's times the column count, and examples are the column's,
+    repeated across the columns in pose order (``monotri.scan``).
     """
 
     scale: float = 1.0
@@ -274,18 +290,23 @@ class StripColoring(_Queries):
     def period(self) -> float:
         return self.scale * SQRT3
 
+    _UNRESOLVED = "({}, {}) has no finite height in half strip widths"
+    _YS_ONLY = True
+
     def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Strip membership is decided by the half-open rule exactly; tol
-        # widens the boundary mask only.
-        frac = _frac(ys / self.period)
+        # widens the boundary mask only. ys / half is the unresolved test.
+        half = self.period / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = ys / half
+            frac = _frac(ys / self.period)
+            near = _frac(q)
         if self.boundary_rule == "upper-closed":
             black = (frac > 0.0) & (frac <= 0.5)
         else:
             black = (frac >= 0.0) & (frac < 0.5)
-        half = self.period / 2.0
-        frac = _frac(ys / half)
-        return black, np.minimum(frac, 1.0 - frac) * half <= tol, np.zeros(black.shape, bool)
+        return black, np.minimum(near, 1.0 - near) * half <= tol, ~np.isfinite(q)
 
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         """Horizontal boundary lines clipped to ``window``, white on the left."""
@@ -313,9 +334,10 @@ class StripColoring(_Queries):
 
     def _distance_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray]:
         # fmod, not _frac: at negative multiples of the half period this is
-        # -0.0 where _frac gives +0.0
+        # -0.0 where _frac gives +0.0; NaN where ys / half is not finite
         half = self.period / 2.0
-        frac = np.fmod(ys / half, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            frac = np.fmod(ys / half, 1.0)
         frac = np.where(frac < 0.0, frac + 1.0, frac)
         return (np.minimum(frac, 1.0 - frac) * half,)
 
@@ -754,18 +776,26 @@ def _merge_joints(P: np.ndarray, kept: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HalfPlaneColoring(_Queries):
-    """Closed half-plane {p : p . normal >= offset} in one color, open rest other."""
+    """Closed half-plane {p : p . normal >= offset} in one color, open rest other.
+
+    A point whose projection ``s = p . normal`` is not finite (a coordinate
+    not finite, or the sum overflows) is unresolved, and its distance is NaN.
+    """
 
     normal: UnitVector = UnitVector(0.0, 1.0)
     offset: float = 0.0
     closed_side_color: Color = Color.BLACK
 
+    _UNRESOLVED = "({}, {}) has no finite projection on the normal"
+
     def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        s = xs * self.normal.dx + ys * self.normal.dy
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = xs * self.normal.dx + ys * self.normal.dy
+            on = np.abs(s - self.offset) <= tol
         closed = s >= self.offset - tol
         black = closed if self.closed_side_color is Color.BLACK else ~closed
-        return black, np.abs(s - self.offset) <= tol, np.zeros(s.shape, bool)
+        return black, on, ~np.isfinite(s)
 
     def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
         n = self.normal
@@ -782,7 +812,10 @@ class HalfPlaneColoring(_Queries):
                 for px, py, qx, qy in zip(*p.tolist(), *q.tolist())]
 
     def _distance_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray]:
-        return (np.abs(xs * self.normal.dx + ys * self.normal.dy - self.offset),)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = xs * self.normal.dx + ys * self.normal.dy
+            d = np.abs(s - self.offset)
+        return (np.where(np.isfinite(s), d, np.nan),)
 
     def to_dict(self) -> dict:
         return {"type": "halfplane", "normal": [self.normal.dx, self.normal.dy],

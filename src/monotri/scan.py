@@ -25,6 +25,18 @@ unresolved vertex (see :mod:`monotri.colorings`) are skipped by find and
 counted as ``unresolved`` by avoidance. A scan that exhausts its grid is a
 sampling verdict, never a proof of avoidance.
 
+A coloring whose ``resolve`` and ``distance`` read ys alone (the class
+attribute ``_YS_ONLY``; today the strip) is scanned over the first lattice
+column only: every column holds the same vertex ys, so its placements have
+bit for bit the colors and margins of column 0's. A find scan's least
+witness therefore lies in column 0 and is the full lattice's. An avoidance
+scan multiplies the column's counts by the column count, and expands the
+column's first examples in pose order: per angle, its y values in column
+0, then in column 1, and so on, at x = x0 + i * step, the float
+``ScanGrid.xs`` holds. The column's first ``_EXAMPLES`` entries are enough.
+So the reports are the full lattice's, and a strip scan costs the same for
+any region width.
+
 Each entry point checks its own arguments and raises ``InvalidArgument``
 naming the one outside its domain: ``ScanGrid`` its step, angle count and
 lattice size, the scans their triangle and region against ``tol``, and
@@ -36,6 +48,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,8 +120,15 @@ class ScanGrid:
         return self._axis(self.region.y0, self.region.y1)
 
     def placements(self) -> int:
-        r = self.region
-        return self.angle_count * self._count(r.x0, r.x1) * self._count(r.y0, r.y1)
+        return self.angle_count * self.columns() * self._count(self.region.y0, self.region.y1)
+
+    def columns(self) -> int:
+        """The lattice's column count, ``len(xs())``."""
+        return self._count(self.region.x0, self.region.x1)
+
+    def column_x(self, i: int) -> float:
+        """Column i's x, ``xs()[i]`` bit for bit, without building the axis."""
+        return self.region.x0 + i * self.position_step
 
     def _count(self, lo: float, hi: float) -> int:
         return int(math.floor((hi - lo) / self.position_step + 1e-12)) + 1
@@ -211,10 +232,13 @@ _MARGIN_BATCH = 4
 _EXAMPLES = 8  # the first monochromatic placements and near misses an avoidance report lists
 
 
-def _placed_poses(spec: TriangleSpec, grid: ScanGrid, ramp: bool = False):
+def _placed_poses(spec: TriangleSpec, grid: ScanGrid, ramp: bool = False,
+                  one_column: bool = False):
     """The scan engine: per block of poses, in pose order, ``(pose, place)``.
 
-    The grid's n translations are flat lattice indices, x major and y minor.
+    The grid's n translations are flat lattice indices, x major and y minor;
+    with ``one_column``, they are the first column's only, and no other
+    column is built.
     When n <= ``_SCAN_BLOCK``, a block is a run of whole angles k0, k0 + 1,
     ... over all n translations: ``_SCAN_BLOCK // n`` angles, or, with
     ``ramp``, one angle in the first block and twice as many in each later
@@ -231,7 +255,11 @@ def _placed_poses(spec: TriangleSpec, grid: ScanGrid, ramp: bool = False):
     at a time, so that every vertex is the one :func:`place_triangle` gives
     for its pose.
     """
-    X, Y = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
+    if one_column:
+        Y = grid.ys()
+        X = np.full(Y.size, grid.column_x(0))
+    else:
+        X, Y = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
     base = place_triangle(spec, RigidMotion(0.0))
     angles = grid.angles().tolist()
     block = _SCAN_BLOCK
@@ -288,7 +316,9 @@ def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGr
     in each later batch, and the first with margin at least ``min_margin``
     is the witness. ``distance`` is per point, so a batch gives each pose
     the margin :func:`margin_of` gives its vertices, bit for bit.
-    Placements with an unresolved vertex are skipped.
+    Placements with an unresolved vertex are skipped. A coloring that reads
+    ys alone is scanned over the first lattice column, where the least
+    witness lies (see the module docstring).
 
     Returns None when the grid is exhausted -- a sampling verdict only; no
     claim of avoidance is implied. Vertices may leave the grid region; the
@@ -299,7 +329,7 @@ def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGr
     if not (0.0 <= min_margin < math.inf):
         raise InvalidArgument("min_margin", "must be a finite number >= 0", min_margin)
     _check_scan(spec, grid, tol)
-    for pose, place in _placed_poses(spec, grid, ramp=True):
+    for pose, place in _placed_poses(spec, grid, ramp=True, one_column=coloring._YS_ONLY):
         b1, _, u1 = coloring.resolve(*place(0), tol)
         b2, _, u2 = coloring.resolve(*place(1), tol)
         pairs = np.flatnonzero((b1 == b2) & ~(u1 | u2))
@@ -331,16 +361,20 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
     Boundary points are colored by the coloring's own rule. A near miss is
     a non-monochromatic placement with two same-colored vertices whose
     third vertex sits within tolerance of the boundary. Placements with an
-    unresolved vertex count as ``unresolved`` and as neither. A triangle and
-    grid that ``tol`` cannot scan raise ``InvalidArgument`` (see ``_check_scan``).
+    unresolved vertex count as ``unresolved`` and as neither. A coloring that
+    reads ys alone is scanned over the first lattice column, and its counts
+    and examples are expanded to every column (see the module docstring). A
+    triangle and grid that ``tol`` cannot scan raise ``InvalidArgument``
+    (see ``_check_scan``).
     """
     _check_scan(spec, grid, tol)
+    one_column = coloring._YS_ONLY
     mono_count = 0
     near_count = 0
     unresolved = 0
     mono_ex: list[tuple[int, float, float]] = []
     near_ex: list[tuple[int, float, float]] = []
-    for pose, place in _placed_poses(spec, grid):
+    for pose, place in _placed_poses(spec, grid, one_column=one_column):
         (b1, on1, u1), (b2, on2, u2), (b3, on3, u3) = (coloring.resolve(*place(v), tol)
                                                        for v in range(3))
         mono = (b1 == b2) & (b2 == b3)
@@ -357,8 +391,30 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
                 for i in np.flatnonzero(mask)[:_EXAMPLES - len(acc)]:
                     k, _, x, y = pose(i)
                     acc.append((k, x, y))
+    if one_column:
+        nx = grid.columns()
+        mono_count, near_count, unresolved = mono_count * nx, near_count * nx, unresolved * nx
+        mono_ex, near_ex = _across_columns(mono_ex, grid), _across_columns(near_ex, grid)
     return AvoidanceReport(grid.placements(), mono_count, near_count,
                            tuple(mono_ex), tuple(near_ex), unresolved)
+
+
+def _across_columns(examples: list[tuple[int, float, float]], grid: ScanGrid
+                    ) -> list[tuple[int, float, float]]:
+    """The first ``_EXAMPLES`` poses of the lattice, in pose order, from the
+    first ones of its column 0: per angle, its y values in each column i in
+    turn, at ``grid.column_x(i)``. Only the last angle's list can be cut
+    short, and the poses taken from that angle all lie in its column 0."""
+    out: list[tuple[int, float, float]] = []
+    nx = grid.columns()
+    for k, group in groupby(examples, key=itemgetter(0)):
+        ys = [y for _, _, y in group]
+        for i in range(nx):
+            x = grid.column_x(i)
+            out += [(k, x, y) for y in ys]
+            if len(out) >= _EXAMPLES:
+                return out[:_EXAMPLES]
+    return out
 
 
 def verify_witness(coloring: Coloring, spec: TriangleSpec, witness: ScanWitness,

@@ -395,6 +395,11 @@ def curve_points(zc: ZebraColoring, rng, tol, n=60):
     return s * xh.dx - t * xh.dy, s * xh.dy + t * xh.dx
 
 
+# a y whose quotient by the half strip width is not finite, or overflows
+STRIP_UNRESOLVED = [(0.0, math.nan), (0.0, math.inf), (0.0, -math.inf), (0.0, 1.7e308),
+                    (-1.0, -1.7e308)]
+
+
 class TestStripKernel:
     @pytest.mark.parametrize("tol", [1e-9, 1e-3])
     @pytest.mark.parametrize("rule", ["upper-closed", "lower-closed"])
@@ -413,6 +418,50 @@ class TestStripKernel:
         assert not unresolved.any()
         for g, w in zip(got, want, strict=True):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False),
+           x2=st.floats(allow_nan=False, allow_infinity=False),
+           y=st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False)),
+           scale=st.sampled_from([1.0, 0.7, 1e-3]),
+           rule=st.sampled_from(["upper-closed", "lower-closed"]),
+           tol=st.sampled_from([1e-9, 1e-3]))
+    def test_reads_y_alone(self, x, x2, y, scale, rule, tol):
+        """The same bits at (x, y) and (x', y): the column path of the scans
+        rests on this."""
+        sc = StripColoring(scale, rule)
+        at = [(np.array([x]), np.array([y])), (np.array([x2]), np.array([y]))]
+        for a, b in zip(*(sc.resolve(*p, tol) for p in at), strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert sc.distance(*at[0]).tobytes() == sc.distance(*at[1]).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coloring, bad", [
+        (StripColoring(), STRIP_UNRESOLVED),
+        (StripColoring(0.7, "lower-closed"), STRIP_UNRESOLVED),
+        # 0 * inf is NaN: a vertical normal does not read x, but x must be finite
+        (HalfPlaneColoring(), [(math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0),
+                               (0.0, math.nan), (0.0, math.inf)]),
+        (HalfPlaneColoring(UnitVector.from_angle(0.9), -0.5),
+         [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0), (1.7e308, 1.7e308)]),
+    ])
+    def test_points_without_a_finite_test_value_are_unresolved(self, coloring, bad):
+        """Where the kernel's own test value (the strip's y / half width, the
+        half-plane's projection on the normal) is not finite: no numpy
+        warning, NaN distance, and ``UnresolvedFace`` from the one-point
+        view; the other points keep their masks."""
+        good = [(0.3, 0.2), (-2.5, 1.75), (1e300, -3.0), (-1.7e308, 1.5)]
+        xs, ys = np.array(bad + good).T
+        black, on, unresolved = coloring.resolve(xs, ys)
+        assert unresolved.tolist() == [True] * len(bad) + [False] * len(good)
+        for k in range(len(bad), len(xs)):
+            one = coloring.resolve(xs[k:k + 1], ys[k:k + 1])
+            assert [m[0] for m in one] == [black[k], on[k], False]
+        distances = coloring.distance(xs, ys)
+        assert np.isnan(distances[:len(bad)]).all() and not np.isnan(distances[len(bad):]).any()
+        for x, y in bad:
+            with pytest.raises(UnresolvedFace, match=re.escape(coloring._UNRESOLVED.format(x, y))):
+                scan._resolved_black(coloring, np.array([x]), np.array([y]), 1e-9)
 
 
 class TestZebraKernel:
@@ -636,6 +685,10 @@ AVOID_CASES = [
     (ZebraColoring(ZIGZAG, UnitVector.from_angle(0.4)), Region(-1.0, 0.5, 2.0, 3.5), 0.9, 1e-3),
     (HalfPlaneColoring(UnitVector.from_angle(1.0), 0.2), Region(-1.5, -1.5, 1.5, 1.5), 1.0, 1e-9),
     (l_shape_coloring(), Region(-1.0, -1.0, 1.0, 1.0), 1.0, 1e-9),
+    # strips scanned over one column, with rows on the boundaries y = 0 and
+    # y = -4 sqrt(3)/2: examples span three columns and several angles
+    (StripColoring(1.0, "lower-closed"), Region(-0.1, 0.0, 0.1, 0.15), 0.5, 1e-9),
+    (StripColoring(), Region(-0.1, -4.0 * HALF_SQRT3, 0.1, -3.4), 1.0, 1e-9),
 ]
 
 
@@ -646,6 +699,36 @@ def test_avoidance_scan_matches_two_mask_loop(coloring, region, side, tol):
     report = avoidance_scan(coloring, spec, grid, tol)
     assert report == two_mask_avoidance(coloring, spec, grid, tol)
     assert report.monochromatic_count + report.near_misses > 0
+
+
+class FullLatticeStrip(StripColoring):
+    """The strip, scanned over every lattice column as every other family is."""
+
+    _YS_ONLY = False
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule=st.sampled_from(["upper-closed", "lower-closed"]),
+       side=st.sampled_from([0.3, 0.5, 1.0]),
+       x0=st.floats(-2.0, 2.0),
+       # rows on the boundaries, or anywhere
+       y0=st.one_of(st.integers(-4, 4).map(lambda k: k * HALF_SQRT3), st.floats(-2.0, 2.0)),
+       width=st.floats(0.0, 1.0), height=st.floats(0.0, 1.0),
+       step=st.sampled_from([0.1, 0.25, HALF_SQRT3 / 2.0]),
+       angles=st.integers(1, 12), min_margin=st.sampled_from([0.0, 0.05, 0.2]),
+       block=st.sampled_from([1, 7, scan._SCAN_BLOCK]))
+def test_strip_scans_of_one_column_are_the_full_lattice_scans(
+        rule, side, x0, y0, width, height, step, angles, min_margin, block):
+    """The column path's witness and report, repr for repr, are the full
+    lattice path's; examples cut an angle short and span columns."""
+    grid = ScanGrid(Region(x0, y0, x0 + width + 1e-3, y0 + height + 1e-3), step, angles)
+    spec = TriangleSpec(side, side, side)
+    strip, full = StripColoring(1.0, rule), FullLatticeStrip(1.0, rule)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scan, "_SCAN_BLOCK", block)
+        assert repr(avoidance_scan(strip, spec, grid)) == repr(avoidance_scan(full, spec, grid))
+        assert repr(find_monochromatic_copy(strip, spec, grid, min_margin)) == repr(
+            find_monochromatic_copy(full, spec, grid, min_margin))
 
 
 def brute_force_find(coloring, spec, grid, min_margin, tol=1e-9):
@@ -705,6 +788,18 @@ FIND_CASES = [
     # exactly min_margin after 82 rejections, and 21605 after 5
     (l_shape_coloring(), (1.0, 1.0, 1.0), Region(0.0, 0.0, 4.0, 4.0), 0.05, 16, 0.05, True),
     (ZebraColoring(ZIGZAG), (0.5, 0.5, 0.5), Region(0.03, 0.11, 3.0, 3.0), 0.02, 12, 0.1, True),
+    # strips that do not avoid the triangle, scanned over one column, with
+    # rows on the boundaries: a zero-margin witness, one past a rejection
+    # at the boundary row, and an exhausted scan past 190 rejections
+    (StripColoring(1.0, "lower-closed"), (0.5, 0.5, 0.5), Region(-0.1, 0.0, 0.1, 0.15), 0.1, 12,
+     0.0, False),
+    (StripColoring(1.0, "lower-closed"), (0.5, 0.5, 0.5), Region(-0.1, 0.0, 0.1, 0.15), 0.1, 12,
+     0.05, True),
+    (StripColoring(1.0, "lower-closed"), (0.5, 0.6, 0.7), Region(-0.2, -HALF_SQRT3, 0.2, 0.0),
+     0.1, 12, 0.3, True),
+    # the upper-closed strip's zero-margin "witness" (ROADMAP item 4)
+    (StripColoring(), (1.0, 1.0, 1.0), Region(-1.0, -4.0 * HALF_SQRT3, 1.0, -0.2),
+     HALF_SQRT3 / 2.0, 12, 0.0, False),
 ]
 
 
@@ -716,15 +811,17 @@ def test_find_matches_brute_force(coloring, sides, region, step, angles, min_mar
     assert (rejected > 0) == rejects
 
 
-def whole_angle_block(grid, ramp):
-    """A block size of c >= 2 whole angles of ``grid``'s translations.
+def whole_angle_block(grid, ramp, coloring):
+    """A block size of c >= 2 whole angles of the translations a scan of
+    ``coloring`` over ``grid`` classifies: its first column's alone for a
+    coloring that reads ys alone, else all of them.
 
     c is the least for which the scan's last run of angles holds fewer than
     c: with ``ramp`` (a find scan) runs of 1, 2, 4, ... angles up to c, else
     runs of c. That is c = 2 or 3 for most grids; an angle count that runs
     of 2 and of 3 both divide, such as 12 without ``ramp``, needs more.
     """
-    n = len(grid.xs()) * len(grid.ys())
+    n = len(grid.ys()) * (1 if coloring._YS_ONLY else len(grid.xs()))
     for c in range(2, grid.angle_count + 2):
         run, left = (1 if ramp else c), grid.angle_count
         while left > run:
@@ -747,7 +844,7 @@ class TestScanBlocks:
                   monkeypatch):
         spec, grid = TriangleSpec(*sides), ScanGrid(region, step, angles)
         if block == "runs":
-            block = whole_angle_block(grid, ramp=True)
+            block = whole_angle_block(grid, ramp=True, coloring=coloring)
         monkeypatch.setattr(scan, "_SCAN_BLOCK", block)
         want, _ = brute_force_find(coloring, spec, grid, min_margin)
         assert find_monochromatic_copy(coloring, spec, grid, min_margin) == want
@@ -756,7 +853,7 @@ class TestScanBlocks:
     def test_avoid(self, block, coloring, region, side, tol, monkeypatch):
         grid = ScanGrid(region, 0.1, 12)
         if block == "runs":
-            block = whole_angle_block(grid, ramp=False)
+            block = whole_angle_block(grid, ramp=False, coloring=coloring)
         monkeypatch.setattr(scan, "_SCAN_BLOCK", block)
         spec = TriangleSpec(side, side, side)
         assert avoidance_scan(coloring, spec, grid, tol) == two_mask_avoidance(
@@ -796,7 +893,7 @@ def walk_avoidance(coloring, spec, grid, tol=1e-9, max_examples=8):
 ])
 def test_avoidance_scan_counts_unresolved_placements(block, side, grid, monkeypatch):
     if block == "runs":
-        block = whole_angle_block(grid, ramp=False)
+        block = whole_angle_block(grid, ramp=False, coloring=HEXAGON)
     monkeypatch.setattr(scan, "_SCAN_BLOCK", block)
     spec = TriangleSpec(side, side, side)
     report = avoidance_scan(HEXAGON, spec, grid)
