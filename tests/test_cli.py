@@ -791,6 +791,42 @@ class TestScanBytes:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+class TestExactBytes:
+    """The stdout bytes (sha256) of the exact subcommands, ``forcing`` in both
+    parts and ``lines``: every logged coloring, forced triple, multiset and
+    solved triangle must not move."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        pytest.param(["forcing", "--sides", "2,2,3", "--part", "i"],
+                     "b7acfb009a1ea5cce0d23896652806207e23f842498b9962f33816bd3a58aa7b",
+                     id="forcing-2-2-3-i"),
+        pytest.param(["forcing", "--sides", "2,2,3", "--part", "ii"],
+                     "8086b28560c69e4d62382a61e4b6b676257fcf870d4ff0678fc0669a28281282",
+                     id="forcing-2-2-3-ii"),
+        pytest.param(["forcing", "--sides", "1.3,2.1,2.9", "--part", "i"],
+                     "c991e4737320c1b35f2fe645819d6524b35134ead71f115652b804742348c602",
+                     id="forcing-1.3-2.1-2.9-i"),
+        pytest.param(["forcing", "--sides", "1.3,2.1,2.9", "--part", "ii"],
+                     "4d17305b15acb64401e0f9f9dc8f91d369ccd631f36413a8678c4376b5ba203c",
+                     id="forcing-1.3-2.1-2.9-ii"),
+        # every triple of the unit configuration is a lattice triangle
+        pytest.param(["forcing", "--sides", "1,1,1", "--part", "i"],
+                     "53d6f9dd61efda6dcc37874f0c203554ab812d27794001fbdb1e282a0da59798",
+                     id="forcing-1-1-1-i"),
+        pytest.param(["forcing", "--sides", "1,1,1", "--part", "ii"],
+                     "b1914fd13464fcde9f654177f5a91c7d219260319d415abedd47df58adc12144",
+                     id="forcing-1-1-1-ii"),
+        # four unit triangles, two per orientation
+        pytest.param(["lines", "--q1", "0,0", "--q2", "1,0", "--q3", "vertical:0.3"],
+                     "5154b43c1a51772d75931d925aac86e127cb711661170f8707f835de25b7c109",
+                     id="lines-finite"),
+    ])
+    def test_stdout_digest(self, argv, digest, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestUnresolvedVertices:
     """Scans skip the placements with a vertex that no seed reaches."""
 
