@@ -1118,12 +1118,29 @@ class PolygonalColoring(_Queries):
         return list(self.pieces)
 
     def _measurable(self, xs: np.ndarray, ys: np.ndarray) -> Optional[np.ndarray]:
-        """Every point with no pieces, where all distances are inf."""
-        return super()._measurable(xs, ys) if self.pieces else None
+        """The points whose ``PolygonTables.gaps`` offsets are all finite: a
+        point whose offset overflows to inf or NaN has no distance the
+        floats can form. None if that is all: with no pieces (every
+        distance is inf), or when max(|x|, |y|) < 2^500 and ``clear_scale``
+        is finite. Then |p - a| < 2^501 and |e| >= 2^-200, so the piece
+        parameter stays below 2^702, and every offset below 2^503."""
+        if not self.pieces:
+            return None
+        if (math.isfinite(self.tables.clear_scale)
+                and np.abs(np.concatenate((xs, ys))).max(initial=0.0) < 2.0 ** 500):
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            gx, gy = self.tables.gaps(xs, ys)
+        ok = np.isfinite(gx).all(axis=0) & np.isfinite(gy).all(axis=0)
+        return None if ok.all() else ok
 
     def _distance_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray]:
-        gx, gy = self.tables.gaps(xs, ys)
-        return (_nearest(xs.shape[0], np.arange(xs.shape[0]), gx.T, gy.T),)
+        # Past 2^500 a finite offset may come from an overflowing parameter,
+        # and its square may overflow: inf ranks the same in ``_nearest``,
+        # whose math.hypot of the offset stays exact.
+        with np.errstate(over="ignore"):
+            gx, gy = self.tables.gaps(xs, ys)
+            return (_nearest(xs.shape[0], np.arange(xs.shape[0]), gx.T, gy.T),)
 
     def to_dict(self) -> dict:
         return {

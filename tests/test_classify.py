@@ -1665,6 +1665,24 @@ class TestDistance:
             # NaN exactly where resolve leaves the point unresolved
             assert coloring.resolve(xs, ys)[2].tolist() == np.isnan(got).tolist()
 
+    @pytest.mark.filterwarnings("error")
+    def test_polygonal_far_points(self):
+        """The L-shape far out, with no numpy warning: offsets whose squares
+        overflow keep their exact ``math.hypot``, the scalar distance; an
+        offset that overflows itself gives NaN (the scalar gives 1.41e308 at
+        (-1e308, 1e308), where the distance is 1e308)."""
+        pc = FAMILIES["polygonal"]
+        xs, ys = np.array([(0.0, 1e300), (1e200, 1e200), (-1e308, -1e308), (1e300, -1e300),
+                           (3.0, -4.0)]).T
+        assert_distance_matches_scalar(pc, xs, ys)
+        assert pc.distance(xs, ys).tolist() == [0.0, 1e200, math.hypot(1e308, 1e308), 1e300,
+                                                4.0]
+        bad = [(-1e308, 1e308), (1e308, 1e308), (1e308, -1e308)]
+        got = pc.distance(*np.array(bad + [(3.0, -4.0)]).T)
+        assert np.isnan(got[:3]).all() and got[3] == 4.0
+        for x, y in bad:
+            assert math.isnan(one_point_distance(pc, Point(x, y)))
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_boundary_distance_is_the_one_point_view(self, family):
         coloring = FAMILIES[family]

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from monotri.geom import Infeasible, RigidMotion, distance
+from monotri.geom import DEFAULT_TOL, Infeasible, RigidMotion, distance
 from monotri.forcing import (
     DegenerateSides,
     EightPointConfig,
@@ -30,6 +31,55 @@ def spec_stream(n, seed=20250808):
             continue
         out.append(sides)
     return out
+
+
+# Each part's fixed colors, free points and target multisets, as the
+# forcing_check_i and forcing_check_ii docstrings state them.
+PARTS = {
+    "i": ({"A": "black", "B": "black", "C": "black"}, ("D", "A'", "B'", "C'", "D'"),
+          lambda a, b, c: [(a, b, c)]),
+    "ii": ({"B": "white", "A": "white", "D": "white"}, ("B'", "C", "C'", "A'", "D'"),
+           lambda a, b, c: [(a, a, a), (b, b, b), (c, c, c)]),
+}
+
+
+def oracle_sides(cfg):
+    """Each triple's sorted side lengths, measured triple by triple."""
+    sides = {}
+    for trio in itertools.combinations(LABELS, 3):
+        p, q, r = (cfg.points[t] for t in trio)
+        sides[frozenset(trio)] = tuple(sorted((distance(p, q), distance(q, r), distance(r, p))))
+    return sides
+
+
+def oracle_check(part, a, b, c, tol=DEFAULT_TOL):
+    """The forcing check from its definition: every coloring of the free
+    points, as a dict, must hold a monochromatic triple whose sorted sides
+    match a target's within ``tol * (1 + its largest side)``; the first
+    such triple, targets in order, is the coloring's log entry."""
+    fixed, free, targets = PARTS[part]
+    sides = oracle_sides(build_config(a, b, c, tol))
+    matches = []
+    for multiset in targets(a, b, c):
+        want = tuple(sorted(multiset))
+        for key, got in sides.items():
+            if all(abs(g - w) <= tol * (1.0 + max(want)) for g, w in zip(got, want)):
+                matches.append((tuple(sorted(key)), want))
+    log = []
+    for bits in range(2 ** len(free)):
+        colors = dict(fixed)
+        for i, label in enumerate(free):
+            colors[label] = "white" if (bits >> i) & 1 else "black"
+        hits = [(labels, want) for labels, want in matches
+                if len({colors[t] for t in labels}) == 1]
+        if not hits:
+            return {"verified": False, "tested_colorings": 2 ** len(free),
+                    "counterexample": colors, "log": log}
+        labels, want = hits[0]
+        log.append({"coloring": colors, "triple": labels, "multiset": list(want),
+                    "color": colors[labels[0]]})
+    return {"verified": True, "tested_colorings": 2 ** len(free), "counterexample": None,
+            "log": log}
 
 
 class TestBuildConfig:
@@ -155,3 +205,27 @@ class TestForcingChecks:
         for a, b, c in spec_stream(200):
             assert forcing_check_i(a, b, c).verified, (a, b, c)
             assert forcing_check_ii(a, b, c).verified, (a, b, c)
+
+
+# distinct sides near 1e-150 collide within tolerance (DegenerateSides)
+ORACLE_SIDES = spec_stream(200) + [(1, 1, 2), (1, 2, 3), (1e-150, 1e-150, 1e-150),
+                                   (1e150, 1e150, 1e150), (1e150, 2e150, 2.5e150)]
+
+
+class TestForcingOracle:
+    """The checks and the classification against the brute force above."""
+
+    @pytest.mark.parametrize("part, check", [("i", forcing_check_i), ("ii", forcing_check_ii)])
+    def test_verdicts_match_the_oracle(self, part, check):
+        for sides in ORACLE_SIDES:
+            assert check(*sides).to_dict() == oracle_check(part, *sides), sides
+
+    def test_classification_is_the_per_triple_distances(self):
+        for sides in ORACLE_SIDES:
+            cfg = build_config(*sides)
+            got = classify_triples(cfg).triples
+            want = oracle_sides(cfg)
+            assert list(got) == list(want)
+            # bit for bit: the same floats, not merely equal ones
+            assert [np.array(v).tobytes() for v in got.values()] == \
+                [np.array(v).tobytes() for v in want.values()], sides
