@@ -66,6 +66,7 @@ from .geom import (
     DEFAULT_TOL,
     SQRT3,
     GeometryError,
+    InvalidArgument,
     Point,
     Region,
     SchemaError,
@@ -940,6 +941,68 @@ class PolygonalColoring(_Queries):
                     raise GeometryError(
                         f"boundary segments {i} and {j} intersect away from "
                         "their endpoints")
+        self._check_seeds()
+
+    def _check_seeds(self) -> None:
+        """Refuse seeds that disagree, raising ``InvalidArgument`` naming ``seeds``.
+
+        Seeds i < j are linked by the sight line between them or, where that
+        line is ambiguous, by a bent line through a point beside its
+        midpoint: the first point off the boundary, at 1/4 or 1/2 of the
+        seeds' distance to either side, whose two legs are unambiguous. A
+        linked pair's colors must differ exactly when its line crosses the
+        boundary an odd number of times, and a chain of links must join
+        every seed to seed 0. Otherwise a point's color would depend on
+        which seed it reaches first. Two or more seeds are checked only
+        with every seed and piece coordinate below 2^500: the bent lines'
+        points then stay below 2^501, and no product overflows.
+        """
+        tb, tol = self.tables, DEFAULT_TOL
+        i, j = np.triu_indices(len(self.seeds), 1)
+        if not i.size:
+            return
+        reach = np.abs(np.concatenate([a.ravel() for a in (tb.ax, tb.ay, tb.ex, tb.ey,
+                                                           tb.seed_x, tb.seed_y)])).max()
+        if not reach < 2.0 ** 500:
+            raise InvalidArgument("seeds", "can be checked against each other only where "
+                                           "every seed and piece lies within 2^500 of the "
+                                           "origin", float(reach))
+        dx, dy = tb.seed_x[j] - tb.seed_x[i], tb.seed_y[j] - tb.seed_y[i]
+        odd, ambiguous = self._crossing_parity(tb.seed_x[i], tb.seed_y[i], j,
+                                               np.hypot(dx, dy), tol)
+        for f in (0.25, -0.25, 0.5, -0.5):
+            bent = np.flatnonzero(ambiguous)
+            if not bent.size:
+                break
+            wx = 0.5 * (tb.seed_x[i[bent]] + tb.seed_x[j[bent]]) - f * dy[bent]
+            wy = 0.5 * (tb.seed_y[i[bent]] + tb.seed_y[j[bent]]) + f * dx[bent]
+            (odd_i, amb_i), (odd_j, amb_j) = (
+                self._crossing_parity(wx, wy, k[bent], np.hypot(tb.seed_x[k[bent]] - wx,
+                                                                tb.seed_y[k[bent]] - wy), tol)
+                for k in (i, j))
+            gx, gy = tb.gaps(wx, wy)
+            ok = (np.hypot(gx, gy) > tol).all(axis=0) & ~amb_i & ~amb_j
+            odd[bent[ok]] = odd_i[ok] ^ odd_j[ok]
+            ambiguous[bent[ok]] = False
+        linked = ~ambiguous
+        clash = np.flatnonzero(linked & (tb.seed_black[i] ^ tb.seed_black[j] ^ odd))
+        if clash.size:
+            a, b = (int(k[clash[0]]) for k in (i, j))
+            raise InvalidArgument("seeds", f"must take the colors that the boundary crossings "
+                                           f"between them give, but seeds {a} and {b} do not",
+                                  [self.to_dict()["seeds"][k] for k in (a, b)])
+        reached = np.zeros(len(self.seeds), dtype=bool)
+        reached[0] = True
+        while True:
+            grow = linked & (reached[i] != reached[j])
+            if not grow.any():
+                break
+            reached[i[grow]] = reached[j[grow]] = True
+        if not reached.all():
+            a = int(np.argmin(reached))
+            raise InvalidArgument("seeds", f"must each be joined to seed 0 by unambiguous sight "
+                                           f"lines, but seed {a} is not",
+                                  self.to_dict()["seeds"][a])
 
     @cached_property
     def tables(self) -> PolygonTables:

@@ -361,13 +361,28 @@ def point_segment_distance(p: Point, seg: Segment,
 
     ``ray_start``/``ray_end`` extend the segment to a half-line or full line,
     which keeps distances to clipped representations of unbounded boundary
-    pieces honest.
+    pieces honest. Where the projection of ``p`` overflows (p far out),
+    the distance is that of the figure scaled by 2^-k, which is exact,
+    times 2^k. With |p - a| below 2^r and |q - a| below 2^s, the least k
+    with 2k >= max(r, s) + s - 1020 keeps the scaled projection, and
+    |q - a|^2, below 2^1021; finite projections keep their bits.
     """
-    ax, ay = seg.p.x, seg.p.y
-    dx, dy = seg.q.x - seg.p.x, seg.q.y - seg.p.y
-    L2 = dx * dx + dy * dy
-    t = ((p.x - ax) * dx + (p.y - ay) * dy) / L2
+    coords = (p.x, p.y, seg.p.x, seg.p.y, seg.q.x, seg.q.y)
     lo = -math.inf if ray_start else 0.0
     hi = math.inf if ray_end else 1.0
-    t = min(max(t, lo), hi)
-    return math.hypot(p.x - (ax + t * dx), p.y - (ay + t * dy))
+    num, dist = _projected(*coords, lo, hi)
+    if math.isfinite(num):  # else it overflowed, as every coordinate is finite
+        return dist
+    reach, size = (max(math.frexp(c)[1] for c in cs) + 1 for cs in (coords[:4], coords[2:]))
+    k = (max(reach, size) + size - 1020 + 1) // 2
+    return math.ldexp(_projected(*(math.ldexp(c, -k) for c in coords), lo, hi)[1], k)
+
+
+def _projected(px, py, ax, ay, qx, qy, lo, hi) -> tuple[float, float]:
+    """The projection numerator (p - a).(q - a) and the distance from p to
+    the nearest point a + t (q - a), t in [lo, hi]."""
+    dx, dy = qx - ax, qy - ay
+    L2 = dx * dx + dy * dy
+    num = (px - ax) * dx + (py - ay) * dy
+    t = min(max(num / L2, lo), hi)
+    return num, math.hypot(px - (ax + t * dx), py - (ay + t * dy))

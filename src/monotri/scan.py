@@ -15,12 +15,19 @@ first run is one angle and each later one doubles, up to that cap); only
 when one angle has more than ``_SCAN_BLOCK`` translations is a block a
 slice of one angle's translations, at most ``_SCAN_BLOCK`` of them (a find
 scan's first slice is ``isqrt(_SCAN_BLOCK)`` and each later one doubles,
-up to that cap). Results are deterministic, the first witness found is the
-least one, and a find scan stops in the block of its witness. A find scan
-classifies vertex 3 only where vertices 1 and 2 agree, and takes the
-margins of a block's monochromatic poses in batches of doubling size, one
-``distance`` call per batch, in pose order; an avoidance scan classifies
-all three vertices, which its near-miss rule needs. Placements with an
+up to that cap). Translations are built from flat lattice indices, a block
+at a time, so a scan's memory does not grow with the lattice. Vertex 1
+sits at the canonical triangle's origin, so at every angle it is its
+translation, bit for bit, and its mask is angle-free: the engine
+classifies it once for the whole scan when the lattice fits in a block,
+else once per slice, and each block's masks broadcast against it.
+Results are deterministic, the first witness found is the least one, and
+a find scan stops in the block of its witness. A find scan classifies
+vertex 2 once per block and vertex 3 only where vertices 1 and 2 agree,
+and takes the margins of a block's monochromatic poses in batches of
+doubling size, one ``distance`` call per batch, in pose order; an
+avoidance scan classifies vertices 2 and 3 everywhere, in one call per
+block, which its near-miss rule needs. Placements with an
 unresolved vertex (see :mod:`monotri.colorings`) are skipped by find and
 counted as ``unresolved`` by avoidance. A scan that exhausts its grid is a
 sampling verdict, never a proof of avoidance.
@@ -232,13 +239,16 @@ _MARGIN_BATCH = 4
 _EXAMPLES = 8  # the first monochromatic placements and near misses an avoidance report lists
 
 
-def _placed_poses(spec: TriangleSpec, grid: ScanGrid, ramp: bool = False,
-                  one_column: bool = False):
-    """The scan engine: per block of poses, in pose order, ``(pose, place)``.
+def _placed_poses(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid, tol: float,
+                  ramp: bool = False):
+    """The scan engine: per block of poses, in pose order, ``(pose, place, first)``.
 
-    The grid's n translations are flat lattice indices, x major and y minor;
-    with ``one_column``, they are the first column's only, and no other
-    column is built.
+    The grid's n translations are flat lattice indices t, x major and y
+    minor, at ``x0 + (t // ny) * step`` and ``y0 + (t % ny) * step``: the
+    floats ``ScanGrid.xs`` and ``ys`` hold, bit for bit. For a coloring that
+    reads ys alone (``_YS_ONLY``) they are the first column's only, n = ny.
+    A block builds its translations from their indices, so no array holds
+    more translations than a block.
     When n <= ``_SCAN_BLOCK``, a block is a run of whole angles k0, k0 + 1,
     ... over all n translations: ``_SCAN_BLOCK // n`` angles, or, with
     ``ramp``, one angle in the first block and twice as many in each later
@@ -251,50 +261,66 @@ def _placed_poses(spec: TriangleSpec, grid: ScanGrid, ramp: bool = False,
     ``place(v, at)`` is the points ``(xs, ys)`` of vertex ``v`` (0, 1 or 2)
     over the block, one broadcast add of translations and offsets, or over
     the block's poses ``at`` only, whose translations and offsets are
-    gathered before the add. Offsets are rotated in Python floats, one angle
-    at a time, so that every vertex is the one :func:`place_triangle` gives
-    for its pose.
+    gathered before the add; ``place(slice(1, 3))`` is vertex 1's points,
+    then vertex 2's, in one add. Offsets are rotated in Python floats, one
+    angle at a time, so that every vertex is the one :func:`place_triangle`
+    gives for its pose.
+
+    ``first`` is ``coloring.resolve`` of vertex 0 over the block's m
+    translations, one entry per translation, since it is the same at every
+    angle: :func:`place_triangle` puts vertex 0 at the origin, which every
+    rotation keeps there, so vertex 0 is its translation plus a +-0.0
+    offset, and that is the translation bit for bit (a lattice value
+    ``x0 + i * step`` is never -0.0). So pose i's vertex 0 has entry
+    i % m, and the masks of a block's (runs, m) poses broadcast against
+    ``first``. When n <= ``_SCAN_BLOCK`` every block has the same
+    translations, and ``first`` is one call for the whole scan; a sliced
+    lattice classifies each slice's translations, so that the scan's
+    arrays stay one block's size.
     """
-    if one_column:
-        Y = grid.ys()
-        X = np.full(Y.size, grid.column_x(0))
-    else:
-        X, Y = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ys(), indexing="ij"))
+    ny = grid._count(grid.region.y0, grid.region.y1)
+    n = ny if coloring._YS_ONLY else grid.columns() * ny
+
+    def translations(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        t = np.arange(lo, hi)
+        return (grid.region.x0 + (t // ny) * grid.position_step,
+                grid.region.y0 + (t % ny) * grid.position_step)
+
     base = place_triangle(spec, RigidMotion(0.0))
     angles = grid.angles().tolist()
     block = _SCAN_BLOCK
-    cap = max(block // X.size, 1)
+    cap = max(block // n, 1)
     run = 1 if ramp else cap
     # 64 poses at the default block: a zebra ``resolve`` call costs about
     # 33 us plus 40 ns per point, so a smaller first slice saves under 3 us
-    size = math.isqrt(block) if ramp and X.size > block else block
+    size = math.isqrt(block) if ramp and n > block else block
+    if n <= block:
+        xs, ys = translations(0, n)
+        first = coloring.resolve(xs, ys, tol)
     k0 = 0
     while k0 < len(angles):
         rot = [(math.cos(a), math.sin(a)) for a in angles[k0:k0 + run]]
-        # the x offsets of vertices 0, 1 and 2, then their y offsets: a column
-        # per angle, or, for one angle, floats, which numpy adds fastest
-        offsets = ([c * p.x - s * p.y for p in base for c, s in rot]
-                   + [s * p.x + c * p.y for p in base for c, s in rot])
-        if len(rot) > 1:
-            offsets = np.array(offsets).reshape(6, -1, 1)
+        # the x offsets of vertices 0, 1 and 2, then their y offsets, a row
+        # per vertex and a column per angle
+        offsets = np.array([[c * p.x - s * p.y for c, s in rot] for p in base]
+                           + [[s * p.x + c * p.y for c, s in rot] for p in base])[..., None]
         lo = 0
-        while lo < X.size:
-            xs, ys = X[lo:lo + size], Y[lo:lo + size]
+        while lo < n:
+            if n > block:
+                xs, ys = translations(lo, min(lo + size, n))
+                first = coloring.resolve(xs, ys, tol)
 
             def pose(i, k0=k0, xs=xs, ys=ys):
                 k, t = divmod(int(i), xs.size)
                 return k0 + k, angles[k0 + k], float(xs[t]), float(ys[t])
 
-            def place(v: int, at=None, xs=xs, ys=ys, offsets=offsets, runs=len(rot)):
-                ox, oy = offsets[v], offsets[3 + v]
+            def place(v, at=None, xs=xs, ys=ys, ox=offsets[:3], oy=offsets[3:]):
                 if at is None:
-                    return (xs + ox).ravel(), (ys + oy).ravel()
-                if runs > 1:
-                    k, at = np.divmod(at, xs.size)
-                    ox, oy = ox[k, 0], oy[k, 0]
-                return xs[at] + ox, ys[at] + oy
+                    return (xs + ox[v]).ravel(), (ys + oy[v]).ravel()
+                k, at = np.divmod(at, xs.size)
+                return xs[at] + ox[v, k, 0], ys[at] + oy[v, k, 0]
 
-            yield pose, place
+            yield pose, place, first
             lo += size
             size = min(2 * size, block)
         k0 += len(rot)
@@ -306,8 +332,9 @@ def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGr
                             tol: float = DEFAULT_TOL) -> Optional[ScanWitness]:
     """First placement (in pose order) that is monochromatic with margin.
 
-    Vertex 3 is classified only where vertices 1 and 2 agree, and the scan
-    stops in the block of its witness. Runs of whole angles start at one
+    Vertex 1 is classified once per lattice or slice (see the module
+    docstring), vertex 2 once per block, and vertex 3 only where vertices 1
+    and 2 agree, and the scan stops in the block of its witness. Runs of whole angles start at one
     angle and double up to the engine's cap, so a witness at angle k is
     found after classifying at most 2k + 1 angles; where one angle holds
     more translations than a block, its slices ramp up the same way. The
@@ -329,12 +356,13 @@ def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGr
     if not (0.0 <= min_margin < math.inf):
         raise InvalidArgument("min_margin", "must be a finite number >= 0", min_margin)
     _check_scan(spec, grid, tol)
-    for pose, place in _placed_poses(spec, grid, ramp=True, one_column=coloring._YS_ONLY):
-        b1, _, u1 = coloring.resolve(*place(0), tol)
+    for pose, place, (b1, _, u1) in _placed_poses(coloring, spec, grid, tol, ramp=True):
+        m = b1.size
         b2, _, u2 = coloring.resolve(*place(1), tol)
+        b2, u2 = b2.reshape(-1, m), u2.reshape(-1, m)
         pairs = np.flatnonzero((b1 == b2) & ~(u1 | u2))
         b3, _, u3 = coloring.resolve(*place(2, pairs), tol)
-        mono = pairs[(b3 == b1[pairs]) & ~u3]
+        mono = pairs[(b3 == b1[pairs % m]) & ~u3]
         lo, size = 0, _MARGIN_BATCH
         while lo < mono.size:
             batch = mono[lo:lo + size]
@@ -345,7 +373,7 @@ def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGr
                 i = batch[ok[0]]
                 _, angle, x, y = pose(i)
                 motion = RigidMotion(angle, (x, y))
-                color = Color.BLACK if bool(b1[i]) else Color.WHITE
+                color = Color.BLACK if bool(b1[i % m]) else Color.WHITE
                 # + 0.0 drops the sign of a zero margin, as in margin_of
                 return ScanWitness(motion, place_triangle(spec, motion), color,
                                    float(margins[ok[0]]) + 0.0)
@@ -374,9 +402,11 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
     unresolved = 0
     mono_ex: list[tuple[int, float, float]] = []
     near_ex: list[tuple[int, float, float]] = []
-    for pose, place in _placed_poses(spec, grid, one_column=one_column):
-        (b1, on1, u1), (b2, on2, u2), (b3, on3, u3) = (coloring.resolve(*place(v), tol)
-                                                       for v in range(3))
+    for pose, place, (b1, on1, u1) in _placed_poses(coloring, spec, grid, tol):
+        # vertices 2 and 3 in one call, as (2, runs, m) masks, which
+        # broadcast against vertex 1's m translations
+        (b2, b3), (on2, on3), (u2, u3) = (a.reshape(2, -1, b1.size) for a in
+                                          coloring.resolve(*place(slice(1, 3)), tol))
         mono = (b1 == b2) & (b2 == b3)
         near = (~mono) & (((b1 == b2) & on3) | ((b1 == b3) & on2) | ((b2 == b3) & on1))
         bad = u1 | u2 | u3

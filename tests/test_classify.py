@@ -57,6 +57,7 @@ from monotri.geom import (
     DEFAULT_TOL,
     DegenerateSegment,
     GeometryError,
+    InvalidArgument,
     Point,
     Region,
     RigidMotion,
@@ -836,28 +837,48 @@ def whole_angle_block(grid, ramp, coloring):
 @pytest.mark.parametrize("block", [1, 7, "runs"])
 class TestScanBlocks:
     """Scan results do not depend on the size of the engine's blocks: slices
-    of one angle's translations (sizes 1 and 7) or runs of whole angles."""
+    of one angle's translations (sizes 1 and 7) or runs of whole angles.
+
+    A lattice of n translations is sliced when n exceeds the block, and
+    then its vertex 0 is classified per slice; otherwise vertex 0 is
+    classified once, on all n translations. Every case is sliced at sizes 1
+    and 7 but the strip's one-column lattices of at most 7 translations,
+    and none is at "runs"."""
+
+    @staticmethod
+    def assert_path(counting, grid, block, label, ramp):
+        n = len(grid.ys()) * (1 if counting._YS_ONLY else len(grid.xs()))
+        sliced = n > block
+        assert sliced == (label != "runs" and not (counting._YS_ONLY and n <= label))
+        first = (math.isqrt(block) if ramp else block) if sliced else n
+        assert counting.points[0][0].size == first
 
     @pytest.mark.parametrize("coloring, sides, region, step, angles, min_margin, rejects",
                              FIND_CASES)
     def test_find(self, block, coloring, sides, region, step, angles, min_margin, rejects,
                   monkeypatch):
         spec, grid = TriangleSpec(*sides), ScanGrid(region, step, angles)
+        label = block
         if block == "runs":
             block = whole_angle_block(grid, ramp=True, coloring=coloring)
         monkeypatch.setattr(scan, "_SCAN_BLOCK", block)
         want, _ = brute_force_find(coloring, spec, grid, min_margin)
-        assert find_monochromatic_copy(coloring, spec, grid, min_margin) == want
+        counting = CountingColoring(coloring)
+        assert find_monochromatic_copy(counting, spec, grid, min_margin) == want
+        self.assert_path(counting, grid, block, label, ramp=True)
 
     @pytest.mark.parametrize("coloring, region, side, tol", AVOID_CASES)
     def test_avoid(self, block, coloring, region, side, tol, monkeypatch):
         grid = ScanGrid(region, 0.1, 12)
+        label = block
         if block == "runs":
             block = whole_angle_block(grid, ramp=False, coloring=coloring)
         monkeypatch.setattr(scan, "_SCAN_BLOCK", block)
         spec = TriangleSpec(side, side, side)
-        assert avoidance_scan(coloring, spec, grid, tol) == two_mask_avoidance(
+        counting = CountingColoring(coloring)
+        assert avoidance_scan(counting, spec, grid, tol) == two_mask_avoidance(
             coloring, spec, grid, tol)
+        self.assert_path(counting, grid, block, label, ramp=False)
 
 
 def walk_avoidance(coloring, spec, grid, tol=1e-9, max_examples=8):
@@ -992,37 +1013,58 @@ def assert_placed(spec, grid, first, points, v, at):
 
 
 def test_blocks_are_runs_of_whole_angles():
-    """Black for y >= 0. Avoidance runs ``_SCAN_BLOCK // n`` angles per block;
-    a find scan runs 1, 2, 4, ... angles per block and stops in its witness's."""
+    """Black for y >= 0. Vertex 0 is classified once, on the lattice's n
+    translations, and is the same point at every angle. Avoidance then runs
+    ``_SCAN_BLOCK // n`` angles per block, with one call for vertices 1 and
+    2; a find scan runs 1, 2, 4, ... angles per block, with one call for
+    vertex 1 and one for vertex 2 where vertices 0 and 1 agree, and stops
+    in its witness's."""
+    assert_block_layout(0.0)
+
+
+def test_block_layout_at_a_negative_zero_corner():
+    """The same layout where the region's corner is -0.0: vertex 0 is still
+    its translation, bit for bit, at every angle."""
+    assert_block_layout(-0.0)
+
+
+def assert_block_layout(corner):
     spec = TriangleSpec(1.0, 1.0, 1.0)
     coloring = CountingColoring(HalfPlaneColoring(UnitVector(0.0, 1.0)))
-    grid = ScanGrid(Region(0.0, 0.0, 1.0, 1.0), 0.1, 70)
+    grid = ScanGrid(Region(corner, corner, 1.0, 1.0), 0.1, 70)
     n = len(grid.xs()) * len(grid.ys())
     assert (n, scan._SCAN_BLOCK // n) == (121, 33)
+    # a lattice value x0 + i * step is never -0.0, so +-0.0 offsets keep it
+    assert math.copysign(1.0, grid.xs()[0]) == math.copysign(1.0, grid.ys()[0]) == 1.0
     avoidance_scan(coloring, spec, grid)
-    # three resolve calls per run of 33, 33 and 4 angles
     runs = [(0, 33), (33, 33), (66, 4)]
-    assert [xs.size for xs, _ in coloring.points] == [a * n for _, a in runs for _ in range(3)]
-    for call, points in enumerate(coloring.points):
-        k0, a = runs[call // 3]
-        assert_placed(spec, grid, k0 * n, points, call % 3, range(a * n))
+    assert [xs.size for xs, _ in coloring.points] == [n] + [2 * a * n for _, a in runs]
+    for k in range(grid.angle_count):
+        assert_placed(spec, grid, k * n, coloring.points[0], 0, range(n))
+    for (k0, a), (xs, ys) in zip(runs, coloring.points[1:]):
+        for v in (1, 2):
+            part = slice((v - 1) * a * n, v * a * n)
+            assert_placed(spec, grid, k0 * n, (xs[part], ys[part]), v, range(a * n))
 
     # the first pose all white with margin turns by 5 pi/6, in the block of angles 3 to 6
     coloring = CountingColoring(coloring.inner)
-    grid = ScanGrid(Region(0.0, -0.625, 0.25, -0.375), 0.125, 12)
+    grid = ScanGrid(Region(corner, -0.625, 0.25, -0.375), 0.125, 12)
     n = len(grid.xs()) * len(grid.ys())
     witness = find_monochromatic_copy(coloring, spec, grid, 0.05)
     assert witness == brute_force_find(coloring.inner, spec, grid, 0.05)[0]
     assert witness.motion.angle == grid.angles()[5]
     runs = [(0, 1), (1, 2), (3, 4)]
-    assert len(coloring.points) == 3 * len(runs)
+    assert len(coloring.points) == 1 + 2 * len(runs)
+    b1 = coloring.calls[0]
+    assert b1.size == n
+    for k in range(grid.angle_count):
+        assert_placed(spec, grid, k * n, coloring.points[0], 0, range(n))
     for block, (k0, a) in enumerate(runs):
-        b1, b2, b3 = coloring.calls[3 * block:3 * block + 3]
-        pairs = np.flatnonzero(b1 == b2)
-        assert b1.size == b2.size == a * n and b3.size == pairs.size
-        for v, at in enumerate((range(a * n), range(a * n), pairs)):
-            assert_placed(spec, grid, k0 * n, coloring.points[3 * block + v], v, at)
-
+        b2, b3 = coloring.calls[1 + 2 * block:3 + 2 * block]
+        pairs = np.flatnonzero(np.tile(b1, a) == b2)
+        assert b2.size == a * n and b3.size == pairs.size
+        for v, at in ((1, range(a * n)), (2, pairs)):
+            assert_placed(spec, grid, k0 * n, coloring.points[2 * block + v], v, at)
 
 
 def square_island(*seeds) -> PolygonalColoring:
@@ -1031,6 +1073,17 @@ def square_island(*seeds) -> PolygonalColoring:
     pieces = tuple(BoundaryPiece(Segment(corners[k], corners[(k + 1) % 4]), Color.BLACK)
                    for k in range(4))
     return PolygonalColoring(pieces, seeds, Region(-4.0, -4.0, 4.0, 4.0))
+
+
+def refused_seeds(pieces, seeds, window) -> PolygonalColoring:
+    """A coloring whose seeds disagree: the constructor refuses it, naming
+    ``seeds``, and the kernel tests below still check ``resolve`` against
+    the walk on it, built without that check."""
+    with pytest.raises(InvalidArgument, match="^seeds "):
+        PolygonalColoring(pieces, seeds, window)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PolygonalColoring, "_check_seeds", lambda self: None)
+        return PolygonalColoring(pieces, seeds, window)
 
 
 POLYGONAL = {
@@ -1056,14 +1109,14 @@ POLYGONAL = {
         (BoundaryPiece(Segment(Point(0.0, 0.0), Point(1.0, 0.0)), Color.WHITE),),
         ((Point(0.5, 8e-4), Color.BLACK),), Region(-4.0, -4.0, 4.0, 4.0))],
     # seeds that disagree make the color depend on the seed order, ties included
-    "inconsistent-seeds": [PolygonalColoring(
+    "inconsistent-seeds": [refused_seeds(
         (BoundaryPiece(Segment(Point(8.0, 0.0), Point(-8.0, 0.0)), Color.BLACK,
                        ray_start=True, ray_end=True),),
         ((Point(-1.0, 1.0), Color.BLACK), (Point(1.0, 1.0), Color.WHITE)),
         Region(-8.0, -8.0, 8.0, 8.0))],
     # seeds of opposite colors whose clear disks overlap: a point in both
     # disks takes its nearest seed's color, not that of any seed whose disk holds it
-    "overlapping-disks": [PolygonalColoring(
+    "overlapping-disks": [refused_seeds(
         (BoundaryPiece(Segment(Point(8.0, 0.0), Point(-8.0, 0.0)), Color.BLACK,
                        ray_start=True, ray_end=True),),
         ((Point(-0.5, 2.0), Color.BLACK), (Point(0.5, 2.0), Color.WHITE)),

@@ -130,6 +130,17 @@ class TestBadFieldsExitOne:
         assert captured.out == ""
         assert f"field '{field}'" in captured.err
 
+    def test_disagreeing_seeds(self, tmp_path, capsys):
+        """The L-shape with a white seed in its black quadrant exits 1, naming seeds."""
+        doc = l_shape_coloring().to_dict()
+        doc["seeds"].append([3.0, 3.0, "white"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["scan", "--coloring", str(path)] + SCAN) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seeds must take the colors" in captured.err
+
     @pytest.mark.parametrize("field, witness", [
         ("vertices", {"vertices": 5}),  # used to exit 2 with a TypeError
         # used to exit 1 with "not enough values to unpack"

@@ -1,13 +1,16 @@
 import copy
 import hashlib
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monotri.geom import DEFAULT_TOL, GeometryError, Point, Region, UnitVector
+from monotri.geom import DEFAULT_TOL, GeometryError, InvalidArgument, Point, Region, UnitVector
 from monotri.colorings import (
     Color,
     HalfPlaneColoring,
@@ -584,6 +587,72 @@ class TestSerialization:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             coloring_from_dict({"type": "plaid"})
+
+
+def perfbench_convex_face(monkeypatch):
+    """The benchmark's ``convex_face`` builder, from ``perfbench/jobs.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    jobs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, jobs)  # its dataclasses look it up
+    spec.loader.exec_module(jobs)
+    return jobs.convex_face
+
+
+class TestSeedAgreement:
+    """Seeds whose colors the boundary crossings between them contradict,
+    or that no chain of unambiguous sight lines joins to seed 0, are refused."""
+
+    def test_contradicting_seed_is_refused(self):
+        # without the check, (1.1, 1.1) came out black and (2.9, 2.9) white,
+        # in one open quadrant
+        pc = l_shape_coloring()
+        seeds = pc.seeds + ((Point(3.0, 3.0), Color.WHITE),)
+        with pytest.raises(InvalidArgument, match="^seeds .*seeds 0 and 2 do not") as err:
+            PolygonalColoring(pc.pieces, seeds, pc.window)
+        assert err.value.param == "seeds"
+        doc = pc.to_dict()
+        doc["seeds"].append([3.0, 3.0, "white"])
+        with pytest.raises(InvalidArgument, match="^seeds "):
+            coloring_from_dict(doc)
+
+    def test_seed_without_an_unambiguous_chain_is_refused(self):
+        # the line x = 1 in two pieces that meet on the seeds' sight line;
+        # every bent line's corner lies on the line too
+        pieces = (BoundaryPiece(Segment(Point(1.0, 0.0), Point(1.0, 5.0)), Color.BLACK,
+                                ray_end=True),
+                  BoundaryPiece(Segment(Point(1.0, 0.0), Point(1.0, -5.0)), Color.BLACK,
+                                ray_end=True))
+        seeds = ((Point(0.0, 0.0), Color.BLACK), (Point(2.0, 0.0), Color.WHITE))
+        with pytest.raises(InvalidArgument, match="^seeds .*seed 1 is not"):
+            PolygonalColoring(pieces, seeds, Region(-8.0, -8.0, 8.0, 8.0))
+        # a third seed off the line links seed 1 through it
+        third = ((Point(0.0, 3.0), Color.BLACK),)
+        PolygonalColoring(pieces, third + seeds[::-1], Region(-8.0, -8.0, 8.0, 8.0))
+
+    def test_agreeing_seeds_construct(self, monkeypatch):
+        # sight lines through a corner take a bent line: the L-shape's seeds,
+        # the island's across its corner (1, 1), the hexagon's along y = 0
+        l_shape_coloring()
+        all_black_coloring()
+        square = [Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0), Point(0.0, 1.0)]
+        pieces = tuple(BoundaryPiece(Segment(square[k], square[(k + 1) % 4]), Color.BLACK)
+                       for k in range(4))
+        PolygonalColoring(pieces, ((Point(0.5, 0.5), Color.BLACK),
+                                   (Point(2.5, 2.5), Color.WHITE)), Region(-4, -4, 4, 4))
+        hexagon_face()
+        convex_face = perfbench_convex_face(monkeypatch)
+        for seed in range(100):
+            convex_face(np.random.default_rng(seed))
+
+
+def test_piece_distance_far_out():
+    """The L-shape's least ``distance_to`` at (+-1e308, 1e308) is 1e308, from
+    (0, 1e308) on its y ray; the projections there overflow unscaled."""
+    pieces = l_shape_coloring().pieces
+    assert [pc.distance_to(Point(-1e308, 1e308)) for pc in pieces] == [
+        math.hypot(1e308, 1e308), 1e308]
+    assert [pc.distance_to(Point(1e308, 1e308)) for pc in pieces] == [1e308, 1e308]
 
 
 def hexagon_face() -> PolygonalColoring:

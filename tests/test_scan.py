@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,23 @@ class TestAvoidanceScan:
                                     ScanGrid(Region(0, 0, 3, 3), 0.02, 360),
                                     min_margin=0.01)
         assert w is not None and verify_witness(rotated, spec, w)
+
+    def test_memory_does_not_grow_with_the_lattice(self):
+        """A scan builds its translations a block at a time, from flat lattice
+        indices: 4,004,001 translations peak within 2 MB of 10,201."""
+        def peak(side):
+            grid = ScanGrid(Region(0, 0, side, side), 0.01, 1)
+            tracemalloc.start()
+            try:
+                report = avoidance_scan(HalfPlaneColoring(), UNIT, grid)
+                return tracemalloc.get_traced_memory()[1], report
+            finally:
+                tracemalloc.stop()
+
+        small, _ = peak(1)
+        large, report = peak(20)
+        assert report.placements_tested == 4004001
+        assert large - small < 2 * 2 ** 20
 
     def test_all_boundary_black_twin_contains(self):
         # the coloring that paints every curve black admits boundary triangles
