@@ -11,14 +11,15 @@ _EXPORTS = {
     "geom": (
         "DEFAULT_TOL", "Circle", "CircleHit", "DegenerateSegment", "DistanceMismatch",
         "GeometryError", "Infeasible", "Point", "Region", "RigidMotion", "SchemaError",
-        "Segment", "TriangleSpec", "UnitVector", "circle_polyline_intersections",
-        "distance", "place_triangle", "rotate_about", "third_vertex",
+        "Segment", "TriangleSpec", "UnitVector", "distance", "place_triangle",
+        "rotate_about", "third_vertex",
     ),
     "colorings": (
         "BoundaryPiece", "Color", "HalfPlaneColoring", "MalformedProfile",
         "PolygonalColoring", "StripColoring", "UnresolvedFace", "ZebraColoring",
         "ZebraConditionReport", "ZebraProfile", "all_black_coloring",
-        "check_zebra_conditions", "coloring_from_dict", "l_shape_coloring",
+        "check_zebra_conditions", "circle_polyline_intersections", "coloring_from_dict",
+        "l_shape_coloring",
     ),
     "scan": (
         "AlmostUnitPair", "AvoidanceReport", "HexagonProbe", "NotOnBoundary", "ScanGrid",

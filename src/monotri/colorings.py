@@ -12,8 +12,10 @@ Four families, each a total map from points to black/white:
   rule, which is what the twin operation toggles.
 * ``PolygonalColoring`` -- an explicit list of oriented boundary segments
   (white face on the left), per-segment boundary colors, and one seed point
-  per face; interior points resolve by crossing parity from a seed, in one
-  array pass (``resolve``) that also reports the points no seed reaches.
+  per face; segment ends meet where they are equal, and ends of two
+  segments that nearly meet are refused. Interior points resolve by
+  crossing parity from a seed, in one array pass (``resolve``) that also
+  reports the points no seed reaches.
 * ``HalfPlaneColoring`` -- the simplest polygonal coloring, kept as its own
   family for cheap negative tests.
 
@@ -31,13 +33,19 @@ view over ``resolve``, and raises ``UnresolvedFace`` at an unresolved point.
 ``distance(xs, ys)`` returns the exact distance of each point to the
 boundary in one array pass (the witness margin of a scan), NaN where a
 coordinate is not finite and where a zebra, strip or half-plane point is
-unresolved, and ``boundary_segments`` gives the boundary as oriented
-segments for probing and rendering. Colorings are immutable after
-construction; all queries are pure. Two array kernels hold the segment
+unresolved. ``boundary_segments(window)`` gives the boundary in a window
+as one ``PieceTable``, for the probes and ``render``: the pieces' ends,
+ray flags and colors as arrays, and the ids of the vertices where their
+ends meet, which each family sets where it knows them (a zebra where
+consecutive pieces of a curve share a joint in the window, a polygonal
+coloring once, where piece ends are equal). Colorings are immutable after
+construction; all queries are pure. Three array kernels hold the segment
 arithmetic: ``_clip``, the one Liang-Barsky clip (zebra and half-plane
-``boundary_segments``), and ``_offsets`` from points to their nearest
-segment points (polygonal queries and seed table, zebra ``distance``); one
-builder, ``ZebraColoring._polylines``, makes every zebra polyline row.
+tables), ``_offsets`` from points to their nearest segment points
+(polygonal queries and seed table, zebra ``distance``, the hexagon
+probe's host piece), and ``circle_polyline_intersections``, a circle's
+hits on a table; one builder, ``ZebraColoring._polylines``, makes every
+zebra polyline row.
 
 ``coloring_from_dict`` is the one reader of the JSON document form that
 ``to_dict`` writes: it checks each field's shape as it builds, and raises
@@ -65,6 +73,8 @@ import numpy as np
 from .geom import (
     DEFAULT_TOL,
     SQRT3,
+    Circle,
+    CircleHit,
     GeometryError,
     InvalidArgument,
     Point,
@@ -76,14 +86,14 @@ from .geom import (
     WindowTooLarge,
     check_tol,
     distance,
-    point_segment_distance,
 )
 
 __all__ = [
     "BoundaryPiece", "Color", "Coloring", "DWitness", "HalfPlaneColoring",
-    "MalformedProfile", "PolygonalColoring", "SchemaError", "StripColoring", "TriangleSpec",
-    "UnresolvedFace", "ZebraColoring", "ZebraConditionReport", "ZebraProfile",
-    "all_black_coloring", "check_zebra_conditions", "coloring_from_dict", "l_shape_coloring",
+    "MalformedProfile", "PieceTable", "PolygonalColoring", "SchemaError", "StripColoring",
+    "TriangleSpec", "UnresolvedFace", "ZebraColoring", "ZebraConditionReport", "ZebraProfile",
+    "all_black_coloring", "check_zebra_conditions", "circle_polyline_intersections",
+    "coloring_from_dict", "l_shape_coloring",
 ]
 
 HALF_SQRT3 = SQRT3 / 2.0
@@ -117,7 +127,7 @@ def _parity_color(index: int, rule: str) -> Color:
 
 @dataclass(frozen=True)
 class BoundaryPiece:
-    """One oriented piece of a coloring boundary.
+    """One oriented piece of a polygonal coloring's boundary, as documents give it.
 
     Orientation convention: the white face lies on the left of p->q.
     ``ray_start``/``ray_end`` flag pieces that continue unbounded past the
@@ -129,8 +139,81 @@ class BoundaryPiece:
     ray_start: bool = False
     ray_end: bool = False
 
-    def distance_to(self, p: Point) -> float:
-        return point_segment_distance(p, self.seg, self.ray_start, self.ray_end)
+
+class PieceTable:
+    """A boundary as arrays, one row per oriented piece, white face on the left.
+
+    Piece k is ``a + u e`` for u in ``[u_lo[k], u_hi[k]]``: a = ``(ax[k],
+    ay[k])``, b = ``(bx[k], by[k])``, ``e = (ex, ey) = b - a``, ``len2 =
+    |e|^2``, and u in [0, 1] widened to -inf past a where ``ray_start[k]``,
+    to inf past b where ``ray_end[k]``. ``black[k]`` is its color. ``v0[k]``
+    and ``v1[k]`` are the ids of the vertices at a and b, -1 on a ray side
+    and at a free end; vertex m, where two or more ends meet, is ``(vx[m],
+    vy[m])``, the first end in piece order (a before b) that references it.
+    ``joints`` gives, for end j of piece k at 2k + j, the position of the
+    first end that it meets, or -1. The arrays are read-only.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, black: np.ndarray,
+                 ray_start=False, ray_end=False, joints: Optional[np.ndarray] = None):
+        n = black.shape[0]
+        (self.ax, self.ay), (self.bx, self.by) = a, b
+        self.black = black
+        self.ray_start = np.zeros(n, dtype=bool) | ray_start
+        self.ray_end = np.zeros(n, dtype=bool) | ray_end
+        with np.errstate(over="ignore"):  # a window's pieces may span most of the floats
+            self.ex, self.ey = self.bx - self.ax, self.by - self.ay
+            self.len2 = self.ex * self.ex + self.ey * self.ey
+        self.u_lo = np.where(self.ray_start, -np.inf, 0.0)
+        self.u_hi = np.where(self.ray_end, np.inf, 1.0)
+        first = np.full(2 * n, -1) if joints is None else joints
+        meets = np.bincount(first[first >= 0], minlength=2 * n) >= 2
+        ids = np.where((first >= 0) & meets[first], np.cumsum(meets)[first] - 1, -1)
+        self.v0, self.v1 = ids.reshape(n, 2).T
+        roots = np.flatnonzero(meets)
+        self.vx = np.stack((self.ax, self.bx), axis=1).ravel()[roots]
+        self.vy = np.stack((self.ay, self.by), axis=1).ravel()[roots]
+        for table in vars(self).values():
+            table.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.black.shape[0]
+
+    @classmethod
+    def of(cls, pieces: tuple[BoundaryPiece, ...]) -> "PieceTable":
+        """The table of polygonal pieces, whose ends meet where they are equal
+        (+0.0 and -0.0 too) and bounded. ``InvalidArgument`` names ``segments``
+        when the bounded ends of two pieces lie within 10 ``DEFAULT_TOL`` of
+        each other without being equal: no tolerance decides whether they meet.
+        Sorted by x, then y, equal ends are adjacent, and all the ends between
+        two within reach lie within reach of the first in x."""
+        coords = np.array([(pc.seg.p.x, pc.seg.p.y, pc.seg.q.x, pc.seg.q.y)
+                           for pc in pieces]).reshape(-1, 4)
+        rays = np.array([(pc.ray_start, pc.ray_end) for pc in pieces], dtype=bool).reshape(-1, 2)
+        e = np.flatnonzero(~rays.ravel())
+        x, y = coords.reshape(-1, 2)[e].T + 0.0  # + 0.0 turns -0.0 into +0.0
+        order = np.lexsort((y, x))  # stable: equal ends stay in piece order
+        e, x, y = e[order], x[order], y[order]
+        step = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            while (i := np.flatnonzero(x[step:] - x[:-step] <= 10.0 * DEFAULT_TOL)).size:
+                j = i + step
+                near = ((np.hypot(x[j] - x[i], y[j] - y[i]) <= 10.0 * DEFAULT_TOL)
+                        & ((x[j] != x[i]) | (y[j] != y[i])) & (e[i] // 2 != e[j] // 2))
+                if near.any():
+                    f, g = sorted((int(e[i[near][0]]), int(e[j[near][0]])))
+                    raise InvalidArgument(
+                        "segments", f"must meet at equal ends or keep them more than "
+                                    f"{10.0 * DEFAULT_TOL} apart, but segments {f // 2} and "
+                                    f"{g // 2} do not", coords.reshape(-1, 2)[[f, g]].tolist())
+                step += 1
+        new = np.ones(e.size, dtype=bool)  # the first end of each run of equal ends
+        new[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+        joints = np.full(rays.size, -1)
+        joints[e] = e[new][np.cumsum(new) - 1]
+        a, b = coords.T.copy().reshape(2, 2, -1)
+        return cls(a, b, np.array([pc.color is Color.BLACK for pc in pieces], dtype=bool),
+                   rays[:, 0], rays[:, 1], joints)
 
 
 _RESOLVE_BLOCK = 2048  # points per array pass of ``resolve`` and ``distance``
@@ -176,11 +259,62 @@ def _nearest(n: int, owner: np.ndarray, gx: np.ndarray, gy: np.ndarray,
 
 def _offsets(px, py, ax, ay, ex, ey, len2, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Offsets from points p to their nearest points ``a + u e``, u in [lo, hi],
-    with ``len2 = |e|^2``; the arguments broadcast. ``math.hypot`` of an offset
-    is ``point_segment_distance`` bit for bit."""
+    with ``len2 = |e|^2``, at the projection ``(p - a).e / len2`` clamped; the
+    arguments broadcast. ``math.hypot`` of an offset is p's distance from the piece."""
     u = ((px - ax) * ex + (py - ay) * ey) / len2
     u = np.minimum(np.maximum(u, lo), hi)
     return px - (ax + u * ex), py - (ay + u * ey)
+
+
+def circle_polyline_intersections(circle: Circle, table: PieceTable,
+                                  tol: float = DEFAULT_TOL) -> list[CircleHit]:
+    """All intersections of ``circle`` with the pieces of ``table``, in one
+    array pass, each piece over its ``[u_lo, u_hi]``, so rays too.
+
+    Piece a + t e meets the circle at the roots of
+    ``len2 t^2 + b t + c = 0``. Two roots closer than ``2 tol`` along the
+    piece, and, without a root, the nearest point of the piece when it lies
+    within ``tol`` of the circle, are one tangential hit; a root or
+    tangent point within ``tol / |e|`` of the parameter range counts, at
+    its clamped parameter. Hits come in piece order, the smaller root
+    first, and a hit within ``10 tol`` of an earlier one is merged into it,
+    so that a shared end gives one hit, on the lower row.
+    """
+    cx, cy, r = circle.center.x, circle.center.y, circle.radius
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx, fy = table.ax - cx, table.ay - cy
+        a = table.len2
+        b = 2.0 * (fx * table.ex + fy * table.ey)
+        disc = b * b - 4.0 * a * (fx * fx + fy * fy - r * r)
+        length = np.sqrt(a)
+        root = np.sqrt(disc)
+        t1, t2 = (-b - root) / (2.0 * a), (-b + root) / (2.0 * a)
+        graze = disc <= 0.0
+        cross = ~graze & ((t2 - t1) * length > 2.0 * tol)
+        # each piece's first candidate: its nearest point to the center, the
+        # double root, or the smaller root
+        t0 = np.where(graze, -b / (2.0 * a), np.where(cross, t1, 0.5 * (t1 + t2)))
+        lo, hi = table.u_lo - tol / length, table.u_hi + tol / length
+        # a superset of the grazing pieces whose nearest point lies within tol
+        # of the circle, which math.hypot decides below (np.hypot may err by an ulp)
+        u = np.minimum(np.maximum(t0, table.u_lo), table.u_hi)
+        gap = np.hypot(table.ax + u * table.ex - cx, table.ay + u * table.ey - cy)
+        first = np.where(graze, np.abs(gap - r) <= tol + 1e-12 * (gap + r), (lo <= t0) & (t0 <= hi))
+        second = cross & (lo <= t2) & (t2 <= hi)
+    rows, slot = np.nonzero(np.stack((first, second), axis=1))
+    hits: list[CircleHit] = []
+    for k, t, grazing, tangent, ax, ay, ex, ey, u_lo, u_hi in zip(
+            rows.tolist(), np.where(slot, t2[rows], t0[rows]).tolist(), graze[rows].tolist(),
+            (~cross)[rows].tolist(), *(c[rows].tolist() for c in (
+                table.ax, table.ay, table.ex, table.ey, table.u_lo, table.u_hi))):
+        t = min(max(t, u_lo), u_hi)
+        x, y = ax + t * ex, ay + t * ey
+        if grazing and abs(math.hypot(x - cx, y - cy) - r) > tol:
+            continue
+        hit = CircleHit(Point(x, y), k, tangent)
+        if all(distance(known.point, hit.point) > 10.0 * tol for known in hits):
+            hits.append(hit)
+    return hits
 
 
 def _clip(p: np.ndarray, d: np.ndarray, window: Region
@@ -309,29 +443,17 @@ class StripColoring(_Queries):
             black = (frac >= 0.0) & (frac < 0.5)
         return black, np.minimum(near, 1.0 - near) * half <= tol, ~np.isfinite(q)
 
-    def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
-        """Horizontal boundary lines clipped to ``window``, white on the left."""
+    def boundary_segments(self, window: Region) -> PieceTable:
+        """Horizontal boundary lines across ``window``, white on the left."""
         half = self.period / 2.0
         _check_window(2.0 * ((window.y1 - window.y0) / half + 5.0))  # two points a line
-        k_lo = math.floor(window.y0 / half) - 1
-        k_hi = math.ceil(window.y1 / half) + 1
-        pieces = []
-        for k in range(k_lo, k_hi + 1):
-            y = k * half
-            if y < window.y0 - half or y > window.y1 + half:
-                continue
-            upper_edge = k % 2 != 0  # y = (n + 1/2) * period: top edge of a black strip
-            if self.boundary_rule == "upper-closed":
-                color = Color.BLACK if upper_edge else Color.WHITE
-            else:
-                color = Color.WHITE if upper_edge else Color.BLACK
-            # White face above the upper edge, below the lower edge.
-            if upper_edge:
-                seg = Segment(Point(window.x0, y), Point(window.x1, y))
-            else:
-                seg = Segment(Point(window.x1, y), Point(window.x0, y))
-            pieces.append(BoundaryPiece(seg, color, ray_start=True, ray_end=True))
-        return pieces
+        k = np.arange(math.floor(window.y0 / half) - 1, math.ceil(window.y1 / half) + 2)
+        k = k[~((k * half < window.y0 - half) | (k * half > window.y1 + half))]
+        y, upper_edge = k * half, k % 2 != 0  # y = (n + 1/2) * period: top edge of a black strip
+        # White face above the upper edge, below the lower edge.
+        x0, x1 = np.where(upper_edge, [[window.x0], [window.x1]], [[window.x1], [window.x0]])
+        return PieceTable(np.stack((x0, y)), np.stack((x1, y)),
+                          upper_edge == (self.boundary_rule == "upper-closed"), True, True)
 
     def _distance_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray]:
         # fmod, not _frac: at negative multiples of the half period this is
@@ -668,22 +790,27 @@ class ZebraColoring(_Queries):
         kept[:, 1:-1] = inside
         return P, kept, _merge_joints(P, kept)
 
-    def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
+    def boundary_segments(self, window: Region) -> PieceTable:
         """Clipped curves as oriented pieces, white face on the left: the
-        segments of ``_polylines``, clipped by ``_clip``."""
+        segments of ``_polylines``, clipped by ``_clip``. Two consecutive
+        pieces of a row meet when only zero-length steps lie between them and
+        their joint lies in the closed window."""
         curves, P, _, E = self._window_polylines(window)
-        kept, a, b = _clip(P[:, :, :-1].reshape(2, -1), E.reshape(2, -1), window)
+        starts, steps = P[:, :, :-1].reshape(2, -1), E.reshape(2, -1)
+        kept, a, b = _clip(starts, steps, window)
+        row = kept // E.shape[2]
+        even = (row + curves.start) % 2 == 0
         # band i sits above L_i, and +x_hat keeps the upper band on the left
-        styles = [(_parity_color(i, self.boundary_parity),
-                   _parity_color(i, self.parity_rule) is not Color.WHITE) for i in (0, 1)]
-        pieces = []
-        for i, ax, ay, bx, by in zip((kept // (P.shape[2] - 1) + curves.start).tolist(),
-                                     *a.tolist(), *b.tolist()):
-            color, flip = styles[i % 2]
-            head, tail = Point(ax, ay), Point(bx, by)
-            pieces.append(BoundaryPiece(Segment(tail, head) if flip else Segment(head, tail),
-                                        color))
-        return pieces
+        flip = even == (self.parity_rule == "even-black")
+        moved = np.cumsum((steps[0] != 0.0) | (steps[1] != 0.0))
+        (jx, jy), k = starts[:, kept[1:]], np.arange(kept.size - 1)
+        k = k[(row[1:] == row[:-1]) & (moved[kept[1:]] == moved[kept[:-1]] + 1)
+              & (window.x0 <= jx) & (jx <= window.x1) & (window.y0 <= jy) & (jy <= window.y1)]
+        # piece k's clipped b meets piece k + 1's a; flipped pieces hold b first
+        joints = np.full(2 * kept.size, -1)
+        joints[2 * k + 1 - flip[k]] = joints[2 * k + 2 + flip[k + 1]] = 2 * k + 1 - flip[k]
+        return PieceTable(np.where(flip, b, a), np.where(flip, a, b),
+                          even == (self.boundary_parity == "even-black"), joints=joints)
 
     def _measurable(self, xs: np.ndarray, ys: np.ndarray) -> Optional[np.ndarray]:
         """The points ``resolve`` resolves, finite with ``|s| + |t| < 2^48``; None
@@ -798,7 +925,7 @@ class HalfPlaneColoring(_Queries):
         black = closed if self.closed_side_color is Color.BLACK else ~closed
         return black, on, ~np.isfinite(s)
 
-    def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
+    def boundary_segments(self, window: Region) -> PieceTable:
         n = self.normal
         white_on_plus = self.closed_side_color is Color.WHITE
         # Direction whose ccw perpendicular points into the white side.
@@ -808,9 +935,8 @@ class HalfPlaneColoring(_Queries):
         a = Point(anchor.x - reach * d[0], anchor.y - reach * d[1])
         b = Point(anchor.x + reach * d[0], anchor.y + reach * d[1])
         _, p, q = _clip(np.array([[a.x], [a.y]]), np.array([[b.x - a.x], [b.y - a.y]]), window)
-        return [BoundaryPiece(Segment(Point(px, py), Point(qx, qy)), self.closed_side_color,
-                              ray_start=True, ray_end=True)
-                for px, py, qx, qy in zip(*p.tolist(), *q.tolist())]
+        return PieceTable(p, q, np.full(p.shape[1], self.closed_side_color is Color.BLACK),
+                          True, True)
 
     def _distance_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray]:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -849,14 +975,14 @@ def _pieces_cross(a: Segment, b: Segment) -> bool:
 
 
 class PolygonTables:
-    """Piece and seed arrays of a polygonal coloring, for vectorized queries.
+    """The piece table and seed arrays of a polygonal coloring, for vectorized queries.
 
-    Piece j is ``a + u * e`` for u in ``[u_lo, u_hi]``, unbounded on a ray
-    side. Piece fields are columns of shape (pieces, 1), so that a
-    (pieces, points) grid keeps the points on its fast axis. ``piece_len``
-    is ``math.hypot`` of e, ``piece_black`` the piece color and
-    ``seed_dist[j, k]`` the distance of seed k from piece j (as
-    ``BoundaryPiece.distance_to`` gives it, bit for bit).
+    ``pieces`` is the ``PieceTable`` of the coloring's pieces. The columns
+    that the kernels read are repeated here as views of shape (pieces, 1),
+    so that a (pieces, points) grid keeps the points on its fast axis:
+    piece j is ``a + u * e`` for u in ``[u_lo, u_hi]``, unbounded on a ray
+    side. ``piece_len`` is ``math.hypot`` of e, and ``seed_dist[j, k]`` the
+    distance of seed k from piece j, ``math.hypot`` of its ``gaps`` offset.
 
     ``seed_clear[k]``, the least ``seed_dist[j, k]`` over the pieces (inf
     without pieces), is seed k's clear radius: no piece comes nearer to
@@ -869,23 +995,11 @@ class PolygonTables:
     outside those bounds the pad's error analysis does not hold.
     """
 
-    def __init__(self, pieces: tuple[BoundaryPiece, ...],
-                 seeds: tuple[tuple[Point, Color], ...]):
-        def column(values, dtype=float) -> np.ndarray:
-            return np.array(list(values), dtype=dtype).reshape(-1, 1)
-
-        segs = [pc.seg for pc in pieces]
-        self.ax = column(sg.p.x for sg in segs)
-        self.ay = column(sg.p.y for sg in segs)
-        self.ex = column(sg.q.x - sg.p.x for sg in segs)
-        self.ey = column(sg.q.y - sg.p.y for sg in segs)
-        self.len2 = self.ex * self.ex + self.ey * self.ey
-        self.piece_len = column(math.hypot(sg.q.x - sg.p.x, sg.q.y - sg.p.y) for sg in segs)
-        self.ray_start = column((pc.ray_start for pc in pieces), bool)
-        self.ray_end = column((pc.ray_end for pc in pieces), bool)
-        self.u_lo = np.where(self.ray_start, -np.inf, 0.0)
-        self.u_hi = np.where(self.ray_end, np.inf, 1.0)
-        self.piece_black = np.array([pc.color is Color.BLACK for pc in pieces], dtype=bool)
+    def __init__(self, pieces: PieceTable, seeds: tuple[tuple[Point, Color], ...]):
+        for name in ("ax", "ay", "ex", "ey", "len2", "ray_start", "ray_end", "u_lo", "u_hi"):
+            setattr(self, name, getattr(pieces, name)[:, None])
+        self.piece_len = np.fromiter(map(math.hypot, pieces.ex.tolist(), pieces.ey.tolist()),
+                                     float, len(pieces))[:, None]
         self.seed_x = np.array([p.x for p, _ in seeds])
         self.seed_y = np.array([p.y for p, _ in seeds])
         self.seed_black = np.array([c is Color.BLACK for _, c in seeds], dtype=bool)
@@ -895,6 +1009,7 @@ class PolygonTables:
         self.seed_clear = self.seed_dist.min(axis=0, initial=np.inf)
         for table in vars(self).values():
             table.setflags(write=False)
+        self.pieces = pieces
         scale = float(np.max(np.abs(self.ax) + np.abs(self.ay) + np.abs(self.ex)
                              + np.abs(self.ey), initial=0.0)
                       + np.max(np.abs(self.seed_x) + np.abs(self.seed_y)))
@@ -1006,8 +1121,9 @@ class PolygonalColoring(_Queries):
 
     @cached_property
     def tables(self) -> PolygonTables:
-        """Piece and seed arrays, built once per coloring."""
-        return PolygonTables(self.pieces, self.seeds)
+        """Piece and seed arrays, built once per coloring; ``PieceTable.of``
+        refuses ends that nearly meet, naming ``segments``."""
+        return PolygonTables(PieceTable.of(self.pieces), self.seeds)
 
     def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1047,7 +1163,7 @@ class PolygonalColoring(_Queries):
            64 u L < pad < c + 7 u L < 2.51 * 2^200 (by 2 and 3), so
            L < 2^249 and no product overflows; an underflow errs by
            2^-1074 absolute, negligible at every step here.
-        2. Gaps. ``gaps`` and ``point_segment_distance`` compute the
+        2. Gaps. ``gaps``, which also gives ``seed_dist``, computes the
            parameter of the nearest point of a piece to q within
            6.1 u |q - a| / |e| of the exact one, and the offset from q to
            the piece point at the computed parameter within 7.4 u L.
@@ -1129,7 +1245,7 @@ class PolygonalColoring(_Queries):
         on = near.any(axis=0)
         black = np.zeros(xs.shape, dtype=bool)
         if on.any():
-            black[on] = tb.piece_black[near[:, on].argmax(axis=0)]
+            black[on] = tb.pieces.black[near[:, on].argmax(axis=0)]
         # The walk: each point off the boundary tries its seeds nearest first.
         pend = np.flatnonzero(~on)
         px, py, dist = xs[pend], ys[pend], dist[pend]
@@ -1177,8 +1293,9 @@ class PolygonalColoring(_Queries):
         short = seg_len <= tol  # the point is at its seed
         return np.logical_xor.reduce(hit, axis=0) & ~short, ambiguous.any(axis=0) & ~short
 
-    def boundary_segments(self, window: Region) -> list[BoundaryPiece]:
-        return list(self.pieces)
+    def boundary_segments(self, window: Region) -> PieceTable:
+        """The table of every piece, whatever the window: ray sides stay unbounded."""
+        return self.tables.pieces
 
     def _measurable(self, xs: np.ndarray, ys: np.ndarray) -> Optional[np.ndarray]:
         """The points whose ``PolygonTables.gaps`` offsets are all finite: a

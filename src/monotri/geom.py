@@ -3,11 +3,14 @@
 Points, rigid motions (rotation + translation, no reflection), segments,
 circles and axis-aligned windows, together with the handful of predicates
 the coloring and scanning code is built on: third-vertex construction by
-circle intersection, canonical triangle placement, and circle/polyline
-intersection with explicit tangency flags. ``SchemaError``, the error of
-a malformed coloring document or command-line flag, and ``InvalidArgument``,
-the error of an argument outside its domain, live here too, so the command
-line can raise and catch them without loading the numpy-backed modules.
+circle intersection and canonical triangle placement. ``CircleHit`` is one
+hit of a circle on a boundary, with its tangency flag; the array pass that
+finds them, ``colorings.circle_polyline_intersections``, and the other
+piece kernels live in ``colorings``, so this module needs no numpy.
+``SchemaError``, the error of a malformed coloring document or command-line
+flag, and ``InvalidArgument``, the error of an argument outside its domain,
+live here too, so the command line can raise and catch them without
+loading the numpy-backed modules.
 
 All comparisons go through a single tolerance ``tol`` defaulting to
 ``DEFAULT_TOL`` (1e-9); ``check_tol`` is the one rule of the entry points
@@ -138,14 +141,6 @@ class Segment:
     def __post_init__(self):
         if distance(self.p, self.q) <= DEFAULT_TOL:
             raise DegenerateSegment(f"segment endpoints coincide: {self.p}")
-
-    @property
-    def direction(self) -> UnitVector:
-        dx, dy = self.q - self.p
-        return UnitVector.normalized(dx, dy)
-
-    def length(self) -> float:
-        return distance(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -285,104 +280,3 @@ class CircleHit:
     point: Point
     seg_index: int
     tangent: bool = False
-
-
-def _circle_segment_hits(circle: Circle, seg: Segment, seg_index: int,
-                         tol: float) -> list[CircleHit]:
-    px, py = seg.p.x, seg.p.y
-    dx, dy = seg.q.x - seg.p.x, seg.q.y - seg.p.y
-    fx, fy = px - circle.center.x, py - circle.center.y
-    a = dx * dx + dy * dy
-    b = 2.0 * (fx * dx + fy * dy)
-    c = fx * fx + fy * fy - circle.radius * circle.radius
-    disc = b * b - 4.0 * a * c
-
-    def at(t: float) -> Point:
-        return Point(px + t * dx, py + t * dy)
-
-    hits: list[CircleHit] = []
-    length = math.sqrt(a)
-    t_pad = tol / length
-    if disc <= 0.0:
-        # No transversal crossing; report grazing contact if the closest
-        # approach sits on the segment at radius distance within tol.
-        t_min = min(max(-b / (2.0 * a), 0.0), 1.0)
-        p_min = at(t_min)
-        if abs(distance(p_min, circle.center) - circle.radius) <= tol:
-            hits.append(CircleHit(p_min, seg_index, tangent=True))
-        return hits
-    root = math.sqrt(disc)
-    t1 = (-b - root) / (2.0 * a)
-    t2 = (-b + root) / (2.0 * a)
-    if (t2 - t1) * length <= 2.0 * tol:
-        tm = 0.5 * (t1 + t2)
-        if -t_pad <= tm <= 1.0 + t_pad:
-            hits.append(CircleHit(at(min(max(tm, 0.0), 1.0)), seg_index, tangent=True))
-        return hits
-    for t in (t1, t2):
-        if -t_pad <= t <= 1.0 + t_pad:
-            hits.append(CircleHit(at(min(max(t, 0.0), 1.0)), seg_index, tangent=False))
-    return hits
-
-
-def circle_polyline_intersections(circle: Circle, chain: list[Segment],
-                                  tol: float = DEFAULT_TOL) -> list[CircleHit]:
-    """All intersections of ``circle`` with a chain of segments.
-
-    Duplicate hits at shared endpoints are merged (the lower segment index
-    wins); tangential contacts come back as single flagged hits so callers
-    can tell grazing from crossing.
-
-    A segment pq whose bounding box lies farther than ``r + pad`` from the
-    center c in the max norm, at ``gap``, has no hit and is skipped, with
-    ``pad = tol + 2^-20 (|c_x| + |c_y| + r + gap + |q_x - p_x| + |q_y - p_y|)``:
-    a hit lies within tol of pq and of the circle as computed (rounding below
-    2^-50 (|c| + |p - c| + |q - p|)), or at a root whose point is within
-    2^-22 (|p - c| + |q - p| + r) of the disk, the square root of the
-    discriminant's rounding error.
-    """
-    cx, cy, r = circle.center.x, circle.center.y, circle.radius
-    reach = r + tol + 2.0 ** -20 * (abs(cx) + abs(cy) + r)
-    hits: list[CircleHit] = []
-    for i, seg in enumerate(chain):
-        (px, py), (qx, qy) = (seg.p.x - cx, seg.p.y - cy), (seg.q.x - cx, seg.q.y - cy)
-        gap = max(min(px, qx), -max(px, qx), min(py, qy), -max(py, qy))
-        if gap > reach + 2.0 ** -20 * (gap + abs(qx - px) + abs(qy - py)):
-            continue
-        for hit in _circle_segment_hits(circle, seg, i, tol):
-            if all(distance(known.point, hit.point) > 10.0 * tol for known in hits):
-                hits.append(hit)
-    return hits
-
-
-def point_segment_distance(p: Point, seg: Segment,
-                           ray_start: bool = False, ray_end: bool = False) -> float:
-    """Distance from ``p`` to a segment, optionally unbounded past either end.
-
-    ``ray_start``/``ray_end`` extend the segment to a half-line or full line,
-    which keeps distances to clipped representations of unbounded boundary
-    pieces honest. Where the projection of ``p`` overflows (p far out),
-    the distance is that of the figure scaled by 2^-k, which is exact,
-    times 2^k. With |p - a| below 2^r and |q - a| below 2^s, the least k
-    with 2k >= max(r, s) + s - 1020 keeps the scaled projection, and
-    |q - a|^2, below 2^1021; finite projections keep their bits.
-    """
-    coords = (p.x, p.y, seg.p.x, seg.p.y, seg.q.x, seg.q.y)
-    lo = -math.inf if ray_start else 0.0
-    hi = math.inf if ray_end else 1.0
-    num, dist = _projected(*coords, lo, hi)
-    if math.isfinite(num):  # else it overflowed, as every coordinate is finite
-        return dist
-    reach, size = (max(math.frexp(c)[1] for c in cs) + 1 for cs in (coords[:4], coords[2:]))
-    k = (max(reach, size) + size - 1020 + 1) // 2
-    return math.ldexp(_projected(*(math.ldexp(c, -k) for c in coords), lo, hi)[1], k)
-
-
-def _projected(px, py, ax, ay, qx, qy, lo, hi) -> tuple[float, float]:
-    """The projection numerator (p - a).(q - a) and the distance from p to
-    the nearest point a + t (q - a), t in [lo, hi]."""
-    dx, dy = qx - ax, qy - ay
-    L2 = dx * dx + dy * dy
-    num = (px - ax) * dx + (py - ay) * dy
-    t = min(max(num / L2, lo), hi)
-    return num, math.hypot(px - (ax + t * dx), py - (ay + t * dy))

@@ -23,11 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import InvalidArgument, Point, Region, Segment
+from .geom import InvalidArgument, Point, Region
 from .colorings import (
     Color,
     Coloring,
     HalfPlaneColoring,
+    PieceTable,
     PolygonalColoring,
     StripColoring,
     ZebraColoring,
@@ -99,8 +100,8 @@ class _Canvas:
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
             f'height="{_fmt(h)}" fill="{fill}" stroke="none"/>')
 
-    def line(self, seg: Segment, stroke: str, width: float) -> None:
-        (x1, y1), (x2, y2) = self.to_svg(seg.p), self.to_svg(seg.q)
+    def line(self, p: Point, q: Point, stroke: str, width: float) -> None:
+        (x1, y1), (x2, y2) = self.to_svg(p), self.to_svg(q)
         self.parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             f'stroke="{stroke}" stroke-width="{_fmt(width)}"/>')
@@ -171,6 +172,20 @@ def _fill_polygonal(canvas: _Canvas, coloring: PolygonalColoring) -> None:
         canvas.rect(x, y, dx * canvas.ppu, dy * canvas.ppu, BLACK_FILL)
 
 
+def _ray_ends(pieces: PieceTable, region: Region) -> tuple[np.ndarray, ...]:
+    """Each piece's stroke ends, x0, y0, x1, y1, a ray side moved out along
+    its piece to ``reach`` or more from the other end: past ``region``, as
+    ``reach`` exceeds the 1-norm of that end plus that of any region point."""
+    reach = (abs(region.x0) + abs(region.x1) + abs(region.y0) + abs(region.y1) + 1.0
+             + np.abs(pieces.ax) + np.abs(pieces.ay) + np.abs(pieces.bx) + np.abs(pieces.by))
+    far = reach / np.sqrt(pieces.len2)
+    lo, hi = np.minimum(1.0 - far, 0.0), np.maximum(far, 1.0)
+    return (np.where(pieces.ray_start, pieces.ax + lo * pieces.ex, pieces.ax),
+            np.where(pieces.ray_start, pieces.ay + lo * pieces.ey, pieces.ay),
+            np.where(pieces.ray_end, pieces.ax + hi * pieces.ex, pieces.bx),
+            np.where(pieces.ray_end, pieces.ay + hi * pieces.ey, pieces.by))
+
+
 def render_svg(spec: RenderSpec) -> str:
     """Render a coloring (and optional witness overlay) to an SVG document."""
     coloring = spec.coloring
@@ -190,8 +205,10 @@ def render_svg(spec: RenderSpec) -> str:
         raise ValueError(f"cannot render coloring of type {type(coloring).__name__}")
 
     stroke_w = max(1.5, 0.02 * spec.pixels_per_unit)
-    for piece in pieces:
-        canvas.line(piece.seg, STROKE, stroke_w)
+    ends = (_ray_ends(pieces, spec.region) if isinstance(coloring, PolygonalColoring)
+            else (pieces.ax, pieces.ay, pieces.bx, pieces.by))
+    for ax, ay, bx, by in zip(*(c.tolist() for c in ends)):
+        canvas.line(Point(ax, ay), Point(bx, by), STROKE, stroke_w)
 
     if spec.witness is not None:
         verts = _witness_vertices(spec.witness)

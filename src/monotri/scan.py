@@ -4,7 +4,9 @@ Grid scans for monochromatic congruent copies of a triangle spec, avoidance
 counts over a full placement grid, a guided search for almost-unit triangles
 in both color classes, and two boundary diagnostics: the six-point hexagon
 probe around a feasible boundary point and the convex-angle audit of
-boundary vertices.
+boundary vertices. Both read the coloring's ``PieceTable`` in a window: a
+vertex's degree is the number of piece ends with its id, and the unit
+circle meets the pieces, rays over their whole range, in one array pass.
 
 A placement is a pose index (angle index, x index, y index) applied to the
 canonical triangle of :func:`monotri.geom.place_triangle`. Find and
@@ -72,13 +74,14 @@ from .geom import (
     Region,
     RigidMotion,
     TriangleSpec,
+    UnitVector,
     check_sides,
     check_tol,
-    circle_polyline_intersections,
     distance,
     place_triangle,
 )
-from .colorings import BoundaryPiece, Color, Coloring, PolygonalColoring, _resolved_black
+from .colorings import (Color, Coloring, PolygonalColoring, _offsets, _resolved_black,
+                        circle_polyline_intersections)
 
 
 class NotOnBoundary(GeometryError):
@@ -635,46 +638,6 @@ class HexagonProbe:
         }
 
 
-def _boundary_vertices(pieces: Sequence[BoundaryPiece], tol: float) -> list[tuple[Point, list[int]]]:
-    """Endpoint clusters where at least two pieces meet (true corners).
-
-    Each endpoint joins the earliest cluster whose first point lies within
-    10*tol of it, else starts a new cluster. So the first points lie
-    pairwise farther apart than that reach, and an endpoint equal to one
-    of them (a shared joint) has it as its only cluster in reach: it is
-    looked up by its coordinates first. Other endpoints look among the
-    first points, bucketed by grid cell, in the 3 x 3 cells around their
-    own: with cells at least twice the reach, correctly rounded division
-    keeps two points within reach at most one cell apart (from 2^53 cells
-    out, such points are equal). Clipped chain ends and ray representatives
-    have degree one there and are not vertices.
-    """
-    reach = 10.0 * tol
-    # the floor keeps coordinates / cell finite for any coordinate below 1e292
-    cell = max(2.0 * reach, 1e-16)
-    clusters: list[tuple[Point, list[int]]] = []
-    firsts: dict[tuple[float, float], int] = {}
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for idx, pc in enumerate(pieces):
-        for p, bounded in ((pc.seg.p, not pc.ray_start), (pc.seg.q, not pc.ray_end)):
-            if not bounded:
-                continue
-            c = firsts.get((p.x, p.y))
-            if c is not None:
-                clusters[c][1].append(idx)
-                continue
-            kx, ky = math.floor(p.x / cell), math.floor(p.y / cell)
-            near = [c for bx in (kx - 1, kx, kx + 1) for by in (ky - 1, ky, ky + 1)
-                    for c in buckets.get((bx, by), ()) if distance(p, clusters[c][0]) <= reach]
-            if near:
-                clusters[min(near)][1].append(idx)
-            else:
-                buckets.setdefault((kx, ky), []).append(len(clusters))
-                firsts[p.x, p.y] = len(clusters)
-                clusters.append((p, [idx]))
-    return [(p, members) for p, members in clusters if len(members) >= 2]
-
-
 def default_probe_window(A: Point) -> Region:
     return Region(A.x - 2.25, A.y - 2.25, A.x + 2.25, A.y + 2.25)
 
@@ -690,30 +653,29 @@ def hexagon_probe(coloring: Coloring, A: Point, window: Optional[Region] = None,
     check_tol(tol)
     if window is None:
         window = default_probe_window(A)
-    pieces = coloring.boundary_segments(window)
-    host = None
-    host_dist = math.inf
-    for pc in pieces:
-        d = pc.distance_to(A)
-        if d < host_dist:
-            host, host_dist = pc, d
-    if host is None or host_dist > tol:
+    table = coloring.boundary_segments(window)
+    # the host is the first piece at the least distance, as math.hypot gives
+    # it; an offset that is NaN, where the projection overflows, is no candidate
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx, gy = _offsets(A.x, A.y, table.ax, table.ay, table.ex, table.ey, table.len2,
+                          table.u_lo, table.u_hi)
+    dist = np.fmin(np.fromiter(map(math.hypot, gx.tolist(), gy.tolist()), float, gx.size), np.inf)
+    if not dist.size or dist.min() > tol:
         raise NotOnBoundary(f"({A.x}, {A.y}) is not on the boundary")
+    host = int(dist.argmin())
 
-    vertices = _boundary_vertices(pieces, tol)
-    feasible = True
-    for v, _ in vertices:
-        dv = distance(v, A)
-        if dv <= tol or abs(dv - 1.0) <= tol:
-            feasible = False
-            break
+    feasible = not any(dv <= tol or abs(dv - 1.0) <= tol for dv in
+                       map(math.hypot, (table.vx - A.x).tolist(), (table.vy - A.y).tolist()))
 
-    sd = host.seg.direction
+    def direction(k: int) -> UnitVector:
+        return UnitVector.normalized(float(table.ex[k]), float(table.ey[k]))
+
+    sd = direction(host)
     def frame_angle(p: Point) -> float:
         vx, vy = p - A
         return math.atan2(-vx * sd.dy + vy * sd.dx, vx * sd.dx + vy * sd.dy)
 
-    hits = sorted(circle_polyline_intersections(Circle(A, 1.0), [pc.seg for pc in pieces], tol),
+    hits = sorted(circle_polyline_intersections(Circle(A, 1.0), table, tol),
                   key=lambda h: frame_angle(h.point))
     angles = [frame_angle(h.point) for h in hits]
     # label P_0 by the hit in (-pi/6, pi/6] and the rest in angular order
@@ -735,7 +697,7 @@ def hexagon_probe(coloring: Coloring, A: Point, window: Optional[Region] = None,
         points = tuple(h.point for h in labeled)
         # orientation pattern: hits 0 and 3 share the host orientation
         for i, hit in enumerate(labeled):
-            pdir = pieces[hit.seg_index].seg.direction
+            pdir = direction(hit.seg_index)
             parallel = abs(pdir.dx * sd.dy - pdir.dy * sd.dx) <= math.sqrt(DEFAULT_TOL)
             same = pdir.dx * sd.dx + pdir.dy * sd.dy > 0.0
             if not parallel or same != (i in (0, 3)):
@@ -780,20 +742,24 @@ def boundary_angle_audit(coloring: Coloring, window: Optional[Region] = None,
     check_tol(tol)
     if window is None:
         window = _default_audit_window(coloring)
-    pieces = coloring.boundary_segments(window)
+    table = coloring.boundary_segments(window)
+    # end 2k of the table is piece k's a, end 2k + 1 its b
+    ends = list(zip(np.stack((table.ax, table.bx), axis=1).ravel().tolist(),
+                    np.stack((table.ay, table.by), axis=1).ravel().tolist()))
+    ids = np.stack((table.v0, table.v1), axis=1).ravel()
+    # each vertex's ends in piece order, vertex by vertex; the first is its point
+    refs = np.argsort(ids, kind="stable")[np.count_nonzero(ids < 0):]
+    degree = np.bincount(ids[refs], minlength=table.vx.size)
+    at = (np.cumsum(degree) - degree)[degree == 2]
     entries = []
-    for v, members in _boundary_vertices(pieces, tol):
-        if len(members) != 2:
-            continue
-        rays = []
-        for idx in members:
-            seg = pieces[idx].seg
-            other = seg.q if distance(seg.p, v) <= distance(seg.q, v) else seg.p
-            dx, dy = other - v
+    for e, f in zip(refs[at].tolist(), refs[at + 1].tolist()):
+        (vx, vy), rays = ends[e], []
+        for g in (e, f):  # along each piece, to its other end g ^ 1
+            dx, dy = ends[g ^ 1][0] - vx, ends[g ^ 1][1] - vy
             n = math.hypot(dx, dy)
             rays.append((dx / n, dy / n))
         cosang = rays[0][0] * rays[1][0] + rays[0][1] * rays[1][1]
         angle = math.acos(min(max(cosang, -1.0), 1.0))
         if angle <= 2.0 * math.pi / 3.0 + tol:
-            entries.append(AngleAuditEntry(v, angle))
+            entries.append(AngleAuditEntry(Point(vx, vy), angle))
     return entries

@@ -43,6 +43,7 @@ from monotri import colorings, render, scan
 from monotri.colorings import (
     BoundaryPiece,
     Color,
+    PieceTable,
     HalfPlaneColoring,
     MalformedProfile,
     PolygonalColoring,
@@ -66,7 +67,6 @@ from monotri.geom import (
     UnitVector,
     distance,
     place_triangle,
-    point_segment_distance,
 )
 from monotri.render import RenderSpec, render_svg
 from monotri.scan import (
@@ -76,6 +76,7 @@ from monotri.scan import (
     avoidance_scan,
     find_monochromatic_copy,
 )
+from scalar_oracles import piece_distance, point_segment_distance
 
 SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
@@ -181,8 +182,10 @@ def clip_segment_to_region(p: Point, q: Point, window: Region) -> Optional[Segme
     return Segment(a, b)
 
 
-def per_point_boundary_segments(zc: ZebraColoring, window: Region) -> list[BoundaryPiece]:
-    """Clipped curves as oriented pieces, white face on the left.
+def per_point_boundary_segments(zc: ZebraColoring, window: Region) -> PieceTable:
+    """Clipped curves as oriented pieces, white face on the left. Two pieces
+    clipped from consecutive segments of one polyline meet at their joint
+    when it lies in the closed window.
 
     Coordinates are Python floats, which divide to inf without the warning
     that numpy scalars give when a clipping quotient overflows.
@@ -191,7 +194,7 @@ def per_point_boundary_segments(zc: ZebraColoring, window: Region) -> list[Bound
           for x in (window.x0, window.x1) for y in (window.y0, window.y1)]
     i_lo = math.floor((min(ts) - zc.profile.v_max) / HALF_SQRT3) - 1
     i_hi = math.ceil((max(ts) - zc.profile.v_min) / HALF_SQRT3) + 1
-    pieces = []
+    pieces, joints = [], []
     for i in range(i_lo, i_hi + 1):
         corners_s = [float(zc.to_frame(np.array([x]), np.array([y]))[0][0])
                      for x in (window.x0, window.x1) for y in (window.y0, window.y1)]
@@ -199,14 +202,27 @@ def per_point_boundary_segments(zc: ZebraColoring, window: Region) -> list[Bound
         pts = per_point_polyline(zc, i, u_lo, u_hi)
         color = colorings._parity_color(i, zc.boundary_parity)
         flip = colorings._parity_color(i, zc.parity_rule) is not Color.WHITE
+        joined = None  # the position of the last kept piece's clipped end q, if it meets the next
         for p, q in zip(pts, pts[1:]):
             seg = clip_segment_to_region(p, q, window)
-            if seg is not None:
-                pieces.append(BoundaryPiece(Segment(seg.q, seg.p) if flip else seg, color))
-    return pieces
+            if seg is None:
+                joined = None
+                continue
+            k = len(pieces)
+            pieces.append(BoundaryPiece(Segment(seg.q, seg.p) if flip else seg, color))
+            joints += [-1, -1]
+            if joined is not None:
+                joints[2 * k + flip] = joints[joined] = joined
+            inside = window.x0 <= q.x <= window.x1 and window.y0 <= q.y <= window.y1
+            joined = 2 * k + 1 - flip if inside else None
+    return PieceTable(*(np.array([[getattr(pc.seg, end).x for pc in pieces],
+                                  [getattr(pc.seg, end).y for pc in pieces]]).reshape(2, -1)
+                        for end in "pq"),
+                      np.array([pc.color is Color.BLACK for pc in pieces], dtype=bool),
+                      joints=np.array(joints, dtype=int))
 
 
-def scalar_halfplane_segments(hp: HalfPlaneColoring, window: Region) -> list[BoundaryPiece]:
+def scalar_halfplane_segments(hp: HalfPlaneColoring, window: Region) -> PieceTable:
     """The boundary line as one long segment through the window, clipped by
     ``clip_segment_to_region``, white face on the left."""
     n = hp.normal
@@ -215,9 +231,9 @@ def scalar_halfplane_segments(hp: HalfPlaneColoring, window: Region) -> list[Bou
     reach = abs(window.x0) + abs(window.x1) + abs(window.y0) + abs(window.y1) + 4.0
     seg = clip_segment_to_region(Point(anchor.x - reach * d[0], anchor.y - reach * d[1]),
                                  Point(anchor.x + reach * d[0], anchor.y + reach * d[1]), window)
-    if seg is None:
-        return []
-    return [BoundaryPiece(seg, hp.closed_side_color, ray_start=True, ray_end=True)]
+    ends = [] if seg is None else [[seg.p.x, seg.p.y, seg.q.x, seg.q.y]]
+    a, b = np.array(ends).reshape(-1, 4).T.reshape(2, 2, -1)
+    return PieceTable(a, b, np.full(len(ends), hp.closed_side_color is Color.BLACK), True, True)
 
 
 def scalar_zebra_distance(self: ZebraColoring, p: Point) -> float:
@@ -252,7 +268,7 @@ def scalar_distance(coloring, p: Point) -> float:
     if isinstance(coloring, HalfPlaneColoring):
         n = coloring.normal
         return abs(p.x * n.dx + p.y * n.dy - coloring.offset)
-    return min((piece.distance_to(p) for piece in coloring.pieces), default=math.inf)
+    return min((piece_distance(piece, p) for piece in coloring.pieces), default=math.inf)
 
 
 def assert_distance_matches_scalar(coloring, xs, ys):
@@ -304,7 +320,7 @@ def walk_color_at(pc: PolygonalColoring, p: Point, tol: float):
     if not (math.isfinite(p.x) and math.isfinite(p.y)):
         return None
     for piece in pc.pieces:
-        if piece.distance_to(p) <= tol:
+        if piece_distance(piece, p) <= tol:
             return piece.color
     order = sorted(range(len(pc.seeds)), key=lambda k: distance(pc.seeds[k][0], p))
     for k in order:
@@ -657,11 +673,11 @@ def boundary_points(coloring, rng, n=40):
     """Points on the coloring's boundary pieces, endpoints included."""
     pieces = coloring.boundary_segments(Region(-3.0, -3.0, 3.0, 3.0))
     xs, ys = [], []
-    for piece in pieces:
-        a, b = piece.seg.p, piece.seg.q
+    for ax, ay, bx, by in zip(pieces.ax.tolist(), pieces.ay.tolist(), pieces.bx.tolist(),
+                              pieces.by.tolist()):
         for f in np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, n // len(pieces)))):
-            xs.append(a.x + f * (b.x - a.x))
-            ys.append(a.y + f * (b.y - a.y))
+            xs.append(ax + f * (bx - ax))
+            ys.append(ay + f * (by - ay))
     return np.array(xs), np.array(ys)
 
 
@@ -893,7 +909,7 @@ def walk_avoidance(coloring, spec, grid, tol=1e-9, max_examples=8):
                 if None in colors:
                     unresolved += 1
                     continue
-                on = [any(pc.distance_to(v) <= tol for pc in coloring.pieces) for v in verts]
+                on = [any(piece_distance(pc, v) <= tol for pc in coloring.pieces) for v in verts]
                 mono = colors[0] == colors[1] == colors[2]
                 near = not mono and any(colors[i] == colors[j] and on[3 - i - j]
                                         for i, j in ((0, 1), (0, 2), (1, 2)))
@@ -1124,7 +1140,7 @@ POLYGONAL = {
 }
 
 class TestSeedDistances:
-    """``PolygonTables.seed_dist`` is the ``distance_to`` matrix bit for bit."""
+    """``PolygonTables.seed_dist`` is the scalar distance matrix bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(POLYGONAL))
     def test_table_is_the_scalar_matrix(self, name):
@@ -1133,7 +1149,7 @@ class TestSeedDistances:
             colorings_ = colorings_ + [convex_face(np.random.default_rng(300 + k))
                                        for k in range(48)]
         for pc in colorings_:
-            want = [[float.hex(piece.distance_to(p)) for p, _ in pc.seeds]
+            want = [[float.hex(piece_distance(piece, p)) for p, _ in pc.seeds]
                     for piece in pc.pieces]
             got = pc.tables.seed_dist
             assert got.shape == (len(pc.pieces), len(pc.seeds))
@@ -1243,7 +1259,7 @@ def assert_resolve_matches_walk(pc, xs, ys, tol):
     want = [walk_color_at(pc, p, tol) for p in points]
     assert unresolved.tolist() == [w is None for w in want]
     assert black.tolist() == [w is Color.BLACK for w in want]
-    near = [any(pc_.distance_to(p) <= tol for pc_ in pc.pieces) for p in points]
+    near = [any(piece_distance(pc_, p) <= tol for pc_ in pc.pieces) for p in points]
     assert on.tolist() == near
     return unresolved
 
@@ -1347,10 +1363,14 @@ ZEBRA_MERGES = {
 WIDE_PROFILE = ZebraProfile(((-5e-10, 0.0), (0.5, 0.2), (1.0 - 2e-10, 1e-10), (1.0 + 9e-10, 0.0)))
 
 
-def piece_bits(pieces) -> list[tuple]:
-    """Each piece's endpoint coordinates as exact hex strings, color and ray flags."""
-    return [(tuple(float.hex(float(c)) for c in (pc.seg.p.x, pc.seg.p.y, pc.seg.q.x, pc.seg.q.y)),
-             pc.color, pc.ray_start, pc.ray_end) for pc in pieces]
+def piece_bits(table: PieceTable) -> list[tuple]:
+    """Each piece's end coordinates as exact hex strings, color, ray flags and
+    vertex ids, then each vertex's coordinates."""
+    columns = (table.ax, table.ay, table.bx, table.by, table.black, table.ray_start,
+               table.ray_end, table.v0, table.v1)
+    return ([(tuple(map(float.hex, row[:4])), *row[4:])
+             for row in zip(*(c.tolist() for c in columns))]
+            + [tuple(map(float.hex, v)) for v in zip(table.vx.tolist(), table.vy.tolist())])
 
 
 def random_window(rng, scale: float) -> Region:
@@ -1429,7 +1449,7 @@ class TestBoundarySegments:
         window = Region(-1.5, -1.0, 2.5, 2.0)
         got = zc.boundary_segments(window)
         # curves 0, 1, 2 and -1 cross the window, each as one full-width piece
-        assert [abs(pc.seg.q.x - pc.seg.p.x) for pc in got] == [4.0] * 4
+        assert np.abs(got.ex).tolist() == [4.0] * 4
         assert piece_bits(got) == piece_bits(per_point_boundary_segments(zc, window))
 
     @given(zc=zebra_colorings(), seed=st.integers(0, 2 ** 32 - 1))
@@ -1461,15 +1481,15 @@ class TestBoundarySegments:
         for name in ("flat", "zigzag"):
             zc = ZebraColoring(ZEBRA_MERGES[name])
             window = Region(-3.0, 0.2, 4.0, 0.7)  # above L_0, below L_1
-            assert zc.boundary_segments(window) == []
-            assert per_point_boundary_segments(zc, window) == []
+            assert len(zc.boundary_segments(window)) == 0
+            assert len(per_point_boundary_segments(zc, window)) == 0
 
 
 class TestHalfPlaneSegments:
     """``HalfPlaneColoring.boundary_segments`` equals the scalar clip bit for bit."""
 
     @staticmethod
-    def assert_matches(hp: HalfPlaneColoring, window: Region) -> list[BoundaryPiece]:
+    def assert_matches(hp: HalfPlaneColoring, window: Region) -> PieceTable:
         got = hp.boundary_segments(window)
         assert piece_bits(got) == piece_bits(scalar_halfplane_segments(hp, window))
         return got
@@ -1781,3 +1801,17 @@ def test_polygonal_render_matches_walk_raster(name, region, monkeypatch):
     assert render_svg(spec) == got
     if name == "square-1-seed":
         assert walk_color_at(spec.coloring, Point(-1.984375, -1.984375), 1e-9) is None
+
+
+def test_polygonal_rays_cross_the_render_region():
+    """The L-shape's rays, stored from the corner to 16, are stroked across
+    all of [-30, 30]^2; its bounded ends stay where they are."""
+    svg = render_svg(RenderSpec(l_shape_coloring(), Region(-30.0, -30.0, 30.0, 30.0), 10.0))
+    lines = [tuple(map(float, m)) for m in re.findall(
+        r'<line x1="([-\d.]+)" y1="([-\d.]+)" x2="([-\d.]+)" y2="([-\d.]+)"', svg)]
+    assert len(lines) == 2
+    (x_from, y_from, x_to, y_to), (y_ray_from_x, y_ray_from_y, y_ray_x, y_ray_y) = lines
+    # the x ray runs from past x = 30 (600 px) to the corner (300, 300)
+    assert x_from >= 600.0 and (y_from, x_to, y_to) == (300.0, 300.0, 300.0)
+    # the y ray runs from the corner to past y = 30 (0 px)
+    assert (y_ray_from_x, y_ray_from_y, y_ray_x) == (300.0, 300.0, 300.0) and y_ray_y <= 0.0

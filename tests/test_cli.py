@@ -141,6 +141,18 @@ class TestBadFieldsExitOne:
         assert captured.out == ""
         assert "seeds must take the colors" in captured.err
 
+    def test_near_joints(self, tmp_path, capsys):
+        """The L-shape with its y ray starting 1e-12 from the x ray's end exits 1,
+        naming segments: the two ends are neither equal nor apart."""
+        doc = l_shape_coloring().to_dict()
+        doc["segments"][1]["p"] = [0.0, 1e-12]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["angles", "--coloring", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "segments must meet at equal ends" in captured.err
+
     @pytest.mark.parametrize("field, witness", [
         ("vertices", {"vertices": 5}),  # used to exit 2 with a TypeError
         # used to exit 1 with "not enough values to unpack"
@@ -899,12 +911,13 @@ class TestOtherCommands:
 EXPORTS = {
     "geom": ["DEFAULT_TOL", "Circle", "CircleHit", "DegenerateSegment", "DistanceMismatch",
              "GeometryError", "Infeasible", "Point", "Region", "RigidMotion", "SchemaError",
-             "Segment", "TriangleSpec", "UnitVector", "circle_polyline_intersections",
-             "distance", "place_triangle", "rotate_about", "third_vertex"],
+             "Segment", "TriangleSpec", "UnitVector", "distance", "place_triangle",
+             "rotate_about", "third_vertex"],
     "colorings": ["BoundaryPiece", "Color", "HalfPlaneColoring", "MalformedProfile",
                   "PolygonalColoring", "StripColoring", "UnresolvedFace", "ZebraColoring",
                   "ZebraConditionReport", "ZebraProfile", "all_black_coloring",
-                  "check_zebra_conditions", "coloring_from_dict", "l_shape_coloring"],
+                  "check_zebra_conditions", "circle_polyline_intersections",
+                  "coloring_from_dict", "l_shape_coloring"],
     "scan": ["AlmostUnitPair", "AvoidanceReport", "HexagonProbe", "NotOnBoundary", "ScanGrid",
              "ScanWitness", "avoidance_scan", "boundary_angle_audit", "find_almost_unit",
              "find_monochromatic_copy", "hexagon_probe", "verify_witness"],

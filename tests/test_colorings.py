@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from monotri.geom import DEFAULT_TOL, GeometryError, InvalidArgument, Point, Region, UnitVector
 from monotri.colorings import (
     Color,
+    PieceTable,
     HalfPlaneColoring,
     MalformedProfile,
     PolygonalColoring,
@@ -27,7 +28,8 @@ from monotri.colorings import (
     coloring_from_dict,
     l_shape_coloring,
 )
-from monotri.geom import Segment
+from monotri.geom import Segment, distance
+from scalar_oracles import piece_distance
 
 SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
@@ -127,10 +129,12 @@ class TestZebraProfileValidation:
 
 
 def curve_segments(zc: ZebraColoring, i: int, window: Region) -> list[Segment]:
-    """The segments of the ``boundary_segments`` pieces that lie on L_i."""
-    return [pc.seg for pc in zc.boundary_segments(window)
-            if curve_index_at(zc, Point(0.5 * (pc.seg.p.x + pc.seg.q.x),
-                                        0.5 * (pc.seg.p.y + pc.seg.q.y))) == i]
+    """The pieces of the ``boundary_segments`` table that lie on L_i, as segments."""
+    table = zc.boundary_segments(window)
+    segs = [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in
+            zip(table.ax.tolist(), table.ay.tolist(), table.bx.tolist(), table.by.tolist())]
+    return [seg for seg in segs if curve_index_at(
+        zc, Point(0.5 * (seg.p.x + seg.q.x), 0.5 * (seg.p.y + seg.q.y))) == i]
 
 
 class TestZebraColoring:
@@ -476,7 +480,7 @@ class TestHalfPlane:
         hp = HalfPlaneColoring()  # black above, white below
         pieces = hp.boundary_segments(Region(-2, -2, 2, 2))
         assert len(pieces) == 1
-        d = pieces[0].seg.direction
+        d = UnitVector.normalized(float(pieces.ex[0]), float(pieces.ey[0]))
         # white below means walking along -x
         assert d.dx == pytest.approx(-1.0) and d.dy == pytest.approx(0.0, abs=1e-12)
 
@@ -647,12 +651,83 @@ class TestSeedAgreement:
 
 
 def test_piece_distance_far_out():
-    """The L-shape's least ``distance_to`` at (+-1e308, 1e308) is 1e308, from
-    (0, 1e308) on its y ray; the projections there overflow unscaled."""
+    """The scalar oracle's least distance from the L-shape at (+-1e308, 1e308)
+    is 1e308, from (0, 1e308) on its y ray; the projections there overflow
+    unscaled."""
     pieces = l_shape_coloring().pieces
-    assert [pc.distance_to(Point(-1e308, 1e308)) for pc in pieces] == [
+    assert [piece_distance(pc, Point(-1e308, 1e308)) for pc in pieces] == [
         math.hypot(1e308, 1e308), 1e308]
-    assert [pc.distance_to(Point(1e308, 1e308)) for pc in pieces] == [1e308, 1e308]
+    assert [piece_distance(pc, Point(1e308, 1e308)) for pc in pieces] == [1e308, 1e308]
+
+
+class TestNearJoints:
+    """Piece ends meet where they are equal; ends of two pieces that lie
+    within 10 ``DEFAULT_TOL`` without being equal are refused, naming
+    ``segments``, since no tolerance decides whether they meet."""
+
+    def test_near_ends_are_refused(self):
+        pc = l_shape_coloring()
+        y_ray = pc.pieces[1]
+        for off in (1e-12, 9.9e-9):
+            moved = BoundaryPiece(Segment(Point(off, 0.0), y_ray.seg.q), y_ray.color,
+                                  ray_end=True)
+            with pytest.raises(InvalidArgument, match="^segments .*segments 0 and 1 do not") \
+                    as err:
+                PolygonalColoring((pc.pieces[0], moved), pc.seeds, pc.window)
+            assert err.value.param == "segments"
+        doc = pc.to_dict()
+        doc["segments"][1]["p"] = [1e-12, 0.0]
+        with pytest.raises(InvalidArgument, match="^segments "):
+            coloring_from_dict(doc)
+
+    def test_ends_match_the_pairwise_rule(self):
+        """On grids of ends, half of them on one vertical line as +0.0 or
+        -0.0, some moved by up to 2e-8: the table refuses exactly the piece
+        lists with bounded ends of two pieces within 1e-8 that are not equal,
+        and otherwise its vertices are the runs of equal bounded ends."""
+        rng = np.random.default_rng(81)
+        refused = 0
+        for trial in range(200):
+            pts = rng.integers(-3, 4, (16, 2)).astype(float)
+            pts[:8, 0] = 0.0 if trial % 2 else -0.0
+            if trial % 3 == 0:
+                pts[rng.integers(16)] += rng.uniform(-2e-8, 2e-8, 2)
+            pieces = tuple(BoundaryPiece(Segment(Point(*pts[i]), Point(*pts[j])), Color.BLACK,
+                                         bool(rng.uniform() < 0.2), bool(rng.uniform() < 0.2))
+                           for i, j in rng.integers(0, 16, (12, 2)) if (pts[i] != pts[j]).any())
+            ends = [(2 * k + j, p) for k, pc in enumerate(pieces)
+                    for j, (p, ray) in enumerate(((pc.seg.p, pc.ray_start), (pc.seg.q, pc.ray_end)))
+                    if not ray]
+            if any(p != q and distance(p, q) <= 1e-8 and e // 2 != f // 2
+                   for e, p in ends for f, q in ends):
+                refused += 1
+                with pytest.raises(InvalidArgument, match="^segments "):
+                    PieceTable.of(pieces)
+                continue
+            runs = {}  # the first end equal to each end, and the ends equal to it
+            for e, p in ends:
+                runs.setdefault(next(f for f, q in ends if q == p), []).append(e)
+            table = PieceTable.of(pieces)
+            ids = np.stack((table.v0, table.v1), axis=1).ravel()
+            assert [(x.hex(), y.hex(), np.flatnonzero(ids == m).tolist()) for m, (x, y)
+                    in enumerate(zip(table.vx.tolist(), table.vy.tolist()))] == \
+                [(dict(ends)[r].x.hex(), dict(ends)[r].y.hex(), members)
+                 for r, members in sorted(runs.items()) if len(members) >= 2]
+        assert 0 < refused < 200
+
+    def test_equal_and_apart_ends_construct(self):
+        pc = l_shape_coloring()
+        y_ray = pc.pieces[1]
+        for start in ((-0.0, 0.0), (0.0, -0.0), (0.0, 1.1e-8)):
+            moved = BoundaryPiece(Segment(Point(*start), y_ray.seg.q), y_ray.color, ray_end=True)
+            table = PolygonalColoring((pc.pieces[0], moved), pc.seeds, pc.window).tables.pieces
+            joined = start[1] == 0.0
+            assert table.vx.tolist() == ([0.0] if joined else [])
+            assert (table.v1[0], table.v0[1]) == ((0, 0) if joined else (-1, -1))
+        # a ray side's stored end is no end: it may lie anywhere
+        far = BoundaryPiece(Segment(Point(16.0, 1e-12), Point(16.0, 5.0)), Color.BLACK,
+                            ray_start=True)
+        assert PolygonalColoring(pc.pieces + (far,), pc.seeds, pc.window).tables.pieces.v1[0] == 0
 
 
 def hexagon_face() -> PolygonalColoring:

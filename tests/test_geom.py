@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monotri import geom
+from monotri.colorings import PieceTable, _offsets, circle_polyline_intersections
 from monotri.geom import (
     Circle,
     DegenerateSegment,
@@ -17,13 +17,12 @@ from monotri.geom import (
     Segment,
     TriangleSpec,
     UnitVector,
-    circle_polyline_intersections,
     distance,
     place_triangle,
-    point_segment_distance,
     rotate_about,
     third_vertex,
 )
+from scalar_oracles import point_segment_distance, scalar_circle_hits, table_of
 
 SQRT3 = math.sqrt(3.0)
 
@@ -132,7 +131,7 @@ def _sampling_intersections(circle, chain, step=1e-4):
     """Oracle: walk each segment, track sign changes of distance - radius."""
     found = []
     for seg in chain:
-        L = seg.length()
+        L = distance(seg.p, seg.q)
         n = max(int(L / step), 2)
         ts = np.linspace(0.0, 1.0, n)
         xs = seg.p.x + ts * (seg.q.x - seg.p.x)
@@ -152,15 +151,14 @@ def _sampling_intersections(circle, chain, step=1e-4):
     return dedup
 
 
-def unfiltered_intersections(circle, chain, tol=1e-9):
-    """``circle_polyline_intersections`` as it was before it skipped the
-    segments far from the circle: every segment goes through the quadratic."""
-    hits = []
-    for i, seg in enumerate(chain):
-        for hit in geom._circle_segment_hits(circle, seg, i, tol):
-            if all(distance(known.point, hit.point) > 10.0 * tol for known in hits):
-                hits.append(hit)
-    return hits
+def unfiltered_intersections(circle, chain, tol=1e-9, ray_start=False, ray_end=False):
+    """``circle_polyline_intersections`` as it was before it became one array
+    pass: every segment of ``chain`` goes through the scalar quadratic."""
+    return scalar_circle_hits(circle, table_of(chain, ray_start, ray_end), tol)
+
+
+def hits_of(circle, chain, tol=1e-9):
+    return circle_polyline_intersections(circle, table_of(chain), tol)
 
 
 def probing_chain(rng, circle, tol):
@@ -197,33 +195,69 @@ class TestCirclePolyline:
             circle = Circle(Point(*rng.uniform(-scale, scale, 2).tolist()),
                             float(rng.uniform(0.3, 2.0)))
             chain = probing_chain(rng, circle, tol)
-            got = circle_polyline_intersections(circle, chain, tol)
+            got = hits_of(circle, chain, tol)
             assert got == unfiltered_intersections(circle, chain, tol)
             tangents += sum(h.tangent for h in got)
             crossings += sum(not h.tangent for h in got)
         assert tangents and crossings
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+    def test_matches_scalar_loop_with_rays_and_shared_ends(self, tol):
+        """Random tables: the probing pieces and polylines whose pieces share
+        their ends, each side a ray at random; the array pass gives the
+        scalar loop's hits, widened to each piece's [u_lo, u_hi], bit for bit."""
+        rng = np.random.default_rng(79)
+        rays = tangents = merged = 0
+        for _ in range(60):
+            circle = Circle(Point(*rng.uniform(-3.0, 3.0, 2).tolist()),
+                            float(rng.uniform(0.3, 2.0)))
+            # a polyline whose every other joint lies on the circle
+            pts = []
+            for theta in rng.uniform(0.0, 2 * math.pi, 4).tolist():
+                c, r = circle.center, circle.radius
+                pts += [Point(c.x + r * math.cos(theta), c.y + r * math.sin(theta)),
+                        Point(*rng.uniform(-4.0, 4.0, 2).tolist())]
+            chain = probing_chain(rng, circle, max(tol, 1e-9)) + [
+                Segment(p, q) for p, q in zip(pts, pts[1:])]
+            ray_start, ray_end = rng.uniform(size=(2, len(chain))) < 0.3
+            got = circle_polyline_intersections(circle, table_of(chain, ray_start, ray_end), tol)
+            assert got == unfiltered_intersections(circle, chain, tol, ray_start, ray_end)
+            rays += sum(bool(ray_start[h.seg_index] or ray_end[h.seg_index]) for h in got)
+            tangents += sum(h.tangent for h in got)
+            merged += len(scalar_circle_hits(circle, table_of(chain), tol)) < sum(
+                len(scalar_circle_hits(circle, table_of([seg]), tol)) for seg in chain)
+        assert rays and tangents and merged
+
+    def test_rays_reach_past_the_stored_ends(self):
+        # the L-shape's y ray, stored as (0, 0) -> (0, 16)
+        chain = [Segment(Point(0.0, 0.0), Point(0.0, 16.0))]
+        for y, want in ((15.5, [(0.0, 14.5), (0.0, 16.5)]), (20.0, [(0.0, 19.0), (0.0, 21.0)])):
+            circle = Circle(Point(0.0, y), 1.0)
+            assert [(h.point.x, h.point.y) for h in circle_polyline_intersections(
+                circle, table_of(chain, ray_end=True))] == want
+            assert len(hits_of(circle, chain)) == (1 if y < 16.0 else 0)
+
     def test_axis_crossings(self):
         chain = [Segment(Point(-2, 0), Point(2, 0))]
-        hits = circle_polyline_intersections(Circle(Point(0, 0), 1), chain)
+        hits = hits_of(Circle(Point(0, 0), 1), chain)
         assert sorted((round(h.point.x, 9), round(h.point.y, 9)) for h in hits) == \
             [(-1.0, 0.0), (1.0, 0.0)]
         assert not any(h.tangent for h in hits)
 
     def test_tangency_flagged(self):
         chain = [Segment(Point(-2, 1), Point(2, 1))]
-        hits = circle_polyline_intersections(Circle(Point(0, 0), 1), chain)
+        hits = hits_of(Circle(Point(0, 0), 1), chain)
         assert len(hits) == 1 and hits[0].tangent
         assert hits[0].point.x == pytest.approx(0.0, abs=1e-9)
         assert hits[0].point.y == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint(self):
         chain = [Segment(Point(-2, 2), Point(2, 2))]
-        assert circle_polyline_intersections(Circle(Point(0, 0), 1), chain) == []
+        assert hits_of(Circle(Point(0, 0), 1), chain) == []
 
     def test_shared_endpoint_merged(self):
         chain = [Segment(Point(-2, 0), Point(1, 0)), Segment(Point(1, 0), Point(2, 0.5))]
-        hits = circle_polyline_intersections(Circle(Point(0, 0), 1), chain)
+        hits = hits_of(Circle(Point(0, 0), 1), chain)
         on_joint = [h for h in hits if distance(h.point, Point(1, 0)) < 1e-6]
         assert len(on_joint) == 1
 
@@ -238,7 +272,7 @@ class TestCirclePolyline:
                 pts.append(Point(last.x + rng.uniform(-3, 3), last.y + rng.uniform(-3, 3)))
             chain = [Segment(p, q) for p, q in zip(pts, pts[1:])
                      if distance(p, q) > 1e-6]
-            got = [h for h in circle_polyline_intersections(circle, chain)
+            got = [h for h in hits_of(circle, chain)
                    if not h.tangent]
             want = _sampling_intersections(circle, chain)
             assert len(got) == len(want)
@@ -261,6 +295,33 @@ class TestPointSegmentDistance:
             pytest.approx(4.0)
         assert point_segment_distance(Point(5, 1), seg, ray_end=True) == \
             pytest.approx(1.0)
+
+    def test_offsets_are_the_scalar_distance(self):
+        """``math.hypot`` of an ``_offsets`` offset, the hexagon probe's host
+        distance, is the scalar distance bit for bit wherever the projection
+        is finite: pieces and rays at scales up to 1e150, points on them,
+        beside them and far out."""
+        rng = np.random.default_rng(80)
+        checked = 0
+        for scale in (1.0, 1e6, 1e150):
+            ends = rng.uniform(-scale, scale, (200, 4))
+            flags = rng.uniform(size=(200, 2)) < 0.3
+            a, b = ends[:, :2].T, ends[:, 2:].T
+            table = PieceTable(a, b, np.ones(200, dtype=bool), flags[:, 0], flags[:, 1])
+            u = rng.uniform(-2.0, 3.0, 200)
+            px = np.concatenate((a[0] + u * table.ex, rng.uniform(-1e3, 1e3, 50) * scale))
+            py = np.concatenate((a[1] + u * table.ey + rng.normal(0.0, 1e-9 * scale, 200),
+                                 rng.uniform(-1e3, 1e3, 50) * scale))
+            for x, y in zip(px.tolist(), py.tolist()):
+                gx, gy = _offsets(x, y, table.ax, table.ay, table.ex, table.ey, table.len2,
+                                  table.u_lo, table.u_hi)
+                got = list(map(math.hypot, gx.tolist(), gy.tolist()))
+                for k in range(200):
+                    seg = Segment(Point(*a[:, k].tolist()), Point(*b[:, k].tolist()))
+                    assert got[k].hex() == point_segment_distance(
+                        Point(x, y), seg, *flags[k].tolist()).hex()
+                    checked += 1
+        assert checked == 3 * 250 * 200
 
 
 class TestRegionAndTypes:

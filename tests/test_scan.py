@@ -1,14 +1,17 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from monotri.geom import GeometryError, Point, Region, Segment, TriangleSpec, UnitVector, distance
+from monotri.geom import (GeometryError, InvalidArgument, Point, Region, Segment, TriangleSpec,
+                          UnitVector, distance)
 from monotri.colorings import (
     BoundaryPiece,
     Color,
+    PieceTable,
     HalfPlaneColoring,
     PolygonalColoring,
     StripColoring,
@@ -20,11 +23,11 @@ from monotri.colorings import (
 )
 from monotri.scan import (
     NotOnBoundary,
-    _boundary_vertices,
     _common_color,
     ScanGrid,
     avoidance_scan,
     boundary_angle_audit,
+    default_probe_window,
     find_almost_unit,
     find_monochromatic_copy,
     hexagon_probe,
@@ -299,6 +302,31 @@ class TestHexagonProbe:
         probe = hexagon_probe(ZIGZAG, peak)
         assert not probe.feasible
 
+    def test_polygonal_rays_are_unbounded(self):
+        # the L-shape's y ray is stored as (0, 0) -> (0, 16)
+        for y, want in ((15.5, [[0.0, 14.5], [0.0, 16.5]]), (20.0, [[0.0, 19.0], [0.0, 21.0]])):
+            probe = hexagon_probe(l_shape_coloring(), Point(0.0, y))
+            assert probe.to_dict()["points"] == want and probe.feasible
+        probe = hexagon_probe(HalfPlaneColoring(UnitVector(1.0, 0.0), 0.0), Point(0.0, 20.0))
+        assert probe.to_dict()["points"] == [[0.0, 19.0], [0.0, 21.0]]
+
+    def test_far_out_probes_skip_nan_rows(self):
+        """Where a projection overflows, the offset is NaN and its piece no
+        host; nothing warns. Piece 0's offset from (0, 1e308) is NaN, piece 1
+        holds the point."""
+        pc = PolygonalColoring(
+            (BoundaryPiece(Segment(Point(5.0, 0.0), Point(5.0, 16.0)), Color.BLACK, ray_end=True),
+             BoundaryPiece(Segment(Point(-1.0, 1e308), Point(1.0, 1e308)), Color.BLACK)),
+            ((Point(0.0, 0.0), Color.BLACK),), Region(-16.0, -16.0, 16.0, 16.0))
+        window = Region(-2.0, 1e308 - 1e300, 2.0, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probe = hexagon_probe(pc, Point(0.0, 1e308), window)
+            assert probe.to_dict()["points"] == [[1.0, 1e308], [-1.0, 1e308]]
+            # on the L-shape's y ray the projection overflows too: no host is left
+            with pytest.raises(NotOnBoundary):
+                hexagon_probe(l_shape_coloring(), Point(0.0, 1e308), window)
+
 
 class TestBoundaryAngleAudit:
     def test_strip_no_vertices(self):
@@ -324,16 +352,27 @@ class TestBoundaryAngleAudit:
         assert entries
         assert all(e.convex_angle <= 2 * math.pi / 3 + 1e-9 for e in entries)
 
+    def test_corners_do_not_depend_on_tol(self):
+        """The ``sharp-zebra`` document's 33 corners at tol 0, 1e-12 and 1e-9;
+        clustering ends within 10 tol found 29 at tol 0, where a clipped end
+        misses the next piece's start by an ulp."""
+        sharp = ZebraColoring(SHARP, UnitVector(0.6, 0.8))
+        audits = [[e.to_dict() for e in boundary_angle_audit(sharp, None, tol)]
+                  for tol in (0.0, 1e-12, 1e-9)]
+        assert len(audits[0]) == 33 and audits[1] == audits[0] == audits[2]
 
-def linear_boundary_vertices(pieces, tol):
-    """``_boundary_vertices`` as it was before its clusters were bucketed by
-    grid cell: each endpoint tries every earlier cluster in turn."""
+
+def linear_boundary_vertices(table: PieceTable, tol: float):
+    """Corners as endpoint clusters: each bounded end, in piece order, a
+    before b, joins the first earlier cluster whose first point lies within
+    10 tol of it, else starts one; the clusters of two or more ends, as
+    (point, pieces)."""
     ends = []
-    for idx, pc in enumerate(pieces):
-        if not pc.ray_start:
-            ends.append((pc.seg.p, idx))
-        if not pc.ray_end:
-            ends.append((pc.seg.q, idx))
+    for k in range(len(table)):
+        if not table.ray_start[k]:
+            ends.append((Point(float(table.ax[k]), float(table.ay[k])), k))
+        if not table.ray_end[k]:
+            ends.append((Point(float(table.bx[k]), float(table.by[k])), k))
     clusters = []
     for p, idx in ends:
         for q, members in clusters:
@@ -345,98 +384,101 @@ def linear_boundary_vertices(pieces, tol):
     return [(p, members) for p, members in clusters if len(members) >= 2]
 
 
-def _at_reach(p: Point, reach: float, dy: float) -> tuple[Point, Point]:
-    """The points at height about ``p.y + dy`` right of ``p`` that lie
-    furthest within ``reach`` of it and one ulp in x beyond."""
-    y = p.y + dy
-    if abs(y - p.y) > reach:  # rounded beyond reach
-        y = p.y
-    x = p.x + math.sqrt(max(reach * reach - (y - p.y) ** 2, 0.0))
-    while distance(p, Point(x, y)) > reach:
-        x = math.nextafter(x, -math.inf)
-    while distance(p, Point(math.nextafter(x, math.inf), y)) <= reach:
-        x = math.nextafter(x, math.inf)
-    return Point(x, y), Point(math.nextafter(x, math.inf), y)
+def table_vertices(table: PieceTable):
+    """The table's vertices as (point, pieces), each piece once per end that
+    references the vertex, in piece order, a before b."""
+    refs = [(int(v), k) for k in range(len(table)) for v in (table.v0[k], table.v1[k]) if v >= 0]
+    return [(Point(float(x), float(y)), [k for v, k in refs if v == m])
+            for m, (x, y) in enumerate(zip(table.vx, table.vy))]
 
 
-def clustered_pieces(rng, tol: float, scale: float) -> list[BoundaryPiece]:
-    """Pieces joining endpoint clusters around well separated centers.
+def hex_vertices(vertices):
+    # hex strings tell +0.0 from -0.0, which compare equal
+    return [(p.x.hex(), p.y.hex(), members) for p, members in vertices]
 
-    A cluster holds its center, the points within 10 tol of it and one ulp
-    beyond, random points within 10 tol, and a chain whose links are 0.6 of
-    that reach. Half of the centers sit on a multiple of the bucket cell, so
-    that their clusters straddle cell edges. A fifth of the pieces are rays
-    at either end.
-    """
-    reach = 10.0 * tol
-    cell = max(20.0 * tol, 1e-16)
-    ends = []
+
+SHARP = ZebraProfile(((0, 0), (0.1, 0.4), (0.2, 0.0), (0.6, 0.41), (1.0, 0.0)))
+
+
+def star_pieces(rng, scale: float) -> list[BoundaryPiece]:
+    """Pieces joining centers spread 4 apart along the diagonal, several at
+    each: their ends are equal, as +0.0 and -0.0 where a center's x is zero,
+    or, at the seeds used, far apart. A fifth of the sides are rays."""
+    centers = []
     for k in range(24):
-        cx, cy = rng.uniform(-scale, scale, 2) + 4.0 * k
-        if k % 2:
-            cx, cy = math.floor(cx / cell) * cell, math.floor(cy / cell) * cell
-        center = Point(float(cx), float(cy))
-        cluster = [center]
-        for dy in (0.0, 0.6 * reach, -reach):
-            cluster.extend(_at_reach(center, reach, dy))
-        for dx, dy in rng.uniform(-0.7, 0.7, (3, 2)) * reach:
-            cluster.append(Point(center.x + dx, center.y + dy))
-        cluster += [Point(center.x - j * 0.6 * reach, center.y) for j in (1, 2, 3)]
-        ends.extend(cluster)
-    order = rng.permutation(len(ends))
+        cx, cy = (rng.uniform(-scale, scale, 2) + 4.0 * k).tolist()
+        centers.append([(cx, cy)] if k % 3 else [(0.0, cy), (-0.0, cy)])
     pieces = []
-    for a, b in zip(order, np.roll(order, 7)):
-        p, q = ends[a], ends[b]
-        if distance(p, q) > 1.0:  # from two clusters
-            pieces.append(BoundaryPiece(Segment(p, q), Color.BLACK,
-                                        bool(rng.uniform() < 0.2), bool(rng.uniform() < 0.2)))
+    for _ in range(60):
+        i, j = rng.choice(len(centers), 2, replace=False)
+        p, q = (centers[c][int(rng.integers(len(centers[c])))] for c in (i, j))
+        pieces.append(BoundaryPiece(Segment(Point(*p), Point(*q)), Color.BLACK,
+                                    bool(rng.uniform() < 0.2), bool(rng.uniform() < 0.2)))
     return pieces
 
 
 class TestBoundaryVertices:
-    """The bucketed corner clustering equals the linear scan exactly."""
+    """The vertex ids are the linear clustering of ends where that is
+    well defined: on polygonal documents, whose ends are equal or apart,
+    and on zebra windows at tol 1e-12 to 1e-6."""
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 1e-3])
     @pytest.mark.parametrize("scale", [3.0, 1e6])
     def test_matches_linear_scan(self, tol, scale):
         rng = np.random.default_rng(71)
         for _ in range(4):
-            pieces = clustered_pieces(rng, tol, scale)
-            got = _boundary_vertices(pieces, tol)
-            assert got == linear_boundary_vertices(pieces, tol)
+            table = PieceTable.of(tuple(star_pieces(rng, scale)))
+            got = table_vertices(table)
+            assert hex_vertices(got) == hex_vertices(linear_boundary_vertices(table, tol))
             assert any(len(members) > 2 for _, members in got)
 
     @pytest.mark.parametrize("tol", [0.0, 1e-9])
     def test_coloring_boundaries(self, tol):
+        """The ids are the clusters at 1e-9 whatever tol the audit takes;
+        on the rotated sharp profile the clusters at tol 0 lose joints where
+        a clipped end lies an ulp from the next piece's start."""
         for coloring, window in ((ZIGZAG, Region(-3, -3, 3, 3)),
                                  (l_shape_coloring(), Region(-4, -4, 4, 4)),
-                                 (ZebraColoring(ZebraProfile(((0, 0), (0.1, 0.4), (0.2, 0.0),
-                                                              (0.6, 0.41), (1.0, 0.0))),
-                                                UnitVector.from_angle(0.9)),
+                                 (ZebraColoring(SHARP, UnitVector.from_angle(0.9)),
                                   Region(-2, -2, 3, 3))):
-            pieces = coloring.boundary_segments(window)
-            assert _boundary_vertices(pieces, tol) == linear_boundary_vertices(pieces, tol)
+            table = coloring.boundary_segments(window)
+            got = table_vertices(table)
+            assert hex_vertices(got) == hex_vertices(linear_boundary_vertices(table, 1e-9))
+            corners = [e.vertex for e in boundary_angle_audit(coloring, window, tol)]
+            assert set(corners) <= {p for p, members in got if len(members) == 2}
+        assert hex_vertices(got) != hex_vertices(linear_boundary_vertices(table, 0.0))
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9])
     def test_shared_signed_zero_and_ulp_joints(self, tol):
-        # chains whose joints are shared exactly, shared as +0.0 and -0.0, or
-        # one ulp apart, so that the lookup of exact coordinates and the
-        # bucket scan both decide clusters
+        # chains whose joints are shared exactly or as +0.0 and -0.0 make
+        # vertices at their first end; a joint one ulp off is refused
         rng = np.random.default_rng(72)
         for _ in range(20):
             pts = [Point(0.0, -0.0), Point(-0.0, 0.0)]
             for x, y in rng.uniform(-3.0, 3.0, (10, 2)).tolist():
                 pts.append(Point(x, y))
-                if rng.uniform() < 0.4:
-                    pts.append(Point(math.nextafter(x, math.inf), y))
             pieces = []
             for _ in range(30):
                 a, b = rng.choice(len(pts), 2, replace=False)
                 if distance(pts[a], pts[b]) > 1e-6:
                     pieces.append(BoundaryPiece(Segment(pts[a], pts[b]), Color.BLACK))
-            got = _boundary_vertices(pieces, tol)
-            # hex strings tell +0.0 from -0.0, which compare equal
-            assert [(p.x.hex(), p.y.hex(), members) for p, members in got] == \
-                [(p.x.hex(), p.y.hex(), members)
-                 for p, members in linear_boundary_vertices(pieces, tol)]
+            table = PieceTable.of(tuple(pieces))
+            got = table_vertices(table)
+            assert hex_vertices(got) == hex_vertices(linear_boundary_vertices(table, tol))
             assert any(len(members) > 2 for _, members in got)
+            p = pieces[0].seg.p
+            off = Point(math.nextafter(p.x, math.inf), p.y)
+            with pytest.raises(InvalidArgument, match="^segments must meet at equal ends"):
+                PieceTable.of(tuple(pieces) + (BoundaryPiece(Segment(off, Point(9.0, 9.0)),
+                                                             Color.BLACK),))
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+    def test_zebra_probe_windows(self, tol):
+        rng = np.random.default_rng(73)
+        for k in range(24):
+            zc = ZebraColoring(SHARP if k % 2 else ZIGZAG.profile,
+                               UnitVector.from_angle(float(rng.uniform(0.0, 2 * math.pi))))
+            A = zc.curve_point(int(rng.integers(-3, 4)), float(rng.uniform(0.0, 1.0)))
+            table = zc.boundary_segments(default_probe_window(A))
+            got = table_vertices(table)
+            assert got and hex_vertices(got) == hex_vertices(linear_boundary_vertices(table, tol))
