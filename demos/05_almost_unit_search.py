@@ -2,10 +2,10 @@
 
 The strip coloring avoids exact unit triangles, but squeeze the tolerance
 and both colors give in: for every eps > 0, each class contains a triangle
-with all three side lengths within eps of 1. The search walks the unit
-circle around a point of one color that sits within eps of a point of the
-other color; any same-colored sample pair at the right chord length closes
-such a triangle with the nearby off-circle point.
+with all three side lengths within eps of 1. The search takes two points
+of opposite color eps/8 apart, one on either side of a boundary line, and
+walks the unit circle around each; any same-colored sample pair at the
+right chord length closes such a triangle with the nearby off-circle point.
 """
 
 from monotri.colorings import StripColoring

@@ -34,18 +34,18 @@ view over ``resolve``, and raises ``UnresolvedFace`` at an unresolved point.
 boundary in one array pass (the witness margin of a scan), NaN where a
 coordinate is not finite and where a zebra, strip or half-plane point is
 unresolved. ``boundary_segments(window)`` gives the boundary in a window
-as one ``PieceTable``, for the probes and ``render``: the pieces' ends,
-ray flags and colors as arrays, and the ids of the vertices where their
-ends meet, which each family sets where it knows them (a zebra where
-consecutive pieces of a curve share a joint in the window, a polygonal
-coloring once, where piece ends are equal). Colorings are immutable after
-construction; all queries are pure. Three array kernels hold the segment
-arithmetic: ``_clip``, the one Liang-Barsky clip (zebra and half-plane
-tables), ``_offsets`` from points to their nearest segment points
-(polygonal queries and seed table, zebra ``distance``, the hexagon
-probe's host piece), and ``circle_polyline_intersections``, a circle's
-hits on a table; one builder, ``ZebraColoring._polylines``, makes every
-zebra polyline row.
+as one ``PieceTable``, for the probes, ``render`` and the almost-unit
+search: the pieces' ends, ray flags and colors as arrays, and the ids of
+the vertices where their ends meet, which each family sets where it
+knows them (a zebra where consecutive pieces of a curve share a joint in
+the window, a polygonal coloring once, where piece ends are equal).
+Colorings are immutable after construction; all queries are pure. Three
+array kernels hold the segment arithmetic: ``_clip``, the one
+Liang-Barsky clip (zebra, half-plane and almost-unit tables), ``_offsets``
+from points to their nearest segment points (polygonal queries and seed
+table, zebra ``distance``, the hexagon probe's host piece), and
+``circle_polyline_intersections``, a circle's hits on a table; one
+builder, ``ZebraColoring._polylines``, makes every zebra polyline row.
 
 ``coloring_from_dict`` is the one reader of the JSON document form that
 ``to_dict`` writes: it checks each field's shape as it builds, and raises
@@ -317,12 +317,14 @@ def circle_polyline_intersections(circle: Circle, table: PieceTable,
     return hits
 
 
-def _clip(p: np.ndarray, d: np.ndarray, window: Region
+def _clip(p: np.ndarray, d: np.ndarray, window: Region, u_lo=0.0, u_hi=1.0
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Liang-Barsky clip of the segments ``p + t d``, t in [0, 1] (x, y on
-    axis 0), to ``window``: the indices of those that keep a piece longer
-    than ``DEFAULT_TOL`` (by ``math.hypot``), and its ends a and b."""
-    t0, t1, missed = np.zeros(p.shape[1]), np.ones(p.shape[1]), np.zeros(p.shape[1], bool)
+    """Liang-Barsky clip of the segments ``p + t d``, t in [u_lo, u_hi] (x, y
+    on axis 0; unbounded on a ray side), to ``window``: the indices of those
+    that keep a piece longer than ``DEFAULT_TOL`` (by ``math.hypot``), and
+    its ends a and b."""
+    n = p.shape[1]
+    t0, t1, missed = np.zeros(n) + u_lo, np.zeros(n) + u_hi, np.zeros(n, bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start, delta, lo, hi in ((p[0], d[0], window.x0, window.x1),
                                      (p[1], d[1], window.y0, window.y1)):

@@ -75,12 +75,13 @@ from .geom import (
     RigidMotion,
     TriangleSpec,
     UnitVector,
+    WindowTooLarge,
     check_sides,
     check_tol,
     distance,
     place_triangle,
 )
-from .colorings import (Color, Coloring, PolygonalColoring, _offsets, _resolved_black,
+from .colorings import (Color, Coloring, PolygonalColoring, _clip, _offsets, _resolved_black,
                         circle_polyline_intersections)
 
 
@@ -497,23 +498,47 @@ def _almost_unit_shape(tri: Sequence[Point], epsilon: float) -> bool:
             and all(1.0 - epsilon <= s <= 1.0 + epsilon for s in sides))
 
 
+def _opposite_pair(coloring: Coloring, epsilon: float, tol: float
+                   ) -> Optional[tuple[Point, Point]]:
+    """(black, white): the points eps/16 along the normal either side of the
+    midpoint of the first boundary piece, clipped to [-2, 2]^2, where both
+    resolve off the boundary to opposite colors, in one ``resolve`` call.
+    None if no piece does, or if the square holds more boundary than a
+    window may (a strip of scale 1e-6 does)."""
+    box = Region(-2.0, -2.0, 2.0, 2.0)
+    try:
+        table = coloring.boundary_segments(box)
+    except WindowTooLarge:
+        return None
+    _, a, b = _clip(np.stack((table.ax, table.ay)), np.stack((table.ex, table.ey)), box,
+                    table.u_lo, table.u_hi)
+    e, n = b - a, a.shape[1]
+    shift = (epsilon / 16.0) * np.stack((-e[1], e[0])) / np.hypot(*e)
+    xs, ys = np.concatenate((0.5 * (a + b) + shift, 0.5 * (a + b) - shift), axis=1)
+    black, on, unresolved = coloring.resolve(xs, ys, tol)
+    clear = ~(on | unresolved)
+    for k in np.flatnonzero(clear[:n] & clear[n:] & (black[:n] != black[n:]))[:1]:
+        return tuple(Point(float(xs[i]), float(ys[i]))
+                     for i in ((k, n + k) if black[k] else (n + k, k)))
+    return None
+
+
 def find_almost_unit(coloring: Coloring, epsilon: float, tries: int = 10 ** 6,
                      seed: int = 0, tol: float = DEFAULT_TOL) -> Optional[AlmostUnitPair]:
     """Search both color classes for triangles with sides in [1-eps, 1+eps].
 
-    Strategy: locate an opposite-colored pair R (black), S (white) closer
-    than eps inside the square [-1, 1]^2 by bisection on random segments,
-    then walk the unit circles around S and R at angular step eps/4. Any
+    Strategy: take an opposite-colored pair R (black), S (white) eps/8
+    apart across the boundary in the square [-2, 2]^2, whose unit circles
+    stay inside [-3, 3]^2 (``_opposite_pair``; it spends no tries), then
+    walk the unit circles around S and R at angular step eps/4. Any
     same-colored sample pair whose chord falls in [1-eps, 1+eps] closes a
-    triangle with R or S. Uniform random unit triangles serve as a fallback
-    when the guided walk stalls. Returns None once the try budget is spent
-    with a class still missing. None is a sampling verdict, "budget spent",
-    not a proof that the class holds no such triangle: the pair search
-    samples only [-1, 1]^2, so a coloring that is one color there can spend
-    the whole budget on it. ``HalfPlaneColoring(UnitVector(0, 1), -2.0)``,
-    black on that square, gives None at ``epsilon=0.1, tries=2000, seed=0``,
-    though its white class holds unit triangles. An ``epsilon`` outside
-    (0, 1), ``tries`` below 1 and a negative ``seed`` raise
+    triangle with R or S, whose colors are already known. Random unit
+    triangles with a vertex in [-2, 2]^2 serve as a fallback when the walk
+    leaves a class missing or there is no pair (no boundary in the square);
+    ``seed`` drives this phase only. Returns None once the try budget is
+    spent with a class still missing: a sampling verdict, "budget spent",
+    not a proof that the class holds no such triangle. An ``epsilon``
+    outside (0, 1), ``tries`` below 1 and a negative ``seed`` raise
     ``InvalidArgument`` naming the parameter.
     """
     check_tol(tol)
@@ -523,7 +548,6 @@ def find_almost_unit(coloring: Coloring, epsilon: float, tries: int = 10 ** 6,
         raise InvalidArgument("tries", "must be a finite number >= 1", tries)
     if not (seed >= 0):
         raise InvalidArgument("seed", "must be >= 0", seed)
-    rng = np.random.default_rng(seed)
     budget = tries
     found: dict[Color, tuple[Point, Point, Point]] = {}
 
@@ -532,26 +556,9 @@ def find_almost_unit(coloring: Coloring, epsilon: float, tries: int = 10 ** 6,
         budget -= n
         return budget > 0
 
-    # Phase 1: an opposite-colored pair R, S with |R - S| < eps inside Q(1).
-    pair: Optional[tuple[Point, Point]] = None  # (black, white)
-    black_pt = white_pt = None
-    while budget > 0 and pair is None:
-        consume()
-        q = Point(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-        if coloring.color_at(q, tol) is Color.BLACK:
-            black_pt = black_pt or q
-        else:
-            white_pt = white_pt or q
-        if black_pt is not None and white_pt is not None:
-            b, w = black_pt, white_pt
-            while distance(b, w) >= epsilon / 8.0 and consume():
-                mid = Point(0.5 * (b.x + w.x), 0.5 * (b.y + w.y))
-                if coloring.color_at(mid, tol) is Color.BLACK:
-                    b = mid
-                else:
-                    w = mid
-            pair = (b, w)
-
+    # Phase 1 (no tries): a black point R and a white point S eps/8 apart.
+    # Phase 2: the unit circles around S and R; every color is known.
+    pair = _opposite_pair(coloring, epsilon, tol)
     if pair is not None:
         black_ref, white_ref = pair
         step = epsilon / 4.0
@@ -581,13 +588,13 @@ def find_almost_unit(coloring: Coloring, epsilon: float, tries: int = 10 ** 6,
                     tri = (apex, Point(float(kx[i]), float(ky[i])),
                            Point(float(kx[j]), float(ky[j])))
                     consume()
-                    if (_almost_unit_shape(tri, epsilon)
-                            and _common_color(coloring, tri, tol) is color):
+                    if _almost_unit_shape(tri, epsilon):
                         found[color] = tri
                         if len(found) == 2:
                             break
 
     # Phase 3: random exact-unit triangles anywhere in Q(2).
+    rng = np.random.default_rng(seed)
     unit = TriangleSpec(1.0, 1.0, 1.0)
     while len(found) < 2 and budget > 0:
         consume()

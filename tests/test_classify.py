@@ -1325,8 +1325,10 @@ class TestPolygonalKernel:
             pc.color_at(points[1])
         with pytest.raises(UnresolvedFace, match=message):
             scan._common_color(pc, points, 1e-9)
-        # at tol = 1e-3 the first unit circle of this search crosses the
-        # wedge of ambiguous sight lines behind a corner
+        # at tol = 1e-3 the first unit circle of this search, about the white
+        # point below the bottom piece's midpoint, crosses the wedge of
+        # ambiguous sight lines behind a corner from the seed (0.3, 0.3)
+        pc = square_island((Point(0.3, 0.3), Color.BLACK))
         queries, resolved_black = [], scan._resolved_black
 
         def spy(coloring, xs, ys, tol):
@@ -1342,6 +1344,21 @@ class TestPolygonalKernel:
         first = Point(float(xs[j]), float(ys[j]))
         assert walk_color_at(pc, first, 1e-3) is None
         assert str(raised.value) == f"no seed reaches ({first.x}, {first.y}) unambiguously"
+
+    def test_almost_unit_pair_on_a_face_black_on_the_inner_square(self, monkeypatch):
+        """The 8th ``convex_face`` of rng 3 is black on all of [-1, 1]^2; the
+        pair comes from its boundary, and no phase-3 try is needed."""
+        rng = np.random.default_rng(3)
+        face = [convex_face(rng) for _ in range(8)][-1]
+        xs, ys = np.meshgrid(np.linspace(-1.0, 1.0, 41), np.linspace(-1.0, 1.0, 41))
+        assert colorings._resolved_black(face, xs.ravel(), ys.ravel(), 1e-9).all()
+        monkeypatch.setattr(scan, "_common_color", None)  # phase 3 would call it
+        pair = scan.find_almost_unit(face, 0.1, 10 ** 5, seed=0)
+        for tri, black in ((pair.black_triangle, True), (pair.white_triangle, False)):
+            assert all(0.9 <= distance(tri[k], tri[k - 1]) <= 1.1 for k in range(3))
+            assert (colorings._resolved_black(face, np.array([v.x for v in tri]),
+                                              np.array([v.y for v in tri]), 1e-9) == black).all()
+            assert all(abs(v.x) <= 3.0 and abs(v.y) <= 3.0 for v in tri)
 
     def test_tables_are_built_once_and_read_only(self):
         pc = l_shape_coloring()

@@ -153,6 +153,23 @@ class TestBadFieldsExitOne:
         assert captured.out == ""
         assert "segments must meet at equal ends" in captured.err
 
+    @pytest.mark.parametrize("segments, seeds, message", [
+        ([{"p": [-1, 0], "q": [1, 0]}, {"p": [0, -1], "q": [0, 1]}], [[0.5, 0.5, "black"]],
+         "boundary segments 0 and 1 intersect away from their endpoints\n"),
+        ([{"p": [-8, 0], "q": [8, 0], "ray_start": True, "ray_end": True}],
+         [[0, 1, "white"], [2.0 ** 500, -2.0 ** 500, "black"]],
+         "seeds can be checked against each other only where every seed and piece "
+         "lies within 2^500 of the origin, got 3.273390607896142e+150\n"),
+    ], ids=["crossing-pieces", "seeds-past-2-500"])
+    def test_polygonal_refusals(self, segments, seeds, message, tmp_path, capsys):
+        doc = {"type": "polygonal", "segments": segments,
+               "boundary_colors": ["black"] * len(segments), "seeds": seeds,
+               "window": [-8, -8, 8, 8]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["angles", "--coloring", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}")
+
     @pytest.mark.parametrize("field, witness", [
         ("vertices", {"vertices": 5}),  # used to exit 2 with a TypeError
         # used to exit 1 with "not enough values to unpack"
@@ -391,6 +408,22 @@ class TestExitStatuses:
                      "0.05", "--angles", "1"]) == 0
         assert capsys.readouterr().out == ZERO_MARGIN_WITNESS
 
+    def test_lines_all_parallel(self, capsys):
+        assert main(["lines", "--q1", "1,0", "--q2", "1,1", "--q3", "1,-2.5"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"kind": "all-parallel"}
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not-json"])
+    def test_unreadable_witness_exits_one(self, content, halfplane_file, tmp_path, capsys):
+        path = tmp_path / "wit.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["render", "--coloring", halfplane_file, "--region", "0,0,4,4",
+                     "--out", str(tmp_path / "fig.svg"), "--witness", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read witness {path}: ")
+        assert not (tmp_path / "fig.svg").exists()
+
     def test_lines_degenerate(self, capsys):
         code = main(["lines", "--q1=-0.5773502691896258,0",
                      "--q2", "0.5773502691896258,0", "--q3", "vertical:0"])
@@ -616,7 +649,7 @@ def scan_files(strip_file, zigzag_file, halfplane_file, tmp_path):
                            "boundary_colors": ["black"] * 6,
                            "seeds": [[0, 0, "black"], [3, 0, "white"]],
                            "window": [-4, -4, 4, 4]},
-        # black on [-1, 1]^2: the almost-unit search never sees white
+        # black on [-1, 1]^2, white below y = -2
         "halfplane-low": {"type": "halfplane", "normal": [0, 1], "offset": -2,
                           "closed_color": "black"},
         # no segments: one black face, so every margin is infinite
@@ -718,18 +751,18 @@ class TestScanBytes:
                      "ff8cb53dcd0034655253c50b5808653ab05f7c859b7a55b32b72a2150d231d2a",
                      id="zigzag-scan-wide"),
         pytest.param("strip", ["almost", "--epsilon", "0.1", "--seed", "0", "--tries", "2000"],
-                     "f135c28e1aa00ae375a2870a840236b204327aad2d26a8aa370fa0c50cdb54c3",
+                     "b170cbf7112beaa43f188b14718b0a309f45ac2109aa57371a3379c3257ede3d",
                      id="strip-almost"),
         pytest.param("zigzag", ["almost", "--epsilon", "0.2", "--seed", "1", "--tries", "1000"],
-                     "a0ff99b39dadc288a8f7ce03ef2fb4e4540c8bd3780b0c326fe8b3e35c37ef95",
+                     "ffb38df2f8559aa6e999f55541cb767fc01ea1c2eed294574f0190897f7c2c03",
                      id="zigzag-almost"),
         pytest.param("lshape", ["almost", "--epsilon", "0.05", "--seed", "5", "--tries", "3000"],
-                     "cab804141f99284e2560155f5d7f3ddee01581abd1e3654335486938a21f0fc1",
+                     "f5877d9fbf77c3522d1831f4e7d99c6d5761a457812887a396d7574b5e6b8790",
                      id="lshape-almost"),
-        # {"result": "failure"}: the budget is spent, though white holds unit triangles
+        # black on [-1, 1]^2; the pair comes from the boundary line y = -2
         pytest.param("halfplane-low", ["almost", "--epsilon", "0.1", "--seed", "0", "--tries",
                                        "2000"],
-                     "f771a92761c47b9ed5c9fb4ac27a3d3bddfd4a4bcb14d525784c403fd6ac9b85",
+                     "e0dccfb6c29a1a1df76b8ea533490eba966b7f46d7cfdd9737826a0280352560",
                      id="halfplane-low-almost"),
         pytest.param("flat", ["check-zebra"],
                      "792acd43f7d99721f3ac152f181dad4dc97f8237ed8a114c928de50e507b39b6",

@@ -634,6 +634,35 @@ class TestSeedAgreement:
         third = ((Point(0.0, 3.0), Color.BLACK),)
         PolygonalColoring(pieces, third + seeds[::-1], Region(-8.0, -8.0, 8.0, 8.0))
 
+    def test_seeds_are_checked_only_below_2_500(self):
+        """Two or more seeds with a seed or piece coordinate of 2^500 or more
+        are refused, naming ``seeds``: the bent lines between them could
+        overflow. One seed is never checked, so it constructs anywhere."""
+        line = (BoundaryPiece(Segment(Point(-8.0, 0.0), Point(8.0, 0.0)), Color.BLACK,
+                              ray_start=True, ray_end=True),)
+        window = Region(-8.0, -8.0, 8.0, 8.0)
+        for far in (2.0 ** 500, -2.0 ** 500, 1e300):
+            with pytest.raises(InvalidArgument, match="^seeds can be checked .* 2\\^500") as err:
+                PolygonalColoring(line, ((Point(0.0, 1.0), Color.WHITE),
+                                         (Point(far, -abs(far)), Color.BLACK)), window)
+            assert err.value.param == "seeds"
+        far_piece = (BoundaryPiece(Segment(Point(2.0 ** 500, 0.0), Point(8.0, 0.0)),
+                                   Color.BLACK, ray_end=True),)
+        with pytest.raises(InvalidArgument, match="^seeds can be checked "):
+            PolygonalColoring(far_piece, ((Point(0.0, 1.0), Color.WHITE),
+                                          (Point(0.0, -1.0), Color.BLACK)), window)
+        PolygonalColoring(line, ((Point(0.0, 1.0), Color.WHITE),
+                                 (Point(2.0 ** 499, -2.0 ** 499), Color.BLACK)), window)
+        PolygonalColoring(line, ((Point(2.0 ** 500, 1.0), Color.WHITE),), window)
+
+    def test_crossing_pieces_are_refused(self):
+        cross = (BoundaryPiece(Segment(Point(-1.0, 0.0), Point(1.0, 0.0)), Color.BLACK),
+                 BoundaryPiece(Segment(Point(0.0, -1.0), Point(0.0, 1.0)), Color.BLACK))
+        with pytest.raises(GeometryError, match="^boundary segments 0 and 1 intersect away "
+                                                "from their endpoints$"):
+            PolygonalColoring(cross, ((Point(0.5, 0.5), Color.BLACK),),
+                              Region(-4.0, -4.0, 4.0, 4.0))
+
     def test_agreeing_seeds_construct(self, monkeypatch):
         # sight lines through a corner take a bent line: the L-shape's seeds,
         # the island's across its corner (1, 1), the hexagon's along y = 0

@@ -4,11 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from monotri.geom import DEFAULT_TOL, Infeasible, RigidMotion, distance
+from monotri.geom import (DEFAULT_TOL, GeometryError, Infeasible, Point, RigidMotion,
+                          distance, third_vertex)
 from monotri.forcing import (
+    _EDGES,
+    ConstructionInconsistent,
     DegenerateSides,
     EightPointConfig,
     LABELS,
+    _check_spec_sides,
     build_config,
     classify_triples,
     forcing_check_i,
@@ -30,6 +34,64 @@ def spec_stream(n, seed=20250808):
         if gaps and min(gaps) < 1e-6:
             continue
         out.append(sides)
+    return out
+
+
+def mirror_search_config(a, b, c, tol=DEFAULT_TOL):
+    """The configuration by search: D below AB first, then both mirror images
+    of B', C' and of D', A', and the first assignment whose 18 constraint
+    edges all hold within ``tol * (1 + max side)`` wins."""
+    _check_spec_sides(a, b, c, tol)
+    scale = 1.0 + max(a, b, c)
+    A, B = Point(0.0, 0.0), Point(a, 0.0)
+    C = third_vertex(A, B, a, a, a, "ccw", tol)
+    for d_orient in ("cw", "ccw"):
+        D = third_vertex(A, B, a, b, c, d_orient, tol)
+        for bp_o, cp_o in itertools.product(("ccw", "cw"), repeat=2):
+            try:
+                Bp = third_vertex(A, D, b, b, b, bp_o, tol)
+                Cp = third_vertex(B, D, c, c, c, cp_o, tol)
+            except GeometryError:
+                continue
+            if abs(distance(Bp, C) - c) > tol * scale or abs(distance(Bp, Cp) - a) > tol * scale:
+                continue
+            for dp_o, ap_o in itertools.product(("ccw", "cw"), repeat=2):
+                try:
+                    Dp = third_vertex(Bp, C, c, c, c, dp_o, tol)
+                    Ap = third_vertex(Bp, Cp, a, a, a, ap_o, tol)
+                except GeometryError:
+                    continue
+                points = {"A": A, "B": B, "C": C, "D": D,
+                          "A'": Ap, "B'": Bp, "C'": Cp, "D'": Dp}
+                if all(abs(distance(points[u], points[v]) - (a, b, c)[k]) <= tol * scale
+                       for u, v, k in _EDGES):
+                    return points
+    raise ConstructionInconsistent(f"no mirror assignment for {(a, b, c)}")
+
+
+def construction_stream(n, seed=28):
+    """Side triples from 1e-3 to 1e3: a and b log-uniform, c inside the
+    triangle inequality, on either tight end, or a few ulps to a tolerance
+    past one of them, and now and then a side repeated."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        a, b = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        lo, hi = abs(a - b), a + b
+        mode = rng.integers(6)
+        if mode == 0:
+            c = rng.uniform(lo, hi)
+        elif mode == 1:
+            c = hi
+        elif mode == 2:
+            c = lo
+        elif mode == 3:
+            c = hi + (1.0 + hi) * DEFAULT_TOL * rng.uniform(-2.0, 2.0)
+        elif mode == 4:
+            c = lo + (1.0 + hi) * DEFAULT_TOL * rng.uniform(-2.0, 2.0)
+        else:
+            c = rng.choice((a, b))
+        out.append((float(a), float(b), float(c)))
     return out
 
 
@@ -115,6 +177,27 @@ class TestBuildConfig:
     def test_degenerate_collinear_spec(self):
         cfg = build_config(1, 1, 2)
         assert max(cfg.constraint_errors()) < 1e-9
+
+    def test_construction_is_the_mirror_search(self):
+        """Over 12,000 triples the direct construction places the points the
+        search places, bit for bit, and refuses the triples it refuses, with
+        the same exception type."""
+        placed, refused = 0, set()
+        for sides in construction_stream(12_000):
+            try:
+                want = mirror_search_config(*sides)
+            except GeometryError as refusal:
+                with pytest.raises(GeometryError) as raised:
+                    build_config(*sides)
+                assert type(raised.value) is type(refusal), sides
+                refused.add(type(refusal))
+                continue
+            got = build_config(*sides).points
+            assert (np.array([(got[t].x, got[t].y) for t in LABELS]).tobytes()
+                    == np.array([(want[t].x, want[t].y) for t in LABELS]).tobytes()), sides
+            placed += 1
+        assert 5_000 < placed < 12_000
+        assert refused == {Infeasible, ConstructionInconsistent}
 
 
 class TestClassifyTriples:

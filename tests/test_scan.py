@@ -21,6 +21,7 @@ from monotri.colorings import (
     all_black_coloring,
     l_shape_coloring,
 )
+import monotri.scan as scan_module
 from monotri.scan import (
     NotOnBoundary,
     _common_color,
@@ -236,22 +237,81 @@ class TestWitnessSoundness:
             _common_color(island, tri, 1e-9)
 
 
+def assert_almost_pair(coloring, pair, eps):
+    """Each triangle lies in [-3, 3]^2, has sides in [1 - eps, 1 + eps] and
+    takes its class's color at every vertex."""
+    assert pair is not None
+    for tri, color in ((pair.black_triangle, Color.BLACK), (pair.white_triangle, Color.WHITE)):
+        sides = (distance(tri[0], tri[1]), distance(tri[1], tri[2]), distance(tri[2], tri[0]))
+        assert all(1 - eps <= s <= 1 + eps for s in sides)
+        assert all(coloring.color_at(v) is color for v in tri)
+        assert all(abs(v.x) <= 3 and abs(v.y) <= 3 for v in tri)
+
+
+@pytest.fixture
+def phase_three_tries(monkeypatch):
+    """The colors that ``_common_color`` returns, one per call: phase 3 of
+    the almost-unit search is its only caller there."""
+    colors, common_color = [], scan_module._common_color
+
+    def spy(coloring, points, tol):
+        colors.append(common_color(coloring, points, tol))
+        return colors[-1]
+
+    monkeypatch.setattr(scan_module, "_common_color", spy)
+    return colors
+
+
 class TestAlmostUnit:
     def test_strip_guided_search(self):
         for eps in (0.2, 0.1, 0.05):
             pair = find_almost_unit(StripColoring(), eps, tries=10 ** 5, seed=42)
-            assert pair is not None
-            for tri, color in ((pair.black_triangle, Color.BLACK),
-                               (pair.white_triangle, Color.WHITE)):
-                sides = (distance(tri[0], tri[1]), distance(tri[1], tri[2]),
-                         distance(tri[2], tri[0]))
-                assert all(1 - eps <= s <= 1 + eps for s in sides)
-                assert all(StripColoring().color_at(v) is color for v in tri)
-                assert all(abs(v.x) <= 3 and abs(v.y) <= 3 for v in tri)
+            assert_almost_pair(StripColoring(), pair, eps)
 
     def test_half_plane(self):
         pair = find_almost_unit(HalfPlaneColoring(), 0.1, tries=10 ** 4, seed=1)
         assert pair is not None
+
+    def test_pair_from_the_boundary_outside_the_inner_square(self, phase_three_tries):
+        """Black on all of [-1, 1]^2: the pair straddles the line y = -2,
+        and the circles about it give both classes without phase 3."""
+        hp = HalfPlaneColoring(UnitVector(0.0, 1.0), -2.0)
+        pair = find_almost_unit(hp, 0.1, tries=10 ** 5, seed=0)
+        assert_almost_pair(hp, pair, 0.1)
+        assert pair.black_triangle[0].y > -2.0 > pair.white_triangle[0].y
+        assert phase_three_tries == []
+
+    def test_the_pair_spends_no_tries(self):
+        # one try: the first circle's samples alone overdraw the budget
+        assert_almost_pair(StripColoring(), find_almost_unit(StripColoring(), 0.1, tries=1), 0.1)
+
+    def test_phase_three_supplies_the_missing_class(self, phase_three_tries):
+        """The pair straddles a black strip 0.1 wide, whose unit circles meet it
+        only in two short arcs a diameter apart, so the walk closes no black
+        triangle; random unit triangles then find one in the half-plane x >= 1."""
+        ray = {"ray_start": True, "ray_end": True}
+        pieces = (BoundaryPiece(Segment(Point(-1.9, -4.0), Point(-1.9, 4.0)), Color.BLACK, **ray),
+                  BoundaryPiece(Segment(Point(-1.8, 4.0), Point(-1.8, -4.0)), Color.BLACK, **ray),
+                  BoundaryPiece(Segment(Point(1.0, -4.0), Point(1.0, 4.0)), Color.BLACK, **ray))
+        seeds = ((Point(-3.0, 0.0), Color.WHITE), (Point(-1.85, 0.0), Color.BLACK),
+                 (Point(0.0, 0.0), Color.WHITE), (Point(2.0, 0.0), Color.BLACK))
+        pc = PolygonalColoring(pieces, seeds, Region(-4.0, -4.0, 4.0, 4.0))
+        pair = find_almost_unit(pc, 0.1, tries=10 ** 4, seed=0)
+        assert_almost_pair(pc, pair, 0.1)
+        assert pair.white_triangle[0] == Point(-1.90625, 0.0)  # the pair's white point
+        assert phase_three_tries[-1] is Color.BLACK
+        assert phase_three_tries.count(Color.BLACK) == 1
+        assert all(v.x > 1.0 for v in pair.black_triangle)
+        tri = pair.black_triangle
+        assert [distance(tri[k], tri[k - 1]) for k in range(3)] == pytest.approx([1.0] * 3,
+                                                                                 abs=1e-12)
+
+    def test_a_square_too_full_of_boundary_leaves_both_classes_to_phase_3(
+            self, phase_three_tries):
+        # [-2, 2]^2 holds about 9e6 lines of this strip, more than a window may
+        strips = StripColoring(1e-6)
+        assert_almost_pair(strips, find_almost_unit(strips, 0.1, tries=10 ** 4, seed=0), 0.1)
+        assert {Color.BLACK, Color.WHITE} <= set(phase_three_tries)
 
     def test_all_black_fails_white_class(self):
         pair = find_almost_unit(all_black_coloring(), 0.1, tries=3000, seed=2)
