@@ -585,8 +585,14 @@ class ZebraColoring(_Queries):
 
     # Frame coordinates: s along x_hat, t along its ccw perpendicular.
     def to_frame(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(x dx + y dy, y dx - x dy)``; t is ``-x dy + y dx`` bit for bit,
+        since ``a - b`` rounds as ``a + (-b)``."""
         xh = self.x_hat
-        return xs * xh.dx + ys * xh.dy, -xs * xh.dy + ys * xh.dx
+        s = xs * xh.dx
+        s += ys * xh.dy
+        t = ys * xh.dx
+        t -= xs * xh.dy
+        return s, t
 
     def curve_points(self, i, u: np.ndarray) -> np.ndarray:
         """World coordinates of L_i at the profile parameters ``u``, x and y
@@ -604,30 +610,35 @@ class ZebraColoring(_Queries):
         xs, ys = self.curve_points(i, np.array([u]))
         return Point(float(xs[0]), float(ys[0]))
 
-    def _locate(self, xs: np.ndarray, ys: np.ndarray, tol: float):
-        """Band index, on-curve mask, on-curve index and unresolved mask for
-        each point.
+    def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Black, on-boundary and unresolved masks, from the parity of one
+        curve index per point.
 
-        The band is the largest i with L_i at or below the point, and the
-        on-curve index is the first i in ascending order whose curve lies
-        within ``tol`` of it, measured vertically as ``tol * sqrt(1 + m^2)``
-        on a piece of slope m; a point on no curve gets index 0. Heights
-        come from ``ZebraProfile.values``, and only the points within
-        ``w = tol * max secant`` of a curve look up their piece's slope.
+        A point's band is the largest i with L_i at or below it, and it is
+        on a curve when some curve lies within ``tol`` of it, measured
+        vertically as ``tol * sqrt(1 + m^2)`` on a piece of slope m. Its
+        color is ``boundary_parity`` of the first such i in ascending order,
+        else ``parity_rule`` of the band. Heights are those of
+        ``ZebraProfile.values``, and only the points within ``w = tol * max
+        secant`` of a curve look up their piece's slope.
 
         Every point is tested against one curve, L_i0 with i0 = floor(q)
-        and ``q = (t - v_min) / (sqrt(3)/2)`` at frame height t: its band is
-        ``i0 - (h > t)`` for the height h of L_i0 at the point, and it is on
-        a curve iff it is on L_i0. That is the answer unless L_i0-1 or
-        L_i0+1 may come within w of the point. The points where they may,
-        the hard ones, take the curve window instead: curves i0 - 1 ..
-        i0 + 1 (i0 - 2 .. i0 + 2 when w >= sqrt(3)/2), then curve i0 - 2,
-        as the band only, where rounding put all three above the point
-        (at |t| from about 10^7, for an amplitude within 1e-9 of the cap).
-        In exact arithmetic that window decides everything: curve i0 - 1
-        lies below the point and curve i0 + 1 above it, and curves i0 +- 2
-        are more than sqrt(3)/2 away vertically, since the amplitude stays
-        below sqrt(3)/2.
+        and ``q = (t - v_min) / (sqrt(3)/2)`` at frame height t: its index
+        is i0 if it is on L_i0, else its band ``i0 - (h > t)`` for the
+        height h of L_i0 at the point. Only that index's parity counts, so
+        the mask reads i0's parity and a 0/1 offset: ``h > t`` off the
+        curve; on it 0 when the two rules agree, and 1 when they differ,
+        which turns ``boundary_parity`` into ``parity_rule``. That is the
+        answer unless L_i0-1 or L_i0+1 may come within w of the point. The
+        points where they may, the hard ones, take the curve window
+        instead: curves i0 - 1 .. i0 + 1 (i0 - 2 .. i0 + 2 when
+        w >= sqrt(3)/2), then curve i0 - 2, as the band only, where
+        rounding put all three above the point (at |t| from about 10^7,
+        for an amplitude within 1e-9 of the cap). In exact arithmetic that
+        window decides everything: curve i0 - 1 lies below the point and
+        curve i0 + 1 above it, and curves i0 +- 2 are more than sqrt(3)/2
+        away vertically, since the amplitude stays below sqrt(3)/2.
 
         Which points are hard. Let H be the float ``HALF_SQRT3`` in which
         every height is computed, u = 2^-53, A = v_max - v_min,
@@ -663,71 +674,100 @@ class ZebraColoring(_Queries):
         when w >= H every point does.
 
         The proof needs T < 2^48, and the window, which sees one point at a
-        time, is trusted as far: a hard point with |s| + |t| >= 2^48, or
-        with a coordinate that is not finite, is unresolved, with band and
-        index 0. Only a call with T >= 2^48, where every point is hard,
-        computes under ``np.errstate``, since infinities and overflow warn.
+        time, is trusted as far. At T >= 2^48, eps > 1 > H and every point
+        is hard, so such a call skips the one-curve pass: a point with
+        |s| + |t| >= 2^48, or with a coordinate that is not finite, is
+        unresolved, with index 0 and off the boundary, and the others take
+        the window, under ``np.errstate``, since infinities and overflow warn.
         """
         # Python floats, whose sum overflows to inf without a warning
         size = 1.5 * (float(np.abs(xs).max(initial=0.0)) + float(np.abs(ys).max(initial=0.0)))
         if size < 2.0 ** 48:
-            return self._locate_within(xs, ys, tol, size)
+            return self._resolve_within(xs, ys, tol, size)
         with np.errstate(invalid="ignore", over="ignore"):
-            return self._locate_within(xs, ys, tol, size)
+            s, t = self.to_frame(xs, ys)
+            inside = np.flatnonzero(np.abs(s) + np.abs(t) < 2.0 ** 48)
+            black = np.full(xs.shape, self.parity_rule == "even-black")
+            on_curve = np.zeros(xs.shape, dtype=bool)
+            unresolved = np.ones(xs.shape, dtype=bool)
+            unresolved[inside] = False
+            s, t = s[inside], t[inside]
+            black[inside], on_curve[inside] = self._curve_window(
+                s, t, np.floor((t - self.profile.v_min) / HALF_SQRT3), tol,
+                tol * self.profile.tables.secants.max())
+        return black, on_curve, unresolved
 
-    def _locate_within(self, xs: np.ndarray, ys: np.ndarray, tol: float, size: float):
-        """``_locate`` with ``size`` for T."""
+    def _resolve_within(self, xs: np.ndarray, ys: np.ndarray, tol: float, size: float
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``resolve`` where T = ``size`` < 2^48: L_i0 for the easy points,
+        the window for the hard ones."""
         profile = self.profile
         s, t = self.to_frame(xs, ys)
-        # Curve indices are floats until the return: integers below 2^53
-        # are exact floats, the form in which 0.5 * i and i * HALF_SQRT3 use them.
-        q = (t - profile.v_min) / HALF_SQRT3
+        # Curve indices are floats: integers below 2^53 are exact floats,
+        # the form in which 0.5 * i and i * HALF_SQRT3 use them.
+        q = t - profile.v_min
+        q /= HALF_SQRT3
         i0 = np.floor(q)
         widest = tol * profile.tables.secants.max()
         h, on_curve = self._near_curve(s, t, i0, tol, widest)
-        band = i0 - (h > t)
-        curve_idx = np.where(on_curve, i0, 0.0)
+        offset = h > t
+        if self.parity_rule == self.boundary_parity:
+            offset &= ~on_curve
+        else:
+            offset |= on_curve
+        black = self._black(i0, offset)
         margin = widest + 2.0 ** -48 * (  # w + eps
             size + max(-profile.v_min, profile.v_max) + widest + 1.0)
-        f = q - i0
-        easy = ((f > (margin - (HALF_SQRT3 - profile.amplitude)) / HALF_SQRT3)
-                & (f < 1.0 - margin / HALF_SQRT3))
-        hard = np.flatnonzero(~easy)
-        unresolved = np.zeros(xs.shape, bool)
-        if hard.size:
-            far = ~(np.abs(s[hard]) + np.abs(t[hard]) < 2.0 ** 48)
-            if far.any():
-                out, hard = hard[far], hard[~far]
-                band[out], on_curve[out], curve_idx[out] = 0.0, False, 0.0
-                unresolved[out] = True
-            band[hard], on_curve[hard], curve_idx[hard] = self._curve_window(
-                s[hard], t[hard], i0[hard], tol, widest)
-        return band.astype(np.int64), on_curve, curve_idx.astype(np.int64), unresolved
+        f = np.subtract(q, i0, out=q)
+        easy = f > (margin - (HALF_SQRT3 - profile.amplitude)) / HALF_SQRT3
+        easy &= f < 1.0 - margin / HALF_SQRT3
+        if not easy.all():
+            hard = np.flatnonzero(~easy)
+            black[hard], on_curve[hard] = self._curve_window(s[hard], t[hard], i0[hard], tol,
+                                                             widest)
+        return black, on_curve, np.zeros(xs.shape, dtype=bool)
 
-    def _height(self, s: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """Frame height of L_i at frame abscissa s."""
-        return i * HALF_SQRT3 + self.profile.values(s - 0.5 * i)
+    def _black(self, index: np.ndarray, offset) -> np.ndarray:
+        """The black mask of the points whose index parity is that of
+        ``index + offset``, for a float ``index`` and a bool ``offset``."""
+        half = index * 0.5
+        even = half == np.floor(half)
+        return even != offset if self.parity_rule == "even-black" else even == offset
+
+    def _height(self, s: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Frame height of L_i at frame abscissa s, ``i H + values(s - i/2)``
+        bit for bit, and the fractional part of ``s - i/2`` that it reads."""
+        tables = self.profile.tables
+        u = i * 0.5
+        np.subtract(s, u, out=u)
+        h = np.floor(u)
+        u -= h  # _frac
+        np.multiply(i, HALF_SQRT3, out=h)
+        h += np.interp(u, tables.us, tables.vs)
+        return h, u
 
     def _near_curve(self, s: np.ndarray, t: np.ndarray, i: np.ndarray, tol: float,
                     widest: float) -> tuple[np.ndarray, np.ndarray]:
         """Height of L_i at each abscissa s, and whether (s, t) is on L_i."""
         tables = self.profile.tables
-        h = self._height(s, i)
-        gap = np.abs(t - h)
+        h, u = self._height(s, i)
+        gap = np.subtract(t, h)
+        np.abs(gap, out=gap)
         # tol * secants[k] <= widest, so only these points can be on L_i
         onb = gap <= widest
         near = onb.nonzero()[0]
         if near.size:
-            k = np.searchsorted(tables.us, _frac(s[near] - 0.5 * i[near]), side="right")
+            k = np.searchsorted(tables.us, u[near], side="right")
             onb[near] = gap[near] <= tol * tables.secants[k]
         return h, onb
 
     def _curve_window(self, s: np.ndarray, t: np.ndarray, i0: np.ndarray, tol: float,
-                      widest: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_locate``'s three arrays, curve indices as floats, from the window
-        of curves i0 - 1 .. i0 + 1 (i0 +- 2 when ``widest >= sqrt(3)/2``);
-        the band of a point below every window curve is looked up on L_i0-2."""
-        band = np.full(s.shape, _NO_CURVE_BELOW)
+                      widest: float) -> tuple[np.ndarray, np.ndarray]:
+        """``resolve``'s black and on-boundary masks from the window of curves
+        i0 - 1 .. i0 + 1 (i0 +- 2 when ``widest >= sqrt(3)/2``): the index of
+        the first window curve within ``tol`` of a point, else its band; the
+        band of a point below every window curve is looked up on L_i0-2."""
+        index = np.full(s.shape, _NO_CURVE_BELOW)
         on_curve = np.zeros(s.shape, dtype=bool)
         curve_idx = np.zeros(s.shape)
         reach = 2 if widest >= HALF_SQRT3 else 1
@@ -736,20 +776,13 @@ class ZebraColoring(_Queries):
             h, onb = self._near_curve(s, t, i, tol, widest)
             np.copyto(curve_idx, i, where=onb & ~on_curve)
             on_curve |= onb
-            np.copyto(band, i, where=h <= t)  # i ascends, so this keeps the max
-        below = np.flatnonzero(band == _NO_CURVE_BELOW)
+            np.copyto(index, i, where=h <= t)  # i ascends, so this keeps the band
+        below = np.flatnonzero(index == _NO_CURVE_BELOW)
         if reach == 1 and below.size:
             i = i0[below] - 2
-            band[below] = np.where(self._height(s[below], i) <= t[below], i, band[below])
-        return band, on_curve, curve_idx
-
-    def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        band, on_curve, curve_idx, unresolved = self._locate(xs, ys, tol)
-        even = (np.where(on_curve, curve_idx, band) & 1) == 0
-        odd_black = np.where(on_curve, self.boundary_parity == "even-white",
-                             self.parity_rule == "even-white")
-        return even != odd_black, on_curve, unresolved
+            index[below] = np.where(self._height(s[below], i)[0] <= t[below], i, index[below])
+        np.copyto(index, curve_idx, where=on_curve)
+        return self._black(index, on_curve & (self.parity_rule != self.boundary_parity)), on_curve
 
     def _window_polylines(self, window: Region) -> tuple[range, np.ndarray, ...]:
         """The curves that can reach ``window`` and the one above, and their
@@ -816,7 +849,7 @@ class ZebraColoring(_Queries):
 
     def _measurable(self, xs: np.ndarray, ys: np.ndarray) -> Optional[np.ndarray]:
         """The points ``resolve`` resolves, finite with ``|s| + |t| < 2^48``; None
-        if that is all, as when max(|x|, |y|) < 2^46 (see ``_locate``)."""
+        if that is all, as when max(|x|, |y|) < 2^46 (see ``resolve``)."""
         if np.abs(np.concatenate((xs, ys))).max(initial=0.0) < 2.0 ** 46:
             return None
         with np.errstate(invalid="ignore", over="ignore"):
@@ -826,7 +859,7 @@ class ZebraColoring(_Queries):
     def _distance_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray]:
         """One array pass over the points and their curves i0 - 2 .. i0 + 2.
 
-        i0 is as in ``_locate``. Curve i of a point at frame (s, t) is its
+        i0 is as in ``resolve``. Curve i of a point at frame (s, t) is its
         ``_polylines`` row over u in [c - 1.5, c + 1.5], ``c = s - i/2``. Its
         vertical gap at c is at least its distance and at most the largest
         secant times it, so a curve is dropped when that lower bound exceeds
@@ -839,7 +872,7 @@ class ZebraColoring(_Queries):
         profile = self.profile
         s, t = self.to_frame(xs, ys)
         i = np.floor((t - profile.v_min) / HALF_SQRT3)[:, None] + np.arange(-2.0, 3.0)
-        gap = np.abs(t[:, None] - self._height(s[:, None], i))
+        gap = np.abs(t[:, None] - self._height(s[:, None], i)[0])
         secant = profile.tables.secants.max()
         slack = 2e-9 * (1.0 + np.abs(xs) + np.abs(ys))[:, None] + 1e-10 * secant
         rows = (gap <= (np.minimum.reduce(gap, axis=1, keepdims=True) + slack)
@@ -1005,9 +1038,18 @@ class PolygonTables:
         self.seed_x = np.array([p.x for p, _ in seeds])
         self.seed_y = np.array([p.y for p, _ in seeds])
         self.seed_black = np.array([c is Color.BLACK for _, c in seeds], dtype=bool)
-        gx, gy = self.gaps(self.seed_x, self.seed_y)
+        # far pieces overflow the projection; a distance that is not finite is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            gx, gy = self.gaps(self.seed_x, self.seed_y)
         self.seed_dist = np.fromiter(map(math.hypot, gx.ravel().tolist(), gy.ravel().tolist()),
                                      float, gx.size).reshape(gx.shape)
+        far = np.argwhere(~np.isfinite(self.seed_dist))
+        if far.size:
+            j, k = far[0].tolist()
+            raise InvalidArgument("segments", f"must lie a finite distance from every seed, but "
+                                              f"segment {j}'s distance from seed {k} is not",
+                                  [[float(c[j]) for c in pair] for pair in (
+                                      (pieces.ax, pieces.ay), (pieces.bx, pieces.by))])
         self.seed_clear = self.seed_dist.min(axis=0, initial=np.inf)
         for table in vars(self).values():
             table.setflags(write=False)

@@ -12,8 +12,10 @@ A placement is a pose index (angle index, x index, y index) applied to the
 canonical triangle of :func:`monotri.geom.place_triangle`. Find and
 avoidance scans share one engine, which walks blocks of poses in
 lexicographic pose order. A block is a run of whole angles over all of a
-grid's n translations, at most ``_SCAN_BLOCK // n`` angles (a find scan's
-first run is one angle and each later one doubles, up to that cap); only
+grid's n translations, at most ``_SCAN_BLOCK // n`` angles in an avoidance
+scan, which classifies two vertices per call, and ``2 * _SCAN_BLOCK // n``
+in a find scan, which classifies one (its first run is one angle and each
+later one doubles, up to that cap); only
 when one angle has more than ``_SCAN_BLOCK`` translations is a block a
 slice of one angle's translations, at most ``_SCAN_BLOCK`` of them (a find
 scan's first slice is ``isqrt(_SCAN_BLOCK)`` and each later one doubles,
@@ -236,15 +238,15 @@ def _check_scan(spec: TriangleSpec, grid: ScanGrid, tol: float) -> None:
 
 _SCAN_BLOCK = 4096  # most poses per block of the scan engine
 # Candidates in a find scan's first margin batch; later batches of a block
-# double. A zebra ``distance`` call costs about 115 us plus 1.55 us per
-# point, so 4 candidates (12 points) cost about an eighth more than one, and
+# double. A zebra ``distance`` call costs about 105 us plus 0.9 us per
+# point, so 4 candidates (12 points) cost under a tenth more than one, and
 # doubling spends at most about as many points past the witness as before it.
 _MARGIN_BATCH = 4
 _EXAMPLES = 8  # the first monochromatic placements and near misses an avoidance report lists
 
 
 def _placed_poses(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid, tol: float,
-                  ramp: bool = False):
+                  find: bool = False):
     """The scan engine: per block of poses, in pose order, ``(pose, place, first)``.
 
     The grid's n translations are flat lattice indices t, x major and y
@@ -254,14 +256,22 @@ def _placed_poses(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid, tol: f
     A block builds its translations from their indices, so no array holds
     more translations than a block.
     When n <= ``_SCAN_BLOCK``, a block is a run of whole angles k0, k0 + 1,
-    ... over all n translations: ``_SCAN_BLOCK // n`` angles, or, with
-    ``ramp``, one angle in the first block and twice as many in each later
-    one up to that cap. Otherwise a block is one angle and a slice of
-    consecutive translations: ``_SCAN_BLOCK`` of them, or, with ``ramp``,
-    ``isqrt(_SCAN_BLOCK)`` in the first slice and twice as many in each
-    later one up to ``_SCAN_BLOCK``; a slice ends at its angle's last
-    translation. Pose i of a block of m translations is angle k0 + i // m
-    at translation i % m; ``pose(i)`` is ``(k, angle, x, y)``.
+    ... over all n translations: ``_SCAN_BLOCK // n`` angles, or, for a
+    ``find`` scan, one angle in the first block and twice as many in each
+    later one up to ``2 * _SCAN_BLOCK // n``. An avoidance block classifies
+    vertices 1 and 2 in one call and a find block one vertex per call, so
+    no ``resolve`` call sees more than ``2 * _SCAN_BLOCK`` points either
+    way. Avoidance runs stay at ``_SCAN_BLOCK`` poses: at twice that, about
+    15k points a call, a fresh ``monotri avoid`` process over 13.4 M
+    placements took 313k-367k minor page faults instead of 5.4k, and
+    0.3-0.45 s of system time, as glibc trimmed and re-grew the heap at
+    every block (a heap layout that depends on what ran before the scan;
+    a long-lived process need not show it). Otherwise a block is one angle
+    and a slice of consecutive translations: ``_SCAN_BLOCK`` of them, or,
+    for a ``find`` scan, ``isqrt(_SCAN_BLOCK)`` in the first slice and twice
+    as many in each later one up to ``_SCAN_BLOCK``; a slice ends at its
+    angle's last translation. Pose i of a block of m translations is angle
+    k0 + i // m at translation i % m; ``pose(i)`` is ``(k, angle, x, y)``.
     ``place(v, at)`` is the points ``(xs, ys)`` of vertex ``v`` (0, 1 or 2)
     over the block, one broadcast add of translations and offsets, or over
     the block's poses ``at`` only, whose translations and offsets are
@@ -293,11 +303,11 @@ def _placed_poses(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid, tol: f
     base = place_triangle(spec, RigidMotion(0.0))
     angles = grid.angles().tolist()
     block = _SCAN_BLOCK
-    cap = max(block // n, 1)
-    run = 1 if ramp else cap
+    cap = max((2 if find else 1) * block // n, 1)
+    run = 1 if find else cap
     # 64 poses at the default block: a zebra ``resolve`` call costs about
-    # 33 us plus 40 ns per point, so a smaller first slice saves under 3 us
-    size = math.isqrt(block) if ramp and n > block else block
+    # 23 us plus 17 ns per point, so a smaller first slice saves under 2 us
+    size = math.isqrt(block) if find and n > block else block
     if n <= block:
         xs, ys = translations(0, n)
         first = coloring.resolve(xs, ys, tol)
@@ -338,9 +348,11 @@ def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGr
 
     Vertex 1 is classified once per lattice or slice (see the module
     docstring), vertex 2 once per block, and vertex 3 only where vertices 1
-    and 2 agree, and the scan stops in the block of its witness. Runs of whole angles start at one
-    angle and double up to the engine's cap, so a witness at angle k is
-    found after classifying at most 2k + 1 angles; where one angle holds
+    and 2 agree, and the scan stops in the block of its witness. Runs of
+    whole angles start at one angle and double up to the engine's cap of
+    ``2 * _SCAN_BLOCK // n`` angles over n translations, twice an avoidance
+    scan's, since each call classifies one vertex; so a witness at angle k
+    is found after classifying at most 2k + 1 angles; where one angle holds
     more translations than a block, its slices ramp up the same way. The
     monochromatic poses of a block take their margins in pose order, one
     ``distance`` call per batch of ``_MARGIN_BATCH``, then twice as many
@@ -360,7 +372,7 @@ def find_monochromatic_copy(coloring: Coloring, spec: TriangleSpec, grid: ScanGr
     if not (0.0 <= min_margin < math.inf):
         raise InvalidArgument("min_margin", "must be a finite number >= 0", min_margin)
     _check_scan(spec, grid, tol)
-    for pose, place, (b1, _, u1) in _placed_poses(coloring, spec, grid, tol, ramp=True):
+    for pose, place, (b1, _, u1) in _placed_poses(coloring, spec, grid, tol, find=True):
         m = b1.size
         b2, _, u2 = coloring.resolve(*place(1), tol)
         b2, u2 = b2.reshape(-1, m), u2.reshape(-1, m)
@@ -395,9 +407,13 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
     third vertex sits within tolerance of the boundary. Placements with an
     unresolved vertex count as ``unresolved`` and as neither. A coloring that
     reads ys alone is scanned over the first lattice column, and its counts
-    and examples are expanded to every column (see the module docstring). A
-    triangle and grid that ``tol`` cannot scan raise ``InvalidArgument``
-    (see ``_check_scan``).
+    and examples are expanded to every column (see the module docstring).
+    A block is a run of ``_SCAN_BLOCK // n`` whole angles over n
+    translations, or a slice of one angle, and its vertices 2 and 3 take
+    one ``resolve`` call; a block with no vertex on the boundary skips the
+    near-miss masks, and one with no vertex unresolved the unresolved
+    masks. A triangle and grid that ``tol`` cannot scan raise
+    ``InvalidArgument`` (see ``_check_scan``).
     """
     _check_scan(spec, grid, tol)
     one_column = coloring._YS_ONLY
@@ -409,18 +425,27 @@ def avoidance_scan(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid,
     for pose, place, (b1, on1, u1) in _placed_poses(coloring, spec, grid, tol):
         # vertices 2 and 3 in one call, as (2, runs, m) masks, which
         # broadcast against vertex 1's m translations
-        (b2, b3), (on2, on3), (u2, u3) = (a.reshape(2, -1, b1.size) for a in
-                                          coloring.resolve(*place(slice(1, 3)), tol))
+        b23, on23, u23 = coloring.resolve(*place(slice(1, 3)), tol)
+        b2, b3 = b23.reshape(2, -1, b1.size)
         mono = (b1 == b2) & (b2 == b3)
-        near = (~mono) & (((b1 == b2) & on3) | ((b1 == b3) & on2) | ((b2 == b3) & on1))
-        bad = u1 | u2 | u3
-        if bad.any():
-            unresolved += int(bad.sum())
+        # most blocks have no vertex unresolved or on the boundary (on a zebra
+        # twin, almost none has), and skip these masks
+        bad = None
+        if u1.any() or u23.any():
+            u2, u3 = u23.reshape(2, -1, b1.size)
+            bad = u1 | u2 | u3
+            unresolved += int(np.count_nonzero(bad))
             mono &= ~bad
-            near &= ~bad
-        mono_count += int(mono.sum())
-        near_count += int(near.sum())
-        for mask, acc in ((mono, mono_ex), (near, near_ex)):
+        mono_count += int(np.count_nonzero(mono))
+        found = [(mono, mono_ex)]
+        if on1.any() or on23.any():
+            on2, on3 = on23.reshape(2, -1, b1.size)
+            near = (~mono) & (((b1 == b2) & on3) | ((b1 == b3) & on2) | ((b2 == b3) & on1))
+            if bad is not None:
+                near &= ~bad
+            near_count += int(np.count_nonzero(near))
+            found.append((near, near_ex))
+        for mask, acc in found:
             if len(acc) < _EXAMPLES and mask.any():
                 for i in np.flatnonzero(mask)[:_EXAMPLES - len(acc)]:
                     k, _, x, y = pose(i)

@@ -8,14 +8,24 @@ quadratic, over the parameter range [lo, hi], and ``scalar_circle_hits``
 runs it piece by piece, merging a hit within 10 tol of an earlier one: the
 circle pass as it was before it became one array pass, widened to rays.
 ``table_of`` builds the ``PieceTable`` of a list of segments.
+
+``locate`` is the zebra kernel as it was before ``resolve`` read one float
+index's parity: the int64 band and on-curve index of every point, from
+curve L_i0 alone where no neighbour can reach the point and from the
+curve window elsewhere, with its own copies of the height, near-curve and
+window passes; ``locate_resolve`` is ``resolve`` over it, the three masks.
 """
 
 import math
 
 import numpy as np
 
-from monotri.colorings import BoundaryPiece, PieceTable
+from monotri.colorings import HALF_SQRT3, BoundaryPiece, PieceTable, ZebraColoring
 from monotri.geom import Circle, CircleHit, Point, Segment, distance
+
+# the band of a point with no window curve at or below it; -2^63 as a float
+# casts to the least int64
+_NO_CURVE_BELOW = float(np.iinfo(np.int64).min)
 
 
 def point_segment_distance(p: Point, seg: Segment,
@@ -110,3 +120,88 @@ def table_of(chain: list[Segment], ray_start=False, ray_end=False) -> PieceTable
     a = np.array([[s.p.x for s in chain], [s.p.y for s in chain]]).reshape(2, -1)
     b = np.array([[s.q.x for s in chain], [s.q.y for s in chain]]).reshape(2, -1)
     return PieceTable(a, b, np.ones(len(chain), dtype=bool), ray_start, ray_end)
+
+
+def locate(zc: ZebraColoring, xs: np.ndarray, ys: np.ndarray, tol: float):
+    """Band index, on-curve mask, on-curve index and unresolved mask of each
+    point: the band is the largest i with L_i at or below the point, the
+    on-curve index the first i in ascending order whose curve lies within
+    ``tol`` of it (vertically ``tol * sqrt(1 + m^2)`` on a piece of slope
+    m), 0 on no curve. Points that ``resolve`` leaves unresolved get band
+    and index 0."""
+    size = 1.5 * (float(np.abs(xs).max(initial=0.0)) + float(np.abs(ys).max(initial=0.0)))
+    if size < 2.0 ** 48:
+        return _locate_within(zc, xs, ys, tol, size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _locate_within(zc, xs, ys, tol, size)
+
+
+def _locate_within(zc: ZebraColoring, xs, ys, tol: float, size: float):
+    profile = zc.profile
+    xh = zc.x_hat
+    s, t = xs * xh.dx + ys * xh.dy, -xs * xh.dy + ys * xh.dx
+    q = (t - profile.v_min) / HALF_SQRT3
+    i0 = np.floor(q)
+    widest = tol * profile.tables.secants.max()
+    h, on_curve = _near_curve(zc, s, t, i0, tol, widest)
+    band = i0 - (h > t)
+    curve_idx = np.where(on_curve, i0, 0.0)
+    margin = widest + 2.0 ** -48 * (size + max(-profile.v_min, profile.v_max) + widest + 1.0)
+    f = q - i0
+    easy = ((f > (margin - (HALF_SQRT3 - profile.amplitude)) / HALF_SQRT3)
+            & (f < 1.0 - margin / HALF_SQRT3))
+    hard = np.flatnonzero(~easy)
+    unresolved = np.zeros(xs.shape, bool)
+    if hard.size:
+        far = ~(np.abs(s[hard]) + np.abs(t[hard]) < 2.0 ** 48)
+        if far.any():
+            out, hard = hard[far], hard[~far]
+            band[out], on_curve[out], curve_idx[out] = 0.0, False, 0.0
+            unresolved[out] = True
+        band[hard], on_curve[hard], curve_idx[hard] = _curve_window(
+            zc, s[hard], t[hard], i0[hard], tol, widest)
+    return band.astype(np.int64), on_curve, curve_idx.astype(np.int64), unresolved
+
+
+def _height(zc: ZebraColoring, s, i):
+    return i * HALF_SQRT3 + zc.profile.values(s - 0.5 * i)
+
+
+def _near_curve(zc: ZebraColoring, s, t, i, tol: float, widest: float):
+    tables = zc.profile.tables
+    h = _height(zc, s, i)
+    gap = np.abs(t - h)
+    onb = gap <= widest
+    near = onb.nonzero()[0]
+    if near.size:
+        u = s[near] - 0.5 * i[near]
+        k = np.searchsorted(tables.us, u - np.floor(u), side="right")
+        onb[near] = gap[near] <= tol * tables.secants[k]
+    return h, onb
+
+
+def _curve_window(zc: ZebraColoring, s, t, i0, tol: float, widest: float):
+    band = np.full(s.shape, _NO_CURVE_BELOW)
+    on_curve = np.zeros(s.shape, dtype=bool)
+    curve_idx = np.zeros(s.shape)
+    reach = 2 if widest >= HALF_SQRT3 else 1
+    for di in range(-reach, reach + 1):
+        i = i0 + di
+        h, onb = _near_curve(zc, s, t, i, tol, widest)
+        np.copyto(curve_idx, i, where=onb & ~on_curve)
+        on_curve |= onb
+        np.copyto(band, i, where=h <= t)
+    below = np.flatnonzero(band == _NO_CURVE_BELOW)
+    if reach == 1 and below.size:
+        i = i0[below] - 2
+        band[below] = np.where(_height(zc, s[below], i) <= t[below], i, band[below])
+    return band, on_curve, curve_idx
+
+
+def locate_resolve(zc: ZebraColoring, xs: np.ndarray, ys: np.ndarray, tol: float):
+    """Black, on-boundary and unresolved masks from ``locate``."""
+    band, on_curve, curve_idx, unresolved = locate(zc, xs, ys, tol)
+    even = (np.where(on_curve, curve_idx, band) & 1) == 0
+    odd_black = np.where(on_curve, zc.boundary_parity == "even-white",
+                         zc.parity_rule == "even-white")
+    return even != odd_black, on_curve, unresolved

@@ -76,7 +76,7 @@ from monotri.scan import (
     avoidance_scan,
     find_monochromatic_copy,
 )
-from scalar_oracles import piece_distance, point_segment_distance
+from scalar_oracles import locate, locate_resolve, piece_distance, point_segment_distance
 
 SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
@@ -115,6 +115,25 @@ def five_curve_locate(zc: ZebraColoring, xs, ys, tol):
         on_curve |= onb
         band = np.maximum(band, np.where(h <= t, i, np.iinfo(np.int64).min))
     return band, on_curve, curve_idx
+
+
+def assert_kernel_matches(zc: ZebraColoring, xs, ys, tol):
+    """``resolve``'s masks are those of ``five_curve_locate``'s band and
+    index, and so are ``locate``'s band, index and on-curve arrays; no
+    point is unresolved. Returns ``five_curve_locate``'s arrays."""
+    want = five_curve_locate(zc, xs, ys, tol)
+    *got, unresolved = locate(zc, xs, ys, tol)
+    assert not unresolved.any()
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    band, on_curve, curve_idx = want
+    even = (np.where(on_curve, curve_idx, band) & 1) == 0
+    odd_black = np.where(on_curve, zc.boundary_parity == "even-white",
+                         zc.parity_rule == "even-white")
+    black, on, unresolved = zc.resolve(xs, ys, tol)
+    assert np.array_equal(black, even != odd_black) and np.array_equal(on, on_curve)
+    assert not unresolved.any()
+    return want
 
 
 def mod_strip_classify(sc: StripColoring, xs, ys, tol):
@@ -412,6 +431,44 @@ def curve_points(zc: ZebraColoring, rng, tol, n=60):
     return s * xh.dx - t * xh.dy, s * xh.dy + t * xh.dx
 
 
+@st.composite
+def kernel_cases(draw):
+    """A zebra coloring and a tolerance. At tol 0.5 the profile has a piece
+    of slope at least sqrt(2), so that w = tol * max secant >= sqrt(3)/2
+    and the curve window spans five curves: where the drawn profile has
+    none, a spike of its amplitude, 2 d wide, takes its place."""
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.5]))
+    zc = draw(zebra_colorings())
+    profile = zc.profile
+    if tol == 0.5 and tol * profile.tables.secants.max() < HALF_SQRT3:
+        amplitude = max(profile.amplitude, 0.1)
+        d = draw(st.floats(2e-3, min(amplitude / 1.5, 0.45)))
+        v = profile.v_min
+        profile = ZebraProfile(((0.0, v), (d, v + amplitude), (2.0 * d, v), (1.0, v)))
+        zc = ZebraColoring(profile, zc.x_hat, zc.parity_rule, zc.boundary_parity)
+    assert (tol * profile.tables.secants.max() >= HALF_SQRT3) == (tol == 0.5)
+    return zc, tol
+
+
+def near_curve_points(zc: ZebraColoring, rng, tol, n=40):
+    """Points on curves, and vertically off them by 1e-12 to 1e-8 and by
+    +-0.5 tol and +-2 tol, near the origin and on curves with |i| ~ 10^7;
+    and uniform points."""
+    breaks = np.array([u for u, _ in zc.profile.vertices])
+    i = np.concatenate((rng.integers(-4, 5, n), rng.integers(-4, 5, n) + 10 ** 7 * rng.choice(
+        [-1, 1], n))).astype(float)
+    u = np.where(rng.uniform(size=2 * n) < 0.5, rng.choice(breaks, 2 * n),
+                 rng.uniform(0.0, 1.0, 2 * n)) + rng.integers(-3, 4, 2 * n)
+    s = u + 0.5 * i
+    h = i * HALF_SQRT3 + zc.profile.values(u)
+    dv = np.array([0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8,
+                   0.5 * tol, -0.5 * tol, 2.0 * tol, -2.0 * tol])
+    s = np.concatenate((np.repeat(s, dv.size), rng.uniform(-6.0, 6.0, 100)))
+    t = np.concatenate(((h[:, None] + dv).ravel(), rng.uniform(-6.0, 6.0, 100)))
+    xh = zc.x_hat
+    return s * xh.dx - t * xh.dy, s * xh.dy + t * xh.dx
+
+
 # a y whose quotient by the half strip width is not finite, or overflows
 STRIP_UNRESOLVED = [(0.0, math.nan), (0.0, math.inf), (0.0, -math.inf), (0.0, 1.7e308),
                     (-1.0, -1.7e308)]
@@ -490,11 +547,7 @@ class TestZebraKernel:
         xs, ys = curve_points(zc, rng, tol)
         xs = np.concatenate((xs, rng.uniform(-6.0, 6.0, 200)))
         ys = np.concatenate((ys, rng.uniform(-6.0, 6.0, 200)))
-        *got, unresolved = zc._locate(xs, ys, tol)
-        want = five_curve_locate(zc, xs, ys, tol)
-        assert not unresolved.any()
-        for g, w in zip(got, want, strict=True):
-            assert np.array_equal(g, w)
+        assert_kernel_matches(zc, xs, ys, tol)
 
     @pytest.mark.parametrize("tol", [0.5, 2.0])
     def test_wide_tolerance_widens_the_window(self, tol):
@@ -506,10 +559,7 @@ class TestZebraKernel:
         xs, ys = curve_points(steep, rng, tol)
         xs = np.concatenate((xs, rng.uniform(-4.0, 4.0, 400)))
         ys = np.concatenate((ys, rng.uniform(-4.0, 4.0, 400)))
-        *got, unresolved = steep._locate(xs, ys, tol)
-        assert not unresolved.any()
-        for g, w in zip(got, five_curve_locate(steep, xs, ys, tol), strict=True):
-            assert np.array_equal(g, w)
+        assert_kernel_matches(steep, xs, ys, tol)
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-3])
     def test_on_curve_tolerance_is_the_pieces_own_secant(self, tol):
@@ -521,10 +571,8 @@ class TestZebraKernel:
         secant = math.sqrt(1.0 + 40.0 ** 2)
         xs = np.array([0.5, 0.005])
         ys = np.array([2.0 * tol, 0.2 + 0.5 * tol * secant])
-        *got, unresolved = steep._locate(xs, ys, tol)
-        assert got[1].tolist() == [False, True] and not unresolved.any()
-        for g, w in zip(got, five_curve_locate(steep, xs, ys, tol), strict=True):
-            assert np.array_equal(g, w)
+        assert steep.resolve(xs, ys, tol)[1].tolist() == [False, True]
+        assert_kernel_matches(steep, xs, ys, tol)
 
     @pytest.mark.parametrize("scale", [3e7, 1e8])
     def test_matches_oracle_far_from_the_origin(self, scale):
@@ -541,11 +589,7 @@ class TestZebraKernel:
         ts = base - rng.integers(0, 4, k.size) * rng.uniform(0.0, 4e-16, k.size) * np.abs(base)
         xs = u + 0.5 * k
         for tol in (1e-9, 1e-7):
-            *got, unresolved = near_cap._locate(xs, ts, tol)
-            want = five_curve_locate(near_cap, xs, ts, tol)
-            assert not unresolved.any()
-            for g, w in zip(got, want, strict=True):
-                assert np.array_equal(g, w)
+            assert_kernel_matches(near_cap, xs, ts, tol)
 
     @pytest.mark.parametrize("tol", [1e-9, 0.5])
     @pytest.mark.parametrize("name, peak", [("near-cap", 0.5), ("steep", 0.01)])
@@ -564,11 +608,7 @@ class TestZebraKernel:
         base = (k + 1) * HALF_SQRT3
         ts = base - rng.integers(0, 4, k.size) * rng.uniform(0.0, 4e-16, k.size) * np.abs(base)
         xs = u + 0.5 * k
-        *got, unresolved = zc._locate(xs, ts, tol)
-        want = five_curve_locate(zc, xs, ts, tol)
-        assert not unresolved.any()
-        for g, w in zip(got, want, strict=True):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        want = assert_kernel_matches(zc, xs, ts, tol)
         if name == "near-cap":
             i0 = np.floor((ts - zc.profile.v_min) / HALF_SQRT3).astype(np.int64)
             assert (want[0] == i0 - 2).any()
@@ -608,17 +648,36 @@ class TestZebraKernel:
             ts = np.concatenate((near, ulps), axis=1).ravel()
             xs = np.repeat(u + 0.5 * i, ts.size // i.size)
             windowed.clear()
-            *got, unresolved = zc._locate(xs, ts, tol)
-            want = five_curve_locate(zc, xs, ts, tol)
-            assert not unresolved.any()
-            for g, want_part in zip(got, want, strict=True):
-                assert g.dtype == want_part.dtype and np.array_equal(g, want_part)
+            assert_kernel_matches(zc, xs, ts, tol)
             hard = sum(windowed)
             if w >= HALF_SQRT3:
                 assert hard == ts.size
             elif below_next or name == "near-cap":
                 # the zigzag reaches its lower threshold only at w >= sqrt(3)/2 - 0.1
                 assert 0 < hard < ts.size
+
+    @given(case=kernel_cases(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_masks_match_the_locate_oracle(self, case, seed):
+        """``resolve``'s three masks are those of ``locate_resolve``, the kernel
+        of int64 band and curve-index arrays, array for array: on curves and
+        near them, and again in a second call that adds the point (2^47, 0),
+        points at |s| + |t| >= 2^48 and coordinates that are not finite, a
+        call in which every point is hard. The suite turns numpy warnings
+        into errors."""
+        zc, tol = case
+        rng = np.random.default_rng(seed)
+        xs, ys = near_curve_points(zc, rng, tol)
+        extra = np.array([(2.0 ** 47, 0.0), (-3e14, 2e14), (0.0, -2.0 ** 50), (1e300, -1e300),
+                          (math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0),
+                          (math.inf, -math.inf)]).T
+        for px, py in ((xs, ys), (np.concatenate((xs, extra[0])),
+                                  np.concatenate((ys, extra[1])))):
+            got, want = zc.resolve(px, py, tol), locate_resolve(zc, px, py, tol)
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+        assert not got[2][:xs.size].any() and got[2][xs.size:].tolist() == [
+            False, True, True, True, True, True, True, True]
 
     def test_profile_tables_are_built_once_and_read_only(self):
         profile = ZebraProfile(((0.0, 0.0), (0.5, 0.1), (1.0, 0.0)))
@@ -631,8 +690,10 @@ def convex_face(rng) -> PolygonalColoring:
     """A black convex face of 3-8 pieces of random colors, white outside.
 
     The vertices lie on a random ellipse about the origin, at angles
-    jittered from an even spread. One black seed sits near the origin and
-    three white seeds lie outside, on a circle of radius 3.
+    jittered from an even spread. One black seed sits near the origin, at
+    a point drawn from [-0.1, 0.1]^2, or at the vertices' centroid where
+    that point lies outside the face; three white seeds lie outside, on a
+    circle of radius 3.
     """
     n = int(rng.integers(3, 9))
     theta = (np.arange(n) + rng.uniform(-0.3, 0.3, n)) * (2.0 * math.pi / n)
@@ -645,10 +706,20 @@ def convex_face(rng) -> PolygonalColoring:
                                  Color.BLACK if rng.uniform() < 0.5 else Color.WHITE)
                    for k in range(n))
     inside = Point(*(float(v) for v in rng.uniform(-0.1, 0.1, 2)))
+    if not all((q.x - p.x) * (inside.y - p.y) - (q.y - p.y) * (inside.x - p.x) > 0.0
+               for p, q in zip(ccw, ccw[1:] + ccw[:1])):
+        inside = Point(sum(p.x for p in ccw) / n, sum(p.y for p in ccw) / n)
     outer = tuple((Point(float(3.0 * math.cos(t)), float(3.0 * math.sin(t))), Color.WHITE)
                   for t in rng.uniform(0.0, 2.0 * math.pi, 3))
     return PolygonalColoring(pieces, ((inside, Color.BLACK),) + outer,
                              Region(-4.0, -4.0, 4.0, 4.0))
+
+
+def test_convex_faces_of_600_seeds_construct():
+    """The faces of rng seeds 0-599 all construct: for 12 of them the drawn
+    black seed lies outside the face, and the centroid takes its place."""
+    for seed in range(600):
+        convex_face(np.random.default_rng(seed))
 
 
 FAMILIES = {
@@ -833,18 +904,19 @@ def whole_angle_block(grid, ramp, coloring):
     ``coloring`` over ``grid`` classifies: its first column's alone for a
     coloring that reads ys alone, else all of them.
 
-    c is the least for which the scan's last run of angles holds fewer than
-    c: with ``ramp`` (a find scan) runs of 1, 2, 4, ... angles up to c, else
-    runs of c. That is c = 2 or 3 for most grids; an angle count that runs
-    of 2 and of 3 both divide, such as 12 without ``ramp``, needs more.
+    c is the least for which the scan's last run of angles is shorter than
+    the engine's cap on runs: with ``ramp`` (a find scan) runs of 1, 2, 4,
+    ... angles up to 2c, else runs of c. An angle count that runs of 2 and
+    of 3 both divide, such as 12 without ``ramp``, needs c > 3.
     """
     n = len(grid.ys()) * (1 if coloring._YS_ONLY else len(grid.xs()))
     for c in range(2, grid.angle_count + 2):
+        cap = 2 * c if ramp else c
         run, left = (1 if ramp else c), grid.angle_count
         while left > run:
             left -= run
-            run = min(2 * run, c)
-        if left < c:
+            run = min(2 * run, cap)
+        if left < cap:
             return c * n
 
 
@@ -1036,6 +1108,26 @@ def test_blocks_are_runs_of_whole_angles():
     vertex 1 and one for vertex 2 where vertices 0 and 1 agree, and stops
     in its witness's."""
     assert_block_layout(0.0)
+
+
+def test_find_runs_reach_twice_the_avoidance_runs():
+    """The zigzag twin avoids the unit triangle over a 51 x 51 lattice, so
+    both scans exhaust it. The find scan's runs of whole angles double up
+    to ``2 * _SCAN_BLOCK // n`` = 3 angles, one vertex a call; avoidance
+    runs ``_SCAN_BLOCK // n`` = 1 angle, two vertices a call. No ``resolve``
+    call sees more than ``2 * _SCAN_BLOCK`` points."""
+    twin = ZebraColoring(ZIGZAG, UnitVector.from_angle(0.3), "even-black", "even-black")
+    spec, grid = TriangleSpec(1.0, 1.0, 1.0), ScanGrid(Region(0.0, 0.0, 3.0, 3.0), 0.06, 12)
+    n = len(grid.xs()) * len(grid.ys())
+    assert (n, scan._SCAN_BLOCK // n, 2 * scan._SCAN_BLOCK // n) == (2601, 1, 3)
+    counting = CountingColoring(twin)
+    assert find_monochromatic_copy(counting, spec, grid) is None
+    sizes = [xs.size for xs, _ in counting.points]
+    # vertex 0 once, then per block vertex 1 over the run and vertex 2 where 0 and 1 agree
+    assert sizes[0] == n and sizes[1::2] == [a * n for a in (1, 2, 3, 3, 3)]
+    counting = CountingColoring(twin)
+    assert avoidance_scan(counting, spec, grid).monochromatic_count == 0
+    assert [xs.size for xs, _ in counting.points] == [n] + [2 * n] * 12
 
 
 def test_block_layout_at_a_negative_zero_corner():

@@ -153,6 +153,24 @@ class TestBadFieldsExitOne:
         assert captured.out == ""
         assert "segments must meet at equal ends" in captured.err
 
+    def test_far_piece_is_refused_without_a_warning(self, tmp_path):
+        """A piece near 1e261 overflows its projection of the seed (0.5, 2.5):
+        under ``python -W error`` the document exits 1, naming segments, where
+        the seed table's numpy warnings used to make it exit 2."""
+        import subprocess
+        import sys
+
+        doc = {"type": "polygonal", "segments": [{"p": [1e261, -7e260], "q": [-1e214, 1e213]}],
+               "boundary_colors": ["black"], "seeds": [[0.5, 2.5, "black"]]}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "monotri.cli", "angles",
+                               "--coloring", str(path)], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert ("segments must lie a finite distance from every seed, but segment 0's "
+                "distance from seed 0 is not") in proc.stderr
+        assert "Warning" not in proc.stderr
+
     @pytest.mark.parametrize("segments, seeds, message", [
         ([{"p": [-1, 0], "q": [1, 0]}, {"p": [0, -1], "q": [0, 1]}], [[0.5, 0.5, "black"]],
          "boundary segments 0 and 1 intersect away from their endpoints\n"),

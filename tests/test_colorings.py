@@ -29,7 +29,7 @@ from monotri.colorings import (
     l_shape_coloring,
 )
 from monotri.geom import Segment, distance
-from scalar_oracles import piece_distance
+from scalar_oracles import locate, piece_distance
 
 SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
@@ -45,7 +45,7 @@ def one_point_distance(coloring, p: Point) -> float:
 
 def curve_index_at(zc: ZebraColoring, p: Point, tol: float = DEFAULT_TOL):
     """The index of the first curve within ``tol`` of ``p``, None if none is."""
-    _, on_curve, idx, _ = zc._locate(np.array([p.x]), np.array([p.y]), tol)
+    _, on_curve, idx, _ = locate(zc, np.array([p.x]), np.array([p.y]), tol)
     return int(idx[0]) if bool(on_curve[0]) else None
 
 
