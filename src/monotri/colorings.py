@@ -6,16 +6,16 @@ Four families, each a total map from points to black/white:
   ``scale * sqrt(3)/2``, the classical unit-triangle-avoiding coloring.
 * ``ZebraColoring`` -- the boundary is an infinite family of congruent
   piecewise-linear curves ``L_i``, each 1-periodic along a unit vector
-  ``x_hat``, with ``L_{i+1} = L_i + x_hat/2 + (sqrt(3)/2) x_hat'`` for the
-  ccw quarter turn ``x_hat'`` of ``x_hat``. Interior bands alternate
-  colors; points on the curves are colored separately by a boundary parity
-  rule, which is what the twin operation toggles.
+  ``x_hat`` (a profile spans u = 0 to 1 exactly), with ``L_{i+1} = L_i +
+  x_hat/2 + (sqrt(3)/2) x_hat'`` for the ccw quarter turn ``x_hat'`` of
+  ``x_hat``. Interior bands alternate colors; points on the curves are
+  colored separately by a boundary parity rule, which the twin toggles.
 * ``PolygonalColoring`` -- an explicit list of oriented boundary segments
   (white face on the left), per-segment boundary colors, and one seed point
-  per face; segment ends meet where they are equal, and ends of two
-  segments that nearly meet are refused. Interior points resolve by
-  crossing parity from a seed, in one array pass (``resolve``) that also
-  reports the points no seed reaches.
+  per face, every coordinate within +-2^197; segment ends meet where they
+  are equal, and ends that nearly meet or segments that cross (rays count)
+  are refused. Interior points resolve by crossing parity from a seed, in
+  one array pass (``resolve``) that also reports the points no seed reaches.
 * ``HalfPlaneColoring`` -- the simplest polygonal coloring, kept as its own
   family for cheap negative tests.
 
@@ -479,11 +479,11 @@ class StripColoring(_Queries):
 class ZebraProfile:
     """One period of the boundary curve as a piecewise-linear graph.
 
-    Breakpoints ``(u, v)`` with u strictly increasing from 0 to 1 and equal
-    first/last v (periodic closure). Interior breakpoints must be genuine
-    corners; collinear interior joints would be fake vertices and are
-    rejected. The flat profile ``[(0,0),(1,0)]`` reproduces the strip
-    coloring boundary.
+    Breakpoints ``(u, v)`` with u strictly increasing from exactly 0 to
+    exactly 1 and the last v equal to the first, so that no curve jumps at
+    an integer u. Interior breakpoints must be genuine corners; collinear
+    interior joints would be fake vertices and are rejected. The flat
+    profile ``[(0,0),(1,0)]`` reproduces the strip coloring boundary.
     """
 
     vertices: tuple[tuple[float, float], ...]
@@ -494,12 +494,12 @@ class ZebraProfile:
         if len(vs) < 2:
             raise MalformedProfile("profile needs at least two breakpoints")
         us = [u for u, _ in vs]
-        if abs(us[0]) > DEFAULT_TOL or abs(us[-1] - 1.0) > DEFAULT_TOL:
+        if us[0] != 0.0 or us[-1] != 1.0:
             raise MalformedProfile("profile must span u = 0 to u = 1")
         for u0, u1 in zip(us, us[1:]):
             if u1 - u0 <= DEFAULT_TOL:
                 raise MalformedProfile("profile breakpoints must strictly increase in u")
-        if abs(vs[0][1] - vs[-1][1]) > DEFAULT_TOL:
+        if vs[0][1] != vs[-1][1]:
             raise MalformedProfile("profile is not periodic (first v != last v)")
         slopes = self.tables.slopes
         for i in range(len(slopes) - 1):
@@ -807,10 +807,10 @@ class ZebraColoring(_Queries):
         columns ``i``, ``lo``, ``hi``: points (x, y on axis 0), kept mask (ends
         included) and steps between columns. A row holds its ends and the sorted
         breakpoints u_j + m of the periods m = ceil(a - u_{n-2}) .. floor(b - u_0)
-        that can meet [a, b] = [lo + 1e-12, hi - 1e-12] (periods overlap by up
-        to 2e-9), clamped onto the nearer end outside [a, b]. ``_merge_joints``
-        merges collinear joints; clamped and merged columns repeat the last
-        kept point, so their steps have length zero.
+        that can meet [a, b] = [lo + 1e-12, hi - 1e-12], clamped onto the
+        nearer end outside [a, b]. ``_merge_joints`` merges collinear joints;
+        clamped and merged columns repeat the last kept point, so their steps
+        have length zero.
         """
         us = self.profile.tables.us
         a, b = lo + 1e-12, hi - 1e-12
@@ -989,28 +989,22 @@ class HalfPlaneColoring(_Queries):
 # General polygonal colorings
 # ---------------------------------------------------------------------------
 
-def _pieces_cross(a: Segment, b: Segment) -> bool:
-    """True when the segments meet at a point interior to at least one of them."""
-    d1x, d1y = a.q.x - a.p.x, a.q.y - a.p.y
-    d2x, d2y = b.q.x - b.p.x, b.q.y - b.p.y
-    denom = d1x * d2y - d1y * d2x
-    len1, len2 = math.hypot(d1x, d1y), math.hypot(d2x, d2y)
-    if abs(denom) <= DEFAULT_TOL * len1 * len2:
-        return False  # parallel or collinear: overlaps share whole stretches, not checked
-    wx, wy = b.p.x - a.p.x, b.p.y - a.p.y
-    t = (wx * d2y - wy * d2x) / denom
-    u = (wx * d1y - wy * d1x) / denom
-    t_tol, u_tol = DEFAULT_TOL / len1, DEFAULT_TOL / len2
-    inside_t = t_tol < t < 1.0 - t_tol
-    inside_u = u_tol < u < 1.0 - u_tol
-    on_t = -t_tol <= t <= 1.0 + t_tol
-    on_u = -u_tol <= u <= 1.0 + u_tol
-    return (inside_t and inside_u) or (inside_t and on_u and not inside_u) or \
-        (inside_u and on_t and not inside_t)
+_POLYGON_RANGE = 2.0 ** 197  # the largest coordinate magnitude of a polygonal document
+
+
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, the pairs i < j in row-major order, at less cost."""
+    return np.nonzero(np.arange(n)[:, None] < np.arange(n))
 
 
 class PolygonTables:
     """The piece table and seed arrays of a polygonal coloring, for vectorized queries.
+
+    The range: every piece end (a ray side's stored end too) and every seed
+    coordinate has magnitude at most 2^197, ``_POLYGON_RANGE``; a document
+    outside it is refused here, ``InvalidArgument`` naming ``segments`` or
+    ``seeds``. So ``clear_scale`` <= 2^198 + 2^199 + 2^198 = 2^200, and no
+    product of the seed table, the crossing pass or the seed check overflows.
 
     ``pieces`` is the ``PieceTable`` of the coloring's pieces. The columns
     that the kernels read are repeated here as views of shape (pieces, 1),
@@ -1025,9 +1019,7 @@ class PolygonTables:
     that seed's color without the piece pass; ``clear_scale``, the
     largest ``|ax| + |ay| + |ex| + |ey|`` plus the largest seed
     ``|x| + |y|``, sizes the pad of that test
-    (``PolygonalColoring._resolve_block``). It is inf, and no point is
-    clear, when it exceeds 2^200 or a piece is shorter than 2^-200:
-    outside those bounds the pad's error analysis does not hold.
+    (``PolygonalColoring._resolve_block``).
     """
 
     def __init__(self, pieces: PieceTable, seeds: tuple[tuple[Point, Color], ...]):
@@ -1038,32 +1030,50 @@ class PolygonTables:
         self.seed_x = np.array([p.x for p, _ in seeds])
         self.seed_y = np.array([p.y for p, _ in seeds])
         self.seed_black = np.array([c is Color.BLACK for _, c in seeds], dtype=bool)
-        # far pieces overflow the projection; a distance that is not finite is refused
-        with np.errstate(over="ignore", invalid="ignore"):
-            gx, gy = self.gaps(self.seed_x, self.seed_y)
+        for name, coords in (("segments", (pieces.ax, pieces.ay, pieces.bx, pieces.by)),
+                             ("seeds", (self.seed_x, self.seed_y))):
+            far = (np.abs(coords).max(axis=0) > _POLYGON_RANGE).nonzero()[0]
+            if far.size:
+                raise InvalidArgument(name, f"must have coordinates of magnitude at most 2^197, "
+                                            f"but {name[:-1]} {far[0]} does not",
+                                      [float(c[far[0]]) for c in coords])
+        gx, gy = self.gaps(self.seed_x, self.seed_y)
         self.seed_dist = np.fromiter(map(math.hypot, gx.ravel().tolist(), gy.ravel().tolist()),
                                      float, gx.size).reshape(gx.shape)
-        far = np.argwhere(~np.isfinite(self.seed_dist))
-        if far.size:
-            j, k = far[0].tolist()
-            raise InvalidArgument("segments", f"must lie a finite distance from every seed, but "
-                                              f"segment {j}'s distance from seed {k} is not",
-                                  [[float(c[j]) for c in pair] for pair in (
-                                      (pieces.ax, pieces.ay), (pieces.bx, pieces.by))])
         self.seed_clear = self.seed_dist.min(axis=0, initial=np.inf)
         for table in vars(self).values():
             table.setflags(write=False)
         self.pieces = pieces
-        scale = float(np.max(np.abs(self.ax) + np.abs(self.ay) + np.abs(self.ex)
-                             + np.abs(self.ey), initial=0.0)
-                      + np.max(np.abs(self.seed_x) + np.abs(self.seed_y)))
-        in_range = scale <= 2.0 ** 200 and np.all(self.piece_len >= 2.0 ** -200)
-        self.clear_scale = scale if in_range else math.inf
+        self.clear_scale = float(np.max(np.abs(self.ax) + np.abs(self.ay) + np.abs(self.ex)
+                                        + np.abs(self.ey), initial=0.0)
+                                 + np.max(np.abs(self.seed_x) + np.abs(self.seed_y)))
 
     def gaps(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_offsets`` from each point to each piece, as (pieces, points) arrays."""
         return _offsets(xs, ys, self.ax, self.ay, self.ex, self.ey, self.len2,
                         self.u_lo, self.u_hi)
+
+    def first_crossing(self) -> Optional[tuple[int, int]]:
+        """The first pair of pieces i < j, in row-major order, that cross: their
+        lines ``a_i + t e_i`` and ``a_j + u e_j`` meet with t inside piece i's
+        ``[u_lo, u_hi]`` by more than ``DEFAULT_TOL / |e_i|`` and u in piece j's
+        widened by ``DEFAULT_TOL / |e_j|``, or i and j swapped; ray sides count.
+        Parallel pairs, ``|e_i x e_j| <= DEFAULT_TOL |e_i| |e_j|``, are not checked."""
+        pc, length = self.pieces, self.piece_len[:, 0]
+        i, j = _pairs(len(pc))
+        denom = pc.ex[i] * pc.ey[j] - pc.ey[i] * pc.ex[j]
+        apart = (np.abs(denom) > DEFAULT_TOL * length[i] * length[j]).nonzero()[0]
+        i, j, denom = i[apart], j[apart], denom[apart]
+        wx, wy = pc.ax[j] - pc.ax[i], pc.ay[j] - pc.ay[i]
+        t = (wx * pc.ey[j] - wy * pc.ex[j]) / denom
+        u = (wx * pc.ey[i] - wy * pc.ex[i]) / denom
+        t_tol, u_tol = DEFAULT_TOL / length[i], DEFAULT_TOL / length[j]
+        inside_t = (pc.u_lo[i] + t_tol < t) & (t < pc.u_hi[i] - t_tol)
+        inside_u = (pc.u_lo[j] + u_tol < u) & (u < pc.u_hi[j] - u_tol)
+        on_t = (pc.u_lo[i] - t_tol <= t) & (t <= pc.u_hi[i] + t_tol)
+        on_u = (pc.u_lo[j] - u_tol <= u) & (u <= pc.u_hi[j] + u_tol)
+        first = ((inside_t & on_u) | (inside_u & on_t)).nonzero()[0]
+        return (int(i[first[0]]), int(j[first[0]])) if first.size else None
 
 
 @dataclass(frozen=True)
@@ -1094,12 +1104,10 @@ class PolygonalColoring(_Queries):
         on = np.flatnonzero((self.tables.seed_dist <= DEFAULT_TOL).any(axis=0))
         if on.size:
             raise GeometryError(f"seed {on[0]} lies on the boundary")
-        for i in range(len(self.pieces)):
-            for j in range(i + 1, len(self.pieces)):
-                if _pieces_cross(self.pieces[i].seg, self.pieces[j].seg):
-                    raise GeometryError(
-                        f"boundary segments {i} and {j} intersect away from "
-                        "their endpoints")
+        cross = self.tables.first_crossing()
+        if cross is not None:
+            raise GeometryError(f"boundary segments {cross[0]} and {cross[1]} intersect away "
+                                "from their endpoints")
         self._check_seeds()
 
     def _check_seeds(self) -> None:
@@ -1112,20 +1120,12 @@ class PolygonalColoring(_Queries):
         linked pair's colors must differ exactly when its line crosses the
         boundary an odd number of times, and a chain of links must join
         every seed to seed 0. Otherwise a point's color would depend on
-        which seed it reaches first. Two or more seeds are checked only
-        with every seed and piece coordinate below 2^500: the bent lines'
-        points then stay below 2^501, and no product overflows.
+        which seed it reaches first.
         """
         tb, tol = self.tables, DEFAULT_TOL
-        i, j = np.triu_indices(len(self.seeds), 1)
+        i, j = _pairs(len(self.seeds))
         if not i.size:
             return
-        reach = np.abs(np.concatenate([a.ravel() for a in (tb.ax, tb.ay, tb.ex, tb.ey,
-                                                           tb.seed_x, tb.seed_y)])).max()
-        if not reach < 2.0 ** 500:
-            raise InvalidArgument("seeds", "can be checked against each other only where "
-                                           "every seed and piece lies within 2^500 of the "
-                                           "origin", float(reach))
         dx, dy = tb.seed_x[j] - tb.seed_x[i], tb.seed_y[j] - tb.seed_y[i]
         odd, ambiguous = self._crossing_parity(tb.seed_x[i], tb.seed_y[i], j,
                                                np.hypot(dx, dy), tol)
@@ -1202,8 +1202,8 @@ class PolygonalColoring(_Queries):
         D = s - p. The 1-norms of s, a, e and s - a are at most B, and
         |D|_1 <= sqrt(2) |D| <= 1.5 d, so those of p, w and D are at most
         L. Every operation errs by at most u relative (hypot by 2u).
-        1. Range. ``clear_scale`` is finite only when it is at most 2^200
-           and every piece is at least 2^-200 long. A clear point has
+        1. Range. ``clear_scale`` <= 2^200 by the range (``PolygonTables``),
+           and every piece is longer than 1e-9 (``Segment``). A clear point has
            64 u L < pad < c + 7 u L < 2.51 * 2^200 (by 2 and 3), so
            L < 2^249 and no product overflows; an underflow errs by
            2^-1074 absolute, negligible at every step here.
@@ -1345,13 +1345,10 @@ class PolygonalColoring(_Queries):
         """The points whose ``PolygonTables.gaps`` offsets are all finite: a
         point whose offset overflows to inf or NaN has no distance the
         floats can form. None if that is all: with no pieces (every
-        distance is inf), or when max(|x|, |y|) < 2^500 and ``clear_scale``
-        is finite. Then |p - a| < 2^501 and |e| >= 2^-200, so the piece
-        parameter stays below 2^702, and every offset below 2^503."""
-        if not self.pieces:
-            return None
-        if (math.isfinite(self.tables.clear_scale)
-                and np.abs(np.concatenate((xs, ys))).max(initial=0.0) < 2.0 ** 500):
+        distance is inf), or when max(|x|, |y|) < 2^500. Then |p - a| < 2^501
+        by the range (``PolygonTables``) and |e| > 1e-9 > 2^-30 (``Segment``),
+        so the piece parameter stays below 2^531, and every offset below 2^503."""
+        if not self.pieces or np.abs(np.concatenate((xs, ys))).max(initial=0.0) < 2.0 ** 500:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
             gx, gy = self.tables.gaps(xs, ys)
@@ -1668,10 +1665,12 @@ def coloring_from_dict(doc: dict) -> Coloring:
     seeds = tuple((Point(x, y), Color(c)) for x, y, c in
                   fields.get("seeds", _list_of(_tuple_of(_number, _number, _color), True)))
     window = fields.get("window", _tuple_of(*[_number] * 4), None)
-    if window is None:
+    if window is None:  # the ends padded by 1, or by an ulp where rounding loses the 1
         xs = [c for pc in pieces for c in (pc.seg.p.x, pc.seg.q.x)] or [0.0]
         ys = [c for pc in pieces for c in (pc.seg.p.y, pc.seg.q.y)] or [0.0]
-        window = (min(xs) - 1.0, min(ys) - 1.0, max(xs) + 1.0, max(ys) + 1.0)
+        lo, hi = (lambda c: min(min(c) - 1.0, math.nextafter(min(c), -math.inf)),
+                  lambda c: max(max(c) + 1.0, math.nextafter(max(c), math.inf)))
+        window = (lo(xs), lo(ys), hi(xs), hi(ys))
     return PolygonalColoring(pieces, seeds, Region(*window))
 
 

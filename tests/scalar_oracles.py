@@ -8,6 +8,9 @@ quadratic, over the parameter range [lo, hi], and ``scalar_circle_hits``
 runs it piece by piece, merging a hit within 10 tol of an earlier one: the
 circle pass as it was before it became one array pass, widened to rays.
 ``table_of`` builds the ``PieceTable`` of a list of segments.
+``pieces_cross`` is the crossing test of two bounded pieces as it was
+before ``PolygonTables.first_crossing`` made it one array pass, and
+``first_crossing`` its double loop over the pairs.
 
 ``locate`` is the zebra kernel as it was before ``resolve`` read one float
 index's parity: the int64 band and on-curve index of every point, from
@@ -21,7 +24,7 @@ import math
 import numpy as np
 
 from monotri.colorings import HALF_SQRT3, BoundaryPiece, PieceTable, ZebraColoring
-from monotri.geom import Circle, CircleHit, Point, Segment, distance
+from monotri.geom import DEFAULT_TOL, Circle, CircleHit, Point, Segment, distance
 
 # the band of a point with no window curve at or below it; -2^63 as a float
 # casts to the least int64
@@ -120,6 +123,36 @@ def table_of(chain: list[Segment], ray_start=False, ray_end=False) -> PieceTable
     a = np.array([[s.p.x for s in chain], [s.p.y for s in chain]]).reshape(2, -1)
     b = np.array([[s.q.x for s in chain], [s.q.y for s in chain]]).reshape(2, -1)
     return PieceTable(a, b, np.ones(len(chain), dtype=bool), ray_start, ray_end)
+
+
+def pieces_cross(a: Segment, b: Segment) -> bool:
+    """True when the segments meet at a point interior to at least one of them."""
+    d1x, d1y = a.q.x - a.p.x, a.q.y - a.p.y
+    d2x, d2y = b.q.x - b.p.x, b.q.y - b.p.y
+    denom = d1x * d2y - d1y * d2x
+    len1, len2 = math.hypot(d1x, d1y), math.hypot(d2x, d2y)
+    if abs(denom) <= DEFAULT_TOL * len1 * len2:
+        return False  # parallel or collinear: overlaps share whole stretches, not checked
+    wx, wy = b.p.x - a.p.x, b.p.y - a.p.y
+    t = (wx * d2y - wy * d2x) / denom
+    u = (wx * d1y - wy * d1x) / denom
+    t_tol, u_tol = DEFAULT_TOL / len1, DEFAULT_TOL / len2
+    inside_t = t_tol < t < 1.0 - t_tol
+    inside_u = u_tol < u < 1.0 - u_tol
+    on_t = -t_tol <= t <= 1.0 + t_tol
+    on_u = -u_tol <= u <= 1.0 + u_tol
+    return (inside_t and inside_u) or (inside_t and on_u and not inside_u) or \
+        (inside_u and on_t and not inside_t)
+
+
+def first_crossing(segments: list[Segment]):
+    """The first pair i < j of ``segments``, in row-major order, that
+    ``pieces_cross``, or None."""
+    for i in range(len(segments)):
+        for j in range(i + 1, len(segments)):
+            if pieces_cross(segments[i], segments[j]):
+                return i, j
+    return None
 
 
 def locate(zc: ZebraColoring, xs: np.ndarray, ys: np.ndarray, tol: float):

@@ -1467,9 +1467,9 @@ ZEBRA_MERGES = {
     "zigzag": ZIGZAG,
     "near-cap": ZebraProfile(((0.0, 0.0), (0.5, HALF_SQRT3 - 2e-9), (1.0, 0.0))),
 }
-# breakpoints that span more than one unit, so that consecutive periods
-# overlap; its segments of 3e-10 are shorter than ``Segment`` accepts
-WIDE_PROFILE = ZebraProfile(((-5e-10, 0.0), (0.5, 0.2), (1.0 - 2e-10, 1e-10), (1.0 + 9e-10, 0.0)))
+# a last piece 1.1e-9 wide, near the least step in u that a profile accepts,
+# up to u = 1.0 exactly: ends off 0 and 1 made each curve jump at every integer u
+WIDE_PROFILE = ZebraProfile(((0.0, 0.0), (0.5, 0.2), (1.0 - 1.1e-9, 1e-10), (1.0, 0.0)))
 
 
 def piece_bits(table: PieceTable) -> list[tuple]:
@@ -1778,8 +1778,8 @@ class TestDistance:
             assert got[k] == scalar_zebra_distance(zc, Point(float(xs[k]), float(ys[k])))
 
     def test_zebra_overlapping_periods(self, monkeypatch):
-        """Consecutive periods of ``WIDE_PROFILE`` overlap, so the rows' breakpoints
-        must be sorted; the oracle runs with the length check lifted."""
+        """``WIDE_PROFILE``'s last piece, 1.1e-9 wide, meets the next period's
+        first at an integer u; the oracle runs with the length check lifted."""
         monkeypatch.setattr(Segment, "__post_init__", lambda self: None)
         rng = np.random.default_rng(34)
         zc = ZebraColoring(WIDE_PROFILE, UnitVector.from_angle(rng.uniform(0.0, 6.3)))

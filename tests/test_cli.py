@@ -154,31 +154,41 @@ class TestBadFieldsExitOne:
         assert "segments must meet at equal ends" in captured.err
 
     def test_far_piece_is_refused_without_a_warning(self, tmp_path):
-        """A piece near 1e261 overflows its projection of the seed (0.5, 2.5):
-        under ``python -W error`` the document exits 1, naming segments, where
-        the seed table's numpy warnings used to make it exit 2."""
+        """Pieces past the polygonal range of 2^197 are refused by name: under
+        ``python -W error`` each document exits 1, naming segments. A piece
+        near 1e261 overflowed its projection of the seed (0.5, 2.5), and the
+        seed table's numpy warnings made it exit 2; the piece that ends at
+        -4.4e103 constructed, and ``resolve`` warned of an overflow."""
         import subprocess
         import sys
 
-        doc = {"type": "polygonal", "segments": [{"p": [1e261, -7e260], "q": [-1e214, 1e213]}],
-               "boundary_colors": ["black"], "seeds": [[0.5, 2.5, "black"]]}
-        path = tmp_path / "far.json"
-        path.write_text(json.dumps(doc))
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "monotri.cli", "angles",
-                               "--coloring", str(path)], capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout) == (1, "")
-        assert ("segments must lie a finite distance from every seed, but segment 0's "
-                "distance from seed 0 is not") in proc.stderr
-        assert "Warning" not in proc.stderr
+        for name, segment, seed in (
+                ("far", {"p": [1e261, -7e260], "q": [-1e214, 1e213]}, [0.5, 2.5, "black"]),
+                ("warned", {"p": [3.565e-162, 1.5e-57], "q": [5.838e48, -4.4e103]},
+                 [-1.32e-236, -9.74e256, "black"])):
+            doc = {"type": "polygonal", "segments": [segment], "boundary_colors": ["black"],
+                   "seeds": [seed]}
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            proc = subprocess.run([sys.executable, "-W", "error", "-m", "monotri.cli", "angles",
+                                   "--coloring", str(path)], capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout) == (1, "")
+            assert ("segments must have coordinates of magnitude at most 2^197, but segment 0 "
+                    "does not") in proc.stderr
+            assert "Warning" not in proc.stderr
 
     @pytest.mark.parametrize("segments, seeds, message", [
         ([{"p": [-1, 0], "q": [1, 0]}, {"p": [0, -1], "q": [0, 1]}], [[0.5, 0.5, "black"]],
          "boundary segments 0 and 1 intersect away from their endpoints\n"),
         ([{"p": [-8, 0], "q": [8, 0], "ray_start": True, "ray_end": True}],
          [[0, 1, "white"], [2.0 ** 500, -2.0 ** 500, "black"]],
-         "seeds can be checked against each other only where every seed and piece "
-         "lies within 2^500 of the origin, got 3.273390607896142e+150\n"),
-    ], ids=["crossing-pieces", "seeds-past-2-500"])
+         "seeds must have coordinates of magnitude at most 2^197, but seed 1 does not, "
+         "got [3.273390607896142e+150, -3.273390607896142e+150]\n"),
+        # the ray y = 0, x >= 0 crosses the segment x = 5 at (5, 0)
+        ([{"p": [0, 0], "q": [1, 0], "ray_end": True}, {"p": [5, -1], "q": [5, 1]},
+          {"p": [0, 0], "q": [-1, 0], "ray_end": True}], [[2, 1, "white"], [2, -1, "black"]],
+         "boundary segments 0 and 1 intersect away from their endpoints\n"),
+    ], ids=["crossing-pieces", "seeds-past-2-500", "crossing-ray"])
     def test_polygonal_refusals(self, segments, seeds, message, tmp_path, capsys):
         doc = {"type": "polygonal", "segments": segments,
                "boundary_colors": ["black"] * len(segments), "seeds": seeds,

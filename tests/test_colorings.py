@@ -2,12 +2,14 @@ import copy
 import hashlib
 import importlib.util
 import math
+import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monotri.geom import DEFAULT_TOL, GeometryError, InvalidArgument, Point, Region, UnitVector
@@ -17,6 +19,7 @@ from monotri.colorings import (
     HalfPlaneColoring,
     MalformedProfile,
     PolygonalColoring,
+    PolygonTables,
     BoundaryPiece,
     SchemaError,
     StripColoring,
@@ -28,8 +31,8 @@ from monotri.colorings import (
     coloring_from_dict,
     l_shape_coloring,
 )
-from monotri.geom import Segment, distance
-from scalar_oracles import locate, piece_distance
+from monotri.geom import DegenerateSegment, Segment, distance
+from scalar_oracles import first_crossing, locate, piece_distance, table_of
 
 SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
@@ -126,6 +129,20 @@ class TestZebraProfileValidation:
     def test_amplitude_cap(self):
         with pytest.raises(MalformedProfile):
             ZebraColoring(ZebraProfile(((0.0, 0.0), (0.5, 0.9), (1.0, 0.0))))
+
+    def test_one_period_exactly(self):
+        """u runs from exactly 0.0 to exactly 1.0 and the last v is the first:
+        ends off by as little as an ulp made each curve jump at every integer u."""
+        for vertices, message in (
+                (((-2.0 ** -60, 0.0), (0.5, 0.2), (1.0, 0.0)), "span u = 0 to u = 1"),
+                (((0.0, 0.0), (0.5, 0.2), (1.0 - 2.0 ** -53, 0.0)), "span u = 0 to u = 1"),
+                (((0.0, 0.0), (0.5, 0.2), (1.0 + 2.0 ** -52, 0.0)), "span u = 0 to u = 1"),
+                (((0.0, 0.0), (0.5, 0.2), (1.0, 2.0 ** -60)), "not periodic")):
+            with pytest.raises(MalformedProfile, match=message):
+                ZebraProfile(vertices)
+        steep = ZebraProfile(((0.0, 0.0), (0.5, 0.2), (1.0 - 1.1e-9, 1e-10), (1.0, 0.0)))
+        below, at = steep.values(np.array([1.0 - 2.0 ** -53, 1.0])).tolist()
+        assert at == 0.0 and 0.0 < below < 1e-16
 
 
 def curve_segments(zc: ZebraColoring, i: int, window: Region) -> list[Segment]:
@@ -634,26 +651,41 @@ class TestSeedAgreement:
         third = ((Point(0.0, 3.0), Color.BLACK),)
         PolygonalColoring(pieces, third + seeds[::-1], Region(-8.0, -8.0, 8.0, 8.0))
 
-    def test_seeds_are_checked_only_below_2_500(self):
-        """Two or more seeds with a seed or piece coordinate of 2^500 or more
-        are refused, naming ``seeds``: the bent lines between them could
-        overflow. One seed is never checked, so it constructs anywhere."""
+    def test_coordinates_past_2_197_are_refused(self):
+        """A seed or piece end (a ray side's stored end too) with a coordinate
+        of magnitude above 2^197 is refused, naming ``seeds`` or
+        ``segments``: one seed as well as two. At 2^197 the seed check's
+        bent lines construct without an overflow warning."""
         line = (BoundaryPiece(Segment(Point(-8.0, 0.0), Point(8.0, 0.0)), Color.BLACK,
                               ray_start=True, ray_end=True),)
         window = Region(-8.0, -8.0, 8.0, 8.0)
-        for far in (2.0 ** 500, -2.0 ** 500, 1e300):
-            with pytest.raises(InvalidArgument, match="^seeds can be checked .* 2\\^500") as err:
+        past = (2.0 ** 197 * (1.0 + 2.0 ** -52), -2.0 ** 198, 1e300, 2.0 ** 500)
+        for far in past:
+            with pytest.raises(InvalidArgument, match="^seeds must have coordinates of "
+                                                      "magnitude at most 2\\^197, but seed 1 "
+                                                      "does not, got ") as err:
                 PolygonalColoring(line, ((Point(0.0, 1.0), Color.WHITE),
                                          (Point(far, -abs(far)), Color.BLACK)), window)
             assert err.value.param == "seeds"
-        far_piece = (BoundaryPiece(Segment(Point(2.0 ** 500, 0.0), Point(8.0, 0.0)),
-                                   Color.BLACK, ray_end=True),)
-        with pytest.raises(InvalidArgument, match="^seeds can be checked "):
-            PolygonalColoring(far_piece, ((Point(0.0, 1.0), Color.WHITE),
-                                          (Point(0.0, -1.0), Color.BLACK)), window)
-        PolygonalColoring(line, ((Point(0.0, 1.0), Color.WHITE),
-                                 (Point(2.0 ** 499, -2.0 ** 499), Color.BLACK)), window)
-        PolygonalColoring(line, ((Point(2.0 ** 500, 1.0), Color.WHITE),), window)
+            with pytest.raises(InvalidArgument, match="^seeds .* seed 0 does not"):
+                PolygonalColoring(line, ((Point(0.0, far), Color.WHITE),), window)
+            for ray_start in (False, True):
+                far_piece = (BoundaryPiece(Segment(Point(far, 0.0), Point(8.0, 0.0)),
+                                           Color.BLACK, ray_start=ray_start, ray_end=True),)
+                with pytest.raises(InvalidArgument, match="^segments .* segment 0 does not") \
+                        as err:
+                    PolygonalColoring(far_piece, ((Point(0.0, 1.0), Color.WHITE),
+                                                  (Point(0.0, -1.0), Color.BLACK)), window)
+                assert err.value.param == "segments"
+        edge = 2.0 ** 197
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            PolygonalColoring(line, ((Point(0.0, 1.0), Color.WHITE),
+                                     (Point(edge, -edge), Color.BLACK)), window)
+            PolygonalColoring((BoundaryPiece(Segment(Point(-edge, edge), Point(8.0, 0.0)),
+                                             Color.BLACK, ray_end=True),),
+                              ((Point(edge, edge), Color.WHITE),
+                               (Point(-edge, -edge), Color.BLACK)), window)
 
     def test_crossing_pieces_are_refused(self):
         cross = (BoundaryPiece(Segment(Point(-1.0, 0.0), Point(1.0, 0.0)), Color.BLACK),
@@ -687,6 +719,124 @@ def test_piece_distance_far_out():
     assert [piece_distance(pc, Point(-1e308, 1e308)) for pc in pieces] == [
         math.hypot(1e308, 1e308), 1e308]
     assert [piece_distance(pc, Point(1e308, 1e308)) for pc in pieces] == [1e308, 1e308]
+
+
+@st.composite
+def bounded_segments(draw) -> list[Segment]:
+    """Two to seven segments. The first lies on the integer grid of [-3, 3]^2;
+    each later one is drawn against an earlier one: on the grid (so ends are
+    shared), as a T-junction with an end within 2e-9 of the earlier line, as
+    a near-parallel segment through a point of that line at an angle of
+    1e-12 to 1e-6, half of them near the parallel bound of 1e-9, or
+    collinear with it, overlapping or not."""
+    coord = st.integers(-3, 3).map(float)
+    segs = []
+    for _ in range(draw(st.integers(2, 7))):
+        kind = draw(st.sampled_from(("grid", "t-junction", "near-parallel", "collinear"))
+                    if segs else st.just("grid"))
+        if kind == "grid":
+            p, q = (draw(coord), draw(coord)), (draw(coord), draw(coord))
+        else:
+            base = draw(st.sampled_from(segs))
+            ax, ay, ex, ey = base.p.x, base.p.y, base.q.x - base.p.x, base.q.y - base.p.y
+            f = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(-0.25, 1.25))
+            cx, cy = ax + f * ex, ay + f * ey
+            if kind == "t-junction":
+                off = draw(st.floats(-2e-9, 2e-9)) / math.hypot(ex, ey)
+                p = (cx - off * ey, cy + off * ex)
+                q = (p[0] + draw(coord), p[1] + draw(coord))
+            elif kind == "near-parallel":
+                angle = draw(st.sampled_from((1.0, -1.0))) * draw(
+                    st.floats(-12.0, -6.0).map(lambda e: 10.0 ** e) | st.floats(0.5e-9, 2e-9))
+                dx = ex * math.cos(angle) - ey * math.sin(angle)
+                dy = ex * math.sin(angle) + ey * math.cos(angle)
+                g = draw(st.floats(0.0, 1.0))
+                p, q = (cx - g * dx, cy - g * dy), (cx + (1.0 - g) * dx, cy + (1.0 - g) * dy)
+            else:
+                h = draw(st.floats(-0.25, 1.25))
+                p, q = (cx, cy), (ax + h * ex, ay + h * ey)
+        try:
+            segs.append(Segment(Point(*p), Point(*q)))
+        except DegenerateSegment:
+            pass
+    assume(len(segs) >= 2)
+    return segs
+
+
+class TestCrossingPass:
+    """``PolygonTables.first_crossing``, one array pass over the piece pairs,
+    against the scalar loop it replaced (``scalar_oracles.first_crossing``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(bounded_segments())
+    def test_bounded_pieces_take_the_scalar_verdict(self, segs):
+        # no vertex ids: ends that nearly meet are the crossing test's to judge
+        tables = PolygonTables(table_of(segs), ((Point(100.0, 100.0), Color.BLACK),))
+        assert tables.first_crossing() == first_crossing(segs)
+
+    def test_crossing_rays_are_refused(self):
+        """The ray y = 0, x >= 0 crosses the segment x = 5 at (5, 0); the
+        scalar loop took every piece as bounded, and let it construct."""
+        pieces = (BoundaryPiece(Segment(Point(0.0, 0.0), Point(1.0, 0.0)), Color.BLACK,
+                                ray_end=True),
+                  BoundaryPiece(Segment(Point(5.0, -1.0), Point(5.0, 1.0)), Color.BLACK),
+                  BoundaryPiece(Segment(Point(0.0, 0.0), Point(-1.0, 0.0)), Color.BLACK,
+                                ray_end=True))
+        assert first_crossing([pc.seg for pc in pieces]) is None
+        with pytest.raises(GeometryError, match="^boundary segments 0 and 1 intersect away "
+                                                "from their endpoints$"):
+            PolygonalColoring(pieces, ((Point(2.0, 1.0), Color.WHITE),
+                                       (Point(2.0, -1.0), Color.BLACK)),
+                              Region(-8.0, -8.0, 8.0, 8.0))
+
+
+FAR = st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from((1.0, -1.0)),
+                st.floats(-300.0, 300.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(FAR, FAR, FAR, FAR, st.booleans(), st.booleans()),
+                min_size=1, max_size=2),
+       st.lists(st.tuples(FAR, FAR, st.sampled_from(("black", "white"))), min_size=1, max_size=2),
+       st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)), min_size=1, max_size=8))
+def test_far_documents_never_warn(segments, seeds, points):
+    """One- and two-piece documents with coordinates log-uniform in
+    +-[1e-300, 1e300] construct, or are refused naming ``segments`` or
+    ``seeds`` (or as crossing, or with a seed on the boundary); those that
+    construct answer ``resolve`` and ``distance`` in [-4, 4]^2. Nothing
+    warns."""
+    doc = {"type": "polygonal",
+           "segments": [{"p": [px, py], "q": [qx, qy], "ray_start": rs, "ray_end": re}
+                        for px, py, qx, qy, rs, re in segments],
+           "boundary_colors": ["black"] * len(segments), "seeds": [list(s) for s in seeds]}
+    xs, ys = (np.array(c) for c in zip(*points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            coloring = coloring_from_dict(doc)
+        except DegenerateSegment:
+            assume(False)
+        except InvalidArgument as err:
+            assert err.param in ("segments", "seeds")
+            return
+        except GeometryError as err:
+            assert re.search("intersect away from their endpoints|lies on the boundary", str(err))
+            return
+        coloring.resolve(xs, ys)
+        coloring.distance(xs, ys)
+
+
+def test_default_window_is_never_empty():
+    """Without a window, a document's ends are padded by 1, or by an ulp
+    where adding 1 rounds away: a vertical piece at x = 1e20 was refused,
+    as an empty ``region``."""
+    for (x, y), want in (((1e20, 0.0), (math.nextafter(1e20, -math.inf), -1.0,
+                                        math.nextafter(1e20, math.inf), 2.0)),
+                         ((16.0, 0.0), (15.0, -1.0, 17.0, 2.0))):
+        doc = {"type": "polygonal", "segments": [{"p": [x, y], "q": [x, y + 1.0]}],
+               "boundary_colors": ["black"], "seeds": [[0.0, 0.0, "white"]]}
+        window = coloring_from_dict(doc).window
+        assert (window.x0, window.y0, window.x1, window.y1) == want
 
 
 class TestNearJoints:
@@ -753,10 +903,19 @@ class TestNearJoints:
             joined = start[1] == 0.0
             assert table.vx.tolist() == ([0.0] if joined else [])
             assert (table.v1[0], table.v0[1]) == ((0, 0) if joined else (-1, -1))
-        # a ray side's stored end is no end: it may lie anywhere
-        far = BoundaryPiece(Segment(Point(16.0, 1e-12), Point(16.0, 5.0)), Color.BLACK,
-                            ray_start=True)
-        assert PolygonalColoring(pc.pieces + (far,), pc.seeds, pc.window).tables.pieces.v1[0] == 0
+        # a ray side's stored end is no end: the L-shape stored with its rays'
+        # ends 2e-9 from the corner, 2.8e-9 apart, constructs
+        short = (BoundaryPiece(Segment(Point(2e-9, 0.0), Point(0.0, 0.0)), Color.BLACK,
+                               ray_start=True),
+                 BoundaryPiece(Segment(Point(0.0, 0.0), Point(0.0, 2e-9)), Color.BLACK,
+                               ray_end=True))
+        table = PolygonalColoring(short, pc.seeds, pc.window).tables.pieces
+        assert table.vx.tolist() == [0.0] and (table.v1[0], table.v0[1]) == (0, 0)
+        # rays count as pieces: the ray x = 16, y <= 5 crosses the x ray at (16, 0)
+        down = BoundaryPiece(Segment(Point(16.0, 1e-12), Point(16.0, 5.0)), Color.BLACK,
+                             ray_start=True)
+        with pytest.raises(GeometryError, match="^boundary segments 0 and 2 intersect "):
+            PolygonalColoring(pc.pieces + (down,), pc.seeds, pc.window)
 
 
 def hexagon_face() -> PolygonalColoring:

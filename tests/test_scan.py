@@ -372,17 +372,18 @@ class TestHexagonProbe:
 
     def test_far_out_probes_skip_nan_rows(self):
         """Where a projection overflows, the offset is NaN and its piece no
-        host; nothing warns. Piece 0's offset from (0, 1e308) is NaN, piece 1
-        holds the point."""
+        host; nothing warns. From (0, 1e308), piece 0's projection 16e308
+        overflows and its offset is NaN; piece 1, stored one unit long on
+        the ray x = 0, holds the point."""
         pc = PolygonalColoring(
             (BoundaryPiece(Segment(Point(5.0, 0.0), Point(5.0, 16.0)), Color.BLACK, ray_end=True),
-             BoundaryPiece(Segment(Point(-1.0, 1e308), Point(1.0, 1e308)), Color.BLACK)),
-            ((Point(0.0, 0.0), Color.BLACK),), Region(-16.0, -16.0, 16.0, 16.0))
+             BoundaryPiece(Segment(Point(0.0, 0.0), Point(0.0, 1.0)), Color.BLACK, ray_end=True)),
+            ((Point(2.0, 0.0), Color.BLACK),), Region(-16.0, -16.0, 16.0, 16.0))
         window = Region(-2.0, 1e308 - 1e300, 2.0, 1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             probe = hexagon_probe(pc, Point(0.0, 1e308), window)
-            assert probe.to_dict()["points"] == [[1.0, 1e308], [-1.0, 1e308]]
+            assert probe.to_dict()["center"] == [0.0, 1e308] and probe.feasible
             # on the L-shape's y ray the projection overflows too: no host is left
             with pytest.raises(NotOnBoundary):
                 hexagon_probe(l_shape_coloring(), Point(0.0, 1e308), window)
