@@ -26,8 +26,8 @@ import math
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from .geom import (DEFAULT_TOL, GeometryError, InvalidArgument, Point, Region, SchemaError,
-                   TriangleSpec, WindowTooLarge)
+from .geom import (DEFAULT_TOL, MAX_TOLERANCE, GeometryError, InvalidArgument, Point, Region,
+                   SchemaError, TriangleSpec, WindowTooLarge)
 
 if TYPE_CHECKING:
     from .colorings import Coloring
@@ -122,8 +122,6 @@ def _parse_line(flag: str, text: str) -> Line:
     return line
 
 
-MAX_TOLERANCE = 1e-3
-
 # The flag that feeds each library parameter, by subcommand where two do.
 FLAGS = {
     "sides": {"scan": "--triangle", "avoid": "--triangle", "forcing": "--sides"},
@@ -135,6 +133,7 @@ FLAGS = {
     "tries": "--tries",
     "seed": "--seed",
     "pixels_per_unit": "--pixels-per-unit",
+    "point": "--point",
     "tol": "--tolerance",
 }
 

@@ -72,6 +72,7 @@ import numpy as np
 
 from .geom import (
     DEFAULT_TOL,
+    MAX_TOLERANCE,
     SQRT3,
     Circle,
     CircleHit,
@@ -1003,8 +1004,8 @@ class PolygonTables:
     The range: every piece end (a ray side's stored end too) and every seed
     coordinate has magnitude at most 2^197, ``_POLYGON_RANGE``; a document
     outside it is refused here, ``InvalidArgument`` naming ``segments`` or
-    ``seeds``. So ``clear_scale`` <= 2^198 + 2^199 + 2^198 = 2^200, and no
-    product of the seed table, the crossing pass or the seed check overflows.
+    ``seeds``. So no product of the seed table, the crossing pass or the
+    seed check overflows.
 
     ``pieces`` is the ``PieceTable`` of the coloring's pieces. The columns
     that the kernels read are repeated here as views of shape (pieces, 1),
@@ -1012,14 +1013,6 @@ class PolygonTables:
     piece j is ``a + u * e`` for u in ``[u_lo, u_hi]``, unbounded on a ray
     side. ``piece_len`` is ``math.hypot`` of e, and ``seed_dist[j, k]`` the
     distance of seed k from piece j, ``math.hypot`` of its ``gaps`` offset.
-
-    ``seed_clear[k]``, the least ``seed_dist[j, k]`` over the pieces (inf
-    without pieces), is seed k's clear radius: no piece comes nearer to
-    the seed. A point well inside its nearest seed's clear disk takes
-    that seed's color without the piece pass; ``clear_scale``, the
-    largest ``|ax| + |ay| + |ex| + |ey|`` plus the largest seed
-    ``|x| + |y|``, sizes the pad of that test
-    (``PolygonalColoring._resolve_block``).
     """
 
     def __init__(self, pieces: PieceTable, seeds: tuple[tuple[Point, Color], ...]):
@@ -1040,13 +1033,9 @@ class PolygonTables:
         gx, gy = self.gaps(self.seed_x, self.seed_y)
         self.seed_dist = np.fromiter(map(math.hypot, gx.ravel().tolist(), gy.ravel().tolist()),
                                      float, gx.size).reshape(gx.shape)
-        self.seed_clear = self.seed_dist.min(axis=0, initial=np.inf)
         for table in vars(self).values():
             table.setflags(write=False)
         self.pieces = pieces
-        self.clear_scale = float(np.max(np.abs(self.ax) + np.abs(self.ay) + np.abs(self.ex)
-                                        + np.abs(self.ey), initial=0.0)
-                                 + np.max(np.abs(self.seed_x) + np.abs(self.seed_y)))
 
     def gaps(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_offsets`` from each point to each piece, as (pieces, points) arrays."""
@@ -1075,6 +1064,335 @@ class PolygonTables:
         first = ((inside_t & on_u) | (inside_u & on_t)).nonzero()[0]
         return (int(i[first[0]]), int(j[first[0]])) if first.size else None
 
+    def first_overlap(self) -> Optional[tuple[int, int]]:
+        """The first pair of pieces i < j, in row-major order, that lie on one
+        line and share more than ``DEFAULT_TOL`` of it: parallel as
+        ``first_crossing`` counts it, a_j within ``DEFAULT_TOL`` of piece i's
+        line, and piece j's parameter range, carried onto piece i's, meeting
+        ``[u_lo_i, u_hi_i]`` over more than ``DEFAULT_TOL / |e_i|``; ray sides
+        count. Pieces that only share an end do not overlap."""
+        pc, length = self.pieces, self.piece_len[:, 0]
+        i, j = _pairs(len(pc))
+        wx, wy = pc.ax[j] - pc.ax[i], pc.ay[j] - pc.ay[i]
+        on_line = ((np.abs(pc.ex[i] * pc.ey[j] - pc.ey[i] * pc.ex[j])
+                    <= DEFAULT_TOL * length[i] * length[j])
+                   & (np.abs(pc.ex[i] * wy - pc.ey[i] * wx) <= DEFAULT_TOL * length[i]))
+        i, j, wx, wy = i[on_line], j[on_line], wx[on_line], wy[on_line]
+        t_a = (wx * pc.ex[i] + wy * pc.ey[i]) / pc.len2[i]
+        step = (pc.ex[j] * pc.ex[i] + pc.ey[j] * pc.ey[i]) / pc.len2[i]
+        ends = t_a + np.stack((pc.u_lo[j], pc.u_hi[j])) * step
+        shared = np.minimum(pc.u_hi[i], ends.max(axis=0)) - np.maximum(pc.u_lo[i], ends.min(axis=0))
+        first = (shared * length[i] > DEFAULT_TOL).nonzero()[0]
+        return (int(i[first[0]]), int(j[first[0]])) if first.size else None
+
+
+_MAX_CELLS = 256  # most cells per axis of a polygonal cell table
+_PARALLEL = 2.0 ** -12  # the sine below which a line of the cell table runs along a piece
+# where in its cell the table tries a line, as fractions of a cell
+_TRIES = np.array([0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875])
+# cell codes: a code >= 0 is a cell with pieces; a cell without pieces whose
+# points check the walk's nearest seed is _WHITE or _BLACK plus _CHECK
+_WALK, _WHITE, _BLACK, _CHECK = -1, -2, -3, -2
+
+
+def _crossings(px, py, qx, qy, ax, ay, ex, ey, length, tau):
+    """Whether each segment p-q crosses each piece a-b, b = a + e (|e| =
+    ``length``), and whether that answer is in doubt; the arguments broadcast.
+
+    The segments cross where each separates the other's ends: the
+    orientations of a and b about p-q differ in sign, and so do those of p
+    and q about a-b. In doubt is an end within ``tau`` of the other's line.
+    Each orientation is a cross product of differences of coordinates of
+    magnitude at most M, so it errs by at most 2^-50 M times the length
+    its threshold scales; with tau above 2^-40 M, no sign outside doubt is
+    wrong.
+    """
+    dx, dy = qx - px, qy - py
+    wx, wy = ax - px, ay - py
+    a_side = dx * wy - dy * wx
+    b_side = dx * (wy + ey) - dy * (wx + ex)
+    p_side = ex * wy - ey * wx
+    q_side = ex * (wy - dy) - ey * (wx - dx)
+    cross = (a_side * b_side < 0.0) & (p_side * q_side < 0.0)
+    near = tau * np.hypot(dx, dy)
+    doubt = ((np.minimum(np.abs(a_side), np.abs(b_side)) <= near)
+             | (np.minimum(np.abs(p_side), np.abs(q_side)) <= tau * length))
+    return cross, doubt
+
+
+def _cells_near(grid: tuple, ax, ay, bx, by, w) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (cell, k), k-major, of the cells of ``grid`` = (x0, y0, hx,
+    hy, n) that segment k, a to b, may come within ``w[k]`` of: cell j n + i
+    is [x0 + i hx, x0 + (i + 1) hx] x [y0 + j hy, y0 + (j + 1) hy]. A
+    segment reaches column i only at its points within w of it in x, and
+    their y range, widened by w, bounds the rows."""
+    x0, y0, hx, hy, n = grid
+
+    def index(v, v0, h):
+        return np.clip(np.floor((v - v0) / h), 0, n - 1).astype(np.int64)
+
+    def runs(lo, hi):  # the owner of each entry of the runs lo..hi, and the entry
+        count = hi - lo + 1
+        owner = np.repeat(np.arange(lo.size), count)
+        return owner, lo[owner] + np.arange(owner.size) - (np.cumsum(count) - count)[owner]
+
+    k, i = runs(index(np.minimum(ax, bx) - w, x0, hx), index(np.maximum(ax, bx) + w, x0, hx))
+    dx, dy, w = bx[k] - ax[k], by[k] - ay[k], w[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ua = (x0 + i * hx - w - ax[k]) / dx
+        ub = (x0 + (i + 1) * hx + w - ax[k]) / dx
+    flat = dx == 0.0
+    lo = np.where(flat, 0.0, np.clip(np.fmin(ua, ub), 0.0, 1.0))
+    hi = np.where(flat, 1.0, np.clip(np.fmax(ua, ub), 0.0, 1.0))
+    ya, yb = ay[k] + lo * dy, ay[k] + hi * dy
+    r, j = runs(index(np.minimum(ya, yb) - w, y0, hy), index(np.maximum(ya, yb) + w, y0, hy))
+    return j * n + i[r], k[r]
+
+
+class CellTable:
+    """Where a polygonal coloring's pieces lie in its window, and the color
+    of the rest of it: point location on a uniform grid (Akman, Franklin,
+    Kankanhalli and Narayanaswami, Computer-Aided Design, 1989).
+
+    The grid. ``window`` holds n x n cells, n = min(256, max(16, 2^14 //
+    pieces)): at most 65,536 cells, a 256 KB code table, and at most about
+    three listed pieces per column a piece crosses. With S the largest
+    |corner| of the window and eps = 2^-30 S, a cell lists every piece that
+    comes within the pad, 2 ``MAX_TOLERANCE`` + 4 eps, of it, as clipped to
+    the window widened by twice the pad.
+
+    The pad. Every quantity below is a few float operations on numbers of
+    magnitude at most 4 S, and S < 2^20 times the cell size, so each errs
+    by at most 2^-36 S < eps / 64, and a point within the window takes the
+    cell floor((x - x0) / hx), floor((y - y0) / hy), clamped: its computed
+    index errs by at most one at a cell edge, where the exact point lies
+    within delta = 2^-50 S of the cell it takes. So every piece within
+    2 tol + 3 eps of a point lies within the pad of its cell, for every tol
+    <= ``MAX_TOLERANCE``: the near test (within tol), the walk's graze
+    shell (2 tol, below) and the crossing test (tau, below) each see every
+    piece that can decide them. The listing widens each column's y range by
+    the pad plus eps, so its own rounding loses no cell.
+
+    The colors. Pieces clipped to the widened window with a free end, or
+    a vertex that an odd number of ends meet, have no consistent face
+    colors, and such a document keeps the walk. Otherwise one vertical line
+    and one horizontal line per row, each tried at fractions of a cell
+    until it passes every vertex, every piece along it and every crossing
+    of the other by more than a 64th of a cell, cross the boundary at
+    points that rounding cannot reorder; their crossing counts give every
+    cell without pieces its color, and every cell with pieces a
+    representative on its row line, the point of the most room from the
+    line's crossings among eight tried, with its color. Each seed is
+    linked to a point of the vertical line by a segment whose crossings are
+    not in doubt at tau = 2^-24 times the largest coordinate (``_crossings``);
+    every seed must give the same colors, else the document keeps the walk.
+
+    Trust. The walk takes the nearest seed first, and its answer is sure
+    only where no seed nearer than the first sure one is in doubt. A seed
+    is clear when it lies more than 3 ``MAX_TOLERANCE`` (+ 4 eps) from every
+    piece and more than 2 ``MAX_TOLERANCE`` times its farthest window
+    corner from every piece's line: then no sight line from the window to
+    it grazes it, or meets a piece at a sine below tol. Its sight line from
+    p is in doubt only near a vertex V, when the segment passes within
+    rho = 2 ``MAX_TOLERANCE`` + 4 eps of V, so p lies in the cone of V from
+    the seed, listed as the capsule from V to the window's far side whose
+    radius is the cone's widest there; or when p lies within 2 tol of a piece,
+    which only a cell with pieces holds. A cell is trusted when every seed
+    that can be nearest to one of its points is clear and no cone of it
+    lists the cell. In a trusted cell the walk resolves every point off its
+    graze shell, to the color of its face.
+
+    ``code`` holds, per cell, ``_WHITE`` or ``_BLACK`` for a trusted cell
+    without pieces, the index of a trusted cell with pieces and a
+    representative into ``off`` (its pieces are ``piece[off[c]:off[c + 1]]``)
+    and ``rep_x``, ``rep_y``, ``rep_black``, and ``_WALK`` for the rest.
+    """
+
+    def __init__(self, window: Region, n: int, eps: float):
+        self.x0, self.y0, self.x1, self.y1 = window.x0, window.y0, window.x1, window.y1
+        self.n, self.eps = n, eps
+        self.hx, self.hy = (self.x1 - self.x0) / n, (self.y1 - self.y0) / n
+
+    @classmethod
+    def build(cls, tb: "PolygonTables", window: Region) -> Optional["CellTable"]:
+        """The table of a coloring's tables over ``window``; None where the
+        document keeps the walk (see above)."""
+        pc = tb.pieces
+        ends = np.concatenate((pc.v0, pc.v1))
+        bounded = ~np.concatenate((pc.ray_start, pc.ray_end))
+        if (bounded & (ends < 0)).any() or (np.bincount(ends[ends >= 0]) % 2).any():
+            return None
+        scale = max(map(abs, (window.x0, window.y0, window.x1, window.y1)))
+        table = cls(window, min(_MAX_CELLS, max(16, 2 ** 14 // max(len(pc), 1))), 2.0 ** -30 * scale)
+        n, hx, hy, eps = table.n, table.hx, table.hy, table.eps
+        pad = 2.0 * MAX_TOLERANCE + 4.0 * eps
+        coords = np.concatenate((pc.ax, pc.ay, pc.bx, pc.by))
+        largest = max(scale, float(np.max(np.abs(coords), initial=0.0)),
+                      float(np.max(np.abs(np.concatenate((tb.seed_x, tb.seed_y))))))
+        if not (math.isfinite(hx) and math.isfinite(hy) and 4.0 * pad <= min(hx, hy)
+                and float(np.max(np.abs(coords), initial=0.0)) <= 2.0 ** 20 * scale):
+            return None
+        grid = (table.x0, table.y0, hx, hy, n)
+        wide = window.inflated(2.0 * pad)
+        keep, a, b = _clip(np.stack((pc.ax, pc.ay)), np.stack((pc.ex, pc.ey)), wide,
+                           pc.u_lo, pc.u_hi)
+        (ax, ay), (bx, by) = a, b
+        ex, ey = bx - ax, by - ay
+        length = np.hypot(ex, ey)
+        cell, k = _cells_near(grid, ax, ay, bx, by, np.full(keep.size, pad + eps))
+        order = np.argsort(cell, kind="stable")
+        cell, k = cell[order], k[order]
+        first = np.flatnonzero(np.diff(cell, prepend=-1))
+        busy = cell[first]
+        table.off = np.append(first, cell.size)
+        table.piece = keep[k]
+        # the listed pieces, clipped, for the crossing test: a, e and |e|
+        table.clipped = np.stack((ax, ay, ex, ey, length))[:, k]
+
+        # the lines: x = xb, and y = ys[j] across row j
+        vx = np.concatenate((pc.ax[~pc.ray_start], pc.bx[~pc.ray_end]))
+        vy = np.concatenate((pc.ay[~pc.ray_start], pc.by[~pc.ray_end]))
+        mx, my = hx / 64.0, hy / 64.0
+        steep, flat = np.abs(ex) <= _PARALLEL * length, np.abs(ey) <= _PARALLEL * length
+        xs = table.x0 + (n // 2 + _TRIES) * hx
+        along = steep & (xs[:, None] >= np.minimum(ax, bx) - mx) & (xs[:, None] <= np.maximum(ax, bx) + mx)
+        ok = ~((np.abs(xs[:, None] - vx) <= mx).any(axis=1) | along.any(axis=1))
+        if not ok.any():
+            return None
+        xb = float(xs[ok.argmax()])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = (xb - ax) / ex
+        y_cross = np.sort((ay + u * ey)[~steep & (u > 0.0) & (u < 1.0)])
+        ys, hit, x_cross = np.zeros(n), np.zeros((n, ex.size), bool), np.zeros((n, ex.size))
+        row_ok, rows = np.zeros(n, dtype=bool), np.arange(n)
+        for f in _TRIES:  # each row line at the first fraction of the row that passes
+            y = table.y0 + (rows + f) * hy
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = (y[:, None] - ay) / ey
+            x, crosses = ax + u * ex, ~flat & (u > 0.0) & (u < 1.0)
+            along = flat & (y[:, None] >= np.minimum(ay, by) - my) & (y[:, None] <= np.maximum(ay, by) + my)
+            ok = ~((np.abs(y[:, None] - vy) <= my).any(axis=1) | along.any(axis=1)
+                   | (np.abs(y[:, None] - y_cross) <= my).any(axis=1)
+                   | (crosses & (np.abs(x - xb) <= mx)).any(axis=1))
+            done = rows[ok]
+            ys[done], hit[done], x_cross[done], row_ok[done] = y[ok], crosses[ok], x[ok], True
+            rows = rows[~ok]
+            if not rows.size:
+                break
+        # colors relative to the unknown color of (xb, ys[0]'s side): the
+        # junction (xb, ys[j]), then along row j
+        junction = (np.searchsorted(y_cross, ys) & 1).astype(bool)
+        left = junction ^ ((hit & (x_cross < xb)).sum(axis=1) & 1).astype(bool)
+        # the cells of row j without pieces take its color left of the
+        # window, flipped after each column that a crossing lies in: runs
+        r, c = np.nonzero(hit)
+        col = np.clip(np.floor((x_cross[r, c] - table.x0) / hx), -1, n).astype(np.int64)
+        start = left ^ (np.bincount(r[col < 0], minlength=n) & 1).astype(bool)
+        flips = np.sort((r * n + col + 1)[(col >= 0) & (col < n - 1)])
+        row = flips // n
+        flipped = start[row] ^ ((np.arange(flips.size) - np.searchsorted(row, row)) & 1 == 0)
+        runs = np.concatenate((np.arange(n) * n, flips))
+        order = np.argsort(runs, kind="stable")
+        runs, run_black = runs[order], np.concatenate((start, flipped))[order]
+        # representatives: of eight points of the row line in the cell, the
+        # one farthest from the line's crossings, as keys 4 j + 1 + x / width
+        width = table.x1 - table.x0
+        key = np.sort(4.0 * r + 1.0 + np.clip((x_cross[r, c] - table.x0) / width, -1.0, 2.0))
+        bj, bi = np.divmod(busy, n)
+        tries = table.x0 + (bi[:, None] + (np.arange(8) + 0.5) / 8.0) * hx
+        try_key = 4.0 * bj[:, None] + 1.0 + (tries - table.x0) / width
+        at = np.searchsorted(key, try_key)
+        padded = np.concatenate(([-np.inf], key, [np.inf]))
+        room = np.minimum(try_key - padded[at], padded[at + 1] - try_key)
+        best = room.argmax(axis=1)
+        pick = np.arange(busy.size), best
+        table.rep = np.stack((tries[pick], ys[bj]))
+        below = at[pick] - np.searchsorted(key, 4.0 * bj)
+        rep_black = left[bj] ^ (below & 1).astype(bool)
+        rep_ok = row_ok[bj] & (room[pick] >= 1.0 / (32.0 * n))
+
+        # link each seed to the junctions of up to eight rows, against the
+        # pieces clipped to a box that holds the seeds and the window widely
+        link = np.flatnonzero(row_ok)
+        link = link[np.linspace(0, link.size - 1, min(8, link.size)).astype(np.int64)]
+        stretch = 4.0 * largest / tb.piece_len[:, 0] + 2.0  # a ray side, cut 3 largest away
+        lo = np.where(pc.ray_start, -stretch, 0.0)
+        span = np.where(pc.ray_end, stretch, 1.0) - lo
+        cross, doubt = _crossings(tb.seed_x[:, None, None], tb.seed_y[:, None, None], xb,
+                                  ys[link][:, None], pc.ax + lo * pc.ex, pc.ay + lo * pc.ey,
+                                  span * pc.ex, span * pc.ey, span * tb.piece_len[:, 0],
+                                  2.0 ** -24 * largest)
+        sure = ~doubt.any(axis=2)
+        if not sure.any(axis=1).all():
+            return None
+        first = sure.argmax(axis=1)
+        odd = np.logical_xor.reduce(cross, axis=2)[np.arange(first.size), first]
+        flip = tb.seed_black ^ odd ^ junction[link[first]]
+        if flip.any() and not flip.all():
+            return None
+        flip = bool(flip[0])
+
+        # trust: the cells where the walk's first seed may be in doubt
+        table.slack = slack = 2.0 ** -26 * largest
+        rho = 2.0 * MAX_TOLERANCE + slack  # the cones' radius at their vertex
+        corners = np.array([[window.x0, window.x0, window.x1, window.x1],
+                            [window.y0, window.y1, window.y0, window.y1]])
+        far = np.hypot(corners[0] - tb.seed_x[:, None], corners[1] - tb.seed_y[:, None]).max(axis=1)
+        off_line = np.abs((tb.seed_x - tb.ax) * tb.ey - (tb.seed_y - tb.ay) * tb.ex) / tb.piece_len
+        table.clear = ((tb.seed_dist.min(axis=0, initial=np.inf) > 3.0 * MAX_TOLERANCE + slack)
+                       & (off_line.min(axis=0, initial=np.inf) > 2.0 * MAX_TOLERANCE * far + slack))
+        cx, cy = table.x0 + (np.arange(n) + 0.5) * hx, table.y0 + (np.arange(n) + 0.5) * hy
+
+        def may_be_nearest(cell, k):
+            """Whether seed k may be the nearest seed to a point of each cell: it
+            lies no farther from the cell's centre than the nearest seed does
+            plus the cell's diagonal."""
+            j, i = np.divmod(cell, n)
+            least = np.full(cell.shape, np.inf)
+            for sx, sy in zip(tb.seed_x.tolist(), tb.seed_y.tolist()):
+                np.minimum(least, (cx[i] - sx) ** 2 + (cy[j] - sy) ** 2, out=least)
+            gap = (cx[i] - tb.seed_x[k]) ** 2 + (cy[j] - tb.seed_y[k]) ** 2
+            return gap <= (np.sqrt(least) + math.hypot(hx, hy) + slack) ** 2
+
+        check = np.zeros(n * n, dtype=bool)
+        for k in np.flatnonzero(~table.clear):
+            check |= may_be_nearest(np.arange(n * n), np.full(n * n, k))
+        # the cone of each vertex from each clear seed, 64 at a time
+        seed = np.repeat(np.flatnonzero(table.clear), pc.vx.size)
+        vx, vy = np.tile(pc.vx, seed.size // max(pc.vx.size, 1)), np.tile(pc.vy, seed.size // max(pc.vx.size, 1))
+        dx, dy = vx - tb.seed_x[seed], vy - tb.seed_y[seed]
+        near = np.hypot(dx, dy)
+        reach = np.hypot(corners[0] - vx[:, None], corners[1] - vy[:, None]).max(axis=1)
+        w = rho + reach * rho / np.sqrt(near * near - rho * rho) + slack
+        for c in range(0, seed.size, 64):
+            part = slice(c, c + 64)
+            cell, cone = _cells_near(grid, vx[part], vy[part], (vx + dx / near * reach)[part],
+                                     (vy + dy / near * reach)[part], w[part])
+            check[cell[may_be_nearest(cell, seed[part][cone])]] = True
+
+        code = np.repeat(np.where(run_black ^ flip, _BLACK, _WHITE).astype(np.int32),
+                         np.diff(runs, append=n * n))
+        code[check] += _CHECK
+        code.reshape(n, n)[~row_ok] = _WALK
+        code[busy] = np.where(rep_ok, np.arange(busy.size), _WALK)
+        table.code, table.rep_black, table.check = code, rep_black ^ flip, check[busy]
+        for array in vars(table).values():
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+        return table
+
+    def codes(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The code of each point's cell; ``_WALK`` outside the window."""
+        inside = (xs >= self.x0) & (xs <= self.x1) & (ys >= self.y0) & (ys <= self.y1)
+        if not inside.all():
+            out = np.full(xs.shape, _WALK, dtype=np.int32)
+            keep = np.flatnonzero(inside)
+            out[keep] = self.codes(xs[keep], ys[keep])
+            return out
+        i = np.minimum(((xs - self.x0) / self.hx).astype(np.int64), self.n - 1)
+        j = np.minimum(((ys - self.y0) / self.hy).astype(np.int64), self.n - 1)
+        return self.code[j * self.n + i]
+
 
 @dataclass(frozen=True)
 class PolygonalColoring(_Queries):
@@ -1087,11 +1405,14 @@ class PolygonalColoring(_Queries):
     from the point to that seed with the boundary. Sight lines that graze
     an endpoint, cross at a boundary vertex or run along a piece are
     ambiguous; each point tries the seeds nearest first and takes the
-    first unambiguous one. ``resolve`` does all of this over whole arrays
-    and flags the points that no seed reaches.
-    A point well inside its nearest seed's clear disk (``PolygonTables``)
-    skips the piece pass: no piece is near it or crosses its sight line,
-    so it takes that seed's color, as the walk would give it.
+    first unambiguous one (the walk). ``resolve`` does all of this over
+    whole arrays and flags the points that no seed reaches.
+    Inside ``window``, at tol <= ``MAX_TOLERANCE``, a point takes the
+    walk's answer from the cell table (``CellTable``, built at the first
+    such query): a point in a cell without pieces reads the cell's color,
+    and a point in a cell with pieces tests only those pieces, the near
+    test and then the crossings of its segment to the cell's
+    representative. Only the points that the table cannot settle walk.
     """
 
     pieces: tuple[BoundaryPiece, ...]
@@ -1108,6 +1429,11 @@ class PolygonalColoring(_Queries):
         if cross is not None:
             raise GeometryError(f"boundary segments {cross[0]} and {cross[1]} intersect away "
                                 "from their endpoints")
+        overlap = self.tables.first_overlap()
+        if overlap is not None:
+            raise InvalidArgument("segments", f"must not overlap along one line, but segments "
+                                              f"{overlap[0]} and {overlap[1]} do",
+                                  [self.to_dict()["segments"][k] for k in overlap])
         self._check_seeds()
 
     def _check_seeds(self) -> None:
@@ -1169,6 +1495,12 @@ class PolygonalColoring(_Queries):
         refuses ends that nearly meet, naming ``segments``."""
         return PolygonTables(PieceTable.of(self.pieces), self.seeds)
 
+    @cached_property
+    def cells(self) -> Optional[CellTable]:
+        """The cell table over ``window``, built at the first query that can
+        use it; None where the document keeps the walk."""
+        return CellTable.build(self.tables, self.window)
+
     def resolve(self, xs: np.ndarray, ys: np.ndarray, tol: float = DEFAULT_TOL
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Black, on-boundary and unresolved masks of the points ``(xs[k], ys[k])``.
@@ -1180,95 +1512,88 @@ class PolygonalColoring(_Queries):
         return _by_block(lambda x, y: self._resolve_block(x, y, tol), xs, ys)
 
     def _resolve_block(self, xs: np.ndarray, ys: np.ndarray, tol: float):
-        """``resolve`` on one block: clear points first, the walk for the rest.
+        """``resolve`` on one block: the cell table within the window, at
+        tol <= ``MAX_TOLERANCE``, and the walk for every other point.
 
-        With u = 2^-53, a point p whose nearest seed s = seed k (the first
-        least of the computed distances: the walk's first seed) is *clear*
-        when its computed distance d from s is below the seed's reach,
-
-            (c - 3 tol - 2 B kappa) / (1 + 1.5 kappa),   kappa = 64 u (1 + 1/tol),
-
-        for c = ``seed_clear[k]`` and B = ``clear_scale``, all in floats:
-        that is, d + pad < c for pad = 3 tol + kappa L, L = 2 B + 1.5 d. A
-        clear point takes s's color and is neither on the boundary nor
-        unresolved, as the walk would have it; only the other points go
-        through ``PolygonTables.gaps`` and the walk, with the distances already
-        computed. A tol <= 0, a non-finite tol and a non-finite
-        ``3 tol + 2 B kappa`` clear no point; nor does a NaN or infinite d,
-        which a non-finite x or y gives.
-
-        Why the walk agrees. Piece j is a + v e for v in [v_lo, v_hi], in
-        the table's floats (v is ``_crossing_parity``'s u); w = a - p and
-        D = s - p. The 1-norms of s, a, e and s - a are at most B, and
-        |D|_1 <= sqrt(2) |D| <= 1.5 d, so those of p, w and D are at most
-        L. Every operation errs by at most u relative (hypot by 2u).
-        1. Range. ``clear_scale`` <= 2^200 by the range (``PolygonTables``),
-           and every piece is longer than 1e-9 (``Segment``). A clear point has
-           64 u L < pad < c + 7 u L < 2.51 * 2^200 (by 2 and 3), so
-           L < 2^249 and no product overflows; an underflow errs by
-           2^-1074 absolute, negligible at every step here.
-        2. Gaps. ``gaps``, which also gives ``seed_dist``, computes the
-           parameter of the nearest point of a piece to q within
-           6.1 u |q - a| / |e| of the exact one, and the offset from q to
-           the piece point at the computed parameter within 7.4 u L.
-           So the exact distance of s from piece j is at least
-           ``seed_dist[j, k]`` - 21 u L >= c - 21 u L, and a piece is
-           ``near`` p only if it comes within tol (1 + 2.01 u) + 7.4 u L
-           of p. Also c < 2.5 B <= 2.5 L.
-        3. Clearance. The exact |D| is at most d + 4 u L, and every point
-           of the sight segment [p, s] is within |D| of s, so every piece
-           stays at least c - d - 25.1 u L from that segment. The clear
-           test, rounded, gives d + pad (1 - 5.01 u) < c + 6.1 u L, as
-           c < 2.5 L; so that clearance exceeds
-           2.99 tol + 32 u L + 63 u L / tol.
-        4. ``near`` is False for every piece, by 2 and 3. The
-           ``parallel & seed_dist <= tol`` term of ``ambiguous`` is False,
-           since every ``seed_dist[j, k] >= c`` and c > 2.99 tol by 3.
-        5. No piece gives ``hit``. Suppose one did; the rule for d <= tol
-           (the point is at its seed) ignores hits, so let d > tol. Not
-           being ``parallel`` means |denom| > tol |D| |e| (1 - 7.01 u),
-           and denom errs by at most 3.01 u |D| |e|, that is by a relative
-           theta = 3.02 u / tol. A clear point has 64 u L / tol < pad
-           < c + 7 u L < 2.51 L, so tol > 25 u, theta < 1/8, and
-           |denom| > 2^-300. The lines then meet at X = p + t* D = a + v* e,
-           and the numerators of t and v err by 3.01 u |w| |e| and
-           3.01 u |w| |D|. For T = |t - t*| |D| and V = |v - v*| |e|:
-           T (1 - theta) <= theta |w| + (theta + u) |t| |D|, with
-           |t| |D| <= (1 + u)(|D| + tol (1 + 4.01 u)) from the hit's range
-           of t; and V (1 - u) <= theta |w| + (theta + u) |v*| |e|, with
-           |v*| |e| = |X - a| <= |w| + |t| |D| + T. With u < tol / 25 that
-           gives T <= 6.91 u L / tol + 1.15 u L + 0.15 tol and
-           V <= 9.95 u L / tol + 2.16 u L + 0.15 tol. The hit's ranges of t
-           and v put X within tol (1 + 5.02 u) + u L + T of the sight
-           segment and within tol (1 + 4.02 u) + u L + V of piece j. So
-           the piece comes within 2.31 tol + 5.31 u L + 16.9 u L / tol of
-           the segment, inside the clearance of 3: a contradiction.
-        So the walk's first seed gives an even, unambiguous crossing
-        count, and the point takes ``seed_black[k]``.
+        A point in a trusted cell without pieces takes the cell's color. A
+        point in a trusted cell with pieces runs the walk's near test on the
+        cell's pieces, which holds every piece within tol of it
+        (``CellTable``); off the boundary, it takes the representative's
+        color, flipped at each crossing of the segment between them. It
+        walks instead when it lies within 2 tol + 4 eps of one of those
+        pieces in both coordinates (the graze shell), or when a crossing is
+        in doubt at tau = max(tol, eps) (``_crossings``). Each answer is
+        the walk's own: the walk's near test, or the face color, which the
+        walk also gives in a trusted cell.
         """
-        tb = self.tables
-        dist = np.hypot(tb.seed_x - xs[:, None], tb.seed_y - ys[:, None])
-        t = float(tol)  # Python floats: a huge 1/t or B kappa is inf or NaN, without a warning
-        kappa = 64.0 * 2.0 ** -53 * (1.0 + 1.0 / t) if t > 0.0 else math.nan
-        base = 3.0 * t + 2.0 * tb.clear_scale * kappa
-        if not math.isfinite(base):
-            return self._walk(xs, ys, dist, tol)
-        nearest = dist.argmin(axis=1)
-        reach = (tb.seed_clear - base) / (1.0 + 1.5 * kappa)
-        clear = dist.min(axis=1) < reach[nearest]
-        if not clear.any():
-            return self._walk(xs, ys, dist, tol)
-        black = tb.seed_black[nearest]
-        on = np.zeros(xs.shape, dtype=bool)
+        cells = self.cells if 0.0 <= tol <= MAX_TOLERANCE else None
+        if cells is None:
+            return self._walk(xs, ys, tol)
+        code = cells.codes(xs, ys)
+        black, on = (code == _BLACK) | (code == _BLACK + _CHECK), np.zeros(xs.shape, dtype=bool)
+        doubt = code <= _WHITE + _CHECK
+        busy = np.flatnonzero(code >= 0)
+        if busy.size:
+            black[busy], on[busy], walk, check = self._cell_pieces(cells, xs[busy], ys[busy],
+                                                                   code[busy], tol)
+            code[busy[walk]] = _WALK
+            doubt[busy[check]] = True
+        if doubt.any():
+            doubt = np.flatnonzero(doubt)
+            code[doubt[~self._sure(cells, xs[doubt], ys[doubt], tol)]] = _WALK
         unresolved = np.zeros(xs.shape, dtype=bool)
-        rest = np.flatnonzero(~clear)
-        if rest.size:
-            black[rest], on[rest], unresolved[rest] = self._walk(
-                xs[rest], ys[rest], dist[rest], tol)
+        walk = np.flatnonzero(code == _WALK)
+        if walk.size:
+            black[walk], on[walk], unresolved[walk] = self._walk(xs[walk], ys[walk], tol)
         return black, on, unresolved
 
-    def _walk(self, xs: np.ndarray, ys: np.ndarray, dist: np.ndarray, tol: float):
-        """``resolve`` by the piece pass and the seed walk, given the seed distances.
+    def _cell_pieces(self, cells: CellTable, xs: np.ndarray, ys: np.ndarray, slot: np.ndarray,
+                     tol: float):
+        """Black and on-boundary masks, the points to walk and the points to
+        check (``_sure``), of points in cells with pieces, over (point,
+        listed piece) pairs in piece order."""
+        start = cells.off[slot]
+        count = cells.off[slot + 1] - start
+        first = np.cumsum(count) - count
+        owner = np.repeat(np.arange(slot.size), count)
+        at = np.arange(owner.size) + (start - first)[owner]
+        k, px, py = cells.piece[at], xs[owner], ys[owner]
+        pc = self.tables.pieces
+        gx, gy = _offsets(px, py, pc.ax[k], pc.ay[k], pc.ex[k], pc.ey[k], pc.len2[k],
+                          pc.u_lo[k], pc.u_hi[k])
+        shell = 2.0 * tol + 4.0 * cells.eps
+        doubt = (np.abs(gx) <= shell) & (np.abs(gy) <= shell)
+        rx, ry = cells.rep[:, slot[owner]]
+        cross, unsure = _crossings(px, py, rx, ry, *cells.clipped[:, at], max(tol, cells.eps))
+        black = cells.rep_black[slot] ^ np.logical_xor.reduceat(cross, first)
+        on = np.zeros(slot.shape, dtype=bool)
+        if doubt.any():
+            near = doubt & (np.abs(gx) <= tol) & (np.abs(gy) <= tol)
+            near[near] = np.hypot(gx[near], gy[near]) <= tol
+            hits = np.flatnonzero(near)
+            hits = hits[np.diff(owner[hits], prepend=-1) != 0]  # each point's first near piece
+            on[owner[hits]] = True
+            black[owner[hits]] = pc.black[k[hits]]
+            unsure |= doubt
+        walk = np.logical_or.reduceat(unsure, first) & ~on
+        return black, on, walk, cells.check[slot] & ~on & ~walk
+
+    def _sure(self, cells: CellTable, xs: np.ndarray, ys: np.ndarray, tol: float) -> np.ndarray:
+        """Whether the walk's first seed for each point is clear, and its
+        sight line passes every vertex by more than 2 tol + ``slack``: the
+        walk then resolves the point by that seed, to its face color."""
+        tb, pc = self.tables, self.tables.pieces
+        dist = np.hypot(tb.seed_x - xs[:, None], tb.seed_y - ys[:, None])
+        k = dist.argmin(axis=1)
+        dx, dy = (tb.seed_x[k] - xs)[:, None], (tb.seed_y[k] - ys)[:, None]
+        wx, wy = pc.vx - xs[:, None], pc.vy - ys[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip((wx * dx + wy * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+        gap = np.hypot(wx - t * dx, wy - t * dy)
+        return cells.clear[k] & (gap > 2.0 * tol + cells.slack).all(axis=1)
+
+    def _walk(self, xs: np.ndarray, ys: np.ndarray, tol: float):
+        """``resolve`` by the piece pass and the seed walk.
 
         A point with a NaN or infinite coordinate is unresolved, and takes
         neither pass, whose arithmetic would warn of it.
@@ -1278,8 +1603,7 @@ class PolygonalColoring(_Queries):
             black, on = np.zeros(xs.shape, dtype=bool), np.zeros(xs.shape, dtype=bool)
             unresolved = ~finite
             keep = np.flatnonzero(finite)
-            black[keep], on[keep], unresolved[keep] = self._walk(xs[keep], ys[keep],
-                                                                 dist[keep], tol)
+            black[keep], on[keep], unresolved[keep] = self._walk(xs[keep], ys[keep], tol)
             return black, on, unresolved
         tb = self.tables
         gx, gy = tb.gaps(xs, ys)
@@ -1292,7 +1616,8 @@ class PolygonalColoring(_Queries):
             black[on] = tb.pieces.black[near[:, on].argmax(axis=0)]
         # The walk: each point off the boundary tries its seeds nearest first.
         pend = np.flatnonzero(~on)
-        px, py, dist = xs[pend], ys[pend], dist[pend]
+        px, py = xs[pend], ys[pend]
+        dist = np.hypot(tb.seed_x - px[:, None], tb.seed_y - py[:, None])
         order = np.argsort(dist, axis=1, kind="stable")
         todo = np.arange(pend.size)
         for rank in range(order.shape[1]):

@@ -24,6 +24,8 @@ import sys
 from dataclasses import dataclass
 
 DEFAULT_TOL = 1e-9
+# The largest tolerance the CLI accepts, and that the polygonal cell table covers
+MAX_TOLERANCE = 1e-3
 
 TWO_PI = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)

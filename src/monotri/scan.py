@@ -680,9 +680,18 @@ def hexagon_probe(coloring: Coloring, A: Point, window: Optional[Region] = None,
 
     ``A`` must lie within tolerance of some boundary piece, else
     :class:`NotOnBoundary` is raised. Feasibility means A is not a boundary
-    vertex and no boundary vertex lies on the unit circle around A.
+    vertex and no boundary vertex lies on the unit circle around A. As in a
+    scan (``_check_scan``), rounding a point of the circle must not move it
+    by the tolerance: with R the larger of |A.x| and |A.y|, ``2 ulp(R + 1)
+    <= 2 tol``, else ``InvalidArgument`` names ``point`` (``tol`` if R = 0
+    fails).
     """
     check_tol(tol)
+    if 2.0 * math.ulp(1.0) > 2.0 * tol:
+        raise InvalidArgument("tol", "is too small for the unit circle's rounding", tol)
+    if 2.0 * math.ulp(max(abs(A.x), abs(A.y)) + 1.0) > 2.0 * tol:
+        raise InvalidArgument("point", "lies too far from the origin: rounding alone can move "
+                                       "the unit circle by more than the tolerance", [A.x, A.y])
     if window is None:
         window = default_probe_window(A)
     table = coloring.boundary_segments(window)

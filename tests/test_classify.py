@@ -76,7 +76,8 @@ from monotri.scan import (
     avoidance_scan,
     find_monochromatic_copy,
 )
-from scalar_oracles import locate, locate_resolve, piece_distance, point_segment_distance
+from scalar_oracles import (clear_disk_resolve, locate, locate_resolve, piece_distance,
+                            point_segment_distance)
 
 SQRT3 = math.sqrt(3.0)
 HALF_SQRT3 = SQRT3 / 2.0
@@ -1257,30 +1258,12 @@ class TestSeedDistances:
             PolygonalColoring(pieces, seeds, window)
         with pytest.raises(GeometryError, match="^seed 0 lies on the boundary$"):
             PolygonalColoring(pieces, seeds[2:] + seeds[:1], window)
-        clear = PolygonalColoring(pieces, seeds[:1], window).tables.seed_clear[0]
-        assert clear == pytest.approx(2e-9)
+        nearest = PolygonalColoring(pieces, seeds[:1], window).tables.seed_dist.min()
+        assert nearest == pytest.approx(2e-9)
 
 
 NON_FINITE = (np.array([math.nan, math.inf, -math.inf, 0.5, math.nan, math.inf, 0.5, -math.inf]),
               np.array([0.5, 0.5, 0.5, math.nan, math.nan, math.inf, -math.inf, math.inf]))
-
-
-def clear_reach(clear: float, scale: float, tol: float) -> float:
-    """The distance from a seed of clear radius ``clear`` below which a
-    point is clear (``_resolve_block``); ``clear`` itself at tol <= 0."""
-    if not tol > 0.0:
-        return clear
-    kappa = 64.0 * 2.0 ** -53 * (1.0 + 1.0 / tol)
-    return (clear - 3.0 * tol - 2.0 * scale * kappa) / (1.0 + 1.5 * kappa)
-
-
-def nearest_on_piece(piece: BoundaryPiece, p: Point) -> tuple[float, float]:
-    """The point of ``piece`` nearest to ``p``, as ``point_segment_distance`` finds it."""
-    a, b = piece.seg.p, piece.seg.q
-    ex, ey = b.x - a.x, b.y - a.y
-    t = ((p.x - a.x) * ex + (p.y - a.y) * ey) / (ex * ex + ey * ey)
-    t = min(max(t, -math.inf if piece.ray_start else 0.0), math.inf if piece.ray_end else 1.0)
-    return a.x + t * ex, a.y + t * ey
 
 
 def polygonal_points(pc: PolygonalColoring, rng, tol):
@@ -1291,11 +1274,9 @@ def polygonal_points(pc: PolygonalColoring, rng, tol):
     points on the sight lines from each seed through each piece endpoint,
     before and past the endpoint, and on the lines through each seed along
     each piece; points at and next to each seed; points equidistant
-    from two seeds; and points about the edge of each seed's clear disk,
-    on circles of radius ``seed_clear - pad`` (the reach within which
-    points are clear), a few ulps either side of it, ``pad`` either side of
-    it and ``seed_clear``, towards each piece's nearest point and at eight
-    spread angles.
+    from two seeds; points at 1e-12 to 1e-2 from each vertex; and points
+    of the cell table's grid (``CellTable``): on cell edges and corners, as
+    the floats x0 + i hx give them, and a few ulps either side.
     """
     xs, ys = [rng.uniform(-4.0, 4.0, 150)], [rng.uniform(-4.0, 4.0, 150)]
     ends = []
@@ -1324,18 +1305,18 @@ def polygonal_points(pc: PolygonalColoring, rng, tol):
         f = rng.uniform(-2.0, 2.0, 4)
         xs.append(0.5 * (s1.x + s2.x) - f * (s2.y - s1.y))
         ys.append(0.5 * (s1.y + s2.y) + f * (s2.x - s1.x))
-    for (seed, _), clear in zip(pc.seeds, pc.tables.seed_clear.tolist()):
-        if not math.isfinite(clear):
-            continue
-        r0 = clear_reach(clear, pc.tables.clear_scale, tol)
-        pad = clear - r0
-        radii = np.array([r0, r0 - 3 * math.ulp(r0), r0 + 3 * math.ulp(r0),
-                          r0 - pad, r0 + pad, clear])
-        theta = np.concatenate(([math.atan2(y - seed.y, x - seed.x)
-                                 for x, y in (nearest_on_piece(pc_, seed) for pc_ in pc.pieces)],
-                                rng.uniform(0.0, 2.0 * math.pi) + np.arange(8) * (math.pi / 4)))
-        xs.append((seed.x + radii[:, None] * np.cos(theta)).ravel())
-        ys.append((seed.y + radii[:, None] * np.sin(theta)).ravel())
+    for vx, vy in zip(pc.tables.pieces.vx.tolist(), pc.tables.pieces.vy.tolist()):
+        r = 10.0 ** rng.uniform(-12.0, -2.0, 8)
+        theta = rng.uniform(0.0, 2.0 * math.pi, 8)
+        xs.append(vx + r * np.cos(theta))
+        ys.append(vy + r * np.sin(theta))
+    cells = pc.cells
+    if cells is not None:
+        ex = cells.x0 + rng.integers(0, cells.n + 1, 12) * cells.hx
+        ey = cells.y0 + rng.integers(0, cells.n + 1, 12) * cells.hy
+        for nudge in (0.0, 3.0, -3.0):
+            xs += [ex + nudge * np.spacing(ex), ex, rng.uniform(-4.0, 4.0, 12)]
+            ys += [ey, ey + nudge * np.spacing(ey), ey]
     return np.concatenate(xs), np.concatenate(ys)
 
 
@@ -1373,7 +1354,10 @@ class TestPolygonalKernel:
             assert unresolved > 0
 
     def test_clear_points_skip_the_walk(self, monkeypatch):
-        """Points inside a convex face's seed disk never reach ``_crossing_parity``."""
+        """Points inside a convex face, in cells of the cell table that no
+        piece comes near, never reach ``_crossing_parity``; nor do points in
+        cells with pieces, off the boundary. A point outside the window takes
+        the walk."""
         calls = []
         crossing_parity = PolygonalColoring._crossing_parity
 
@@ -1384,15 +1368,24 @@ class TestPolygonalKernel:
         monkeypatch.setattr(PolygonalColoring, "_crossing_parity", counted)
         rng = np.random.default_rng(23)
         for pc in POLYGONAL["convex"]:
-            (seed, _), clear = pc.seeds[0], float(pc.tables.seed_clear[0])
-            # within half the clear radius, the inside seed is the nearest
+            (seed, _), clear = pc.seeds[0], float(pc.tables.seed_dist[:, 0].min())
             r = 0.5 * clear * np.sqrt(rng.uniform(0.0, 1.0, 64))
             theta = rng.uniform(0.0, 2.0 * math.pi, 64)
             xs, ys = seed.x + r * np.cos(theta), seed.y + r * np.sin(theta)
-            assert_resolve_matches_walk(pc, xs, ys, 1e-9)
+            assert (pc.cells.codes(xs, ys) < 0).all()  # cells without pieces
+            # and points 1e-3 to 1e-1 from the boundary, inside and out
+            piece = pc.tables.pieces
+            u, off = rng.uniform(0.1, 0.9, 64), 10.0 ** rng.uniform(-3.0, -1.0, 64)
+            k = rng.integers(0, len(piece), 64)
+            length = np.hypot(piece.ex[k], piece.ey[k])
+            side = np.where(rng.uniform(size=64) < 0.5, 1.0, -1.0) * off / length
+            near_x = piece.ax[k] + u * piece.ex[k] - side * piece.ey[k]
+            near_y = piece.ay[k] + u * piece.ey[k] + side * piece.ex[k]
+            assert (pc.cells.codes(near_x, near_y) >= 0).any()
+            assert_resolve_matches_walk(pc, np.concatenate((xs, near_x)),
+                                        np.concatenate((ys, near_y)), 1e-9)
             assert calls == []
-            # one point past the clear radius takes the walk
-            pc.resolve(np.array([seed.x + 1.1 * clear]), np.array([seed.y]), 1e-9)
+            pc.resolve(np.array([pc.window.x1 + 1.0]), np.array([seed.y]), 1e-9)
             assert calls == [1]
             calls.clear()
 
@@ -1731,6 +1724,80 @@ def window_end_points(zc: ZebraColoring, rng, scale: float, n=40):
     t = i * HALF_SQRT3 + rng.uniform(0.0, HALF_SQRT3, n)
     xh = zc.x_hat
     return s * xh.dx - t * xh.dy, s * xh.dy + t * xh.dx
+
+
+def wedge_coloring(rng) -> PolygonalColoring:
+    """An L-shape turned and opened: two rays from a corner in [-2, 2]^2, at
+    an opening of 0.4 to pi - 0.4 between them, black inside, with one seed
+    on each side along the bisector."""
+    corner = rng.uniform(-2.0, 2.0, 2)
+    turn, opening = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.4, math.pi - 0.4)
+    d1, d2, mid = (np.array([math.cos(a), math.sin(a)])
+                   for a in (turn, turn + opening, turn + opening / 2))
+    p = [Point(*(float(v) for v in c)) for c in (corner + 4.0 * d1, corner, corner + 4.0 * d2)]
+    color = [Color.BLACK if rng.uniform() < 0.5 else Color.WHITE for _ in range(2)]
+    pieces = (BoundaryPiece(Segment(p[0], p[1]), color[0], ray_start=True),
+              BoundaryPiece(Segment(p[1], p[2]), color[1], ray_end=True))
+    seeds = ((Point(*(float(v) for v in corner + 1.5 * mid)), Color.BLACK),
+             (Point(*(float(v) for v in corner - 1.5 * mid)), Color.WHITE))
+    return PolygonalColoring(pieces, seeds, Region(-8.0, -8.0, 8.0, 8.0))
+
+
+def drawn_island(rng) -> PolygonalColoring:
+    """``square_island`` with a black seed inside and, half the time, a white
+    seed outside, at least 0.5 from the square."""
+    seeds = [(Point(*(float(v) for v in rng.uniform(0.2, 0.8, 2))), Color.BLACK)]
+    if rng.uniform() < 0.5:
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        r = rng.uniform(1.3, 3.0)
+        seeds.append((Point(0.5 + r * math.cos(angle), 0.5 + r * math.sin(angle)), Color.WHITE))
+    return square_island(*seeds)
+
+
+def cell_table_points(pc: PolygonalColoring, rng):
+    """Points 1e-12 to 1e-2 from the pieces (past ray ends too) and from the
+    vertices, on either side; points exactly on cell edges and corners, as
+    x0 + i hx gives them; and points outside the window."""
+    pieces, cells, window = pc.tables.pieces, pc.cells, pc.window
+    k = rng.integers(0, len(pieces), 60)
+    u = np.where(pieces.ray_start[k] | pieces.ray_end[k], rng.uniform(-1.0, 2.0, 60),
+                 rng.uniform(0.0, 1.0, 60))
+    u = np.clip(u, np.maximum(pieces.u_lo[k], -1.0), np.minimum(pieces.u_hi[k], 2.0))
+    length = np.hypot(pieces.ex[k], pieces.ey[k])
+    off = 10.0 ** rng.uniform(-12.0, -2.0, 60) * np.where(rng.uniform(size=60) < 0.5, 1.0, -1.0)
+    xs = [pieces.ax[k] + u * pieces.ex[k] - off * pieces.ey[k] / length]
+    ys = [pieces.ay[k] + u * pieces.ey[k] + off * pieces.ex[k] / length]
+    v = rng.integers(0, pieces.vx.size, 30) if pieces.vx.size else np.zeros(0, dtype=int)
+    r, theta = 10.0 ** rng.uniform(-12.0, -2.0, v.size), rng.uniform(0.0, 2.0 * math.pi, v.size)
+    xs.append(pieces.vx[v] + r * np.cos(theta))
+    ys.append(pieces.vy[v] + r * np.sin(theta))
+    ex = cells.x0 + rng.integers(0, cells.n + 1, 30) * cells.hx
+    ey = cells.y0 + rng.integers(0, cells.n + 1, 30) * cells.hy
+    xs += [ex, ex, rng.uniform(window.x0, window.x1, 30)]
+    ys += [ey, rng.uniform(window.y0, window.y1, 30), ey]
+    xs.append(rng.uniform(window.x1, window.x1 + 4.0, 10))
+    ys.append(rng.uniform(window.y0 - 4.0, window.y0, 10))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(["convex", "wedge", "island"]), seed=st.integers(0, 2 ** 32 - 1),
+       tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 2e-3]))
+def test_cell_table_matches_the_clear_disk_kernel(family, seed, tol):
+    """``resolve`` through the cell table gives the masks of the kernel it
+    replaced (``scalar_oracles.clear_disk_resolve``): the unresolved mask on
+    every point, and the black and on-boundary masks wherever that kernel
+    resolves the point."""
+    rng = np.random.default_rng(seed)
+    pc = {"convex": convex_face, "wedge": wedge_coloring, "island": drawn_island}[family](rng)
+    assert pc.cells is not None
+    xs, ys = cell_table_points(pc, rng)
+    black, on, unresolved = pc.resolve(xs, ys, tol)
+    want_black, want_on, want_unresolved = clear_disk_resolve(pc, xs, ys, tol)
+    assert unresolved.tolist() == want_unresolved.tolist()
+    resolved = ~want_unresolved
+    assert black[resolved].tolist() == want_black[resolved].tolist()
+    assert on[resolved].tolist() == want_on[resolved].tolist()
 
 
 class TestDistance:

@@ -918,6 +918,47 @@ class TestNearJoints:
             PolygonalColoring(pc.pieces + (down,), pc.seeds, pc.window)
 
 
+class TestOverlaps:
+    """Pieces on one line (within ``DEFAULT_TOL``) whose parameter ranges
+    share more than ``DEFAULT_TOL`` of it are refused, naming ``segments``
+    and both pieces: no crossing count can tell which side of them a point
+    lies on. Pieces that only share an end construct."""
+
+    X_RAY = BoundaryPiece(Segment(Point(-4.0, 0.0), Point(2.0, 0.0)), Color.BLACK, ray_start=True)
+    SEEDS = ((Point(1.5, 1.0), Color.WHITE),)
+
+    def test_overlaps_are_refused(self):
+        # before, the first document colored (1.5, -0.5) white and (-3, -0.5) black
+        for piece in (BoundaryPiece(Segment(Point(1.0, 0.0), Point(3.0, 0.0)), Color.BLACK,
+                                    ray_end=True),
+                      BoundaryPiece(Segment(Point(3.0, 0.0), Point(1.0, 0.0)), Color.WHITE),
+                      BoundaryPiece(Segment(Point(1.0, 5e-10), Point(3.0, 5e-10)), Color.BLACK),
+                      BoundaryPiece(Segment(Point(-9.0, 0.0), Point(-8.0, 0.0)), Color.BLACK,
+                                    ray_start=True)):
+            with pytest.raises(InvalidArgument, match="^segments must not overlap along one line, "
+                                                      "but segments 0 and 1 do") as err:
+                PolygonalColoring((self.X_RAY, piece), self.SEEDS, Region(-8.0, -8.0, 8.0, 8.0))
+            assert err.value.param == "segments"
+
+    def test_shared_ends_and_parallel_pieces_construct(self):
+        window = Region(-8.0, -8.0, 8.0, 8.0)
+        for piece in (BoundaryPiece(Segment(Point(2.0, 0.0), Point(3.0, 0.0)), Color.BLACK),
+                      BoundaryPiece(Segment(Point(1.0, 2e-9), Point(3.0, 2e-9)), Color.BLACK),
+                      BoundaryPiece(Segment(Point(1.0, 1.0), Point(3.0, 1.0)), Color.BLACK)):
+            PolygonalColoring((self.X_RAY, piece), ((Point(1.5, 0.5), Color.WHITE),), window)
+        # the line y = 0 split at the origin: its halves meet at one vertex
+        halves = (BoundaryPiece(Segment(Point(-1.0, 0.0), Point(0.0, 0.0)), Color.BLACK,
+                                ray_start=True),
+                  BoundaryPiece(Segment(Point(0.0, 0.0), Point(1.0, 0.0)), Color.BLACK,
+                                ray_end=True))
+        pc = PolygonalColoring(halves, ((Point(0.5, 1.0), Color.WHITE),
+                                        (Point(0.3, -1.0), Color.BLACK)), window)
+        assert pc.tables.pieces.vx.tolist() == [0.0] and pc.cells is not None
+        black, on, unresolved = pc.resolve(np.array([-3.0, 5.0, 0.5]), np.array([-0.5, 0.5, 0.0]))
+        assert black.tolist() == [True, False, True] and on.tolist() == [False, False, True]
+        assert not unresolved.any()
+
+
 def hexagon_face() -> PolygonalColoring:
     """A black regular hexagon of radius 1 about the origin, white outside."""
     ccw = [Point(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]

@@ -370,11 +370,13 @@ class TestHexagonProbe:
         probe = hexagon_probe(HalfPlaneColoring(UnitVector(1.0, 0.0), 0.0), Point(0.0, 20.0))
         assert probe.to_dict()["points"] == [[0.0, 19.0], [0.0, 21.0]]
 
-    def test_far_out_probes_skip_nan_rows(self):
-        """Where a projection overflows, the offset is NaN and its piece no
-        host; nothing warns. From (0, 1e308), piece 0's projection 16e308
-        overflows and its offset is NaN; piece 1, stored one unit long on
-        the ray x = 0, holds the point."""
+    def test_far_out_probes_are_refused(self):
+        """Where rounding moves a point of the unit circle by more than the
+        tolerance, the centre is refused, naming ``point``, before any piece
+        is measured and without a warning. At (0, 1e308), (0, 1e308 +- 1)
+        round to the centre: the probe used to report a feasible hexagon
+        with no points. The rule is ``_check_scan``'s: R = 4e6 passes and
+        R = 1e7 does not, at the default tolerance."""
         pc = PolygonalColoring(
             (BoundaryPiece(Segment(Point(5.0, 0.0), Point(5.0, 16.0)), Color.BLACK, ray_end=True),
              BoundaryPiece(Segment(Point(0.0, 0.0), Point(0.0, 1.0)), Color.BLACK, ray_end=True)),
@@ -382,11 +384,18 @@ class TestHexagonProbe:
         window = Region(-2.0, 1e308 - 1e300, 2.0, 1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            probe = hexagon_probe(pc, Point(0.0, 1e308), window)
-            assert probe.to_dict()["center"] == [0.0, 1e308] and probe.feasible
-            # on the L-shape's y ray the projection overflows too: no host is left
-            with pytest.raises(NotOnBoundary):
-                hexagon_probe(l_shape_coloring(), Point(0.0, 1e308), window)
+            for coloring in (pc, l_shape_coloring()):
+                with pytest.raises(InvalidArgument, match="^point lies too far from the origin"):
+                    hexagon_probe(coloring, Point(0.0, 1e308), window)
+            for y, refused in ((4e6, False), (1e7, True)):
+                probe = lambda: hexagon_probe(pc, Point(0.0, y))  # noqa: E731
+                if refused:
+                    with pytest.raises(InvalidArgument, match="^point "):
+                        probe()
+                else:
+                    assert probe().to_dict()["points"] == [[0.0, y - 1.0], [0.0, y + 1.0]]
+        with pytest.raises(InvalidArgument, match="^tol "):
+            hexagon_probe(pc, Point(0.0, 0.5), None, 0.0)
 
 
 class TestBoundaryAngleAudit:
