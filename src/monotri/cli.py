@@ -80,21 +80,21 @@ def _emit(doc, out: Optional[str]) -> None:
     _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
-def _check_finite(flag: str, values, text: str) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise SchemaError(f"flag '{flag}' must hold finite numbers, got {text!r}")
+def _not_finite(flag: str, text: str) -> SchemaError:
+    return SchemaError(f"flag '{flag}' must hold finite numbers, got {text!r}")
 
 
 def _parse_numbers(flag: str, text: str, count: int) -> list[float]:
     """The ``count`` comma-separated finite numbers of ``flag``: flag syntax
-    has no nan or inf, which ``Line`` and ``Point`` would not refuse by name."""
+    has no nan or inf, which ``Point`` would not refuse by name."""
     try:
         values = [float(p) for p in text.split(",")]
     except ValueError:
         values = []
     if len(values) != count:
         raise SchemaError(f"flag '{flag}' expects {count} comma-separated numbers, got {text!r}")
-    _check_finite(flag, values, text)
+    if not all(math.isfinite(v) for v in values):
+        raise _not_finite(flag, text)
     return values
 
 
@@ -114,12 +114,11 @@ def _parse_line(flag: str, text: str) -> Line:
     from .lines import Line
 
     try:
-        line = Line.parse(text)
+        return Line.parse(text)
+    except InvalidArgument as exc:  # a coefficient that is not finite
+        raise _not_finite(flag, text) from exc
     except (ValueError, IndexError) as exc:
         raise SchemaError(f"flag '{flag}': bad line syntax: {exc}") from exc
-    _check_finite(flag, (v for v in (line.slope, line.intercept, line.x0) if v is not None),
-                  text)
-    return line
 
 
 # The flag that feeds each library parameter, by subcommand where two do.

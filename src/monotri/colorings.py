@@ -538,6 +538,8 @@ class ProfileTables:
     holds ``w = u mod 1``, with ``k = searchsorted(us, w, side="right")``,
     turns a normal tolerance into a vertical one; the end slots (w below
     ``us[0]`` or at or above ``us[-1]``) take the nearest piece's slope.
+    ``steepest`` is the largest secant, and ``band`` the share of a band's
+    height sqrt(3)/2 that the profile's amplitude fills.
     """
 
     def __init__(self, vertices: tuple[tuple[float, float], ...]):
@@ -549,12 +551,20 @@ class ProfileTables:
         self.secants = np.sqrt(1.0 + m * m)
         for table in vars(self).values():
             table.setflags(write=False)
+        self.steepest = float(self.secants.max())
+        self.band = float(vs.max() - vs.min()) / HALF_SQRT3
 
 
 FLAT_PROFILE = ZebraProfile(((0.0, 0.0), (1.0, 0.0)))
 # the band of a point with no window curve at or below it; -2^63 as a float
 # casts to the least int64
 _NO_CURVE_BELOW = float(np.iinfo(np.int64).min)
+# A zebra ``resolve`` call of at least this many points, whose profile
+# leaves at least this share of a band clear, skips the profile for its
+# clear points (``ZebraColoring.resolve``). Below either, the split's own
+# passes cost about as much as the heights it skips, or more.
+_CLEAR_POINTS = 1024
+_CLEAR_SHARE = 0.6
 
 
 @dataclass(frozen=True)
@@ -591,9 +601,13 @@ class ZebraColoring(_Queries):
         xh = self.x_hat
         s = xs * xh.dx
         s += ys * xh.dy
-        t = ys * xh.dx
-        t -= xs * xh.dy
-        return s, t
+        return s, self._frame_t(xs, ys)
+
+    def _frame_t(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The t of ``to_frame``, bit for bit."""
+        t = ys * self.x_hat.dx
+        t -= xs * self.x_hat.dy
+        return t
 
     def curve_points(self, i, u: np.ndarray) -> np.ndarray:
         """World coordinates of L_i at the profile parameters ``u``, x and y
@@ -658,21 +672,33 @@ class ZebraColoring(_Queries):
           2.01 u |Q| and |Q| H <= T + V, so f = q - i0 is Q - i0 up to
           u + 2.01 u (T + V) / H.
         - Hence, exactly, with r = 5.1 u T + 19.1 u V + 7 u,
-          ``t - h(i0 - 1) >= f H + (H - A) - r`` and
-          ``h(i0 + 1) - t >= (1 - f) H - r``.
+          ``t - h(i0 - 1) >= f H + (H - A) - r``,
+          ``h(i0 + 1) - t >= (1 - f) H - r`` and, as |i0 H| <= T + V + 2
+          too, ``t - h(i0) >= f H - A - r``.
         - A computed gap exceeds w once its exact value exceeds w (1 + 2 u).
-          So if both right-hand sides exceed w (1 + 2 u), neither L_i0-1
-          nor L_i0+1 is within w of the point, h(i0 - 1) <= t < h(i0 + 1),
-          and the window gives the answer of L_i0 alone.
+          So if the first two right-hand sides exceed w (1 + 2 u), neither
+          L_i0-1 nor L_i0+1 is within w of the point, h(i0 - 1) <= t <
+          h(i0 + 1), and the window gives the answer of L_i0 alone. If the
+          third does too, t - h(i0) > w, so the point is off L_i0 with
+          ``h > t`` false: its answer is ``parity_rule`` of i0, which needs
+          no height.
         A point is easy iff
 
             f H + (H - amplitude) > w + eps   and   (1 - f) H > w + eps,
 
-        each tested as a float threshold on f, with
+        and clear iff it is easy and f H > amplitude + w + eps, each tested
+        as a float threshold on f, with
         eps = 2^-48 (T + V + w + 1) = 32 u (T + V + w + 1). That covers r,
         2 u w, the rounding of the amplitude (2 u V) and that of eps and
-        the thresholds (6 u (w + eps + 1)). A NaN f fails the test, and
-        when w >= H every point does.
+        the thresholds (6 u (w + eps + 1), as |amplitude| < H < 1). A NaN f
+        fails the tests, and when w >= H every point does.
+
+        A call of at least ``_CLEAR_POINTS`` points, whose profile leaves at
+        least ``_CLEAR_SHARE`` of a band clear (``1 - (amplitude + 2 w) /
+        H``), takes the parity of i0 for its clear points and runs the
+        one-curve pass on the others; a smaller call, or a taller profile,
+        runs that pass on every point, where a clear point gets the same
+        answer. Either way, the hard points then take the window.
 
         The proof needs T < 2^48, and the window, which sees one point at a
         time, is trusted as far. At T >= 2^48, eps > 1 > H and every point
@@ -695,44 +721,73 @@ class ZebraColoring(_Queries):
             s, t = s[inside], t[inside]
             black[inside], on_curve[inside] = self._curve_window(
                 s, t, np.floor((t - self.profile.v_min) / HALF_SQRT3), tol,
-                tol * self.profile.tables.secants.max())
+                tol * self.profile.tables.steepest)
         return black, on_curve, unresolved
 
     def _resolve_within(self, xs: np.ndarray, ys: np.ndarray, tol: float, size: float
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``resolve`` where T = ``size`` < 2^48: L_i0 for the easy points,
-        the window for the hard ones."""
-        profile = self.profile
-        s, t = self.to_frame(xs, ys)
+        """``resolve`` where T = ``size`` < 2^48: the parity of i0 for the
+        clear points, when the call splits them off, L_i0 for the other easy
+        ones, the window for the hard ones."""
+        profile, tables = self.profile, self.profile.tables
+        widest = tol * tables.steepest
+        split = (xs.size >= _CLEAR_POINTS
+                 and tables.band + 2.0 * widest / HALF_SQRT3 <= 1.0 - _CLEAR_SHARE)
+        # a split call needs s only at its points that are not clear
+        s, t = (None, self._frame_t(xs, ys)) if split else self.to_frame(xs, ys)
         # Curve indices are floats: integers below 2^53 are exact floats,
         # the form in which 0.5 * i and i * HALF_SQRT3 use them.
         q = t - profile.v_min
         q /= HALF_SQRT3
         i0 = np.floor(q)
-        widest = tol * profile.tables.secants.max()
+        margin = widest + 2.0 ** -48 * (  # w + eps
+            size + max(-profile.v_min, profile.v_max) + widest + 1.0)
+        f = np.subtract(q, i0, out=q)
+        lower = (margin - (HALF_SQRT3 - profile.amplitude)) / HALF_SQRT3  # over L_i0-1
+        upper = 1.0 - margin / HALF_SQRT3  # under L_i0+1
+        rest = None
+        if split:
+            # not clear: at most w + eps over L_i0, or not under L_i0+1 by more
+            rest = f <= (margin + profile.amplitude) / HALF_SQRT3
+            rest |= f >= upper
+            rest = np.flatnonzero(rest)
+            black = self._black(i0)
+            on_curve = np.zeros(xs.shape, dtype=bool)
+            s, t = self.to_frame(xs[rest], ys[rest])  # t as above, bit for bit
+            i0, f = i0[rest], f[rest]
+            black[rest], on_curve[rest] = self._one_curve(s, t, i0, tol, widest)
+        else:
+            black, on_curve = self._one_curve(s, t, i0, tol, widest)
+        easy = f > lower
+        easy &= f < upper
+        if not easy.all():
+            hard = np.flatnonzero(~easy)
+            window = self._curve_window(s[hard], t[hard], i0[hard], tol, widest)
+            if rest is not None:
+                hard = rest[hard]
+            black[hard], on_curve[hard] = window
+        return black, on_curve, np.zeros(xs.shape, dtype=bool)
+
+    def _one_curve(self, s: np.ndarray, t: np.ndarray, i0: np.ndarray, tol: float,
+                   widest: float) -> tuple[np.ndarray, np.ndarray]:
+        """Black and on-boundary masks of the points from L_i0 alone, the
+        answer of every easy point."""
         h, on_curve = self._near_curve(s, t, i0, tol, widest)
         offset = h > t
         if self.parity_rule == self.boundary_parity:
             offset &= ~on_curve
         else:
             offset |= on_curve
-        black = self._black(i0, offset)
-        margin = widest + 2.0 ** -48 * (  # w + eps
-            size + max(-profile.v_min, profile.v_max) + widest + 1.0)
-        f = np.subtract(q, i0, out=q)
-        easy = f > (margin - (HALF_SQRT3 - profile.amplitude)) / HALF_SQRT3
-        easy &= f < 1.0 - margin / HALF_SQRT3
-        if not easy.all():
-            hard = np.flatnonzero(~easy)
-            black[hard], on_curve[hard] = self._curve_window(s[hard], t[hard], i0[hard], tol,
-                                                             widest)
-        return black, on_curve, np.zeros(xs.shape, dtype=bool)
+        return self._black(i0, offset), on_curve
 
-    def _black(self, index: np.ndarray, offset) -> np.ndarray:
+    def _black(self, index: np.ndarray, offset=None) -> np.ndarray:
         """The black mask of the points whose index parity is that of
-        ``index + offset``, for a float ``index`` and a bool ``offset``."""
+        ``index + offset``, for a float ``index`` and a bool ``offset``, or of
+        ``index`` alone."""
         half = index * 0.5
         even = half == np.floor(half)
+        if offset is None:
+            return even if self.parity_rule == "even-black" else np.invert(even, out=even)
         return even != offset if self.parity_rule == "even-black" else even == offset
 
     def _height(self, s: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -874,7 +929,7 @@ class ZebraColoring(_Queries):
         s, t = self.to_frame(xs, ys)
         i = np.floor((t - profile.v_min) / HALF_SQRT3)[:, None] + np.arange(-2.0, 3.0)
         gap = np.abs(t[:, None] - self._height(s[:, None], i)[0])
-        secant = profile.tables.secants.max()
+        secant = profile.tables.steepest
         slack = 2e-9 * (1.0 + np.abs(xs) + np.abs(ys))[:, None] + 1e-10 * secant
         rows = (gap <= (np.minimum.reduce(gap, axis=1, keepdims=True) + slack)
                 * secant).ravel().nonzero()[0]
@@ -1161,9 +1216,12 @@ class CellTable:
     comes within the pad, 2 ``MAX_TOLERANCE`` + 4 eps, of it, as clipped to
     the window widened by twice the pad.
 
-    The pad. Every quantity below is a few float operations on numbers of
-    magnitude at most 4 S, and S < 2^20 times the cell size, so each errs
-    by at most 2^-36 S < eps / 64, and a point within the window takes the
+    The pad. ``build`` keeps the table only where every piece coordinate
+    is at most 2^10 S and four pads fit in a cell. Every quantity below is
+    a few float operations on numbers of magnitude at most 2^12 S: the clip
+    to the widened window and the near test in a cell read the unclipped
+    pieces, the rest the window and the clipped pieces. So each errs by at
+    most 2^-36 S = eps / 64, and a point within the window takes the
     cell floor((x - x0) / hx), floor((y - y0) / hy), clamped: its computed
     index errs by at most one at a cell edge, where the exact point lies
     within delta = 2^-50 S of the cell it takes. So every piece within
@@ -1230,7 +1288,7 @@ class CellTable:
         largest = max(scale, float(np.max(np.abs(coords), initial=0.0)),
                       float(np.max(np.abs(np.concatenate((tb.seed_x, tb.seed_y))))))
         if not (math.isfinite(hx) and math.isfinite(hy) and 4.0 * pad <= min(hx, hy)
-                and float(np.max(np.abs(coords), initial=0.0)) <= 2.0 ** 20 * scale):
+                and float(np.max(np.abs(coords), initial=0.0)) <= 2.0 ** 10 * scale):
             return None
         grid = (table.x0, table.y0, hx, hy, n)
         wide = window.inflated(2.0 * pad)

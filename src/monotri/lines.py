@@ -38,11 +38,20 @@ class AllParallel(GeometryError):
 
 @dataclass(frozen=True)
 class Line:
-    """A line, either y = slope*x + intercept or vertical x = x0."""
+    """A line, either y = slope*x + intercept or vertical x = x0.
+
+    A coefficient that is not finite is refused at construction, an
+    ``InvalidArgument`` naming ``line`` and giving its ``to_text``.
+    """
 
     slope: Optional[float] = None
     intercept: Optional[float] = None
     x0: Optional[float] = None
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.slope, self.intercept, self.x0)
+                   if v is not None):
+            raise InvalidArgument("line", "must have finite coefficients", self.to_text())
 
     @staticmethod
     def slope_intercept(a: float, b: float) -> "Line":

@@ -238,7 +238,7 @@ def _check_scan(spec: TriangleSpec, grid: ScanGrid, tol: float) -> None:
 
 _SCAN_BLOCK = 4096  # most poses per block of the scan engine
 # Candidates in a find scan's first margin batch; later batches of a block
-# double. A zebra ``distance`` call costs about 105 us plus 0.9 us per
+# double. A zebra ``distance`` call costs about 120 us plus 0.9 us per
 # point, so 4 candidates (12 points) cost under a tenth more than one, and
 # doubling spends at most about as many points past the witness as before it.
 _MARGIN_BATCH = 4
@@ -305,8 +305,9 @@ def _placed_poses(coloring: Coloring, spec: TriangleSpec, grid: ScanGrid, tol: f
     block = _SCAN_BLOCK
     cap = max((2 if find else 1) * block // n, 1)
     run = 1 if find else cap
-    # 64 poses at the default block: a zebra ``resolve`` call costs about
-    # 23 us plus 17 ns per point, so a smaller first slice saves under 2 us
+    # 64 poses at the default block: a zebra ``resolve`` call of fewer than
+    # 1,024 points costs about 21 us plus 19 ns per point, so a smaller
+    # first slice saves under 2 us
     size = math.isqrt(block) if find and n > block else block
     if n <= block:
         xs, ys = translations(0, n)

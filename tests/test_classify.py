@@ -42,6 +42,7 @@ from hypothesis import strategies as st
 from monotri import colorings, render, scan
 from monotri.colorings import (
     BoundaryPiece,
+    CellTable,
     Color,
     PieceTable,
     HalfPlaneColoring,
@@ -656,6 +657,58 @@ class TestZebraKernel:
             elif below_next or name == "near-cap":
                 # the zigzag reaches its lower threshold only at w >= sqrt(3)/2 - 0.1
                 assert 0 < hard < ts.size
+
+    @pytest.mark.parametrize("split", ["chosen", "forced"])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3, 0.5])
+    @pytest.mark.parametrize("name", ["zigzag", "flat", "near-cap"])
+    @pytest.mark.parametrize("magnitude", [1.0, 1e4, 1e8])
+    def test_points_at_the_band_threshold(self, magnitude, name, tol, split, monkeypatch):
+        # Points just above the highest points of L_k, around the vertical
+        # tolerance w: there the kernel's rounding bound decides whether a
+        # point is clear, its color the parity of k read without the
+        # profile. "chosen" leaves the split to the kernel, which makes it
+        # for the zigzag and the flat profile at tol <= 1e-3 only;
+        # "forced" makes it for every call. A split call runs the one-curve
+        # pass on its points that are not clear, and its sets hold points on
+        # both sides of the bound unless no point of the band is clear:
+        # where amplitude + 2 w reaches sqrt(3)/2 (w >= sqrt(3)/2 among
+        # them), or rounding leaves the near-cap profile's 2e-9 no room.
+        profile = ZebraProfile({"zigzag": ((0.0, 0.0), (0.5, 0.1), (1.0, 0.0)),
+                                "flat": ((0.0, 0.0), (1.0, 0.0)),
+                                "near-cap": ((0.0, 0.0), (0.5, HALF_SQRT3 - 2e-9),
+                                             (1.0, 0.0))}[name])
+        zc = ZebraColoring(profile)  # x_hat = (1, 0): frame and world coordinates agree
+        if split == "forced":
+            monkeypatch.setattr(colorings, "_CLEAR_POINTS", 0)
+            monkeypatch.setattr(colorings, "_CLEAR_SHARE", -math.inf)
+        passes = []
+        near_curve = ZebraColoring._near_curve
+
+        def counted_near_curve(self, s, *args):
+            passes.append(s.size)
+            return near_curve(self, s, *args)
+
+        monkeypatch.setattr(ZebraColoring, "_near_curve", counted_near_curve)
+        w = tol * profile.tables.secants.max()
+        k0 = round(magnitude / HALF_SQRT3)
+        k = np.concatenate((np.arange(k0 - 20, k0 + 20), np.arange(-k0 - 20, -k0 + 20)))
+        base = k * HALF_SQRT3 + profile.v_max + w  # over L_k at its highest point
+        steps = np.arange(-64.0, 65.0)
+        near = base[:, None] + steps * 2.0 ** -48 * (np.abs(base)[:, None] + 1.0)
+        ulps = base[:, None] + steps[::8] * np.spacing(base)[:, None]
+        ts = np.concatenate((near, ulps), axis=1).ravel()
+        xs = np.repeat(0.5 + 0.5 * k, ts.size // k.size)
+        passes.clear()
+        got, want = zc.resolve(xs, ts, tol), locate_resolve(zc, xs, ts, tol)
+        for g, o in zip(got, want, strict=True):
+            assert g.dtype == o.dtype and np.array_equal(g, o)
+        one_curve = passes[0]  # then the window's passes, if any point is hard
+        splits = split == "forced" or (name != "near-cap" and tol <= 1e-3)
+        room = profile.amplitude + 2.0 * w + 2.0 ** -44 * (magnitude + 1.0) < HALF_SQRT3
+        if splits and room:
+            assert 0 < one_curve < ts.size
+        else:
+            assert one_curve == ts.size
 
     @given(case=kernel_cases(), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -1754,11 +1807,32 @@ def drawn_island(rng) -> PolygonalColoring:
     return square_island(*seeds)
 
 
+def spike(rng, reach: float) -> PolygonalColoring:
+    """A black triangle on the base (0, 0)-(1, 0) whose apex lies far out,
+    its largest coordinate drawn from [reach / 2, reach]; a black seed on
+    the median 2 above the base, and a white seed below it. The window is
+    [-8, 8]^2, so the apex's coordinate reaches ``reach / 8`` times the
+    window's largest corner."""
+    turn = rng.uniform(math.pi / 4.0, 3.0 * math.pi / 4.0)
+    size = rng.uniform(0.5, 1.0) * reach
+    r = size / max(abs(math.cos(turn)), math.sin(turn))
+    corners = [Point(0.0, 0.0), Point(1.0, 0.0),
+               Point(0.5 + r * math.cos(turn), r * math.sin(turn))]
+    pieces = tuple(BoundaryPiece(Segment(corners[k], corners[(k + 1) % 3]), Color.BLACK)
+                   for k in range(3))
+    seeds = ((Point(0.5 + 2.0 * math.cos(turn), 2.0 * math.sin(turn)), Color.BLACK),
+             (Point(0.5, -3.0), Color.WHITE))
+    return PolygonalColoring(pieces, seeds, Region(-8.0, -8.0, 8.0, 8.0))
+
+
 def cell_table_points(pc: PolygonalColoring, rng):
     """Points 1e-12 to 1e-2 from the pieces (past ray ends too) and from the
     vertices, on either side; points exactly on cell edges and corners, as
-    x0 + i hx gives them; and points outside the window."""
+    x0 + i hx gives them (of a 16 x 16 grid where the document has no
+    table); and points outside the window."""
     pieces, cells, window = pc.tables.pieces, pc.cells, pc.window
+    if cells is None:
+        cells = CellTable(window, 16, 0.0)
     k = rng.integers(0, len(pieces), 60)
     u = np.where(pieces.ray_start[k] | pieces.ray_end[k], rng.uniform(-1.0, 2.0, 60),
                  rng.uniform(0.0, 1.0, 60))
@@ -1781,16 +1855,20 @@ def cell_table_points(pc: PolygonalColoring, rng):
 
 
 @settings(max_examples=80, deadline=None)
-@given(family=st.sampled_from(["convex", "wedge", "island"]), seed=st.integers(0, 2 ** 32 - 1),
-       tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 2e-3]))
+@given(family=st.sampled_from(["convex", "wedge", "island", "spike", "far spike"]),
+       seed=st.integers(0, 2 ** 32 - 1), tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 2e-3]))
 def test_cell_table_matches_the_clear_disk_kernel(family, seed, tol):
     """``resolve`` through the cell table gives the masks of the kernel it
     replaced (``scalar_oracles.clear_disk_resolve``): the unresolved mask on
     every point, and the black and on-boundary masks wherever that kernel
-    resolves the point."""
+    resolves the point. A spike's apex lies within the 2^10 S of piece
+    coordinates that the table takes (S the window's largest corner); a
+    far spike's, near 2^20 S, lies beyond it, and that document walks."""
     rng = np.random.default_rng(seed)
-    pc = {"convex": convex_face, "wedge": wedge_coloring, "island": drawn_island}[family](rng)
-    assert pc.cells is not None
+    pc = {"convex": convex_face, "wedge": wedge_coloring, "island": drawn_island,
+          "spike": lambda rng: spike(rng, 2.0 ** 10 * 8.0),
+          "far spike": lambda rng: spike(rng, 2.0 ** 20 * 8.0)}[family](rng)
+    assert (pc.cells is None) == (family == "far spike")
     xs, ys = cell_table_points(pc, rng)
     black, on, unresolved = pc.resolve(xs, ys, tol)
     want_black, want_on, want_unresolved = clear_disk_resolve(pc, xs, ys, tol)

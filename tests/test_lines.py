@@ -1,11 +1,12 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from monotri.geom import Point, distance, rotate_about
+from monotri.geom import InvalidArgument, Point, distance, rotate_about
 from monotri.lines import (
     AllParallel,
     Line,
@@ -47,6 +48,25 @@ class TestParsing:
         for text in ("0.25,1.5", "vertical:-0.7"):
             assert Line.parse(Line.parse(text).to_text()).to_text() == \
                 Line.parse(text).to_text()
+
+    def test_nan_slope_is_refused_before_the_solver(self):
+        # the solver used to return a finite solution with no triangles
+        with pytest.raises(InvalidArgument, match=re.escape("line must have finite "
+                                                            "coefficients, got 'nan,0.0'")) as exc:
+            solve_unit_triangles(Line.slope_intercept(math.nan, 0.0),
+                                 Line.slope_intercept(1.0, 0.0), Line.vertical(0.0))
+        assert exc.value.param == "line"
+
+    @pytest.mark.parametrize("make, text", [
+        (lambda: Line.vertical(math.inf), "vertical:inf"),
+        (lambda: Line.slope_intercept(1.0, -math.inf), "1.0,-inf"),
+        (lambda: Line.parse("vertical:nan"), "vertical:nan"),
+    ])
+    def test_non_finite_coefficients_name_the_line(self, make, text):
+        # an infinite x0 used to fail later, on a point that named no parameter
+        with pytest.raises(InvalidArgument, match=re.escape(f"got {text!r}")) as exc:
+            make()
+        assert exc.value.param == "line"
 
 
 class TestSolveUnitTriangles:
